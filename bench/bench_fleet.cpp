@@ -11,35 +11,28 @@
 // (one matrix-matrix forward across all hubs per slot), both end-to-end and
 // as a pure-inference microbenchmark, again cross-checking bit-identity.
 //
-// Part 3 sweeps --threads-list over run_lockstep's worker crew
-// (lockstep_threads): env stepping shards across the barrier-synchronized
-// workers while inference stays one GEMM per slot — thread x batch
-// parallelism on one fleet, still bit-identical to the per-hub reference.
-// The sweep runs the rule-policy fleet, where stepping is the entire slot
-// cost.  Wall-clock scaling needs real cores — the table prints
-// hardware_concurrency so a flat curve on a 1-core box reads as the
-// environment, not a regression.
+// Part 3 sweeps --threads-list over run_lockstep's crew (lockstep_threads):
+// each slot's env stepping and row-block inference shard across the
+// barrier-synchronized members — thread x batch parallelism on one fleet,
+// still bit-identical to the per-hub reference.  The sweep runs the
+// rule-policy fleet, where stepping is the entire slot cost.  Wall-clock
+// scaling needs real cores — the table prints hardware_concurrency so a
+// flat curve on a 1-core box reads as the environment, not a regression.
 //
-// Part 4 is the GEMM-placement sweep on the ECT-DRL fleet: at each worker
-// count, the PR 4 coordinator path (one decide_batch on the coordinator
-// while the crew idles at the barrier) races the worker path (each worker
-// runs decide_rows on its lane partition's row-block of the shared
-// observation matrix).  The coordinator GEMM is the Amdahl bottleneck the
-// worker placement removes; with >= 4 real cores the worker column should
-// pull ahead, and every cell is cross-checked bit-identical to the per-hub
-// reference.
-//
-// Part 5 prices the metro coupling layer: the same spatially generated
-// fleet runs uncoupled and coupled (per-slot CouplingBus exchange plus the
-// correlated weather/outage fronts), reporting the throughput cost and the
-// routed spillover, with the coupled run cross-checked bit-identical across
-// thread counts and both GEMM placements.
-//
-// Part 6 measures training-side throughput: PPO rollout collection over 8
+// Part 4 measures training-side throughput: PPO rollout collection over 8
 // urban replica lanes, serial per-lane act() against the vectorized lockstep
 // collector (one 8-row stochastic GEMM per slot, env stepping sharded across
 // the BarrierCrew) at 1/4/8 collector threads.  Per-lane RNG streams make
 // every cell's collected buffers bit-comparable to the serial reference.
+//
+// Part 5 times forked process sharding against the single-process run,
+// checking the merged report byte for byte.
+//
+// Part 6 prices the metro coupling layer: the same spatially generated
+// fleet runs uncoupled and coupled (per-slot CouplingBus exchange plus the
+// correlated weather/outage fronts), reporting the throughput cost and the
+// routed spillover, with the coupled run cross-checked bit-identical across
+// crew sizes.
 //
 //   $ ./bench_fleet [--hubs 64] [--days 4] [--episodes 1]
 //                   [--threads-list 1,2,4,8] [--base-seed 7]
@@ -154,25 +147,18 @@ int main(int argc, char** argv) {
   std::cout << "=== Fleet throughput: " << hubs << " hubs x " << slots
             << " slots, base seed " << base_seed << " ===\n";
 
-  const auto timed_run_gemm = [&](const std::vector<sim::FleetJob>& fleet_jobs,
-                                  std::size_t threads, bool lockstep,
-                                  sim::LockstepGemm gemm,
-                                  std::vector<sim::HubRunResult>& out) {
+  const auto timed_run = [&](const std::vector<sim::FleetJob>& fleet_jobs,
+                             std::size_t threads, bool lockstep,
+                             std::vector<sim::HubRunResult>& out) {
     sim::FleetRunnerConfig cfg;
     cfg.base_seed = base_seed;
     cfg.threads = threads;
     cfg.lockstep_threads = lockstep ? threads : 1;
-    cfg.lockstep_gemm = gemm;
     cfg.episodes_per_hub = episodes;
     const sim::FleetRunner runner(cfg);
     const auto start = std::chrono::steady_clock::now();
     out = lockstep ? runner.run_lockstep(fleet_jobs) : runner.run(fleet_jobs);
     return now_ms_since(start);
-  };
-  const auto timed_run = [&](const std::vector<sim::FleetJob>& fleet_jobs,
-                             std::size_t threads, bool lockstep,
-                             std::vector<sim::HubRunResult>& out) {
-    return timed_run_gemm(fleet_jobs, threads, lockstep, sim::LockstepGemm::kWorker, out);
   };
 
   // The reference is always an explicit 1-thread run — every entry of
@@ -208,7 +194,7 @@ int main(int argc, char** argv) {
   train_cfg.env = registry.at("urban").env;
   train_cfg.env.episode_days = days;
   train_cfg.iterations = drl_iters;
-  train_cfg.seed = sim::mix_seed(base_seed, 0x5eedULL);
+  train_cfg.seed = mix_seed(base_seed, 0x5eedULL);
   const auto checkpoint = std::make_shared<policy::DrlCheckpoint>(core::train_drl_checkpoint(
       registry.make_hub("urban", "drl-train", train_cfg.seed), train_cfg));
 
@@ -286,9 +272,9 @@ int main(int argc, char** argv) {
   }
 
   // --- Part 3: threaded lockstep — env stepping sharded across the crew ---
-  // The heuristic fleet from part 1 in lockstep at each worker count: env
+  // The heuristic fleet from part 1 in lockstep at each crew size: env
   // stepping (the entire slot cost for rule policies) shards across the
-  // barrier-synchronized workers.  Every row must reproduce the per-hub
+  // barrier-synchronized members.  Every row must reproduce the per-hub
   // reference bit for bit.
   std::cout << "\n=== Threaded lockstep scaling: " << hubs << " hubs, "
             << to_string(jobs.front().scheduler) << " fleet, "
@@ -318,47 +304,7 @@ int main(int argc, char** argv) {
   }
   scaling.print(std::cout);
 
-  // --- Part 4: GEMM placement — coordinator vs worker row-block GEMMs -----
-  // The ECT-DRL fleet again, where inference is a real share of the slot:
-  // each worker count races the serial coordinator decide_batch against
-  // per-worker decide_rows row-blocks of the same observation matrices.
-  std::cout << "\n=== Lockstep GEMM placement: " << hubs << " hubs, drl fleet, "
-            << std::thread::hardware_concurrency() << " hardware core(s) ===\n";
-  std::vector<sim::HubRunResult> drl_reference;
-  const double drl_serial_ms =
-      timed_run_gemm(drl_jobs, 1, true, sim::LockstepGemm::kCoordinator, drl_reference);
-  if (!results_identical(drl_reference, per_hub)) {
-    std::cerr << "DETERMINISM VIOLATION: lockstep DRL differs from per-hub\n";
-    return 1;
-  }
-  TextTable gemm_table({"lockstep threads", "coordinator ms", "worker ms",
-                        "worker speedup", "bit-identical"});
-  for (const std::size_t threads : thread_list) {
-    std::vector<sim::HubRunResult> coord_results, worker_results;
-    const double coord_ms = timed_run_gemm(drl_jobs, threads, true,
-                                           sim::LockstepGemm::kCoordinator, coord_results);
-    const double worker_ms = timed_run_gemm(drl_jobs, threads, true,
-                                            sim::LockstepGemm::kWorker, worker_results);
-    const bool identical = results_identical(coord_results, drl_reference) &&
-                           results_identical(worker_results, drl_reference);
-    gemm_table.begin_row()
-        .add_int(static_cast<long long>(threads))
-        .add_double(coord_ms, 1)
-        .add_double(worker_ms, 1)
-        .add_double(coord_ms / worker_ms, 2)
-        .add(identical ? "yes" : "NO");
-    if (!identical) {
-      std::cerr << "DETERMINISM VIOLATION at " << threads
-                << " lockstep threads (gemm placement)\n";
-      gemm_table.print(std::cout);
-      return 1;
-    }
-  }
-  gemm_table.print(std::cout);
-  std::cout << "(serial coordinator reference: " << drl_serial_ms << " ms; worker "
-            << "speedup > 1 needs real cores — see hardware core count above)\n";
-
-  // --- Part 6: vectorized PPO rollout collection — training throughput ----
+  // --- Part 4: vectorized PPO rollout collection — training throughput ----
   // (Runs before the metro part so a --hubs 1 invocation still reaches it.)
   // Fresh envs per cell: lane episode sequences depend on env-internal RNG
   // state, so every collector gets its own replica fleet and the same
@@ -374,7 +320,7 @@ int main(int argc, char** argv) {
       for (std::size_t l = 0; l < kLanes; ++l) {
         envs.push_back(std::make_unique<core::EctHubEnv>(
             registry.make_hub("urban", "train-" + std::to_string(l),
-                              sim::mix_seed(base_seed, l)),
+                              mix_seed(base_seed, l)),
             lane_env));
       }
       return envs;
@@ -394,10 +340,10 @@ int main(int argc, char** argv) {
     rl::ActorCriticConfig ac_cfg;
     ac_cfg.state_dim = probe.front()->state_dim();
     ac_cfg.action_count = probe.front()->action_count();
-    nn::Rng ac_rng(sim::mix_seed(base_seed, 0xac7ULL));
+    nn::Rng ac_rng(mix_seed(base_seed, 0xac7ULL));
     rl::ActorCritic actor(ac_cfg, ac_rng);
     rl::VecCollectorConfig vec_cfg;
-    vec_cfg.seed = sim::mix_seed(base_seed, 0xc011ULL);
+    vec_cfg.seed = mix_seed(base_seed, 0xc011ULL);
 
     auto serial_envs = make_lane_envs();
     rl::VecRolloutCollector serial_collector(as_ptrs(serial_envs), vec_cfg);
@@ -445,7 +391,7 @@ int main(int argc, char** argv) {
                  "count above)\n";
   }
 
-  // --- Part 7: process sharding — forked "fleet of fleets" vs one process --
+  // --- Part 5: process sharding — forked "fleet of fleets" vs one process --
   // The part-1 fleet again, split 1/2/4/8 ways across forked worker
   // processes (one shard file per child, each worker single-threaded so the
   // speedup column shows pure process-level scaling), then merged from the
@@ -499,13 +445,12 @@ int main(int argc, char** argv) {
                  "form against the single-process run)\n";
   }
 
-  // --- Part 5: metro coupling — coupled vs uncoupled throughput/spillover --
+  // --- Part 6: metro coupling — coupled vs uncoupled throughput/spillover --
   // The same spatially generated fleet twice: once uncoupled (coupling
   // stripped, the pre-metro hot path) and once coupled (through-traffic,
   // CouplingBus exchange at every slot barrier, correlated fronts).  The
   // delta is the price of the coupling layer; the spillover columns are what
-  // it buys.  The coupled run must be bit-identical across thread counts and
-  // both GEMM placements.
+  // it buys.  The coupled run must be bit-identical across crew sizes.
   if (hubs < 2) {
     std::cout << "\n(skipping metro coupling part: needs --hubs >= 2)\n";
     return 0;
@@ -530,15 +475,10 @@ int main(int argc, char** argv) {
   const std::size_t crew = thread_list.empty()
                                ? 1
                                : *std::max_element(thread_list.begin(), thread_list.end());
-  std::vector<sim::HubRunResult> coupled_worker, coupled_coord;
-  const double coupled_worker_ms =
-      timed_run_gemm(coupled_jobs, crew, true, sim::LockstepGemm::kWorker, coupled_worker);
-  const double coupled_coord_ms = timed_run_gemm(coupled_jobs, crew, true,
-                                                 sim::LockstepGemm::kCoordinator,
-                                                 coupled_coord);
-  if (!results_identical(coupled_worker, coupled_ref) ||
-      !results_identical(coupled_coord, coupled_ref)) {
-    std::cerr << "DETERMINISM VIOLATION: coupled fleet differs across threads/GEMM\n";
+  std::vector<sim::HubRunResult> coupled_crew;
+  const double coupled_crew_ms = timed_run(coupled_jobs, crew, true, coupled_crew);
+  if (!results_identical(coupled_crew, coupled_ref)) {
+    std::cerr << "DETERMINISM VIOLATION: coupled fleet differs across crew sizes\n";
     return 1;
   }
 
@@ -573,17 +513,9 @@ int main(int argc, char** argv) {
       .add_int(static_cast<long long>(coupled_outages))
       .add("reference");
   metro_table.begin_row()
-      .add("coupled x" + std::to_string(crew) + " worker")
-      .add_double(coupled_worker_ms, 1)
-      .add_double(static_cast<double>(hubs * slots) / coupled_worker_ms, 1)
-      .add_double(coupled_out, 1)
-      .add_double(coupled_in, 1)
-      .add_int(static_cast<long long>(coupled_outages))
-      .add("yes");
-  metro_table.begin_row()
-      .add("coupled x" + std::to_string(crew) + " coordinator")
-      .add_double(coupled_coord_ms, 1)
-      .add_double(static_cast<double>(hubs * slots) / coupled_coord_ms, 1)
+      .add("coupled x" + std::to_string(crew))
+      .add_double(coupled_crew_ms, 1)
+      .add_double(static_cast<double>(hubs * slots) / coupled_crew_ms, 1)
       .add_double(coupled_out, 1)
       .add_double(coupled_in, 1)
       .add_int(static_cast<long long>(coupled_outages))

@@ -31,10 +31,11 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 4 rebuilds under ThreadSanitizer and runs the sim-engine suite (the
-# threaded per-hub runner, the barrier-synchronized lockstep crew, the
-# four-way run/lockstep×1/coordinator-GEMM/worker-GEMM identity harness and
-# the coupled-metro identity harness — LockstepDeterminism.* and
-# CouplingBus.* match the filter below), the vectorized rollout collector's
+# per-hub runner's work-stealing crew, the barrier-synchronized lockstep
+# crew, the four-way run/lockstep×1/×3/×8 identity harness, the crew-size
+# sweep against run() and the coupled-metro identity harness —
+# LockstepDeterminism.* and CouplingBus.* match the filter below), the
+# vectorized rollout collector's
 # bit-identity suite (VecCollector*, whose crew shards env stepping and
 # row-block act_rows GEMMs across threads), the process-sharding suite
 # (Shard*, whose driver forks worker processes that spawn their own thread
@@ -79,5 +80,12 @@ for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp; do
     -Wno-analyzer-possible-null-dereference
 done
 echo "    analyzer pass clean over common/nn/battery/weather"
+
+# Job 6 runs the benchmark smoke: every workload tiny, untraced and traced.
+# The traced runs replay run_lockstep and run_job through perfbench's own
+# lane bookkeeping and check the library's results against it bit for bit,
+# and the build fails when a src/ change stops perfbench/ from compiling.
+echo "==> Job 6: benchmark smoke (perfbench/run.py --smoke)"
+python3 perfbench/run.py --smoke > /dev/null
 
 echo "==> CI green"

@@ -18,7 +18,6 @@
 //   $ ./city_sweep --scenarios urban,price-spike --days 7 --episodes 2
 //   $ ./city_sweep --scheduler all --lockstep       # 5 heuristics + ECT-DRL
 //   $ ./city_sweep --scheduler drl --lockstep --lockstep-threads 8
-//   $ ./city_sweep --scheduler drl --lockstep-threads 8 --lockstep-gemm coordinator
 //   $ ./city_sweep --scheduler drl --drl-checkpoint actor.ckpt --drl-iters 8
 //   $ ./city_sweep --scheduler drl --drl-hubs 8 --drl-threads 4
 //   $ ./city_sweep --drl-zoo --drl-hubs 2           # specialist vs generalist
@@ -38,12 +37,10 @@
 // them, then deploys both on a fresh evaluation fleet per scenario and
 // prints the specialist-vs-generalist profit table.
 //
-// --lockstep-threads N shards the lockstep env-stepping phases across N
-// workers (0 = hardware concurrency) and implies --lockstep; results are
-// bit-identical at any thread count.  --lockstep-gemm worker|coordinator
-// (default worker) picks where the per-slot batched inference runs: sharded
-// across the worker crew as row-block GEMMs, or as the single coordinator
-// GEMM — also bit-identical, so the flag is purely a performance choice.
+// --lockstep-threads N shards each lockstep slot — env stepping and the
+// batched inference, as row-block GEMMs — across a crew of N members (0 =
+// hardware concurrency) and implies --lockstep; results are bit-identical
+// at any thread count.
 //
 // Sharded sweeps ("fleet of fleets"): --shard i/n runs only the contiguous
 // job range shard i of n owns — with the hubs' *global* ids and seeds, so
@@ -124,7 +121,7 @@ std::shared_ptr<const ecthub::policy::DrlCheckpoint> obtain_drl_checkpoint(
   train_cfg.iterations = iterations;
   train_cfg.train_hubs = train_hubs;
   train_cfg.collector_threads = collector_threads;
-  train_cfg.seed = sim::mix_seed(base_seed, 0x5eedULL);
+  train_cfg.seed = mix_seed(base_seed, 0x5eedULL);
   const core::HubConfig train_hub =
       scenario.make_hub(scenario_key + "-drl-train", train_cfg.seed);
   std::cout << "training ECT-DRL in process: " << iterations << " PPO iteration(s) on '"
@@ -215,18 +212,10 @@ int main(int argc, char** argv) {
   }
   // An explicit --lockstep-threads would be silently ignored by the per-hub
   // path, so it implies --lockstep; a coupled metro *requires* lockstep.
-  const bool lockstep = flags.get_bool("lockstep") || flags.has("lockstep-threads") ||
-                        flags.has("lockstep-gemm") || metro_mode;
+  const bool lockstep =
+      flags.get_bool("lockstep") || flags.has("lockstep-threads") || metro_mode;
   const auto lockstep_threads = static_cast<std::size_t>(std::max<std::int64_t>(
       0, flags.get_int("lockstep-threads", 1)));  // 0 = hardware concurrency
-  sim::LockstepGemm lockstep_gemm = sim::LockstepGemm::kWorker;
-  try {
-    lockstep_gemm =
-        sim::lockstep_gemm_from_string(flags.get_string("lockstep-gemm", "worker"));
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "city_sweep: " << e.what() << "\n";
-    return 1;
-  }
 
   const std::string scheduler_arg = flags.get_string("scheduler", "tou");
   std::vector<sim::SchedulerKind> kinds;
@@ -295,7 +284,7 @@ int main(int argc, char** argv) {
     zoo_cfg.iterations = drl_iters;
     zoo_cfg.train_hubs = drl_hubs;
     zoo_cfg.collector_threads = drl_threads;
-    zoo_cfg.seed = sim::mix_seed(base_seed, 0x5eedULL);
+    zoo_cfg.seed = mix_seed(base_seed, 0x5eedULL);
     std::cout << "=== Actor zoo: " << scenario_keys.size() << " scenario(s), "
               << drl_iters << " PPO iteration(s), " << drl_hubs
               << " lane(s) per specialist ===\n";
@@ -373,7 +362,6 @@ int main(int argc, char** argv) {
   runner_cfg.base_seed = base_seed;
   runner_cfg.threads = threads;
   runner_cfg.lockstep_threads = lockstep_threads;
-  runner_cfg.lockstep_gemm = lockstep_gemm;
   runner_cfg.episodes_per_hub = episodes;
   const sim::FleetRunner runner(runner_cfg);
 
@@ -460,7 +448,7 @@ int main(int argc, char** argv) {
     std::cout << ", lockstep-batched ("
               << (lockstep_threads == 0 ? std::string("hw")
                                         : std::to_string(lockstep_threads))
-              << " thread(s), " << sim::to_string(lockstep_gemm) << " GEMMs)";
+              << " thread(s))";
   }
   std::cout << " ===\n\n";
 

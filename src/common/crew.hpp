@@ -1,5 +1,5 @@
-// Barrier-synchronized worker crew: the reusable phase-parallel primitive
-// behind the threaded lockstep fleet runner and the vectorized rollout
+// Barrier-synchronized worker crew: the one thread pool of the fleet runner
+// (per-hub run() and lockstep run_lockstep()) and the vectorized rollout
 // collector.
 //
 // A crew of N spawns N - 1 worker threads; the coordinator opens a phase
@@ -11,6 +11,7 @@
 // is rethrown from run() on the coordinator.
 #pragma once
 
+#include <algorithm>
 #include <barrier>
 #include <cstddef>
 #include <exception>
@@ -20,6 +21,13 @@
 #include <vector>
 
 namespace ecthub {
+
+/// Crew size for `items` work items: `requested` members, where 0 means
+/// std::thread::hardware_concurrency(), clamped to [1, items].
+[[nodiscard]] inline std::size_t crew_size(std::size_t requested, std::size_t items) {
+  if (requested == 0) requested = std::thread::hardware_concurrency();
+  return std::max<std::size_t>(1, std::min(requested, items));
+}
 
 class BarrierCrew {
  public:

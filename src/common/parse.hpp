@@ -1,8 +1,8 @@
 // Shared case-insensitive enum parsing.
 //
-// Every user-facing enum (scheduler kinds, GEMM placements, ...) exposes a
-// from_string parser with the same contract: lower-case the input, match it
-// against the canonical to_string name of each value, and on failure throw
+// Every user-facing enum (today, the scheduler kinds) exposes a from_string
+// parser with the same contract: lower-case the input, match it against the
+// canonical to_string name of each value, and on failure throw
 // std::invalid_argument naming the offending input and every valid name.
 // This header is that contract, written once.
 #pragma once

@@ -13,8 +13,8 @@ namespace ecthub {
 
 /// Deterministic stream seed: a splitmix64 finalizer over (base, stream).
 /// Distinct stream ids map to well-separated seeds even for adjacent bases —
-/// the per-hub seeding primitive of the fleet engine (sim::mix_seed forwards
-/// here) and of every metro front stream derived in core.
+/// the per-hub seeding primitive of the fleet engine and of every metro front
+/// stream derived in core.
 [[nodiscard]] std::uint64_t mix_seed(std::uint64_t base_seed,
                                      std::uint64_t stream) noexcept;
 

@@ -1,6 +1,5 @@
 #include "nn/matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -46,22 +45,12 @@ void Matrix::resize_zeroed(std::size_t rows, std::size_t cols) {
 
 namespace {
 
-// Kernel selection: the cache-blocked kernel runs only when the product is
-// genuinely batched (enough rows to tile) AND the right-hand matrix
-// outgrows L1 — below that the naive ikj loop already streams everything
-// from cache and its simpler inner loop wins, and notably the 1-row
-// matrix-vector forward of a scalar decide() is untouched.  The two kernels
-// are bit-identical (same per-element k order, zero-skip and accumulation
-// statement), so the threshold is purely a performance choice.
-constexpr std::size_t kBlockedMinRows = 8;
-constexpr std::size_t kBlockedMinRhsBytes = 32 * 1024;  // typical L1d size
-constexpr std::size_t kRowTile = 8;    // A rows sharing one hot B column block
-constexpr std::size_t kColTile = 128;  // B/out columns per block (1 KiB rows)
-
 // out(i - row_begin, j) = sum_k a(i, k) * b(k, j) for i in [row_begin, row_end).
-// Naive ikj loop order: streams through `b` rows for cache locality.
-void matmul_naive(const double* a, const double* b, double* out, std::size_t row_begin,
-                  std::size_t row_end, std::size_t inner, std::size_t cols) {
+// ikj loop order: streams through `b` rows for cache locality.  Each output
+// element accumulates its k terms in ascending order whatever the row
+// range, which is what makes row blocks bit-identical to the full product.
+void matmul_kernel(const double* a, const double* b, double* out, std::size_t row_begin,
+                   std::size_t row_end, std::size_t inner, std::size_t cols) {
   for (std::size_t i = row_begin; i < row_end; ++i) {
     double* orow = out + (i - row_begin) * cols;
     for (std::size_t k = 0; k < inner; ++k) {
@@ -69,30 +58,6 @@ void matmul_naive(const double* a, const double* b, double* out, std::size_t row
       if (av == 0.0) continue;
       const double* brow = b + k * cols;
       for (std::size_t j = 0; j < cols; ++j) orow[j] += av * brow[j];
-    }
-  }
-}
-
-// Cache-blocked variant: tiles A rows and B columns so each B column block
-// stays hot across the row tile while k runs its full ascending range —
-// every out element still accumulates its k terms in the naive kernel's
-// exact order, with the identical zero-skip and `+=` statement, so the two
-// kernels agree to the last bit.
-void matmul_blocked(const double* a, const double* b, double* out, std::size_t row_begin,
-                    std::size_t row_end, std::size_t inner, std::size_t cols) {
-  for (std::size_t i0 = row_begin; i0 < row_end; i0 += kRowTile) {
-    const std::size_t i1 = std::min(i0 + kRowTile, row_end);
-    for (std::size_t j0 = 0; j0 < cols; j0 += kColTile) {
-      const std::size_t jt = std::min(kColTile, cols - j0);
-      for (std::size_t k = 0; k < inner; ++k) {
-        const double* brow = b + k * cols + j0;
-        for (std::size_t i = i0; i < i1; ++i) {
-          const double av = a[i * inner + k];
-          if (av == 0.0) continue;
-          double* orow = out + (i - row_begin) * cols + j0;
-          for (std::size_t j = 0; j < jt; ++j) orow[j] += av * brow[j];
-        }
-      }
     }
   }
 }
@@ -120,15 +85,8 @@ void Matrix::matmul_rows_into(const Matrix& other, std::size_t row_begin,
   }
   out.resize_zeroed(row_end - row_begin, other.cols_);
   if (out.data_.empty() || cols_ == 0) return;
-  const std::size_t block_rows = row_end - row_begin;
-  if (block_rows >= kBlockedMinRows &&
-      other.data_.size() * sizeof(double) > kBlockedMinRhsBytes) {
-    matmul_blocked(data_.data(), other.data_.data(), out.data_.data(), row_begin, row_end,
-                   cols_, other.cols_);
-  } else {
-    matmul_naive(data_.data(), other.data_.data(), out.data_.data(), row_begin, row_end,
-                 cols_, other.cols_);
-  }
+  matmul_kernel(data_.data(), other.data_.data(), out.data_.data(), row_begin, row_end,
+                cols_, other.cols_);
 }
 
 Matrix Matrix::transpose() const {

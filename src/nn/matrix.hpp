@@ -5,13 +5,8 @@
 // matrix with cache-friendly row-major loops is fast enough at CPU scale
 // and keeps the numerics transparent for testing.
 //
-// matmul carries a second, cache-blocked kernel for batched inference: once
-// the product has enough rows to tile and the right-hand matrix outgrows L1,
-// it is tiled over A-rows and B-columns so a hot B column block is reused
-// across the row tile.  Both kernels accumulate
-// every output element over k in ascending order with the identical
-// fused-able `out += a * b` statement and the identical zero-skip, so the
-// blocked path is bit-identical to the naive one — the property that lets a
+// matmul has one kernel, an ikj loop that accumulates every output element
+// over k in ascending order whatever the shape — the property that lets a
 // batched fleet GEMM reproduce per-hub matrix-vector forwards exactly
 // (tests/test_nn.cpp pins it over a randomized shape sweep).  Row-range
 // products (matmul_rows_into) compute a disjoint row-block of the same

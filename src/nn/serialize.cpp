@@ -54,13 +54,16 @@ void load_parameters(std::istream& in, std::vector<Parameter>& params) {
   }
   for (auto& p : params) {
     if (p.value == nullptr) throw std::runtime_error("load_parameters: null tensor");
-    const std::uint64_t name_len = read_u64(in);
-    std::string name(name_len, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_len));
-    if (!in || name != p.name) {
-      throw std::runtime_error("load_parameters: parameter name mismatch (expected '" +
-                               p.name + "')");
-    }
+    const auto name_mismatch = [&p] {
+      return std::runtime_error("load_parameters: parameter name mismatch (expected '" +
+                                p.name + "')");
+    };
+    // The length field is untrusted: check it before sizing the buffer, so a
+    // corrupt length can never drive the allocation.
+    if (read_u64(in) != p.name.size()) throw name_mismatch();
+    std::string name(p.name.size(), '\0');
+    in.read(name.data(), static_cast<std::streamsize>(name.size()));
+    if (!in || name != p.name) throw name_mismatch();
     const std::uint64_t rows = read_u64(in);
     const std::uint64_t cols = read_u64(in);
     if (rows != p.value->rows() || cols != p.value->cols()) {

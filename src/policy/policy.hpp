@@ -12,7 +12,7 @@
 // Stateless policies additionally expose decide_rows(): a const, thread-safe
 // row-block form of decide_batch that several workers can call concurrently
 // on disjoint row ranges of one shared observation matrix — the contract the
-// lockstep fleet runner's worker-GEMM phase B builds on.  Per-call scratch
+// lockstep fleet runner's slot phase builds on.  Per-call scratch
 // lives in a caller-owned Workspace (one per calling thread, reused across
 // slots) so the steady-state path stays allocation-free.
 #pragma once

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace ecthub::rl {
@@ -27,11 +26,7 @@ VecRolloutCollector::VecRolloutCollector(std::vector<Env*> envs, VecCollectorCon
     throw std::invalid_argument("VecRolloutCollector: duplicate env lane");
   }
 
-  crew_size_ = cfg_.threads;
-  if (crew_size_ == 0) {
-    crew_size_ = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  crew_size_ = std::min(crew_size_, envs_.size());
+  crew_size_ = crew_size(cfg_.threads, envs_.size());
 
   const std::size_t n = envs_.size();
   rngs_.reserve(n);

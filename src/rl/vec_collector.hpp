@@ -2,7 +2,7 @@
 // one batched stochastic actor forward per slot.
 //
 // Inference got the batching machinery first (lockstep fleet GEMMs,
-// decide_rows row blocks, cache-blocked matmul); this is the training half.
+// decide_rows row blocks); this is the training half.
 // The collector holds one observation row per lane in an (N x state_dim)
 // matrix, advances every live lane one step per slot — reset_into /
 // act_rows / step_into, all in place — and records each lane's transitions

@@ -8,7 +8,7 @@
 // (flush when max_batch requests are waiting, or after max_wait_us of
 // waiting for peers), runs ONE decide_rows row-block forward per flush —
 // the same const, workspace-confined kernel the lockstep fleet runner's
-// worker-GEMM phase uses — and scatters the actions back to the blocked
+// slot phase uses — and scatters the actions back to the blocked
 // callers.  For a DrlPolicy that turns N concurrent matrix-vector requests
 // into one N-row GEMM per flush.
 //

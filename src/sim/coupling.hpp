@@ -6,12 +6,12 @@
 // routes every deposit to the depositor's road-graph neighbors (equal
 // split).  Exports gathered at slot t are therefore delivered at slot t+1,
 // and because the exchange is serial and order-fixed the routed totals are
-// bit-identical at any lockstep_threads and under either LockstepGemm mode.
+// bit-identical at any lockstep_threads.
 //
 // Thread-safety contract: deposit/take/drop_pending touch only the given
-// lane's slots and each lane is owned by exactly one worker per phase, so
-// workers never race; exchange() must run with no worker phase in flight
-// (the slot barrier).
+// lane's slots and each lane is owned by exactly one crew member, so members
+// never race; exchange() must run with no crew phase in flight (the slot
+// barrier).
 #pragma once
 
 #include <cstddef>
@@ -27,20 +27,20 @@ class CouplingBus {
 
   [[nodiscard]] std::size_t lanes() const noexcept { return exported_.size(); }
 
-  /// Records `export_kw` as lane's outgoing overflow this slot (worker-side,
-  /// phase C).
+  /// Records `export_kw` as lane's outgoing overflow this slot (member-side,
+  /// after the lane steps).
   void deposit(std::size_t lane, double export_kw) { exported_[lane] = export_kw; }
 
   /// Consumes and returns the demand routed to `lane` at the previous slot
-  /// boundary (worker-side, phase C, before stepping).
+  /// boundary (member-side, before the lane steps).
   [[nodiscard]] double take(std::size_t lane) {
     const double kw = pending_[lane];
     pending_[lane] = 0.0;
     return kw;
   }
 
-  /// Discards demand routed to `lane` across an episode boundary (worker-
-  /// side, phase A, on episode turnover): a fresh episode starts clean.
+  /// Discards demand routed to `lane` across an episode boundary (member-
+  /// side, on episode turnover): a fresh episode starts clean.
   void drop_pending(std::size_t lane) { pending_[lane] = 0.0; }
 
   /// Routes every deposit to the depositor's neighbors, equal split, in

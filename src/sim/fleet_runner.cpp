@@ -9,15 +9,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <exception>
 #include <functional>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <stdexcept>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -28,10 +25,106 @@ namespace {
 // tag so a RandomPolicy never replays the env's own draws.
 constexpr std::uint64_t kPolicySeedTag = 0xec7ec7ec7ec7ec7eULL;
 
-// The barrier-synchronized worker crew of the threaded lockstep path lives
-// in common/crew.hpp (it is shared with rl::VecRolloutCollector); the alias
-// keeps the lockstep code reading in fleet terms.
-using LockstepCrew = ecthub::BarrierCrew;
+void reject_coupled(const char* who, const FleetJob& job) {
+  if (!job.coupled()) return;
+  throw std::invalid_argument(
+      std::string(who) + ": job '" + job.hub.name +
+      "' is coupled (env.coupling.enabled or neighbors set); per-hub "
+      "execution cannot honor the slot-synchronous exchange — use "
+      "run_lockstep");
+}
+
+// One hub's episodes: its env, seeded mix_seed(base_seed, hub_id), and the
+// HubRunResult they fold into.  Every execution path advances hubs through
+// this one state machine — run_job runs one lane to completion,
+// run_lockstep one lane per hub slot by slot — so episode turnover, the SoC
+// digest, the coupling totals and the ledger fold exist exactly once.
+class HubLane {
+ public:
+  HubLane(const FleetJob& job, std::size_t hub_id, const FleetRunnerConfig& cfg)
+      : dt_hours_(TimeGrid(job.env.episode_days, job.env.slots_per_day).slot_hours()) {
+    core::HubConfig hub = job.hub;
+    hub.seed = mix_seed(cfg.base_seed, hub_id);
+    result_.seed = hub.seed;
+    env_ = std::make_unique<core::EctHubEnv>(std::move(hub), job.env);
+    result_.hub_id = hub_id;
+    result_.hub_name = job.hub.name;
+    result_.scenario = job.scenario;
+    result_.scheduler = job.scheduler;
+    result_.episodes = cfg.episodes_per_hub;
+    result_.slots_per_episode = env_->slots_per_episode();
+    result_.episode_profit.reserve(cfg.episodes_per_hub);
+  }
+
+  [[nodiscard]] core::EctHubEnv& env() noexcept { return *env_; }
+  [[nodiscard]] std::uint64_t policy_seed() const noexcept {
+    return result_.seed ^ kPolicySeedTag;
+  }
+  /// True while the hub has episodes left to run.
+  [[nodiscard]] bool active() const noexcept {
+    return result_.episode_profit.size() < result_.episodes;
+  }
+  /// True from begin() until the step that ends the episode.
+  [[nodiscard]] bool in_episode() const noexcept { return in_episode_; }
+
+  /// Resets the env, writing the first observation into `obs`, and starts
+  /// the SoC digest (kept for the last episode only).
+  void begin(std::span<double> obs) {
+    env_->reset_into(obs);
+    in_episode_ = true;
+    record_soc_ = result_.episode_profit.size() + 1 == result_.episodes;
+    if (record_soc_) {
+      soc_ = SocDigest{};
+      soc_.first = env_->soc_frac();
+      soc_.min = std::numeric_limits<double>::infinity();
+      soc_.max = -std::numeric_limits<double>::infinity();
+    }
+  }
+
+  /// Steps one slot, writing the next observation into `obs`; `coupling`
+  /// carries the routed imports in and the slot's exports out (an uncoupled
+  /// hub leaves every output zero).  Samples the SoC, adds the coupling
+  /// totals and, at episode end, folds the ledger into the result.  Returns
+  /// true when the episode ended.
+  bool step(std::size_t action, std::span<double> obs, core::SlotCoupling& coupling) {
+    in_episode_ = !env_->step_into(action, obs, coupling).done;
+    if (record_soc_) {
+      const double s = env_->soc_frac();
+      soc_.last = s;
+      soc_.min = std::min(soc_.min, s);
+      soc_.max = std::max(soc_.max, s);
+      soc_.checksum += s;
+      ++soc_.samples;
+    }
+    result_.through_kwh += coupling.through_kw * dt_hours_;
+    result_.spill_exported_kwh += coupling.export_kw * dt_hours_;
+    result_.spill_served_kwh += coupling.served_import_kw * dt_hours_;
+    result_.spill_dropped_kwh += coupling.dropped_import_kw * dt_hours_;
+    if (coupling.outage) ++result_.outage_slots;
+    if (in_episode_) return false;
+    if (record_soc_) {
+      soc_.mean = soc_.checksum / static_cast<double>(soc_.samples);
+      result_.soc = soc_;
+    }
+    const core::ProfitLedger& ledger = env_->ledger();
+    result_.revenue += ledger.total_revenue();
+    result_.grid_cost += ledger.total_grid_cost();
+    result_.bp_cost += ledger.total_bp_cost();
+    result_.profit += ledger.total_profit();
+    result_.episode_profit.push_back(ledger.total_profit());
+    return true;
+  }
+
+  [[nodiscard]] HubRunResult take_result() { return std::move(result_); }
+
+ private:
+  std::unique_ptr<core::EctHubEnv> env_;
+  double dt_hours_;  ///< slot duration, for kW -> kWh coupling totals
+  bool in_episode_ = false;
+  bool record_soc_ = false;
+  SocDigest soc_;
+  HubRunResult result_;
+};
 }  // namespace
 
 const std::vector<SchedulerKind>& all_scheduler_kinds() {
@@ -57,26 +150,6 @@ std::string to_string(SchedulerKind kind) {
     case SchedulerKind::kDrl: return "drl";
   }
   throw std::invalid_argument("to_string: bad SchedulerKind");
-}
-
-const std::vector<LockstepGemm>& all_lockstep_gemm_modes() {
-  static const std::vector<LockstepGemm> modes = {LockstepGemm::kCoordinator,
-                                                  LockstepGemm::kWorker};
-  return modes;
-}
-
-LockstepGemm lockstep_gemm_from_string(const std::string& name) {
-  return parse_enum_ci(
-      name, all_lockstep_gemm_modes(), [](LockstepGemm mode) { return to_string(mode); },
-      "lockstep_gemm_from_string: unknown mode");
-}
-
-std::string to_string(LockstepGemm mode) {
-  switch (mode) {
-    case LockstepGemm::kCoordinator: return "coordinator";
-    case LockstepGemm::kWorker: return "worker";
-  }
-  throw std::invalid_argument("to_string: bad LockstepGemm");
 }
 
 std::unique_ptr<policy::Policy> make_policy(
@@ -140,170 +213,81 @@ FleetRunner::FleetRunner(FleetRunnerConfig cfg) : cfg_(cfg) {
 
 HubRunResult FleetRunner::run_job(const FleetJob& job, std::size_t hub_id,
                                   const FleetRunnerConfig& cfg) {
-  if (job.coupled()) {
-    throw std::invalid_argument(
-        "FleetRunner::run_job: job '" + job.hub.name +
-        "' is coupled (env.coupling.enabled or neighbors set); per-hub "
-        "execution cannot honor the slot-synchronous exchange — use "
-        "run_lockstep");
-  }
-  const std::uint64_t hub_seed = mix_seed(cfg.base_seed, hub_id);
-
-  core::HubConfig hub = job.hub;
-  hub.seed = hub_seed;
-  core::EctHubEnv env(std::move(hub), job.env);
-  const auto pol = make_policy(job.scheduler, hub_seed ^ kPolicySeedTag,
-                               env.observation_layout(), job.checkpoint);
-
-  HubRunResult r;
-  r.hub_id = hub_id;
-  r.hub_name = job.hub.name;
-  r.scenario = job.scenario;
-  r.scheduler = job.scheduler;
-  r.seed = hub_seed;
-  r.episodes = cfg.episodes_per_hub;
-  r.slots_per_episode = env.slots_per_episode();
-  r.episode_profit.reserve(cfg.episodes_per_hub);
-
+  reject_coupled("FleetRunner::run_job", job);
+  HubLane lane(job, hub_id, cfg);
+  const auto pol = make_policy(job.scheduler, lane.policy_seed(),
+                               lane.env().observation_layout(), job.checkpoint);
   // One persistent observation buffer drives the whole job: reset_into /
   // step_into regenerate and observe in place, so after the first episode's
   // warm-up an episode performs zero heap allocations.
-  std::vector<double> state(env.state_dim());
-  for (std::size_t ep = 0; ep < cfg.episodes_per_hub; ++ep) {
-    env.reset_into(state);
+  std::vector<double> state(lane.env().state_dim());
+  core::SlotCoupling uncoupled;  // no imports ever arrive; outputs stay zero
+  while (lane.active()) {
+    lane.begin(state);
     pol->begin_episode();
-    const bool record_soc = ep + 1 == cfg.episodes_per_hub;
-    SocDigest soc;
-    if (record_soc) {
-      soc.first = env.soc_frac();
-      soc.min = std::numeric_limits<double>::infinity();
-      soc.max = -std::numeric_limits<double>::infinity();
+    while (!lane.step(pol->decide(state), state, uncoupled)) {
     }
-    bool done = false;
-    while (!done) {
-      const core::StepOutcome sr = env.step_into(pol->decide(state), state);
-      done = sr.done;
-      if (record_soc) {
-        const double s = env.soc_frac();
-        soc.last = s;
-        soc.min = std::min(soc.min, s);
-        soc.max = std::max(soc.max, s);
-        soc.checksum += s;
-        ++soc.samples;
-      }
-    }
-    if (record_soc) {
-      soc.mean = soc.samples > 0 ? soc.checksum / static_cast<double>(soc.samples) : 0.0;
-      r.soc = soc;
-    }
-    const core::ProfitLedger& ledger = env.ledger();
-    r.revenue += ledger.total_revenue();
-    r.grid_cost += ledger.total_grid_cost();
-    r.bp_cost += ledger.total_bp_cost();
-    r.profit += ledger.total_profit();
-    r.episode_profit.push_back(ledger.total_profit());
   }
-  return r;
+  return lane.take_result();
 }
 
 std::vector<HubRunResult> FleetRunner::run(const std::vector<FleetJob>& jobs) const {
-  for (const FleetJob& job : jobs) {
-    if (job.coupled()) {
-      throw std::invalid_argument(
-          "FleetRunner::run: job '" + job.hub.name +
-          "' is coupled (env.coupling.enabled or neighbors set); per-hub "
-          "execution cannot honor the slot-synchronous exchange — use "
-          "run_lockstep");
-    }
-  }
+  for (const FleetJob& job : jobs) reject_coupled("FleetRunner::run", job);
   std::vector<HubRunResult> results(jobs.size());
-  if (jobs.empty()) return results;
 
-  std::size_t threads = cfg_.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, jobs.size());
-
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = run_job(jobs[i], cfg_.hub_id_offset + i, cfg_);
-    }
-    return results;
-  }
-
-  // Work-stealing by atomic index: each worker owns the result slot of the
-  // job it claims, so no two threads ever touch the same element.
+  // Work-stealing by atomic index: each member owns the result slot of the
+  // job it claims, so no two threads ever touch the same element.  A failing
+  // job drains the queue, so the other members stop claiming jobs and the
+  // crew rethrows the error immediately instead of after the full sweep.
   std::atomic<std::size_t> next{0};
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  const auto worker = [&]() {
+  const std::function<void(std::size_t)> work = [&](std::size_t) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       try {
         results[i] = run_job(jobs[i], cfg_.hub_id_offset + i, cfg_);
       } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        // Drain the queue so the other workers stop claiming jobs and the
-        // error surfaces immediately instead of after the full sweep.
         next.store(jobs.size(), std::memory_order_relaxed);
-        return;
+        throw;
       }
     }
   };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t w = 0; w < threads; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  BarrierCrew(crew_size(cfg_.threads, jobs.size())).run(work);
   return results;
 }
 
 std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>& jobs) const {
   constexpr std::size_t kNoGroup = std::numeric_limits<std::size_t>::max();
 
-  std::vector<HubRunResult> results(jobs.size());
-  if (jobs.empty()) return results;
-
-  // One lane per hub: its env, observation target and episode bookkeeping.
+  // One lane per hub: its episode state machine and its observation target.
   // A lane's observation lives either in its fixed row of the group's
   // observation matrix (shared stateless policies) or in its own `state`
   // buffer (per-hub stateful policies); either way it is written in place by
   // reset_into/step_into, so the steady-state slot loop never allocates.
   struct Lane {
-    std::unique_ptr<core::EctHubEnv> env;
+    explicit Lane(HubLane h) : hub(std::move(h)) {}
+    HubLane hub;
     std::unique_ptr<policy::Policy> own_pol;  ///< stateful policies only
     std::size_t group = kNoGroup;             ///< shared-policy group index
     std::size_t row = 0;                      ///< fixed row in the group matrix
     std::vector<double> state;                ///< stateful lanes only
-    std::size_t episodes_done = 0;
-    std::size_t action = 0;
-    double dt_hours = 1.0;  ///< slot duration, for kW -> kWh spill accounting
-    bool active = true;
-    bool needs_begin = true;  ///< episode reset pending (runs in phase A)
-    bool record_soc = false;
-    SocDigest soc;
-    HubRunResult result;
+    std::size_t action = 0;                   ///< stateful lanes only
   };
   // A shared stateless policy and its whole-fleet observation batch.  Rows
   // are assigned once at setup; a finished lane keeps its (stale, finite)
-  // row, which is safe because decide_batch computes every row
-  // independently — and means the batch needs no per-slot regrouping.
+  // row, which is safe because decide_rows computes every row independently
+  // — and means the batch needs no per-slot regrouping.
   struct Group {
     std::unique_ptr<policy::Policy> pol;
     std::size_t dim = 0;
     std::size_t rows = 0;
-    bool any_active = false;
     nn::Matrix obs;
     std::vector<std::size_t> actions;
   };
 
-  // The coupled-fleet exchange bus (absent on a fully uncoupled fleet, whose
-  // slot loop then takes exactly the pre-coupling path).  Neighbor lists are
-  // validated by the bus constructor before any thread spawns.
+  // The coupled-fleet exchange bus (absent on a fully uncoupled fleet).
+  // Neighbor lists are validated by the bus constructor before any thread
+  // spawns.
   std::optional<CouplingBus> bus;
   for (const FleetJob& job : jobs) {
     if (!job.coupled()) continue;
@@ -313,7 +297,8 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     break;
   }
 
-  std::vector<Lane> lanes(jobs.size());
+  std::vector<Lane> lanes;
+  lanes.reserve(jobs.size());
   std::vector<Group> groups;
   // Lanes whose policy is a pure function of the observation share one
   // instance per (kind, checkpoint, layout); value -1 marks a stateful kind
@@ -323,13 +308,8 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
 
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const FleetJob& job = jobs[i];
-    Lane& lane = lanes[i];
-    const std::uint64_t hub_seed = mix_seed(cfg_.base_seed, cfg_.hub_id_offset + i);
-
-    core::HubConfig hub = job.hub;
-    hub.seed = hub_seed;
-    lane.env = std::make_unique<core::EctHubEnv>(std::move(hub), job.env);
-    const policy::ObservationLayout layout = lane.env->observation_layout();
+    Lane& lane = lanes.emplace_back(HubLane(job, cfg_.hub_id_offset + i, cfg_));
+    const policy::ObservationLayout layout = lane.hub.env().observation_layout();
 
     const GroupKey key{static_cast<int>(job.scheduler), job.checkpoint.get(),
                        layout.lookback};
@@ -337,11 +317,9 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     if (it != group_of.end() && it->second >= 0) {
       lane.group = static_cast<std::size_t>(it->second);
     } else if (it != group_of.end()) {
-      lane.own_pol =
-          make_policy(job.scheduler, hub_seed ^ kPolicySeedTag, layout, job.checkpoint);
+      lane.own_pol = make_policy(job.scheduler, lane.hub.policy_seed(), layout, job.checkpoint);
     } else {
-      auto pol =
-          make_policy(job.scheduler, hub_seed ^ kPolicySeedTag, layout, job.checkpoint);
+      auto pol = make_policy(job.scheduler, lane.hub.policy_seed(), layout, job.checkpoint);
       if (pol->stateless()) {
         lane.group = groups.size();
         group_of[key] = static_cast<std::ptrdiff_t>(groups.size());
@@ -357,18 +335,8 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     if (lane.group != kNoGroup) {
       lane.row = groups[lane.group].rows++;
     } else {
-      lane.state.resize(lane.env->state_dim());
+      lane.state.resize(lane.hub.env().state_dim());
     }
-
-    lane.dt_hours = TimeGrid(job.env.episode_days, job.env.slots_per_day).slot_hours();
-    lane.result.hub_id = cfg_.hub_id_offset + i;
-    lane.result.hub_name = job.hub.name;
-    lane.result.scenario = job.scenario;
-    lane.result.scheduler = job.scheduler;
-    lane.result.seed = hub_seed;
-    lane.result.episodes = cfg_.episodes_per_hub;
-    lane.result.slots_per_episode = lane.env->slots_per_episode();
-    lane.result.episode_profit.reserve(cfg_.episodes_per_hub);
   }
   for (Group& g : groups) {
     g.obs = nn::Matrix(g.rows, g.dim);
@@ -382,111 +350,11 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     return std::span<double>(g.obs.data().data() + lane.row * g.dim, g.dim);
   };
 
-  std::atomic<std::size_t> active_count{lanes.size()};
-
-  // Phase A: turn over finished episodes (every lane starts with one
-  // pending) and let per-hub stateful policies decide.  Shared stateless
-  // policies have no per-episode state by contract, so no begin_episode()
-  // call touches the shared instance from a worker thread.
-  const auto phase_a = [&](Lane& lane) {
-    if (!lane.active) return;
-    if (lane.needs_begin) {
-      lane.needs_begin = false;
-      // A fresh episode starts clean: demand routed across the episode
-      // boundary is dropped (lane-owned slot, so this is worker-safe).
-      if (bus) bus->drop_pending(static_cast<std::size_t>(&lane - lanes.data()));
-      lane.env->reset_into(obs_of(lane));
-      if (lane.own_pol) lane.own_pol->begin_episode();
-      lane.record_soc = lane.episodes_done + 1 == cfg_.episodes_per_hub;
-      if (lane.record_soc) {
-        lane.soc = SocDigest{};
-        lane.soc.first = lane.env->soc_frac();
-        lane.soc.min = std::numeric_limits<double>::infinity();
-        lane.soc.max = -std::numeric_limits<double>::infinity();
-      }
-    }
-    if (lane.own_pol) lane.action = lane.own_pol->decide(lane.state);
-  };
-
-  // Phase B, coordinator placement (LockstepGemm::kCoordinator): one batched
-  // policy call per live group — the matrix-matrix fleet slot; for an
-  // ECT-DRL fleet every hub's action comes out of a single forward pass —
-  // then scatter the actions back.
-  const auto phase_b = [&]() {
-    for (Group& g : groups) g.any_active = false;
-    for (const Lane& lane : lanes) {
-      if (lane.active && lane.group != kNoGroup) groups[lane.group].any_active = true;
-    }
-    for (Group& g : groups) {
-      if (g.any_active) g.pol->decide_batch(g.obs, std::span<std::size_t>(g.actions));
-    }
-    for (Lane& lane : lanes) {
-      if (lane.active && lane.group != kNoGroup) {
-        lane.action = groups[lane.group].actions[lane.row];
-      }
-    }
-  };
-
-  // Phase C: advance every active lane one slot, writing the next
-  // observation straight into the lane's row/buffer, and close out finished
-  // episodes.
-  const auto phase_c = [&](Lane& lane) {
-    if (!lane.active) return;
-    core::StepOutcome sr;
-    if (bus) {
-      // Step with the imports routed here at the previous slot barrier and
-      // deposit this slot's export for the coordinator to route at the next
-      // one.  Only this worker touches the lane's bus slots this phase.
-      const auto li = static_cast<std::size_t>(&lane - lanes.data());
-      core::SlotCoupling sc;
-      sc.import_kw = bus->take(li);
-      sr = lane.env->step_into(lane.action, obs_of(lane), sc);
-      bus->deposit(li, sc.export_kw);
-      lane.result.through_kwh += sc.through_kw * lane.dt_hours;
-      lane.result.spill_exported_kwh += sc.export_kw * lane.dt_hours;
-      lane.result.spill_served_kwh += sc.served_import_kw * lane.dt_hours;
-      lane.result.spill_dropped_kwh += sc.dropped_import_kw * lane.dt_hours;
-      if (sc.outage) ++lane.result.outage_slots;
-    } else {
-      sr = lane.env->step_into(lane.action, obs_of(lane));
-    }
-    if (lane.record_soc) {
-      const double s = lane.env->soc_frac();
-      lane.soc.last = s;
-      lane.soc.min = std::min(lane.soc.min, s);
-      lane.soc.max = std::max(lane.soc.max, s);
-      lane.soc.checksum += s;
-      ++lane.soc.samples;
-    }
-    if (!sr.done) return;
-    if (lane.record_soc) {
-      lane.soc.mean = lane.soc.samples > 0
-                          ? lane.soc.checksum / static_cast<double>(lane.soc.samples)
-                          : 0.0;
-      lane.result.soc = lane.soc;
-    }
-    const core::ProfitLedger& ledger = lane.env->ledger();
-    lane.result.revenue += ledger.total_revenue();
-    lane.result.grid_cost += ledger.total_grid_cost();
-    lane.result.bp_cost += ledger.total_bp_cost();
-    lane.result.profit += ledger.total_profit();
-    lane.result.episode_profit.push_back(ledger.total_profit());
-    ++lane.episodes_done;
-    if (lane.episodes_done < cfg_.episodes_per_hub) {
-      lane.needs_begin = true;
-    } else {
-      lane.active = false;
-      active_count.fetch_sub(1, std::memory_order_relaxed);
-    }
-  };
-
-  // Phase B, worker placement (LockstepGemm::kWorker): group-matrix rows
-  // were assigned in lane order, so a contiguous lane partition owns one
-  // contiguous row block per group.  Each block carries its own policy
-  // workspace, so concurrent decide_rows calls on the shared instance never
-  // share scratch — and since a worker's GEMM reads and writes only rows its
-  // own phases A and C produce and consume, the slot needs no barrier
-  // between inference and env stepping.
+  // Each crew member owns a fixed contiguous lane partition.  Group-matrix
+  // rows were assigned in lane order, so the partition also owns one
+  // contiguous row block per group, with its own policy workspace: the
+  // member's decide_rows calls on a shared instance never share scratch,
+  // and read and write only rows its own lanes produce and consume.
   struct GroupBlock {
     std::size_t group = 0;
     std::size_t row_begin = 0;
@@ -494,42 +362,66 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     std::unique_ptr<policy::Policy::Workspace> ws;
     bool live = false;  ///< any active lane this slot (recomputed per slot)
   };
-  struct WorkerPlan {
+  struct MemberPlan {
     std::size_t lane_begin = 0;
     std::size_t lane_end = 0;
-    std::vector<GroupBlock> blocks;               ///< non-empty row blocks only
-    std::vector<std::size_t> block_of_group;      ///< group -> block index
+    std::vector<GroupBlock> blocks;           ///< non-empty row blocks only
+    std::vector<std::size_t> block_of_group;  ///< group -> block index
   };
-  const auto make_plans = [&](std::size_t nthreads) {
-    std::vector<WorkerPlan> plans(nthreads);
-    std::vector<std::size_t> rows_before(groups.size(), 0);  // rows left of cursor
-    for (std::size_t w = 0; w < nthreads; ++w) {
-      WorkerPlan& plan = plans[w];
-      plan.lane_begin = lanes.size() * w / nthreads;
-      plan.lane_end = lanes.size() * (w + 1) / nthreads;
-      plan.block_of_group.assign(groups.size(), kNoGroup);
-      const std::vector<std::size_t> begin_rows = rows_before;
-      for (std::size_t i = plan.lane_begin; i < plan.lane_end; ++i) {
-        if (lanes[i].group != kNoGroup) ++rows_before[lanes[i].group];
-      }
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (rows_before[g] == begin_rows[g]) continue;  // no rows here
-        plan.block_of_group[g] = plan.blocks.size();
-        GroupBlock block;
-        block.group = g;
-        block.row_begin = begin_rows[g];
-        block.row_end = rows_before[g];
-        block.ws = groups[g].pol->make_workspace();
-        plan.blocks.push_back(std::move(block));
-      }
+  const std::size_t members = crew_size(cfg_.lockstep_threads, lanes.size());
+  std::vector<MemberPlan> plans(members);
+  std::vector<std::size_t> rows_before(groups.size(), 0);  // rows left of cursor
+  for (std::size_t m = 0; m < members; ++m) {
+    MemberPlan& plan = plans[m];
+    plan.lane_begin = lanes.size() * m / members;
+    plan.lane_end = lanes.size() * (m + 1) / members;
+    plan.block_of_group.assign(groups.size(), kNoGroup);
+    const std::vector<std::size_t> begin_rows = rows_before;
+    for (std::size_t i = plan.lane_begin; i < plan.lane_end; ++i) {
+      if (lanes[i].group != kNoGroup) ++rows_before[lanes[i].group];
     }
-    return plans;
-  };
-  const auto infer_partition = [&](WorkerPlan& plan) {
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      if (rows_before[g] == begin_rows[g]) continue;  // no rows here
+      plan.block_of_group[g] = plan.blocks.size();
+      GroupBlock block;
+      block.group = g;
+      block.row_begin = begin_rows[g];
+      block.row_end = rows_before[g];
+      block.ws = groups[g].pol->make_workspace();
+      plan.blocks.push_back(std::move(block));
+    }
+  }
+
+  std::atomic<std::size_t> active_count{lanes.size()};
+
+  // The slot body, one crew phase per fleet slot.  A member touches only its
+  // own lanes and row blocks, so the phase needs no synchronization inside
+  // and every lane sees the same operation sequence at any crew size:
+  //  1. turn over finished episodes (every lane starts with one pending) and
+  //     let per-hub stateful policies decide;
+  //  2. run decide_rows on each row block with a live lane — for an ECT-DRL
+  //     fleet, one batched actor forward per member;
+  //  3. step every live lane, with the imports routed to it at the previous
+  //     barrier, depositing its export for the next.
+  // Built once here: BarrierCrew::run takes a const std::function&, so a
+  // lambda passed per slot would construct (and allocate) one every slot.
+  const std::function<void(std::size_t)> run_slot = [&](std::size_t member) {
+    MemberPlan& plan = plans[member];
     for (GroupBlock& block : plan.blocks) block.live = false;
     for (std::size_t i = plan.lane_begin; i < plan.lane_end; ++i) {
-      const Lane& lane = lanes[i];
-      if (lane.active && lane.group != kNoGroup) {
+      Lane& lane = lanes[i];
+      if (!lane.hub.active()) continue;
+      if (!lane.hub.in_episode()) {
+        // A fresh episode starts clean: demand routed across the episode
+        // boundary is dropped.  Shared stateless policies have no
+        // per-episode state by contract, so only own policies begin.
+        if (bus) bus->drop_pending(i);
+        lane.hub.begin(obs_of(lane));
+        if (lane.own_pol) lane.own_pol->begin_episode();
+      }
+      if (lane.own_pol) {
+        lane.action = lane.own_pol->decide(lane.state);
+      } else {
         plan.blocks[plan.block_of_group[lane.group]].live = true;
       }
     }
@@ -541,83 +433,28 @@ std::vector<HubRunResult> FleetRunner::run_lockstep(const std::vector<FleetJob>&
     }
     for (std::size_t i = plan.lane_begin; i < plan.lane_end; ++i) {
       Lane& lane = lanes[i];
-      if (lane.active && lane.group != kNoGroup) {
-        lane.action = groups[lane.group].actions[lane.row];
-      }
+      if (!lane.hub.active()) continue;
+      const std::size_t action =
+          lane.own_pol ? lane.action : groups[lane.group].actions[lane.row];
+      core::SlotCoupling coupling;
+      if (bus) coupling.import_kw = bus->take(i);
+      lane.hub.step(action, obs_of(lane), coupling);
+      if (bus) bus->deposit(i, coupling.export_kw);
+      if (!lane.hub.active()) active_count.fetch_sub(1, std::memory_order_relaxed);
     }
   };
 
-  std::size_t threads = cfg_.lockstep_threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::min(threads, lanes.size());
-  const bool worker_gemm = cfg_.lockstep_gemm == LockstepGemm::kWorker;
-
-  // The coupled exchange runs after phase C of every slot, on the
-  // coordinator alone in fixed lane order — between crew phases, never
-  // concurrently with one — so routed totals are independent of the thread
-  // count and the GEMM placement.
-  const auto exchange = [&]() {
+  // The coupled exchange runs on the coordinator alone, in fixed lane order,
+  // between crew phases — so routed totals are independent of the crew size.
+  BarrierCrew crew(members);
+  while (active_count.load(std::memory_order_relaxed) > 0) {
+    crew.run(run_slot);
     if (bus) bus->exchange();
-  };
-
-  if (threads <= 1) {
-    if (worker_gemm) {
-      std::vector<WorkerPlan> plans = make_plans(1);
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        for (Lane& lane : lanes) phase_a(lane);
-        infer_partition(plans[0]);
-        for (Lane& lane : lanes) phase_c(lane);
-        exchange();
-      }
-    } else {
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        for (Lane& lane : lanes) phase_a(lane);
-        phase_b();
-        for (Lane& lane : lanes) phase_c(lane);
-        exchange();
-      }
-    }
-  } else {
-    // Fixed contiguous lane partitions: each lane is touched by exactly one
-    // worker per phase and the crew's barriers order the phases, so the
-    // per-lane operation sequence is identical to the single-threaded loop.
-    const auto for_partition = [&](std::size_t w, const auto& body) {
-      const std::size_t begin = lanes.size() * w / threads;
-      const std::size_t end = lanes.size() * (w + 1) / threads;
-      for (std::size_t i = begin; i < end; ++i) body(lanes[i]);
-    };
-    LockstepCrew crew(threads);
-    if (worker_gemm) {
-      // One fused phase per slot: a worker's A, row-block inference and C
-      // touch only its own lanes and group-matrix rows, so the only barrier
-      // needed is the slot boundary itself.
-      std::vector<WorkerPlan> plans = make_plans(threads);
-      const std::function<void(std::size_t)> run_slot = [&](std::size_t w) {
-        for_partition(w, phase_a);
-        infer_partition(plans[w]);
-        for_partition(w, phase_c);
-      };
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        crew.run(run_slot);
-        exchange();
-      }
-    } else {
-      const std::function<void(std::size_t)> run_a = [&](std::size_t w) {
-        for_partition(w, phase_a);
-      };
-      const std::function<void(std::size_t)> run_c = [&](std::size_t w) {
-        for_partition(w, phase_c);
-      };
-      while (active_count.load(std::memory_order_relaxed) > 0) {
-        crew.run(run_a);
-        phase_b();
-        crew.run(run_c);
-        exchange();
-      }
-    }
   }
 
-  for (std::size_t i = 0; i < lanes.size(); ++i) results[i] = std::move(lanes[i].result);
+  std::vector<HubRunResult> results;
+  results.reserve(lanes.size());
+  for (Lane& lane : lanes) results.push_back(lane.hub.take_result());
   return results;
 }
 

@@ -9,55 +9,45 @@
 // scheduling order: running 32 hubs on 1 thread or 8 threads produces the
 // same ledgers to the last bit.
 //
-// run() executes one hub per worker end to end.  run_lockstep() advances
-// every hub slot-by-slot instead: it gathers the per-hub observations into
-// one (hubs x state_dim) matrix, makes a single batched Policy call per
-// fleet slot, and scatters the actions back — so a neural policy (ECT-DRL)
-// replaces N matrix-vector products with one matrix-matrix forward pass.
+// run() executes one hub per crew member end to end.  run_lockstep()
+// advances every hub slot-by-slot instead: it keeps the per-hub observations
+// in one (hubs x state_dim) matrix per shared policy, makes batched Policy
+// calls per fleet slot, and scatters the actions back — so a neural policy
+// (ECT-DRL) replaces N matrix-vector products with matrix-matrix forwards.
+// run_job, run() and run_lockstep() fold every episode through the same
+// per-hub lane state machine (fleet_runner.cpp); run() and run_lockstep()
+// both run on a BarrierCrew at every crew size, including 1.
 //
 // Determinism contract (the foundation every sharding/batching layer builds
 // on — tests/test_sim.cpp pins all of it):
 //
 //  * Seed mixing.  Every stochastic stream of hub i derives from
-//    mix_seed(base_seed, i); RNG state is never shared between hubs, so any
-//    execution order — per-hub or lockstep, any thread count — replays the
-//    identical per-hub streams.
-//  * Barrier semantics.  Threaded lockstep (lockstep_threads > 1) splits the
-//    lanes into fixed contiguous partitions, one per thread (the calling
-//    thread itself steps the last partition, so N configured threads are
-//    exactly N busy threads).  Where the slot's inference runs is selected
-//    by FleetRunnerConfig::lockstep_gemm:
+//    mix_seed(base_seed, i) (common/rng); RNG state is never shared between
+//    hubs, so any execution order — per-hub or lockstep, any thread count —
+//    replays the identical per-hub streams.
+//  * Barrier semantics.  run_lockstep splits the lanes into fixed contiguous
+//    partitions, one per crew member (the calling thread itself steps the
+//    last partition, so N configured threads are exactly N busy threads),
+//    and runs each fleet slot as ONE crew phase.  Lanes are assigned
+//    group-matrix rows in lane order, so a member's lane partition owns a
+//    contiguous row block of every group's observation matrix.  In its
+//    phase a member turns over its finished episodes and lets per-hub
+//    stateful policies decide, calls the shared policies' const
+//    decide_rows() on exactly its row blocks with its own workspaces, and
+//    steps its lanes.  It touches no other member's lanes or rows, so the
+//    per-lane operation sequence — and therefore every result bit — is
+//    independent of lockstep_threads.
 //
-//    - LockstepGemm::kCoordinator (the PR 4 path) runs each slot as three
-//      phases separated by barriers: (A) workers reset lanes whose episode
-//      turned over and run per-hub stateful policies, (B) the coordinator
-//      fires one decide_batch per shared stateless policy group, (C) workers
-//      step their lanes, each writing the next observation into its fixed
-//      row of the group's observation matrix.  A lane is touched by exactly
-//      one thread per phase and the barriers order the phases, so the
-//      per-lane operation sequence — and therefore every result bit — is
-//      independent of lockstep_threads.
-//
-//    - LockstepGemm::kWorker (the default) removes the serial phase-B
-//      bottleneck: lanes are assigned group-matrix rows in lane order, so a
-//      worker's contiguous lane partition owns a contiguous row block of
-//      every group's observation matrix, and each worker calls the shared
-//      policy's const decide_rows() on exactly that block with its own
-//      workspace.  Phase B then reads and writes only worker-owned rows —
-//      the same data A wrote and C will consume on the same worker — so the
-//      whole slot collapses into ONE crew phase (A, row-block GEMMs +
-//      scatter, C in sequence per worker) with a single barrier pair,
-//      halving barrier crossings while inference scales with the crew.
-//
-//    Either mode computes each observation row independently (row i of a
-//    GEMM never reads row j), which is what lets finished lanes keep a
-//    stale row without disturbing the live ones — and what makes the
-//    row-block sharding bit-identical to the whole-matrix call.
+//    Each observation row is computed independently (row i of a GEMM never
+//    reads row j), which is what lets finished lanes keep a stale row
+//    without disturbing the live ones — and what makes the row-block
+//    sharding bit-identical to the whole-matrix call.
 //  * Worker exceptions are caught at the phase boundary, the crew drains,
-//    and the first error is rethrown from run_lockstep — never a deadlock.
+//    and the first error is rethrown from run / run_lockstep — never a
+//    deadlock.
 //
 // run(), run_lockstep(1 thread) and run_lockstep(N threads) are all
-// bit-identical on the same jobs and config, under either LockstepGemm mode.
+// bit-identical on the same jobs and config.
 #pragma once
 
 #include "common/rng.hpp"
@@ -73,15 +63,6 @@
 
 namespace ecthub::sim {
 
-/// Deterministic per-hub seed: a splitmix64 finalizer over (base, hub_id).
-/// Distinct hub ids map to well-separated seeds even for adjacent bases.
-/// Forwards to ecthub::mix_seed (common/rng) — the same primitive that keys
-/// the metro front streams in core.
-[[nodiscard]] inline std::uint64_t mix_seed(std::uint64_t base_seed,
-                                            std::uint64_t hub_id) noexcept {
-  return ecthub::mix_seed(base_seed, hub_id);
-}
-
 /// Scheduler families the runner can instantiate per worker: the five
 /// rule-based baselines plus the trained ECT-DRL actor.
 enum class SchedulerKind { kNoBattery, kTou, kGreedyPrice, kForecast, kRandom, kDrl };
@@ -94,21 +75,6 @@ enum class SchedulerKind { kNoBattery, kTou, kGreedyPrice, kForecast, kRandom, k
 /// name on anything else.
 [[nodiscard]] SchedulerKind scheduler_kind_from_string(const std::string& name);
 [[nodiscard]] std::string to_string(SchedulerKind kind);
-
-/// Where run_lockstep's per-slot batched inference executes: one coordinator
-/// decide_batch per shared policy group (the PR 4 path, kept for comparison
-/// benchmarks), or per-worker decide_rows row-blocks of the same matrices
-/// (the default — inference scales with the worker crew).  Bit-identical
-/// either way.
-enum class LockstepGemm { kCoordinator, kWorker };
-
-/// All modes in declaration order — the sweep set of the GEMM-placement bench.
-[[nodiscard]] const std::vector<LockstepGemm>& all_lockstep_gemm_modes();
-
-/// Parses "coordinator" | "worker", case-insensitively.  Throws
-/// std::invalid_argument listing the valid names on anything else.
-[[nodiscard]] LockstepGemm lockstep_gemm_from_string(const std::string& name);
-[[nodiscard]] std::string to_string(LockstepGemm mode);
 
 /// Fresh policy instance for `kind`; cheap enough to build once per worker.
 /// `seed` only matters for kRandom; `layout` must describe the observations
@@ -203,17 +169,14 @@ struct FleetRunnerConfig {
   /// every hub keeps the mix_seed(base_seed, global_id) stream — and the
   /// exact per-hub result bits — it would have had in the unsharded run.
   std::size_t hub_id_offset = 0;
-  /// Worker threads for run(); 0 means std::thread::hardware_concurrency().
+  /// Crew size for run(); 0 means std::thread::hardware_concurrency().
   std::size_t threads = 0;
-  /// Worker threads for run_lockstep()'s env-stepping phases; 0 means
-  /// std::thread::hardware_concurrency(), 1 (the default) keeps lockstep
-  /// single-threaded.  Any value produces bit-identical results — big
-  /// fleets get thread parallelism (env stepping, and with
-  /// LockstepGemm::kWorker the batched inference too) on top of batch
-  /// parallelism.
+  /// Crew size for run_lockstep(); 0 means
+  /// std::thread::hardware_concurrency(), 1 (the default) keeps lockstep on
+  /// the calling thread.  Any value produces bit-identical results — big
+  /// fleets get thread parallelism (env stepping and the row-block batched
+  /// inference) on top of batch parallelism.
   std::size_t lockstep_threads = 1;
-  /// GEMM placement for run_lockstep's batched inference (see LockstepGemm).
-  LockstepGemm lockstep_gemm = LockstepGemm::kWorker;
   std::size_t episodes_per_hub = 1;
 };
 
@@ -221,37 +184,37 @@ class FleetRunner {
  public:
   explicit FleetRunner(FleetRunnerConfig cfg);
 
-  /// Runs every job, one hub per worker; results[i] corresponds to jobs[i]
-  /// (hub_id == cfg.hub_id_offset + i).  The first exception thrown by any worker is rethrown
-  /// after all workers have been joined.  Throws std::invalid_argument on a
-  /// coupled job set (see FleetJob::coupled) — only run_lockstep advances
-  /// the fleet slot-synchronously, which the exchange requires.
+  /// Runs every job, one hub per crew member at a time (work-stealing);
+  /// results[i] corresponds to jobs[i] (hub_id == cfg.hub_id_offset + i).
+  /// The first exception thrown by any job stops further jobs from starting
+  /// and is rethrown once the crew has finished.  Throws
+  /// std::invalid_argument on a coupled job set (see FleetJob::coupled) —
+  /// only run_lockstep advances the fleet slot-synchronously, which the
+  /// exchange requires.
   [[nodiscard]] std::vector<HubRunResult> run(const std::vector<FleetJob>& jobs) const;
 
   /// Lockstep execution: advances all hubs slot-by-slot and batches policy
   /// inference.  Stateless policies (TOU, no-battery, ECT-DRL) of the same
   /// kind and checkpoint share one instance fed a (hubs x state_dim)
   /// observation matrix per fleet slot; stateful policies keep an instance
-  /// per hub.  With lockstep_threads > 1 the env-stepping phases — and,
-  /// under LockstepGemm::kWorker, the batched inference itself, as per-lane-
-  /// partition row-blocks — are sharded across a barrier-synchronized worker
-  /// crew (see the file comment for the phase/barrier semantics).
-  /// Bit-identical to run() on the same jobs and config, at any thread
-  /// count and under either GEMM placement.
+  /// per hub.  Env stepping and the batched inference, as per-lane-partition
+  /// row blocks, are sharded across a barrier-synchronized crew of
+  /// lockstep_threads members (see the file comment for the barrier
+  /// semantics).  Bit-identical to run() on the same jobs and config, at
+  /// any crew size.
   ///
-  /// Coupled fleets (FleetJob::coupled) add an exchange phase at the slot
+  /// Coupled fleets (FleetJob::coupled) add an exchange at the slot
   /// barrier: each lane steps with the imports routed to it at the previous
   /// barrier and deposits its exported overflow, then the coordinator —
   /// alone, in fixed lane order — routes every deposit over the road-graph
   /// neighbor lists (CouplingBus).  The exchange never runs concurrently
-  /// with a worker phase, so coupled results stay bit-identical at any
-  /// lockstep_threads and under either LockstepGemm mode; fleets with no
-  /// coupled job take exactly the pre-coupling path.
+  /// with a crew phase, so coupled results stay bit-identical at any
+  /// lockstep_threads.
   [[nodiscard]] std::vector<HubRunResult> run_lockstep(
       const std::vector<FleetJob>& jobs) const;
 
-  /// Executes one job synchronously — the exact function each run() worker
-  /// runs.
+  /// Executes one job synchronously with scalar Policy::decide() — the
+  /// serial oracle, and the exact function each run() crew member runs.
   [[nodiscard]] static HubRunResult run_job(const FleetJob& job, std::size_t hub_id,
                                             const FleetRunnerConfig& cfg);
 

@@ -196,8 +196,8 @@ TEST(AllocationAudit, DrlDecideRowsReusesItsWorkspaceAllocationFree) {
 }
 
 TEST(AllocationAudit, WorkerGemmLockstepSlotLoopAllocationFreeAfterWarmup) {
-  // The steady-state slot loop of the worker-GEMM lockstep path must not
-  // allocate: running the same DRL fleet for more episodes may not cost a
+  // The steady-state slot loop of the lockstep path (row-block GEMMs on the
+  // crew) must not allocate: running the same DRL fleet for more episodes may not cost a
   // single extra allocation — every allocation belongs to setup or the
   // first-episode warm-up, none to the per-slot path (workspace reuse, no
   // per-slot scratch growth).
@@ -215,7 +215,6 @@ TEST(AllocationAudit, WorkerGemmLockstepSlotLoopAllocationFreeAfterWarmup) {
   const auto run_with_episodes = [&](std::size_t episodes) {
     sim::FleetRunnerConfig runner_cfg;
     runner_cfg.lockstep_threads = 1;
-    runner_cfg.lockstep_gemm = sim::LockstepGemm::kWorker;
     runner_cfg.episodes_per_hub = episodes;
     const std::uint64_t before = allocations();
     const auto results = sim::FleetRunner(runner_cfg).run_lockstep(jobs);

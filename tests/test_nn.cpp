@@ -44,9 +44,9 @@ TEST(Matrix, MatmulDimensionMismatchThrows) {
   EXPECT_THROW(a.matmul(b), std::invalid_argument);
 }
 
-// Reference product in the exact accumulation order both shipping kernels
-// promise: per output element, k ascending, zero operands of A skipped.  The
-// blocked kernel must match this to the last bit, not within a tolerance.
+// Reference product in the exact accumulation order the shipping kernel
+// promises: per output element, k ascending, zero operands of A skipped.  The
+// kernel must match this to the last bit, not within a tolerance.
 Matrix matmul_reference(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -74,12 +74,12 @@ void expect_bit_equal(const Matrix& got, const Matrix& want, const char* what) {
 
 // Comparison against the *test-local* reference above: exact on
 // contraction-free builds; under -DECTHUB_NATIVE=ON the compiler may fuse
-// the reference's multiply-add differently from the shipping kernels'
+// the reference's multiply-add differently from the shipping kernel's
 // (both are correct — fused is the more precise), so the reference check
 // relaxes to a 1-ulp-scale tolerance there.  The load-bearing exact
-// identity — blocked kernel vs naive kernel — is pinned through shipping
-// code only (see BlockedAndNaiveKernelsAgreeBitExactly), which holds on
-// every build.
+// identity — row blocks vs the full product — is pinned through shipping
+// code only (see MatmulRowsIntoMatchesTheFullProductRowBlocks), which holds
+// on every build.
 void expect_matches_reference(const Matrix& got, const Matrix& want, const char* what) {
 #if defined(__FP_FAST_FMA)
   ASSERT_EQ(got.rows(), want.rows()) << what;
@@ -96,9 +96,9 @@ void expect_matches_reference(const Matrix& got, const Matrix& want, const char*
 #endif
 }
 
-TEST(Matrix, BlockedMatmulGoldenAboveTheThreshold) {
-  // 16 rows is comfortably above the blocked-kernel threshold; a structured
-  // integer-valued product keeps the expected values exactly representable.
+TEST(Matrix, MatmulGoldenSixteenRows) {
+  // A batched 16-row product; a structured integer-valued product keeps the
+  // expected values exactly representable.
   Matrix a(16, 5);
   Matrix b(5, 7);
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -114,10 +114,9 @@ TEST(Matrix, BlockedMatmulGoldenAboveTheThreshold) {
   expect_bit_equal(a.matmul(b), matmul_reference(a, b), "golden 16x5 * 5x7");
 }
 
-TEST(Matrix, BlockedMatmulMatchesNaiveAcrossRandomizedShapes) {
+TEST(Matrix, MatmulMatchesReferenceAcrossRandomizedShapes) {
   // Randomized sweep across odd / tall / wide / tiny / empty shapes,
-  // including zero-entry-dense matrices that exercise the zero-skip and
-  // dimensions straddling the kernel-selection threshold and tile sizes.
+  // including zero-entry-dense matrices that exercise the zero-skip.
   Rng rng(20240730);
   const std::size_t rows_set[] = {0, 1, 2, 7, 8, 9, 17, 64, 129};
   const std::size_t inner_set[] = {1, 3, 33, 64};
@@ -141,9 +140,9 @@ TEST(Matrix, BlockedMatmulMatchesNaiveAcrossRandomizedShapes) {
 }
 
 TEST(Matrix, MatmulRowsIntoMatchesTheFullProductRowBlocks) {
-  // Arbitrary row blocks — 1-row, ragged, threshold-straddling — of the
-  // full product must come out bit-identical, whichever kernel each side
-  // picks.  This is the sharding contract the worker-GEMM fleet path uses.
+  // Arbitrary row blocks — 1-row, ragged, empty — of the full product must
+  // come out bit-identical.  This is the sharding contract the lockstep
+  // slot phase's row-block GEMMs rely on.
   Rng rng(77);
   const Matrix a = Matrix::randn(37, 12, rng);
   const Matrix b = Matrix::randn(12, 9, rng);
@@ -165,34 +164,6 @@ TEST(Matrix, MatmulRowsIntoMatchesTheFullProductRowBlocks) {
   EXPECT_THROW(a.matmul_rows_into(b, 0, 38, block), std::invalid_argument);
   EXPECT_THROW(a.matmul_rows_into(b, 0, 37, const_cast<Matrix&>(a)),
                std::invalid_argument);
-}
-
-TEST(Matrix, BlockedAndNaiveKernelsAgreeBitExactly) {
-  // The determinism contract through shipping code only, on EVERY build
-  // (portable or -march=native): a right-hand side big enough to select the
-  // blocked kernel for the full product, recomputed in sub-threshold row
-  // blocks that take the naive kernel — the two kernels must agree to the
-  // last bit, because per-hub decide() (naive, 1 row) and fleet-wide
-  // decide_batch (blocked) must never diverge.
-  Rng rng(4242);
-  Matrix a = Matrix::randn(67, 80, rng);
-  const Matrix b = Matrix::randn(80, 80, rng);  // 80x80x8 B = 50 KiB: blocked
-  // Sprinkle exact zeros into A so the kernels' zero-skip is exercised too.
-  Rng zrng(9);
-  for (double& x : a.data()) {
-    if (zrng.uniform(0.0, 1.0) < 0.1) x = 0.0;
-  }
-  const Matrix full = a.matmul(b);
-  Matrix block;
-  for (std::size_t r = 0; r < a.rows(); r += 3) {  // 3-row blocks: naive kernel
-    const std::size_t end = std::min(r + 3, a.rows());
-    a.matmul_rows_into(b, r, end, block);
-    for (std::size_t i = r; i < end; ++i) {
-      for (std::size_t c = 0; c < full.cols(); ++c) {
-        EXPECT_EQ(block(i - r, c), full(i, c)) << "(" << i << ", " << c << ")";
-      }
-    }
-  }
 }
 
 TEST(Matrix, TransposeRoundTrip) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 namespace ecthub::nn {
@@ -67,6 +68,21 @@ TEST(Serialize, BadMagicThrows) {
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
   auto pa = a.parameters();
   EXPECT_THROW(load_parameters(buf, pa), std::runtime_error);
+}
+
+TEST(Serialize, InflatedNameLengthThrowsBeforeAllocating) {
+  // A stream whose first name-length field claims 2^40 bytes or UINT64_MAX
+  // must be rejected as a name mismatch, not sized into a buffer (which
+  // would throw bad_alloc/length_error or exhaust memory first).
+  Rng rng(9);
+  Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
+  auto pa = a.parameters();
+  for (const std::uint64_t name_len : {std::uint64_t{1} << 40, UINT64_MAX}) {
+    std::stringstream buf;
+    const std::uint64_t header[] = {0x45435448, pa.size(), name_len};
+    buf.write(reinterpret_cast<const char*>(header), sizeof(header));
+    EXPECT_THROW(load_parameters(buf, pa), std::runtime_error) << name_len;
+  }
 }
 
 TEST(Serialize, EctPriceModelCheckpointRestoresPredictions) {

@@ -427,9 +427,9 @@ std::vector<HubRunResult> run_lockstep_fleet(const std::vector<FleetJob>& jobs,
 TEST(LockstepDeterminism, FourWayBitIdentity64HubsAllScenariosAllSchedulers) {
   // The determinism harness of the threaded engine: a 64-hub fleet covering
   // every built-in scenario and every scheduler kind, executed four ways —
-  // per-hub run(), single-threaded lockstep, 8-thread lockstep with the
-  // coordinator GEMM and 8-thread lockstep with worker row-block GEMMs —
-  // must produce bit-identical per-hub episode checksums across all paths.
+  // per-hub run(), and lockstep on crews of 1, 3 (ragged partitions) and 8
+  // members, each member running row-block GEMMs on its own lanes — must
+  // produce bit-identical per-hub episode checksums across all paths.
   const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
   const auto ckpt = tiny_checkpoint();
   const std::vector<std::string>& keys = reg.keys();
@@ -459,21 +459,21 @@ TEST(LockstepDeterminism, FourWayBitIdentity64HubsAllScenariosAllSchedulers) {
   cfg.lockstep_threads = 1;
   const auto per_hub = FleetRunner(cfg).run(jobs);
   const auto lockstep_1 = FleetRunner(cfg).run_lockstep(jobs);
+  cfg.lockstep_threads = 3;
+  const auto lockstep_3 = FleetRunner(cfg).run_lockstep(jobs);
   cfg.lockstep_threads = 8;
-  cfg.lockstep_gemm = LockstepGemm::kCoordinator;
-  const auto lockstep_8_coord = FleetRunner(cfg).run_lockstep(jobs);
-  cfg.lockstep_gemm = LockstepGemm::kWorker;
-  const auto lockstep_8_worker = FleetRunner(cfg).run_lockstep(jobs);
+  const auto lockstep_8 = FleetRunner(cfg).run_lockstep(jobs);
 
   expect_results_bit_identical(per_hub, lockstep_1);
-  expect_results_bit_identical(lockstep_1, lockstep_8_coord);
-  expect_results_bit_identical(lockstep_8_coord, lockstep_8_worker);
+  expect_results_bit_identical(per_hub, lockstep_3);
+  expect_results_bit_identical(per_hub, lockstep_8);
 }
 
 TEST(LockstepDeterminism, GemmPlacementIsBitIdenticalAtEveryThreadCount) {
-  // The two phase-B placements across 1/2/5 workers on a mixed fleet: every
-  // combination must reproduce the same ledgers — worker row-block GEMMs are
-  // an execution detail, never a numerics change.
+  // Each crew size splits the shared observation matrices into different
+  // row blocks, so 1/2/5 members on a mixed fleet place the GEMMs three
+  // ways: every one must reproduce run(), the run_job oracle — row-block
+  // GEMMs are an execution detail, never a numerics change.
   const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
   const auto ckpt = tiny_checkpoint();
   std::vector<FleetJob> jobs;
@@ -485,33 +485,17 @@ TEST(LockstepDeterminism, GemmPlacementIsBitIdenticalAtEveryThreadCount) {
   }
   FleetRunnerConfig cfg;
   cfg.episodes_per_hub = 2;
-  cfg.lockstep_threads = 1;
-  cfg.lockstep_gemm = LockstepGemm::kCoordinator;
-  const auto reference = FleetRunner(cfg).run_lockstep(jobs);
+  const auto reference = FleetRunner(cfg).run(jobs);
   for (const std::size_t threads : {1u, 2u, 5u}) {
-    for (const LockstepGemm mode : all_lockstep_gemm_modes()) {
-      cfg.lockstep_threads = threads;
-      cfg.lockstep_gemm = mode;
-      const auto got = FleetRunner(cfg).run_lockstep(jobs);
-      expect_results_bit_identical(reference, got);
-    }
+    cfg.lockstep_threads = threads;
+    expect_results_bit_identical(reference, FleetRunner(cfg).run_lockstep(jobs));
   }
-}
-
-TEST(LockstepDeterminism, GemmModeNamesRoundTrip) {
-  EXPECT_EQ(all_lockstep_gemm_modes().size(), 2u);
-  for (const LockstepGemm mode : all_lockstep_gemm_modes()) {
-    EXPECT_EQ(lockstep_gemm_from_string(to_string(mode)), mode);
-  }
-  EXPECT_EQ(lockstep_gemm_from_string("Coordinator"), LockstepGemm::kCoordinator);
-  EXPECT_EQ(lockstep_gemm_from_string("WORKER"), LockstepGemm::kWorker);
-  EXPECT_THROW((void)lockstep_gemm_from_string("gpu"), std::invalid_argument);
 }
 
 // ------------------------------------------------------------ metro coupling
 
 // A 64-hub spatially generated metro fleet with coupling enabled on every
-// hub.  Half the fleet runs the batched DRL path (so phase B GEMMs and the
+// hub.  Half the fleet runs the batched DRL path (so row-block GEMMs and the
 // exchange interleave), half runs a stateful per-hub scheduler.
 std::vector<FleetJob> make_coupled_metro_jobs(std::size_t hubs) {
   spatial::MetroConfig metro_cfg;
@@ -531,20 +515,17 @@ TEST(LockstepDeterminism, CoupledMetroFleetBitIdenticalAcrossThreadsAndGemm) {
   // The acceptance criterion of the coupling layer: a 64-hub coupled metro
   // fleet — CouplingBus exchange at every slot barrier, correlated fronts,
   // through-traffic, episode turnover mid-run — is bit-identical between
-  // lockstep x1 and lockstep x8 under both GEMM placements, spill ledgers
-  // included.
+  // lockstep x1, x3 and x8 (three different row-block GEMM splits), spill
+  // ledgers included.
   const std::vector<FleetJob> jobs = make_coupled_metro_jobs(64);
   FleetRunnerConfig cfg;
   cfg.episodes_per_hub = 2;  // exercise pending-import drop at turnover
   cfg.lockstep_threads = 1;
   const auto reference = FleetRunner(cfg).run_lockstep(jobs);
-  cfg.lockstep_threads = 8;
-  cfg.lockstep_gemm = LockstepGemm::kCoordinator;
-  const auto coord_8 = FleetRunner(cfg).run_lockstep(jobs);
-  cfg.lockstep_gemm = LockstepGemm::kWorker;
-  const auto worker_8 = FleetRunner(cfg).run_lockstep(jobs);
-  expect_results_bit_identical(reference, coord_8);
-  expect_results_bit_identical(coord_8, worker_8);
+  for (const std::size_t threads : {3u, 8u}) {
+    cfg.lockstep_threads = threads;
+    expect_results_bit_identical(reference, FleetRunner(cfg).run_lockstep(jobs));
+  }
 
   // The coupling must actually be live: demand flowed over the bus and some
   // of it was absorbed by neighbors.
@@ -557,6 +538,142 @@ TEST(LockstepDeterminism, CoupledMetroFleetBitIdenticalAcrossThreadsAndGemm) {
   EXPECT_GT(through, 0.0);
   EXPECT_GT(exported, 0.0);
   EXPECT_GT(served, 0.0);
+}
+
+// ------------------------------------------------------------ fleet golden
+
+// Absolute per-hub results for two small fixed-seed fleets.  The identity
+// suites above compare execution paths with each other; these pin what they
+// all must produce, so a bookkeeping slip shared by every path (episode
+// turnover, the SoC digest, the ledger fold, the spill totals) cannot pass
+// unnoticed.  Rule policies only, so no nn arithmetic enters the golden.
+// Regenerate deliberately by printing the fields at %.17g, like
+// ScenarioGolden.
+struct GoldenHub {
+  double profit;
+  double episode_profit[2];
+  double soc[6];    ///< first, last, min, max, mean, checksum
+  double spill[4];  ///< through, exported, served, dropped (kWh)
+  std::size_t outage_slots;
+};
+
+void expect_golden(const std::vector<HubRunResult>& got, const GoldenHub* golden,
+                   std::size_t n) {
+  ASSERT_EQ(got.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const HubRunResult& r = got[i];
+    const GoldenHub& g = golden[i];
+    EXPECT_EQ(r.hub_id, i);
+    EXPECT_DOUBLE_EQ(r.profit, g.profit) << "hub " << i;
+    ASSERT_EQ(r.episode_profit.size(), 2u) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.episode_profit[0], g.episode_profit[0]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.episode_profit[1], g.episode_profit[1]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.soc.first, g.soc[0]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.soc.last, g.soc[1]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.soc.min, g.soc[2]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.soc.max, g.soc[3]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.soc.mean, g.soc[4]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.soc.checksum, g.soc[5]) << "hub " << i;
+    EXPECT_EQ(r.soc.samples, 48u) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.through_kwh, g.spill[0]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.spill_exported_kwh, g.spill[1]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.spill_served_kwh, g.spill[2]) << "hub " << i;
+    EXPECT_DOUBLE_EQ(r.spill_dropped_kwh, g.spill[3]) << "hub " << i;
+    EXPECT_EQ(r.outage_slots, g.outage_slots) << "hub " << i;
+  }
+}
+
+TEST(FleetRunnerGolden, PerHubTouAndGreedyTwoEpisodes) {
+  const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
+  std::vector<FleetJob> jobs = make_fleet_jobs(reg, {"urban", "rural"}, 2, 2, SchedulerKind::kTou);
+  for (FleetJob& job :
+       make_fleet_jobs(reg, {"urban", "rural"}, 2, 2, SchedulerKind::kGreedyPrice)) {
+    jobs.push_back(std::move(job));
+  }
+  const GoldenHub golden[] = {
+      // urban-0, tou
+      {-0.81316542066121067, {-0.40171174247689823, -0.41145367818431244},
+       {0.36423879507865364, 0.93521781250435665, 0.53158969392842426, 0.94999999999999996,
+        0.88071686969184271, 42.274409745208452},
+       {0, 0, 0, 0}, 0},
+      // rural-1, tou
+      {15.531872934775732, {8.129360047168662, 7.4025128876070703},
+       {0.40853036217838856, 0.94999999999999996, 0.59853036217838851, 0.94999999999999996,
+        0.92664721504196335, 44.479066322014241},
+       {0, 0, 0, 0}, 0},
+      // urban-0, greedy
+      {18.359423878309897, {9.4274351258733695, 8.9319887524365278},
+       {0.7447078033033212, 0.48848424117229966, 0.27990126048480946, 0.94999999999999996,
+        0.78710359419236708, 37.780972521233622},
+       {0, 0, 0, 0}, 0},
+      // rural-1, greedy
+      {37.044231031557835, {21.965616328344762, 15.078614703213074},
+       {0.76350665799801321, 0.94999999999999996, 0.47331535328162672, 0.94999999999999996,
+        0.82375098574593786, 39.540047315805019},
+       {0, 0, 0, 0}, 0},
+  };
+  FleetRunnerConfig cfg;
+  cfg.base_seed = 7;
+  cfg.threads = 2;
+  cfg.episodes_per_hub = 2;
+  expect_golden(FleetRunner(cfg).run(jobs), golden, std::size(golden));
+}
+
+TEST(FleetRunnerGolden, CoupledMetroLockstep) {
+  spatial::MetroConfig metro_cfg;
+  metro_cfg.num_hubs = 8;
+  const spatial::MetroMap metro(metro_cfg, 42);
+  const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
+  std::vector<FleetJob> jobs =
+      make_metro_fleet_jobs(metro, reg, reg.keys(), 2, SchedulerKind::kTou);
+  for (std::size_t i = 1; i < jobs.size(); i += 2) jobs[i].scheduler = SchedulerKind::kGreedyPrice;
+  const GoldenHub golden[] = {
+      // blackout-prone-0, tou
+      {28.617609106115726, {14.541961718252455, 14.07564738786327},
+       {0.36423879507865364, 0.75652828667317629, 0.49995308079293932, 0.94999999999999996,
+        0.88245876597738293, 42.358020766914379},
+       {352.7999999999999, 43.200000000000003, 19.199999999999999, 4.7999999999999998}, 0},
+      // heatwave-1, greedy
+      {44.834085895208432, {24.032530751924867, 20.801555143283561},
+       {0.40853036217838856, 0.20000000000000001, 0.20000000000000001, 0.94999999999999996,
+        0.63957861827273532, 30.699773677091294},
+       {338.39999999999986, 72.000000000000014, 48.133333333333333, 15.666666666666668}, 0},
+      // high-renewables-2, tou
+      {51.77731443161322, {25.242517673607598, 26.534796758005619},
+       {0.7447078033033212, 0.94999999999999996, 0.88736563479343078, 0.94999999999999996,
+        0.9423174322108302, 45.231236746119848},
+       {253, 88, 4.7999999999999998, 0}, 0},
+      // price-spike-3, greedy
+      {49.856857360591448, {31.019988046794381, 18.836869313797063},
+       {0.76350665799801321, 0.69721778797682932, 0.20000000000000001, 0.94999999999999996,
+        0.57102998458428578, 27.409439260045719},
+       {359.99999999999983, 57.600000000000009, 44.466666666666669, 24.133333333333333}, 0},
+      // rural-4, tou
+      {82.991922841331061, {37.875615829005667, 45.116307012325393},
+       {0.72126017324382019, 0.67760001419354732, 0.48760001419354737, 0.94999999999999996,
+        0.88144556882538139, 42.309387303618308},
+       {451, 33, 77.333333333333343, 0}, 0},
+      // urban-5, greedy
+      {14.857578624439912, {11.18312417298967, 3.674454451450242},
+       {0.49495014610560273, 0.54094247382218741, 0.47387220617690268, 0.94999999999999996,
+        0.83828536642526397, 40.237697588412672},
+       {79.200000000000017, 21.600000000000001, 25.533333333333335, 3.7999999999999994}, 0},
+      // blackout-prone-6, tou
+      {15.273795185565469, {8.1301781871696708, 7.1436169983957978},
+       {0.71641615715112739, 0.81078623432447039, 0.6750719486101846, 0.94999999999999996,
+        0.89864842955528224, 43.135124618653549},
+       {144.00000000000003, 57.600000000000001, 39.666666666666671, 28.93333333333333}, 0},
+      // heatwave-7, greedy
+      {7.8372894075939676, {4.9253485782171422, 2.9119408293768254},
+       {0.30437018247674319, 0.7358410200640545, 0.42443856104244476, 0.94999999999999996,
+        0.81150521877559989, 38.952250501228797},
+       {64.800000000000011, 0, 21.866666666666667, 7.4666666666666659}, 0},
+  };
+  FleetRunnerConfig cfg;
+  cfg.base_seed = 7;
+  cfg.lockstep_threads = 2;
+  cfg.episodes_per_hub = 2;
+  expect_golden(FleetRunner(cfg).run_lockstep(jobs), golden, std::size(golden));
 }
 
 TEST(FleetRunner, RunRejectsCoupledJobs) {
@@ -667,12 +784,21 @@ TEST(FleetRunnerLockstep, SerialWorkerExceptionAlsoPropagates) {
 
 TEST(FleetRunner, WorkerExceptionsPropagate) {
   // A zero-capacity battery makes EctHubEnv construction throw inside the
-  // worker; the runner must surface it, not deadlock or crash.
-  std::vector<FleetJob> jobs = make_jobs(4);
-  jobs[2].hub.battery.capacity_kwh = 0.0;
-  FleetRunnerConfig cfg;
-  cfg.threads = 2;
-  EXPECT_THROW((void)FleetRunner(cfg).run(jobs), std::invalid_argument);
+  // crew member running that job, on one member or two; the runner must
+  // surface it, not deadlock or crash — and stay usable afterwards.
+  for (const std::size_t threads : {1u, 2u}) {
+    std::vector<FleetJob> jobs = make_jobs(4);
+    jobs[2].hub.battery.capacity_kwh = 0.0;
+    FleetRunnerConfig cfg;
+    cfg.threads = threads;
+    const FleetRunner runner(cfg);
+    EXPECT_THROW((void)runner.run(jobs), std::invalid_argument) << threads;
+    // The runner stays usable once the bad job is fixed.
+    jobs[2] = make_jobs(4)[2];
+    const auto results = runner.run(jobs);
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_TRUE(std::isfinite(results[2].profit)) << threads;
+  }
 }
 
 // ------------------------------------------------------------ report
