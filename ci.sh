@@ -66,8 +66,13 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      battery, weather).  GCC 12's analyzer does not model std::allocator,
 #      so three libstdc++-internal false-positive classes are suppressed with
 #      justification (see tools/lint_allowlist.txt header and README "Static
-#      analysis"); every other -Wanalyzer-* check is a hard error.
-echo "==> Job 5: invariant lint + header self-containment + GCC analyzer"
+#      analysis"); every other -Wanalyzer-* check is a hard error;
+#  (d) the matmul kernel's no-fusion contract (it rounds every multiply and
+#      every add, see src/nn/matrix.hpp): src/nn/matrix.cpp is compiled
+#      again with job 1's own command from compile_commands.json plus -mfma,
+#      which lets the compiler fuse wherever the build's flags allow it, and
+#      that object must contain no fused multiply-add (vfmadd).
+echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + matmul codegen"
 cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
@@ -80,6 +85,21 @@ for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp; do
     -Wno-analyzer-possible-null-dereference
 done
 echo "    analyzer pass clean over common/nn/battery/weather"
+
+MATRIX_FMA_O="${PREFIX}/matrix-mfma-check.o"
+python3 - "${PREFIX}/compile_commands.json" "${MATRIX_FMA_O}" <<'EOF'
+import json, os, shlex, subprocess, sys
+entries = json.load(open(sys.argv[1]))
+entry = next(e for e in entries if e["file"].endswith("src/nn/matrix.cpp"))
+args = shlex.split(entry["command"])
+args[args.index("-o") + 1] = os.path.abspath(sys.argv[2])
+subprocess.run(args + ["-mfma"], cwd=entry["directory"], check=True)
+EOF
+if objdump -d "${MATRIX_FMA_O}" | grep -q vfmadd; then
+  echo "FAIL: src/nn/matrix.cpp built with -mfma contains a fused multiply-add (vfmadd)" >&2
+  exit 1
+fi
+echo "    src/nn/matrix.cpp built with -mfma: no vfmadd"
 
 # Job 6 runs the benchmark smoke: every workload tiny, untraced and traced.
 # The traced runs replay run_lockstep and run_job through perfbench's own

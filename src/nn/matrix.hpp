@@ -5,13 +5,20 @@
 // matrix with cache-friendly row-major loops is fast enough at CPU scale
 // and keeps the numerics transparent for testing.
 //
-// matmul has one kernel, an ikj loop that accumulates every output element
-// over k in ascending order whatever the shape — the property that lets a
+// matmul has one kernel, register-tiled: 4-row blocks of 4-column tiles
+// (two 2-lane vectors per row), with single rows and single columns at the
+// ragged edges.  The contract: every output element starts at +0.0 and adds
+// its a(i, k) * b(k, j) terms for k ascending, one rounding per multiply and
+// one per add, whatever the shape or tile — the property that lets a
 // batched fleet GEMM reproduce per-hub matrix-vector forwards exactly
-// (tests/test_nn.cpp pins it over a randomized shape sweep).  Row-range
-// products (matmul_rows_into) compute a disjoint row-block of the same
-// product, bit-identical to the corresponding rows of the full call, which
-// is what lets several workers shard one observation matrix.
+// (tests/test_nn.cpp pins it over a randomized shape sweep).  matrix.cpp
+// builds with -ffp-contract=off so that no build fuses the multiply-add.
+// The right-hand operand must be finite: zero entries of the left one are
+// multiplied, not skipped, and 0 * inf is NaN (load_parameters rejects
+// non-finite weights).  Row-range products (matmul_rows_into) compute a
+// disjoint row-block of the same product, bit-identical to the
+// corresponding rows of the full call, which is what lets several workers
+// shard one observation matrix.
 #pragma once
 
 #include "common/rng.hpp"
@@ -54,8 +61,9 @@ class Matrix {
 
   /// this (r x k) * other (k x c) -> (r x c)
   [[nodiscard]] Matrix matmul(const Matrix& other) const;
-  /// matmul writing into `out` (resized via resize_zeroed — allocation-free
-  /// once warm).  `out` must not alias this or other.
+  /// matmul writing into `out`, which is reshaped without a fill (the kernel
+  /// writes every element) and keeps its capacity — allocation-free once
+  /// warm.  `out` must not alias this or other.
   void matmul_into(const Matrix& other, Matrix& out) const;
   /// Rows [row_begin, row_end) of this * other, written into `out` as a
   /// (row_end - row_begin) x other.cols() block.  Bit-identical to the same

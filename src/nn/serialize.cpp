@@ -1,5 +1,6 @@
 #include "nn/serialize.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <istream>
 #include <ostream>
@@ -72,6 +73,11 @@ void load_parameters(std::istream& in, std::vector<Parameter>& params) {
     in.read(reinterpret_cast<char*>(p.value->data().data()),
             static_cast<std::streamsize>(p.value->data().size() * sizeof(double)));
     if (!in) throw std::runtime_error("load_parameters: truncated tensor data");
+    for (const double x : p.value->data()) {
+      if (!std::isfinite(x)) {
+        throw std::runtime_error("load_parameters: non-finite value in '" + p.name + "'");
+      }
+    }
   }
 }
 

@@ -20,7 +20,9 @@ void save_parameters(std::ostream& out, const std::vector<Parameter>& params);
 void save_parameters(std::ostream& out, const std::vector<ConstParameter>& params);
 
 /// Reads tensors back into `params`.  Names and shapes must match exactly
-/// (same model architecture); throws std::runtime_error otherwise.
+/// (same model architecture) and every value must be finite — a NaN or
+/// infinite weight would void the matmul kernel's contract (nn/matrix.hpp);
+/// throws std::runtime_error naming the tensor otherwise.
 void load_parameters(std::istream& in, std::vector<Parameter>& params);
 
 }  // namespace ecthub::nn

@@ -2,6 +2,7 @@
 
 #include "nn/serialize.hpp"
 
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -117,10 +118,11 @@ void DrlPolicy::decide_rows(const nn::Matrix& obs, std::size_t row_begin,
   trunk_act_.forward_inplace(scratch->trunk);
   const nn::Matrix& logits =
       actor_.forward_rows(scratch->trunk, 0, scratch->trunk.rows(), scratch->head);
-  for (std::size_t i = 0; i < logits.rows(); ++i) {
+  const double* row = logits.data().data();
+  for (std::size_t i = 0; i < logits.rows(); ++i, row += cfg_.action_count) {
     std::size_t best = 0;
     for (std::size_t a = 1; a < cfg_.action_count; ++a) {
-      if (logits(i, a) > logits(i, best)) best = a;
+      if (row[a] > row[best]) best = a;
     }
     actions[row_begin + i] = best;
   }
@@ -130,10 +132,10 @@ std::size_t DrlPolicy::decide(std::span<const double> obs) {
   if (obs.size() != cfg_.state_dim) {
     throw std::invalid_argument("DrlPolicy::decide: state dim mismatch");
   }
-  nn::Matrix s(1, cfg_.state_dim);
-  for (std::size_t c = 0; c < cfg_.state_dim; ++c) s(0, c) = obs[c];
+  scratch_.single.resize_zeroed(1, cfg_.state_dim);
+  std::copy(obs.begin(), obs.end(), scratch_.single.data().begin());
   std::size_t action = 0;
-  decide_rows(s, 0, 1, std::span<std::size_t>(&action, 1), scratch_);
+  decide_rows(scratch_.single, 0, 1, std::span<std::size_t>(&action, 1), scratch_);
   return action;
 }
 

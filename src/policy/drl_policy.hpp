@@ -91,6 +91,7 @@ class DrlPolicy final : public Policy {
   struct BatchWorkspace final : Workspace {
     nn::Matrix trunk;               ///< row-block x trunk_dim (tanh in place)
     std::vector<nn::Matrix> head;   ///< actor MLP layer outputs
+    nn::Matrix single;              ///< decide()'s 1-row observation
   };
 
   /// Layer construction needs an RNG even when every weight is about to be

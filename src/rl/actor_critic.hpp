@@ -96,9 +96,9 @@ class ActorCritic {
 
   [[nodiscard]] const ActorCriticConfig& config() const noexcept { return cfg_; }
 
- private:
   /// Trunk + both heads over rows [row_begin, row_end); returns (logits,
-  /// values) references into `ws`.  Const and cache-free.
+  /// values) references into `ws`, valid until its next use.  Const and
+  /// cache-free: the forward every inference path above runs.
   struct RowsOutput {
     const nn::Matrix* logits = nullptr;
     const nn::Matrix* values = nullptr;
@@ -106,6 +106,7 @@ class ActorCritic {
   RowsOutput forward_rows(const nn::Matrix& states, std::size_t row_begin,
                           std::size_t row_end, RowsWorkspace& ws) const;
 
+ private:
   ActorCriticConfig cfg_;
   nn::Dense trunk_;
   nn::ActivationLayer trunk_act_;

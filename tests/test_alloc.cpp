@@ -172,7 +172,9 @@ TEST(AllocationAudit, DrlDecideRowsReusesItsWorkspaceAllocationFree) {
   // The worker-GEMM inference kernel: after the first call has sized the
   // workspace buffers (and the internal matmul scratch has seen its largest
   // shape), repeated row-block forwards — full batch, ragged blocks, 1-row
-  // blocks — must perform zero heap allocations.
+  // blocks — must perform zero heap allocations.  So must the scalar
+  // decide() of every per-hub DRL hub, which stages its observation in the
+  // policy's member workspace.
   const policy::ObservationLayout layout;
   nn::Rng rng(41);
   policy::DrlPolicyConfig cfg;
@@ -185,14 +187,22 @@ TEST(AllocationAudit, DrlDecideRowsReusesItsWorkspaceAllocationFree) {
   std::vector<std::size_t> actions(obs.rows());
   const auto ws = actor.make_workspace();
 
+  const auto row = [&obs](std::size_t r) {
+    return std::span<const double>(obs.data().data() + r * obs.cols(), obs.cols());
+  };
+
   actor.decide_rows(obs, 0, obs.rows(), std::span<std::size_t>(actions), *ws);  // warm-up
+  (void)actor.decide(row(0));
   const std::uint64_t before = allocations();
   actor.decide_rows(obs, 0, obs.rows(), std::span<std::size_t>(actions), *ws);
   actor.decide_rows(obs, 0, 17, std::span<std::size_t>(actions), *ws);
   actor.decide_rows(obs, 17, 64, std::span<std::size_t>(actions), *ws);
   actor.decide_rows(obs, 5, 6, std::span<std::size_t>(actions), *ws);
+  for (std::size_t r = 0; r < obs.rows(); r += 9) {
+    EXPECT_EQ(actor.decide(row(r)), actions[r]) << "row " << r;
+  }
   EXPECT_EQ(allocations() - before, 0u)
-      << "decide_rows allocated on a warmed workspace";
+      << "decide_rows or decide allocated on a warmed workspace";
 }
 
 TEST(AllocationAudit, WorkerGemmLockstepSlotLoopAllocationFreeAfterWarmup) {

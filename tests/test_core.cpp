@@ -6,11 +6,22 @@
 #include "core/hub_env.hpp"
 #include "core/policy_runner.hpp"
 #include "core/profit.hpp"
+#include "nn/serialize.hpp"
 #include "policy/rule_policies.hpp"
+#include "rl/actor_critic.hpp"
+#include "rl/ppo.hpp"
+#include "rl/rollout.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -593,6 +604,164 @@ TEST(Fleet, RunHubExperimentSmoke) {
   EXPECT_EQ(result.daily_rewards.size(), 2u);
   EXPECT_EQ(result.train_curve.size(), 1u);
   EXPECT_TRUE(std::isfinite(result.avg_daily_reward));
+}
+
+// ------------------------------------------------------------ nn golden
+
+// Absolute outputs of the nn arithmetic on real hub observations.  The
+// identity suites compare execution paths with each other (row blocks, batch
+// sizes, crew sizes); these pin what every path must produce, so a matmul
+// kernel that rounded differently — on every path alike — fails here.
+// Regenerate deliberately by printing the values (doubles at %.17g, digests
+// in hex), like EctHubEnvGolden.
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// FNV-1a over the values' bit patterns, each fed least significant byte
+/// first.
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::string bytes;
+  for (const double x : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<char>((bits >> (8 * b)) & 0xFF));
+  }
+  return fnv1a(bytes);
+}
+
+rl::ActorCriticConfig golden_actor_config() {
+  rl::ActorCriticConfig cfg;
+  cfg.state_dim = policy::ObservationLayout{}.dim();  // 33 -> 64 -> 32 -> 3
+  return cfg;
+}
+
+/// One observation per slot of a TOU-run 6-day episode of an urban hub,
+/// then of a rural one: 288 rows.
+nn::Matrix tou_run_observations() {
+  const HubConfig hubs[] = {HubConfig::urban("nn-golden", 1301),
+                            HubConfig::rural("nn-golden", 1302)};
+  nn::Matrix obs(2 * 6 * 24, policy::ObservationLayout{}.dim());
+  std::size_t row = 0;
+  for (const HubConfig& hub : hubs) {
+    EctHubEnv env(hub, small_env(6));
+    policy::TouPolicy tou(env.observation_layout());
+    std::vector<double> state(env.state_dim());
+    env.reset_into(state);
+    bool done = false;
+    while (!done) {
+      std::copy(state.begin(), state.end(),
+                obs.data().begin() + static_cast<std::ptrdiff_t>(row * obs.cols()));
+      ++row;
+      done = env.step_into(tou.decide(state), state).done;
+    }
+  }
+  EXPECT_EQ(row, obs.rows());
+  return obs;
+}
+
+TEST(NnGolden, ActorForwardRowsPinsTouRunLogits) {
+  const nn::Matrix obs = tou_run_observations();
+  nn::Rng init_rng(1303);
+  const rl::ActorCritic ac(golden_actor_config(), init_rng);
+  rl::ActorCritic::RowsWorkspace ws;
+  const rl::ActorCritic::RowsOutput out = ac.forward_rows(obs, 0, obs.rows(), ws);
+  const nn::Matrix& logits = *out.logits;
+  ASSERT_EQ(logits.rows(), obs.rows());
+  ASSERT_EQ(logits.cols(), 3u);
+
+  std::string actions;  // argmax per row; the first maximum wins ties
+  for (std::size_t r = 0; r < logits.rows(); ++r) {
+    std::size_t best = 0;
+    for (std::size_t a = 1; a < 3; ++a) {
+      if (logits(r, a) > logits(r, best)) best = a;
+    }
+    actions.push_back(static_cast<char>('0' + best));
+  }
+  EXPECT_EQ(actions,
+            "111111110000002220000000100011100000020022000000001011110002222222000000"
+            "001111110000200220000010101011110000222222200000001011110000002020000000"
+            "111111110000022222000000011111110000000000000000011111100000020200000000"
+            "001111101000022222000000111111100000222222200000011111110000002222000101");
+  EXPECT_EQ(fnv1a(logits.data()), 0x8519e307a9c4bb11ULL);
+  EXPECT_EQ(fnv1a(out.values->data()), 0x6cb34ddff0a66902ULL);
+  const struct {
+    std::size_t row;
+    double logit[3];
+  } rows[] = {
+      {0, {0.11632178647594257, 0.25710143570250932, -0.35352721949128146}},
+      {41, {-0.038814427003477925, -0.37782496774845886, 0.081321819660427633}},
+      {82, {0.13559817812636152, -0.18480933516414239, -0.13629528989026679}},
+      {123, {0.29428114846763775, 0.29097510289428491, -0.26704261674504215}},
+      {164, {0.15238567364115901, 0.023605149046502238, -0.29839102450934091}},
+      {205, {0.11252394973424641, -0.29143540418354996, 0.12392666341295173}},
+      {246, {0.1730563261265271, 0.25120589546849698, -0.19479142843322206}},
+      {287, {0.20529988866852372, 0.21090560608168749, -0.37872532481185084}},
+  };
+  for (const auto& want : rows) {
+    for (std::size_t a = 0; a < 3; ++a) {
+      EXPECT_EQ(logits(want.row, a), want.logit[a]) << "row " << want.row << " action " << a;
+    }
+  }
+
+  // The deployed actor answers the same through both DrlPolicy entry points.
+  policy::DrlPolicy deployed(export_actor_checkpoint(ac));
+  std::vector<std::size_t> batch(obs.rows());
+  deployed.decide_batch(obs, batch);
+  for (std::size_t r = 0; r < obs.rows(); ++r) {
+    const std::size_t want = static_cast<std::size_t>(actions[r] - '0');
+    EXPECT_EQ(batch[r], want) << "decide_batch row " << r;
+    const std::span<const double> row(obs.data().data() + r * obs.cols(), obs.cols());
+    EXPECT_EQ(deployed.decide(row), want) << "decide row " << r;
+  }
+}
+
+TEST(NnGolden, PpoUpdatePinsCheckpointDigest) {
+  rl::PpoConfig cfg;
+  cfg.update_epochs = 2;
+  cfg.minibatch_size = 32;
+  rl::PpoTrainer trainer(cfg, golden_actor_config(), nn::Rng(1304));
+
+  // A fixed small rollout: one 2-day urban episode sampled from the actor.
+  EctHubEnv env(HubConfig::urban("ppo-golden", 1305), small_env(2));
+  rl::RolloutBuffer buffer;
+  nn::Rng sample_rng(1306);
+  rl::ActorCritic::RowsWorkspace ws;
+  std::vector<double> state = env.reset();
+  bool done = false;
+  while (!done) {
+    const rl::ActorCritic::Sample s = trainer.policy().act(state, sample_rng);
+    rl::StepResult step = env.step(s.action);
+    rl::Transition t;
+    t.state = state;
+    t.action = s.action;
+    t.log_prob = s.log_prob;
+    t.reward = step.reward;
+    t.value = s.value;
+    t.done = step.done;
+    t.truncated = step.truncated;
+    if (step.truncated) t.bootstrap_value = trainer.policy().value_of(step.next_state, ws);
+    buffer.add(std::move(t));
+    state = std::move(step.next_state);
+    done = step.done;
+  }
+  ASSERT_EQ(buffer.size(), 48u);
+
+  const rl::PpoUpdateStats stats = trainer.update(buffer);
+  std::ostringstream blob;
+  nn::save_parameters(blob, std::as_const(trainer.policy()).parameters());
+  EXPECT_EQ(fnv1a(blob.str()), 0xb12e398199a805fcULL);
+  EXPECT_EQ(stats.policy_loss, -0.037217587646476591);
+  EXPECT_EQ(stats.value_loss, 0.13856464742570979);
+  EXPECT_EQ(stats.entropy, 1.0402170156226782);
+  EXPECT_EQ(stats.mean_ratio, 0.99681952789187278);
+  EXPECT_EQ(stats.clip_fraction, 0.015625);
 }
 
 TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 namespace ecthub::nn {
@@ -45,8 +46,12 @@ TEST(Matrix, MatmulDimensionMismatchThrows) {
 }
 
 // Reference product in the exact accumulation order the shipping kernel
-// promises: per output element, k ascending, zero operands of A skipped.  The
-// kernel must match this to the last bit, not within a tolerance.
+// promises: per output element, start at +0.0 and add the k terms in
+// ascending order.  This reference skips zero operands of A; the kernel does
+// not, which changes no bit while B is finite (the sum can never become
+// -0.0, and 0 * finite adds a zero) — the contract nn/matrix.hpp states and
+// load_parameters enforces for weights.  The kernel must match this to the
+// last bit, not within a tolerance.
 Matrix matmul_reference(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.cols());
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -115,12 +120,16 @@ TEST(Matrix, MatmulGoldenSixteenRows) {
 }
 
 TEST(Matrix, MatmulMatchesReferenceAcrossRandomizedShapes) {
-  // Randomized sweep across odd / tall / wide / tiny / empty shapes,
-  // including zero-entry-dense matrices that exercise the zero-skip.
+  // Randomized sweep across odd / tall / wide / tiny / empty shapes and the
+  // kernel's tile edges (4-row blocks, 4-column tiles, single columns at the
+  // ragged edge), including zero-entry-dense A matrices that the reference
+  // skips and the kernel multiplies.  The product lands in an output filled
+  // with NaN at its shape, so an element the kernel fails to write shows
+  // up; with inner == 0 every element must come out +0.0.
   Rng rng(20240730);
-  const std::size_t rows_set[] = {0, 1, 2, 7, 8, 9, 17, 64, 129};
-  const std::size_t inner_set[] = {1, 3, 33, 64};
-  const std::size_t cols_set[] = {1, 5, 64, 127, 128, 129, 200};
+  const std::size_t rows_set[] = {0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 64, 129};
+  const std::size_t inner_set[] = {0, 1, 3, 33, 64};
+  const std::size_t cols_set[] = {1, 3, 4, 5, 7, 8, 9, 33, 64, 127, 128, 129, 200};
   for (const std::size_t rows : rows_set) {
     for (const std::size_t inner : inner_set) {
       for (const std::size_t cols : cols_set) {
@@ -133,7 +142,12 @@ TEST(Matrix, MatmulMatchesReferenceAcrossRandomizedShapes) {
         const Matrix want = matmul_reference(a, b);
         const std::string what = std::to_string(rows) + "x" + std::to_string(inner) +
                                  " * " + std::to_string(inner) + "x" + std::to_string(cols);
-        expect_matches_reference(a.matmul(b), want, what.c_str());
+        Matrix got(rows, cols, std::numeric_limits<double>::quiet_NaN());
+        a.matmul_into(b, got);
+        expect_matches_reference(got, want, what.c_str());
+        if (inner == 0) {
+          for (const double x : got.data()) EXPECT_FALSE(std::signbit(x)) << what;
+        }
       }
     }
   }

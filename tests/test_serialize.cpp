@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 namespace ecthub::nn {
 namespace {
@@ -83,6 +85,37 @@ TEST(Serialize, InflatedNameLengthThrowsBeforeAllocating) {
     buf.write(reinterpret_cast<const char*>(header), sizeof(header));
     EXPECT_THROW(load_parameters(buf, pa), std::runtime_error) << name_len;
   }
+}
+
+// A checkpoint holding a NaN or infinite weight must fail to load, naming
+// the tensor: the matmul kernel's sums are defined for finite right-hand
+// operands only (nn/matrix.hpp).
+void expect_poisoned_weight_rejected(double poison) {
+  Rng rng(10);
+  Mlp a(MlpConfig{.layer_dims = {3, 4, 2}}, rng, "m");
+  auto pa = a.parameters();
+  ASSERT_EQ(pa.size(), 4u);
+  pa[2].value->data()[5] = poison;  // the second layer's weights
+  std::stringstream buf;
+  save_parameters(buf, pa);
+  Mlp b(MlpConfig{.layer_dims = {3, 4, 2}}, rng, "m");
+  auto pb = b.parameters();
+  try {
+    load_parameters(buf, pb);
+    ADD_FAILURE() << "loaded a weight of " << poison;
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + pa[2].name + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Serialize, InfiniteWeightThrowsNamingTheTensor) {
+  expect_poisoned_weight_rejected(std::numeric_limits<double>::infinity());
+  expect_poisoned_weight_rejected(-std::numeric_limits<double>::infinity());
+}
+
+TEST(Serialize, NanWeightThrowsNamingTheTensor) {
+  expect_poisoned_weight_rejected(std::numeric_limits<double>::quiet_NaN());
 }
 
 TEST(Serialize, EctPriceModelCheckpointRestoresPredictions) {

@@ -382,7 +382,16 @@ TEST(ServeAlloc, ConcurrentRoundsCostNoMoreThanFewerRounds) {
     for (auto& th : threads) th.join();
   };
 
-  run_rounds(8);  // warm-up: ticket pool reaches its high-water mark
+  // Warm-up until the ticket pool and the policy workspace are at their
+  // high-water marks: kClients requests pending at once, hence a
+  // kClients-row flush.  A loaded host can keep a fixed number of rounds
+  // from getting there, so warm up until the stats show it, within a bound.
+  const auto warmed = [&service] {
+    const ServiceStats s = service.stats();
+    return s.max_queue_depth == kClients && s.batch_size_hist[kClients] > 0;
+  };
+  for (int attempt = 0; attempt < 500 && !warmed(); ++attempt) run_rounds(8);
+  ASSERT_TRUE(warmed()) << "warm-up never had " << kClients << " requests pending at once";
   const std::uint64_t before_short = allocations();
   run_rounds(2);
   const std::uint64_t short_cost = allocations() - before_short;
