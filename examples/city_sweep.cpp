@@ -59,9 +59,11 @@
 // neighbors at every slot barrier, and weather/outage fronts are correlated
 // across the metro.  Coupled fleets are lockstep-only, so --metro implies
 // --lockstep; results stay bit-identical at any --lockstep-threads.
+#include "common/binio.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/fleet.hpp"
+#include "policy/drl_policy.hpp"
 #include "sim/drl_zoo.hpp"
 #include "sim/fleet_runner.hpp"
 #include "sim/metro.hpp"
@@ -79,7 +81,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -102,17 +103,18 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 // Loads the checkpoint from `path` when it exists; otherwise trains a fresh
 // actor on the first scenario's hub and (when a path was given) saves it.
+// A file that exists but does not load throws, before any hub runs.
 std::shared_ptr<const ecthub::policy::DrlCheckpoint> obtain_drl_checkpoint(
     const ecthub::sim::ScenarioRegistry& registry, const std::string& scenario_key,
     std::size_t days, std::size_t iterations, std::size_t train_hubs,
     std::size_t collector_threads, std::uint64_t base_seed, const std::string& path) {
   using namespace ecthub;
-  if (!path.empty()) {
-    std::ifstream in(path, std::ios::binary);
-    if (in) {
-      std::cout << "loading ECT-DRL checkpoint from " << path << "\n";
-      return std::make_shared<policy::DrlCheckpoint>(policy::DrlCheckpoint::load(in));
-    }
+  if (!path.empty() && std::filesystem::exists(path)) {
+    std::cout << "loading ECT-DRL checkpoint from " << path << "\n";
+    auto ckpt = std::make_shared<policy::DrlCheckpoint>(
+        policy::DrlCheckpoint::parse(binio::read_file(path)));
+    (void)policy::DrlPolicy(*ckpt);  // widths and blob checked up front
+    return ckpt;
   }
   const sim::Scenario& scenario = registry.at(scenario_key);
   core::DrlFleetTrainConfig train_cfg;
@@ -130,13 +132,11 @@ std::shared_ptr<const ecthub::policy::DrlCheckpoint> obtain_drl_checkpoint(
   auto ckpt = std::make_shared<policy::DrlCheckpoint>(
       core::train_drl_checkpoint(train_hub, train_cfg));
   if (!path.empty()) {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::cerr << "city_sweep: cannot write --drl-checkpoint '" << path
-                << "'; continuing without saving\n";
-    } else {
-      ckpt->save(out);
+    try {
+      binio::write_file(path, ckpt->serialize());
       std::cout << "saved checkpoint to " << path << "\n";
+    } catch (const binio::Error& e) {
+      std::cerr << "city_sweep: " << e.what() << "; continuing without saving\n";
     }
   }
   return ckpt;
@@ -332,9 +332,14 @@ int main(int argc, char** argv) {
   // The trained actor deployed fleet-wide whenever a kDrl sweep runs.
   std::shared_ptr<const policy::DrlCheckpoint> checkpoint;
   if (std::find(kinds.begin(), kinds.end(), sim::SchedulerKind::kDrl) != kinds.end()) {
-    checkpoint = obtain_drl_checkpoint(registry, scenario_keys.front(), days, drl_iters,
-                                       drl_hubs, drl_threads, base_seed,
-                                       checkpoint_path);
+    try {
+      checkpoint = obtain_drl_checkpoint(registry, scenario_keys.front(), days, drl_iters,
+                                         drl_hubs, drl_threads, base_seed,
+                                         checkpoint_path);
+    } catch (const std::exception& e) {
+      std::cerr << "city_sweep: " << e.what() << "\n";
+      return 1;
+    }
   }
 
   // One job per (scenario, replica), grouped by scenario: hub ids are

@@ -5,7 +5,6 @@
 #include "nn/serialize.hpp"
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -81,9 +80,7 @@ policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac) {
       actor_params.push_back(p);
     }
   }
-  std::ostringstream out;
-  nn::save_parameters(out, actor_params);
-  ckpt.blob = out.str();
+  ckpt.blob = nn::save_parameters(actor_params);
   return ckpt;
 }
 

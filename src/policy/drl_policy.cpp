@@ -1,18 +1,17 @@
 #include "policy/drl_policy.hpp"
 
+#include "common/binio.hpp"
 #include "nn/serialize.hpp"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace ecthub::policy {
 
 namespace {
 
-constexpr std::uint64_t kCheckpointMagic = 0x4543545044524c31ULL;  // "ECTPDRL1"
+constexpr std::uint32_t kSectionIds[] = {1, 2};  // widths, blob
+constexpr binio::Container kCheckpoint{"DRL checkpoint", "ECDR", 1, kSectionIds};
 
 nn::MlpConfig actor_head_config(const DrlPolicyConfig& cfg) {
   nn::MlpConfig mc;
@@ -21,48 +20,55 @@ nn::MlpConfig actor_head_config(const DrlPolicyConfig& cfg) {
   return mc;
 }
 
-void write_u64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-std::uint64_t read_u64(std::istream& in) {
-  std::uint64_t v = 0;
-  in.read(reinterpret_cast<char*>(&v), sizeof(v));
-  if (!in) throw std::runtime_error("DrlCheckpoint::load: truncated stream");
-  return v;
+/// The checkpoint's widths, once the actor's weights and biases — Σ (in + 1)
+/// · out doubles over its three layers — are known to fit in the blob:
+/// decided without overflow for any widths, before a single layer is sized.
+const DrlPolicyConfig& blob_sized(const DrlCheckpoint& checkpoint) {
+  const DrlPolicyConfig& cfg = checkpoint.config;
+  const std::uint64_t limit = checkpoint.blob.size() / 8;
+  const std::uint64_t layers[3][2] = {{cfg.state_dim, cfg.trunk_dim},
+                                      {cfg.trunk_dim, cfg.head_dim},
+                                      {cfg.head_dim, cfg.action_count}};
+  std::uint64_t total = 0;
+  for (const auto& [in, out] : layers) {
+    if (in >= limit || out > (limit - total) / (in + 1)) {
+      throw binio::FormatError("DRL checkpoint: a " + std::to_string(checkpoint.blob.size()) +
+                               "-byte parameter blob cannot hold the layers its widths "
+                               "describe");
+    }
+    total += (in + 1) * out;
+  }
+  return cfg;
 }
 
 }  // namespace
 
-void DrlCheckpoint::save(std::ostream& out) const {
-  write_u64(out, kCheckpointMagic);
-  write_u64(out, config.state_dim);
-  write_u64(out, config.action_count);
-  write_u64(out, config.trunk_dim);
-  write_u64(out, config.head_dim);
-  write_u64(out, blob.size());
-  out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-  if (!out) throw std::runtime_error("DrlCheckpoint::save: write failed");
+std::string DrlCheckpoint::serialize() const {
+  std::string widths;
+  binio::put_u64(widths, config.state_dim);
+  binio::put_u64(widths, config.action_count);
+  binio::put_u64(widths, config.trunk_dim);
+  binio::put_u64(widths, config.head_dim);
+  const std::string_view payloads[] = {widths, blob};
+  return binio::seal(kCheckpoint, payloads);
 }
 
-DrlCheckpoint DrlCheckpoint::load(std::istream& in) {
-  if (read_u64(in) != kCheckpointMagic) {
-    throw std::runtime_error("DrlCheckpoint::load: bad magic (not a DRL checkpoint)");
+DrlCheckpoint DrlCheckpoint::parse(std::string_view bytes) {
+  std::vector<std::string_view> sections;
+  try {
+    sections = binio::open(bytes, kCheckpoint);
+  } catch (const binio::MagicError& e) {
+    throw binio::MagicError(std::string(e.what()) +
+                            " (a checkpoint saved before the ECDR format must be re-exported)");
   }
   DrlCheckpoint ckpt;
-  ckpt.config.state_dim = read_u64(in);
-  ckpt.config.action_count = read_u64(in);
-  ckpt.config.trunk_dim = read_u64(in);
-  ckpt.config.head_dim = read_u64(in);
-  const std::uint64_t blob_size = read_u64(in);
-  // Guard against garbage sizes from corrupt files before allocating (the
-  // largest plausible actor blob is a few MB).
-  if (blob_size > (1ULL << 30)) {
-    throw std::runtime_error("DrlCheckpoint::load: implausible blob size (corrupt file)");
-  }
-  ckpt.blob.resize(blob_size);
-  in.read(ckpt.blob.data(), static_cast<std::streamsize>(blob_size));
-  if (!in) throw std::runtime_error("DrlCheckpoint::load: truncated parameter blob");
+  binio::Reader in(sections[0], "DRL checkpoint widths");
+  ckpt.config.state_dim = in.u64();
+  ckpt.config.action_count = in.u64();
+  ckpt.config.trunk_dim = in.u64();
+  ckpt.config.head_dim = in.u64();
+  in.expect_end();
+  ckpt.blob = sections[1];
   return ckpt;
 }
 
@@ -91,10 +97,9 @@ DrlPolicy::DrlPolicy(const DrlCheckpoint& checkpoint)
     // draws are overwritten by the blob below, and no state is shared with
     // other policies loaded on the same thread (a fixed seed keeps even the
     // transient pre-load weights deterministic).
-    : DrlPolicy(checkpoint.config, nn::Rng(0)) {
-  std::istringstream in(checkpoint.blob);
+    : DrlPolicy(blob_sized(checkpoint), nn::Rng(0)) {
   std::vector<nn::Parameter> params = parameters();
-  nn::load_parameters(in, params);
+  nn::load_parameters(checkpoint.blob, params);
 }
 
 std::unique_ptr<Policy::Workspace> DrlPolicy::make_workspace() const {
@@ -153,9 +158,7 @@ void DrlPolicy::decide_batch(const nn::Matrix& obs, std::span<std::size_t> actio
 DrlCheckpoint DrlPolicy::checkpoint() {
   DrlCheckpoint ckpt;
   ckpt.config = cfg_;
-  std::ostringstream out;
-  nn::save_parameters(out, parameters());
-  ckpt.blob = out.str();
+  ckpt.blob = nn::save_parameters(parameters());
   return ckpt;
 }
 

@@ -19,6 +19,14 @@
 // "ac.actor.*"), so a checkpoint exported from a trained PPO policy loads
 // straight into a DrlPolicy (core::export_actor_checkpoint does exactly
 // that) and any architecture mismatch fails loudly at load time.
+//
+// Checkpoint file: a common/binio container, magic "ECDR", version 1.
+//
+//   id 1  widths  state_dim, action_count, trunk_dim, head_dim (u64)
+//   id 2  blob    the nn::save_parameters blob
+//
+// Files written before the ECDR container fail with binio::MagicError and
+// must be re-exported.
 #pragma once
 
 #include "nn/layers.hpp"
@@ -26,9 +34,9 @@
 #include "policy/policy.hpp"
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ecthub::policy {
@@ -48,9 +56,11 @@ struct DrlCheckpoint {
   DrlPolicyConfig config;
   std::string blob;
 
-  /// Binary round trip; throws std::runtime_error on I/O or format errors.
-  void save(std::ostream& out) const;
-  [[nodiscard]] static DrlCheckpoint load(std::istream& in);
+  /// The ECDR file above.
+  [[nodiscard]] std::string serialize() const;
+  /// Parses serialize() output; throws binio::Error subclasses.  The blob is
+  /// checked against the widths when a DrlPolicy is built from it.
+  [[nodiscard]] static DrlCheckpoint parse(std::string_view bytes);
 };
 
 class DrlPolicy final : public Policy {
@@ -58,8 +68,10 @@ class DrlPolicy final : public Policy {
   /// Fresh (randomly initialized) actor — the pre-training starting point.
   DrlPolicy(DrlPolicyConfig cfg, nn::Rng& rng);
 
-  /// Restores a serialized actor; throws std::runtime_error when the blob
-  /// does not match the checkpoint's own shape.
+  /// Restores a serialized actor.  Throws binio::FormatError when the blob
+  /// cannot hold the layers the widths describe (checked before any layer is
+  /// sized) or does not match them, and std::invalid_argument for a zero
+  /// width.
   explicit DrlPolicy(const DrlCheckpoint& checkpoint);
 
   std::size_t decide(std::span<const double> obs) override;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -56,6 +57,14 @@ std::size_t DecisionService::decide(std::span<const double> obs) {
     throw std::invalid_argument("DecisionService::decide: observation has " +
                                 std::to_string(obs.size()) + " features, expected " +
                                 std::to_string(state_dim_));
+  }
+  // A NaN feature makes every logit NaN, and the argmax would silently
+  // answer action 0.
+  const auto bad =
+      std::find_if(obs.begin(), obs.end(), [](double x) { return !std::isfinite(x); });
+  if (bad != obs.end()) {
+    throw std::invalid_argument("DecisionService::decide: observation feature " +
+                                std::to_string(bad - obs.begin()) + " is not finite");
   }
   std::unique_lock<std::mutex> lock(mu_);
   if (!accepting_) {

@@ -109,8 +109,9 @@ class DecisionService {
   /// Blocks until the worker has batched and answered this request; returns
   /// the action, bit-identical to decide_batch on the same observation.
   /// Safe to call from many threads concurrently.  Throws
-  /// std::invalid_argument when obs.size() != state_dim() and
-  /// std::runtime_error after shutdown().
+  /// std::invalid_argument when obs.size() != state_dim() or a feature is
+  /// NaN or infinite (naming the first such index; the request is never
+  /// admitted), and std::runtime_error after shutdown().
   [[nodiscard]] std::size_t decide(std::span<const double> obs);
 
   /// Stops admitting new requests, flushes every in-flight one (each blocked

@@ -1,56 +1,21 @@
 #include "sim/shard_io.hpp"
 
-#include <bit>
 #include <cstdint>
-#include <fstream>
-#include <iterator>
 #include <utility>
 
 namespace ecthub::sim {
 
 namespace {
 
-constexpr char kMagic[4] = {'E', 'C', 'S', 'H'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::uint32_t kSectionPlan = 1;
-constexpr std::uint32_t kSectionResults = 2;
-constexpr std::uint32_t kSectionReport = 3;
-constexpr std::uint32_t kSectionCount = 3;
-/// Implausible-size guard for embedded strings — no hub name, scenario key
-/// or scheduler name approaches this; a longer length is corruption.
-constexpr std::uint64_t kMaxStringLen = std::uint64_t{1} << 20;
+using binio::put_double;
+using binio::put_string;
+using binio::put_u64;
 
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
-
-// ---- little-endian, byte-explicit writers --------------------------------
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (unsigned i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (unsigned i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
-
-void put_double(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
+constexpr std::uint32_t kSectionIds[] = {1, 2, 3};  // plan, results, report
+constexpr binio::Container kShard{"shard", "ECSH", 1, kSectionIds};
+/// The smallest HubRunResult record: 24 eight-byte fields, three of them
+/// the lengths of empty strings, and no episode profits.
+constexpr std::uint64_t kMinResultBytes = 24 * 8;
 
 void put_exact_sum(std::string& out, const ExactSum& sum) {
   for (const std::uint64_t limb : sum.limbs()) put_u64(out, limb);
@@ -99,80 +64,30 @@ void put_result(std::string& out, const HubRunResult& r) {
   put_u64(out, r.outage_slots);
 }
 
-// ---- structurally checked payload reader (runs after the checksum) -------
+[[nodiscard]] ExactSum read_exact_sum(binio::Reader& in) {
+  ExactSum::Limbs limbs{};
+  for (std::uint64_t& limb : limbs) limb = in.u64();
+  return ExactSum::from_limbs(limbs);
+}
 
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      v |= std::uint64_t{static_cast<unsigned char>(bytes_[pos_ + i])} << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-
-  [[nodiscard]] std::string str() {
-    const std::uint64_t len = u64();
-    if (len > kMaxStringLen) {
-      throw ShardFormatError("shard payload: implausible string length " +
-                             std::to_string(len));
-    }
-    need(static_cast<std::size_t>(len));
-    std::string s(bytes_.substr(pos_, static_cast<std::size_t>(len)));
-    pos_ += static_cast<std::size_t>(len);
-    return s;
-  }
-
-  [[nodiscard]] ExactSum exact_sum() {
-    ExactSum::Limbs limbs{};
-    for (std::uint64_t& limb : limbs) limb = u64();
-    return ExactSum::from_limbs(limbs);
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
-
-  void expect_end(const char* what) const {
-    if (pos_ != bytes_.size()) {
-      throw ShardFormatError(std::string("shard payload: trailing bytes in ") + what +
-                             " section");
-    }
-  }
-
- private:
-  void need(std::size_t n) const {
-    if (bytes_.size() - pos_ < n) {
-      throw ShardFormatError("shard payload: section ends before its contents");
-    }
-  }
-
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-[[nodiscard]] GroupStats read_group(PayloadReader& in) {
+[[nodiscard]] GroupStats read_group(binio::Reader& in) {
   GroupStats g;
   g.hubs = in.u64();
   g.episodes = in.u64();
-  g.revenue = in.exact_sum();
-  g.grid_cost = in.exact_sum();
-  g.bp_cost = in.exact_sum();
-  g.profit = in.exact_sum();
-  g.soc_mean_sum = in.exact_sum();
-  g.through_kwh = in.exact_sum();
-  g.spill_exported_kwh = in.exact_sum();
-  g.spill_served_kwh = in.exact_sum();
-  g.spill_dropped_kwh = in.exact_sum();
+  g.revenue = read_exact_sum(in);
+  g.grid_cost = read_exact_sum(in);
+  g.bp_cost = read_exact_sum(in);
+  g.profit = read_exact_sum(in);
+  g.soc_mean_sum = read_exact_sum(in);
+  g.through_kwh = read_exact_sum(in);
+  g.spill_exported_kwh = read_exact_sum(in);
+  g.spill_served_kwh = read_exact_sum(in);
+  g.spill_dropped_kwh = read_exact_sum(in);
   g.outage_slots = in.u64();
   return g;
 }
 
-[[nodiscard]] HubRunResult read_result(PayloadReader& in) {
+[[nodiscard]] HubRunResult read_result(binio::Reader& in) {
   HubRunResult r;
   r.hub_id = in.u64();
   r.hub_name = in.str();
@@ -181,7 +96,7 @@ class PayloadReader {
   try {
     r.scheduler = scheduler_kind_from_string(scheduler_name);
   } catch (const std::invalid_argument& e) {
-    throw ShardFormatError(std::string("shard payload: ") + e.what());
+    throw binio::FormatError(std::string("shard results: ") + e.what());
   }
   r.seed = in.u64();
   r.episodes = in.u64();
@@ -192,8 +107,8 @@ class PayloadReader {
   r.profit = in.f64();
   const std::uint64_t profits = in.u64();
   if (profits > in.remaining() / 8) {
-    throw ShardFormatError("shard payload: implausible episode_profit count " +
-                           std::to_string(profits));
+    throw binio::FormatError("shard results: implausible episode_profit count " +
+                             std::to_string(profits));
   }
   r.episode_profit.resize(static_cast<std::size_t>(profits));
   for (double& p : r.episode_profit) p = in.f64();
@@ -212,7 +127,24 @@ class PayloadReader {
   return r;
 }
 
-[[nodiscard]] std::string serialize_report_payload(const AggregateReport& report) {
+[[nodiscard]] std::map<std::string, GroupStats> read_keyed_groups(binio::Reader& in,
+                                                                  const char* what) {
+  std::map<std::string, GroupStats> groups;
+  const std::uint64_t count = in.u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string key = in.str();
+    if (groups.contains(key)) {
+      throw binio::FormatError(std::string("shard report: duplicate ") + what + " key '" +
+                               key + "'");
+    }
+    groups.emplace(std::move(key), read_group(in));
+  }
+  return groups;
+}
+
+}  // namespace
+
+std::string serialize_report(const AggregateReport& report) {
   std::string out;
   put_group(out, report.totals());
   put_u64(out, report.by_scenario().size());
@@ -228,218 +160,92 @@ class PayloadReader {
   return out;
 }
 
-[[nodiscard]] AggregateReport read_report_payload(PayloadReader& in) {
-  GroupStats totals = read_group(in);
-  std::map<std::string, GroupStats> by_scenario;
-  const std::uint64_t scenarios = in.u64();
-  for (std::uint64_t i = 0; i < scenarios; ++i) {
-    std::string key = in.str();
-    if (by_scenario.contains(key)) {
-      throw ShardFormatError("shard payload: duplicate scenario key '" + key + "'");
-    }
-    by_scenario.emplace(std::move(key), read_group(in));
-  }
-  std::map<std::string, GroupStats> by_scheduler;
-  const std::uint64_t schedulers = in.u64();
-  for (std::uint64_t i = 0; i < schedulers; ++i) {
-    std::string key = in.str();
-    if (by_scheduler.contains(key)) {
-      throw ShardFormatError("shard payload: duplicate scheduler key '" + key + "'");
-    }
-    by_scheduler.emplace(std::move(key), read_group(in));
-  }
-  return AggregateReport::from_groups(std::move(totals), std::move(by_scenario),
-                                      std::move(by_scheduler));
-}
-
-void put_section(std::string& out, std::uint32_t id, const std::string& payload) {
-  put_u32(out, id);
-  put_u64(out, payload.size());
-  out.append(payload);
-}
-
-}  // namespace
-
-std::string serialize_report(const AggregateReport& report) {
-  return serialize_report_payload(report);
-}
-
 std::string serialize_shard(const ShardData& shard) {
-  std::string plan_payload;
-  put_u64(plan_payload, shard.plan.shard_index);
-  put_u64(plan_payload, shard.plan.shard_count);
-  put_u64(plan_payload, shard.plan.job_count);
-  put_u64(plan_payload, shard.plan.begin);
-  put_u64(plan_payload, shard.plan.end);
+  std::string plan;
+  put_u64(plan, shard.plan.shard_index);
+  put_u64(plan, shard.plan.shard_count);
+  put_u64(plan, shard.plan.job_count);
+  put_u64(plan, shard.plan.begin);
+  put_u64(plan, shard.plan.end);
 
-  std::string results_payload;
-  put_u64(results_payload, shard.results.size());
-  for (const HubRunResult& r : shard.results) put_result(results_payload, r);
+  std::string results;
+  put_u64(results, shard.results.size());
+  for (const HubRunResult& r : shard.results) put_result(results, r);
 
-  std::string out;
-  out.append(kMagic, sizeof kMagic);
-  put_u32(out, kVersion);
-  put_u32(out, kSectionCount);
-  put_section(out, kSectionPlan, plan_payload);
-  put_section(out, kSectionResults, results_payload);
-  put_section(out, kSectionReport, serialize_report_payload(shard.report));
-  put_u64(out, fnv1a(out));
-  return out;
+  const std::string report = serialize_report(shard.report);
+  const std::string_view payloads[] = {plan, results, report};
+  return binio::seal(kShard, payloads);
 }
 
 ShardData parse_shard(std::string_view bytes) {
-  // Check order is the error contract: magic, then version, then the size
-  // walk (truncation), then the checksum, and only then is any payload
-  // byte interpreted.
-  if (bytes.size() < sizeof kMagic) {
-    throw ShardTruncatedError("shard input shorter than the magic (" +
-                              std::to_string(bytes.size()) + " bytes)");
-  }
-  if (bytes.substr(0, sizeof kMagic) != std::string_view(kMagic, sizeof kMagic)) {
-    throw ShardMagicError("shard input does not start with the ECSH magic");
-  }
-  if (bytes.size() < 12) {
-    throw ShardTruncatedError("shard input ends inside the header");
-  }
-  const auto u32_at = [&bytes](std::size_t pos) {
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; ++i) {
-      v |= std::uint32_t{static_cast<unsigned char>(bytes[pos + i])} << (8 * i);
-    }
-    return v;
-  };
-  const auto u64_at = [&bytes](std::size_t pos) {
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; ++i) {
-      v |= std::uint64_t{static_cast<unsigned char>(bytes[pos + i])} << (8 * i);
-    }
-    return v;
-  };
-  const std::uint32_t version = u32_at(4);
-  if (version != kVersion) {
-    throw ShardVersionError("shard format version " + std::to_string(version) +
-                            "; this build reads version " + std::to_string(kVersion));
-  }
-  const std::uint32_t section_count = u32_at(8);
-
-  // Size walk: every section header and payload, plus the 8-byte checksum
-  // trailer, must fit — anything short is truncation.
-  std::size_t cursor = 12;
-  struct SectionRef {
-    std::uint32_t id;
-    std::size_t begin;
-    std::size_t size;
-  };
-  std::vector<SectionRef> sections;
-  sections.reserve(section_count);
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    if (bytes.size() - cursor < 12 + 8) {
-      throw ShardTruncatedError("shard input ends inside section header " +
-                                std::to_string(s));
-    }
-    const std::uint32_t id = u32_at(cursor);
-    const std::uint64_t payload_size = u64_at(cursor + 4);
-    if (payload_size > bytes.size() - cursor - 12 - 8) {
-      throw ShardTruncatedError("shard input ends inside section " + std::to_string(s) +
-                                " payload (" + std::to_string(payload_size) +
-                                " bytes promised)");
-    }
-    sections.push_back({id, cursor + 12, static_cast<std::size_t>(payload_size)});
-    cursor += 12 + static_cast<std::size_t>(payload_size);
-  }
-  if (bytes.size() - cursor < 8) {
-    throw ShardTruncatedError("shard input ends inside the checksum trailer");
-  }
-  if (bytes.size() - cursor > 8) {
-    throw ShardFormatError("shard input has trailing bytes after the checksum");
-  }
-  const std::uint64_t stored = u64_at(cursor);
-  const std::uint64_t computed = fnv1a(bytes.substr(0, cursor));
-  if (stored != computed) {
-    throw ShardChecksumError("shard checksum mismatch (corrupted payload)");
-  }
-
-  if (section_count != kSectionCount || sections[0].id != kSectionPlan ||
-      sections[1].id != kSectionResults || sections[2].id != kSectionReport) {
-    throw ShardFormatError("shard input does not carry the plan/results/report "
-                           "section sequence of format version 1");
-  }
-
+  const std::vector<std::string_view> sections = binio::open(bytes, kShard);
   ShardData shard;
   {
-    PayloadReader in(bytes.substr(sections[0].begin, sections[0].size));
+    binio::Reader in(sections[0], "shard plan");
     shard.plan.shard_index = static_cast<std::size_t>(in.u64());
     shard.plan.shard_count = static_cast<std::size_t>(in.u64());
     shard.plan.job_count = static_cast<std::size_t>(in.u64());
     shard.plan.begin = static_cast<std::size_t>(in.u64());
     shard.plan.end = static_cast<std::size_t>(in.u64());
-    in.expect_end("plan");
+    in.expect_end();
   }
   try {
     if (shard.plan != plan_shard(shard.plan.job_count, shard.plan.shard_index,
                                  shard.plan.shard_count)) {
-      throw ShardFormatError("shard plan is not the canonical partition of its "
-                             "(job_count, shard_index, shard_count)");
+      throw binio::FormatError("shard plan is not the canonical partition of its "
+                               "(job_count, shard_index, shard_count)");
     }
   } catch (const std::invalid_argument& e) {
-    throw ShardFormatError(std::string("shard plan: ") + e.what());
+    throw binio::FormatError(std::string("shard plan: ") + e.what());
   }
   {
-    PayloadReader in(bytes.substr(sections[1].begin, sections[1].size));
+    binio::Reader in(sections[1], "shard results");
     const std::uint64_t count = in.u64();
+    // The plan's job_count is unbounded, so its size cannot bound the
+    // reservation below; the section's own length can.
+    if (count > in.remaining() / kMinResultBytes) {
+      throw binio::FormatError("shard results section cannot hold " + std::to_string(count) +
+                               " records");
+    }
     if (count != shard.plan.size()) {
-      throw ShardFormatError("shard carries " + std::to_string(count) +
-                             " results but its plan owns " +
-                             std::to_string(shard.plan.size()) + " jobs");
+      throw binio::FormatError("shard carries " + std::to_string(count) +
+                               " results but its plan owns " +
+                               std::to_string(shard.plan.size()) + " jobs");
     }
     shard.results.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t k = 0; k < count; ++k) {
       HubRunResult r = read_result(in);
       if (r.hub_id != shard.plan.begin + k) {
-        throw ShardFormatError("shard result " + std::to_string(k) +
-                               " carries hub_id " + std::to_string(r.hub_id) +
-                               "; its plan assigns " +
-                               std::to_string(shard.plan.begin + k));
+        throw binio::FormatError("shard result " + std::to_string(k) + " carries hub_id " +
+                                 std::to_string(r.hub_id) + "; its plan assigns " +
+                                 std::to_string(shard.plan.begin + k));
       }
       shard.results.push_back(std::move(r));
     }
-    in.expect_end("results");
+    in.expect_end();
   }
   {
-    PayloadReader in(bytes.substr(sections[2].begin, sections[2].size));
-    shard.report = read_report_payload(in);
-    in.expect_end("report");
+    binio::Reader in(sections[2], "shard report");
+    GroupStats totals = read_group(in);
+    std::map<std::string, GroupStats> by_scenario = read_keyed_groups(in, "scenario");
+    std::map<std::string, GroupStats> by_scheduler = read_keyed_groups(in, "scheduler");
+    in.expect_end();
+    shard.report = AggregateReport::from_groups(std::move(totals), std::move(by_scenario),
+                                                std::move(by_scheduler));
   }
   if (!(AggregateReport(shard.results) == shard.report)) {
-    throw ShardFormatError("shard report section does not aggregate the shard's own "
-                           "results");
+    throw binio::FormatError("shard report section does not aggregate the shard's own "
+                             "results");
   }
   return shard;
 }
 
 void save_shard(const std::filesystem::path& path, const ShardData& shard) {
-  const std::string bytes = serialize_shard(shard);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw ShardIoError("save_shard: cannot open '" + path.string() + "' for writing");
-  }
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out) {
-    throw ShardIoError("save_shard: write to '" + path.string() + "' failed");
-  }
+  binio::write_file(path, serialize_shard(shard));
 }
 
 ShardData load_shard(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ShardIoError("load_shard: cannot open '" + path.string() + "'");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw ShardIoError("load_shard: read from '" + path.string() + "' failed");
-  }
-  return parse_shard(bytes);
+  return parse_shard(binio::read_file(path));
 }
 
 }  // namespace ecthub::sim

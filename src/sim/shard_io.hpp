@@ -1,80 +1,33 @@
-// shard_io: versioned, endian-explicit binary serialization for shard
-// artifacts — one shard's ShardPlan, its per-hub results, and its partial
-// AggregateReport — following the fail-loudly-at-load conventions of
-// nn/serialize and DrlCheckpoint.
+// shard_io: the shard artifact of a process-sharded sweep — one shard's
+// ShardPlan, its per-hub results, and its partial AggregateReport — as a
+// common/binio container (magic "ECSH", version 1; the envelope, byte
+// order and error types are described there).  Section schema:
 //
-// Format (version 1, every integer and double-bit-pattern little-endian,
-// written byte by byte so the encoding is identical on any host):
+//   id 1  plan     shard_index/shard_count/job_count/begin/end (u64)
+//   id 2  results  u64 count + HubRunResult records (strings as u64 length
+//                  + bytes; doubles as u64 bit patterns; SchedulerKind by
+//                  name)
+//   id 3  report   GroupStats totals + keyed GroupStats maps; each ExactSum
+//                  as its 34 raw limbs, so merging reports loaded from disk
+//                  stays exact
 //
-//   magic   "ECSH"                       4 bytes
-//   u32     format version (= 1)
-//   u32     section count   (= 3)
-//   3 ×   { u32 section id, u64 payload size, payload }
-//           id 1  plan     shard_index/shard_count/job_count/begin/end (u64)
-//           id 2  results  u64 count + HubRunResult records (strings as
-//                          u64 length + bytes; doubles as u64 bit patterns;
-//                          SchedulerKind by name)
-//           id 3  report   GroupStats totals + keyed GroupStats maps; each
-//                          ExactSum as its 34 raw limbs, so merging reports
-//                          loaded from disk stays exact
-//   u64     FNV-1a checksum over every preceding byte
-//
-// load_shard rejects malformed input with a typed error, checked in this
-// order so each corruption class maps to a distinct type: magic →
-// ShardMagicError, version → ShardVersionError, any size shortfall →
-// ShardTruncatedError, checksum (a flipped payload byte) →
-// ShardChecksumError, structural nonsense inside a checksummed payload →
-// ShardFormatError.  No input bytes are trusted before these checks pass.
+// parse_shard throws only binio::Error subclasses: the container's checks,
+// then binio::FormatError for a payload that contradicts itself (a
+// non-canonical plan, a results count its section cannot hold, a record
+// whose hub_id or scheduler name is wrong, a NaN or infinite double, a
+// report that does not aggregate the results).
 #pragma once
 
+#include "common/binio.hpp"
 #include "sim/report.hpp"
 #include "sim/shard.hpp"
 
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace ecthub::sim {
-
-/// Base of every shard_io failure (also raised directly for file-system
-/// errors: unreadable path, failed write).
-class ShardIoError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
-/// The input ends before the bytes its own headers promise.
-class ShardTruncatedError : public ShardIoError {
- public:
-  using ShardIoError::ShardIoError;
-};
-
-/// The input does not start with the shard magic — not a shard file.
-class ShardMagicError : public ShardIoError {
- public:
-  using ShardIoError::ShardIoError;
-};
-
-/// The input's format version is not the one this build writes.
-class ShardVersionError : public ShardIoError {
- public:
-  using ShardIoError::ShardIoError;
-};
-
-/// The input is the right shape but its bytes fail the FNV-1a checksum.
-class ShardChecksumError : public ShardIoError {
- public:
-  using ShardIoError::ShardIoError;
-};
-
-/// The checksummed payload is structurally inconsistent (impossible counts,
-/// unknown scheduler name, plan/results disagreement, trailing garbage).
-class ShardFormatError : public ShardIoError {
- public:
-  using ShardIoError::ShardIoError;
-};
 
 /// One shard artifact: which slice of the sweep this is, its per-hub
 /// results (hub_id == plan.begin + k for record k), and the partial report
@@ -93,9 +46,10 @@ struct ShardData {
 /// string the merge-identity guarantee is stated over.
 [[nodiscard]] std::string serialize_report(const AggregateReport& report);
 
-/// Parses serialize_shard output; throws the typed errors above.
+/// Parses serialize_shard output; throws the binio errors above.
 [[nodiscard]] ShardData parse_shard(std::string_view bytes);
 
+/// serialize_shard/parse_shard through a file (binio::write_file/read_file).
 void save_shard(const std::filesystem::path& path, const ShardData& shard);
 [[nodiscard]] ShardData load_shard(const std::filesystem::path& path);
 

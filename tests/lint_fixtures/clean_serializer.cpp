@@ -1,5 +1,5 @@
-// Lint fixture (never compiled): the shard serializer idiom from
-// src/sim/shard_io.cpp — byte-explicit little-endian writers, a bounds-checked
+// Lint fixture (never compiled): the serializer idiom from
+// src/common/binio.cpp — byte-explicit little-endian writers, a bounds-checked
 // payload reader, and an FNV-1a trailer, all cold-path.  None of it may trip
 // the hot-path, determinism, or header rules; this file is the serializer
 // false-positive regression net.

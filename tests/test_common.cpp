@@ -1,4 +1,5 @@
 // Unit tests for the common substrate: time grid, RNG, statistics, tables.
+#include "common/binio.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
 #include "common/exact_sum.hpp"
@@ -10,8 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 #include <fstream>
 
@@ -435,6 +441,85 @@ TEST(ExactSum, LimbsRoundTrip) {
   const ExactSum restored = ExactSum::from_limbs(s.limbs());
   EXPECT_EQ(restored, s);
   EXPECT_EQ(restored.value(), s.value());
+}
+
+// ---------------------------------------------------------------- binio
+
+TEST(Binio, WritersAreLittleEndianByteByByte) {
+  std::string out;
+  binio::put_u32(out, 0x04030201u);
+  binio::put_u64(out, 0x0c0b0a0908070605ull);
+  binio::put_double(out, -2.0);  // bit pattern 0xc000000000000000
+  binio::put_string(out, "ab");
+  const std::string want("\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c"
+                         "\x00\x00\x00\x00\x00\x00\x00\xc0"
+                         "\x02\x00\x00\x00\x00\x00\x00\x00" "ab",
+                         4 + 8 + 8 + 8 + 2);
+  EXPECT_EQ(out, want);
+}
+
+TEST(Binio, Fnv1aMatchesReferenceVectors) {
+  EXPECT_EQ(binio::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(binio::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(binio::fnv1a("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Binio, OpenReturnsSealedPayloadsAndChecksInOrder) {
+  const std::uint32_t kIds[] = {7, 9};
+  const binio::Container kTest{"test", "TEST", 3, kIds};
+  const std::string_view payloads[] = {"first", ""};
+  const std::string bytes = binio::seal(kTest, payloads);
+  const std::vector<std::string_view> back = binio::open(bytes, kTest);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[0], "first");
+  EXPECT_EQ(back[1], "");
+
+  EXPECT_THROW((void)binio::open("TE", kTest), binio::TruncatedError);
+  EXPECT_THROW((void)binio::open("NOPE and more bytes", kTest), binio::MagicError);
+  std::string wrong_version = bytes;
+  wrong_version[4] = 4;
+  EXPECT_THROW((void)binio::open(wrong_version, kTest), binio::VersionError);
+  EXPECT_THROW((void)binio::open(std::string_view(bytes).substr(0, bytes.size() - 1), kTest),
+               binio::TruncatedError);
+  std::string flipped = bytes;
+  flipped[26] ^= 0x10;  // inside the first payload
+  EXPECT_THROW((void)binio::open(flipped, kTest), binio::ChecksumError);
+  EXPECT_THROW((void)binio::open(bytes + "x", kTest), binio::FormatError);
+
+  // A well-sealed container with another section sequence.
+  const std::uint32_t kOtherIds[] = {7, 8};
+  EXPECT_THROW((void)binio::open(bytes, {"test", "TEST", 3, kOtherIds}), binio::FormatError);
+  EXPECT_THROW((void)binio::open(bytes, {"test", "TEST", 3, std::span(kIds, 1)}),
+               binio::FormatError);
+  EXPECT_THROW((void)binio::seal(kTest, std::span(payloads, 1)), std::invalid_argument);
+}
+
+TEST(Binio, ReaderIsBoundedByItsPayloadAndRejectsNonFiniteDoubles) {
+  std::string payload;
+  binio::put_double(payload, 1.5);
+  binio::put_double(payload, std::numeric_limits<double>::quiet_NaN());
+  binio::put_double(payload, -std::numeric_limits<double>::infinity());
+  binio::put_u64(payload, UINT64_MAX);  // a string length no payload can hold
+  binio::Reader in(payload, "payload");
+  EXPECT_EQ(in.f64(), 1.5);
+  EXPECT_THROW((void)in.f64(), binio::FormatError);
+  EXPECT_THROW((void)in.f64(), binio::FormatError);
+  EXPECT_THROW(in.expect_end(), binio::FormatError);
+  EXPECT_THROW((void)in.str(), binio::FormatError);
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_NO_THROW(in.expect_end());
+  EXPECT_THROW((void)in.u64(), binio::FormatError);
+}
+
+TEST(Binio, FilesRoundTripAndMissingOnesAreErrors) {
+  const std::string path = testing::TempDir() + "/ecthub_binio.bin";
+  const std::string bytes("\x00\xff" "binary\n", 9);
+  binio::write_file(path, bytes);
+  EXPECT_EQ(binio::read_file(path), bytes);
+  std::remove(path.c_str());
+  EXPECT_THROW((void)binio::read_file(path), binio::Error);
+  EXPECT_THROW(binio::write_file(testing::TempDir() + "/no/such/dir/f.bin", bytes),
+               binio::Error);
 }
 
 // ---------------------------------------------------------------- write_csv

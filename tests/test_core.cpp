@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -754,9 +753,8 @@ TEST(NnGolden, PpoUpdatePinsCheckpointDigest) {
   ASSERT_EQ(buffer.size(), 48u);
 
   const rl::PpoUpdateStats stats = trainer.update(buffer);
-  std::ostringstream blob;
-  nn::save_parameters(blob, std::as_const(trainer.policy()).parameters());
-  EXPECT_EQ(fnv1a(blob.str()), 0xb12e398199a805fcULL);
+  const std::string blob = nn::save_parameters(std::as_const(trainer.policy()).parameters());
+  EXPECT_EQ(fnv1a(blob), 0xb12e398199a805fcULL);
   EXPECT_EQ(stats.policy_loss, -0.037217587646476591);
   EXPECT_EQ(stats.value_loss, 0.13856464742570979);
   EXPECT_EQ(stats.entropy, 1.0402170156226782);

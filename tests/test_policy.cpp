@@ -1,6 +1,7 @@
 // Tests for the unified Policy API: the observation layout contract, the
 // batched-vs-scalar equivalence of decide_batch() for every policy kind,
 // and the DrlPolicy checkpoint round trip.
+#include "common/binio.hpp"
 #include "common/rng.hpp"
 #include "policy/drl_policy.hpp"
 #include "policy/observation.hpp"
@@ -10,11 +11,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <numbers>
 #include <span>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -314,9 +315,7 @@ TEST(DrlPolicy, CheckpointRoundTripsThroughAStream) {
   cfg.head_dim = 12;
   DrlPolicy original(cfg, rng);
 
-  std::stringstream stream;
-  original.checkpoint().save(stream);
-  const DrlCheckpoint restored_ckpt = DrlCheckpoint::load(stream);
+  const DrlCheckpoint restored_ckpt = DrlCheckpoint::parse(original.checkpoint().serialize());
   EXPECT_EQ(restored_ckpt.config.state_dim, cfg.state_dim);
   EXPECT_EQ(restored_ckpt.config.trunk_dim, cfg.trunk_dim);
   EXPECT_EQ(restored_ckpt.config.head_dim, cfg.head_dim);
@@ -381,8 +380,8 @@ TEST(DrlPolicy, CheckpointLoadsAreIndependentOfThreadLoadHistory) {
 }
 
 TEST(DrlPolicy, LoadRejectsGarbageAndMismatchedBlobs) {
-  std::istringstream garbage("not a checkpoint at all, sorry");
-  EXPECT_THROW((void)DrlCheckpoint::load(garbage), std::runtime_error);
+  EXPECT_THROW((void)DrlCheckpoint::parse("not a checkpoint at all, sorry"),
+               std::runtime_error);
 
   // A blob serialized for one architecture must not load into another.
   nn::Rng rng(9);
@@ -393,6 +392,66 @@ TEST(DrlPolicy, LoadRejectsGarbageAndMismatchedBlobs) {
   DrlCheckpoint ckpt = DrlPolicy(small, rng).checkpoint();
   ckpt.config.trunk_dim = 16;  // lie about the shape
   EXPECT_THROW((void)DrlPolicy{ckpt}, std::runtime_error);
+}
+
+TEST(DrlPolicy, CheckpointWidthsTheBlobCannotHoldAreRejectedBeforeSizing) {
+  // Each width is checked against the blob before any layer is allocated:
+  // sizing a 2^27-wide trunk first would take gigabytes, and 2^40 or
+  // UINT64_MAX would throw bad_alloc or length_error instead of a typed error.
+  nn::Rng rng(10);
+  DrlPolicyConfig cfg;
+  cfg.state_dim = 33;
+  cfg.trunk_dim = 8;
+  cfg.head_dim = 4;
+  const DrlCheckpoint good = DrlPolicy(cfg, rng).checkpoint();
+  for (const std::uint64_t width :
+       {std::uint64_t{1} << 27, std::uint64_t{1} << 40, UINT64_MAX}) {
+    for (std::size_t DrlPolicyConfig::*field :
+         {&DrlPolicyConfig::state_dim, &DrlPolicyConfig::action_count,
+          &DrlPolicyConfig::trunk_dim, &DrlPolicyConfig::head_dim}) {
+      DrlCheckpoint ckpt = good;
+      ckpt.config.*field = width;
+      EXPECT_THROW((void)DrlPolicy{ckpt}, binio::FormatError) << width;
+    }
+  }
+}
+
+TEST(DrlPolicy, OldFormatCheckpointIsMagicErrorAskingForReexport) {
+  // The pre-ECDR layout: host-endian u64 magic "ECTPDRL1", four widths, the
+  // blob size and the blob, with no version or checksum.
+  nn::Rng rng(11);
+  DrlPolicyConfig cfg;
+  cfg.state_dim = 33;
+  const DrlCheckpoint ckpt = DrlPolicy(cfg, rng).checkpoint();
+  std::string old;
+  for (const std::uint64_t field :
+       {std::uint64_t{0x4543545044524c31}, std::uint64_t{cfg.state_dim},
+        std::uint64_t{cfg.action_count}, std::uint64_t{cfg.trunk_dim},
+        std::uint64_t{cfg.head_dim}, std::uint64_t{ckpt.blob.size()}}) {
+    binio::put_u64(old, field);
+  }
+  old += ckpt.blob;
+  try {
+    (void)DrlCheckpoint::parse(old);
+    ADD_FAILURE() << "parsed a pre-ECDR checkpoint";
+  } catch (const binio::MagicError& e) {
+    EXPECT_NE(std::string(e.what()).find("re-export"), std::string::npos) << e.what();
+  }
+}
+
+TEST(DrlPolicy, BitFlippedCheckpointIsChecksumError) {
+  nn::Rng rng(12);
+  DrlPolicyConfig cfg;
+  cfg.state_dim = 33;
+  const std::string pristine = DrlPolicy(cfg, rng).checkpoint().serialize();
+  ASSERT_EQ(pristine.substr(0, 4), "ECDR");
+  // One byte in the widths section, one in the blob's weights, one in the
+  // checksum trailer itself.
+  for (const std::size_t at : {std::size_t{30}, pristine.size() / 2, pristine.size() - 1}) {
+    std::string bytes = pristine;
+    bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ 0x08u);
+    EXPECT_THROW((void)DrlCheckpoint::parse(bytes), binio::ChecksumError) << "byte " << at;
+  }
 }
 
 TEST(DrlPolicy, ValidatesItsConfig) {

@@ -1,5 +1,6 @@
 // Round-trip tests for model checkpointing.
 #include "causal/ect_price.hpp"
+#include "common/binio.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 
@@ -7,7 +8,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <string>
 
 namespace ecthub::nn {
@@ -23,11 +23,9 @@ TEST(Serialize, MlpRoundTripReproducesOutputs) {
   // Different inits -> different outputs.
   EXPECT_NE(a.forward(x).data(), b.forward(x).data());
 
-  std::stringstream buf;
-  auto pa = a.parameters();
-  save_parameters(buf, pa);
+  const std::string blob = save_parameters(a.parameters());
   auto pb = b.parameters();
-  load_parameters(buf, pb);
+  load_parameters(blob, pb);
   EXPECT_EQ(a.forward(x).data(), b.forward(x).data());
 }
 
@@ -35,55 +33,48 @@ TEST(Serialize, NameMismatchThrows) {
   Rng rng(3);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "alpha");
   Mlp b(MlpConfig{.layer_dims = {2, 2}}, rng, "beta");
-  std::stringstream buf;
-  auto pa = a.parameters();
-  save_parameters(buf, pa);
+  const std::string blob = save_parameters(a.parameters());
   auto pb = b.parameters();
-  EXPECT_THROW(load_parameters(buf, pb), std::runtime_error);
+  EXPECT_THROW(load_parameters(blob, pb), std::runtime_error);
 }
 
 TEST(Serialize, ShapeMismatchThrows) {
   Rng rng(4);
   Mlp a(MlpConfig{.layer_dims = {2, 3}}, rng, "m");
   Mlp b(MlpConfig{.layer_dims = {2, 4}}, rng, "m");
-  std::stringstream buf;
-  auto pa = a.parameters();
-  save_parameters(buf, pa);
+  const std::string blob = save_parameters(a.parameters());
   auto pb = b.parameters();
-  EXPECT_THROW(load_parameters(buf, pb), std::runtime_error);
+  EXPECT_THROW(load_parameters(blob, pb), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedStreamThrows) {
   Rng rng(5);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
-  std::stringstream buf;
   auto pa = a.parameters();
-  save_parameters(buf, pa);
-  const std::string full = buf.str();
-  std::stringstream cut(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_parameters(cut, pa), std::runtime_error);
+  const std::string full = save_parameters(pa);
+  EXPECT_THROW(load_parameters(full.substr(0, full.size() / 2), pa), std::runtime_error);
 }
 
 TEST(Serialize, BadMagicThrows) {
-  std::stringstream buf("not a checkpoint at all........");
   Rng rng(6);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
   auto pa = a.parameters();
-  EXPECT_THROW(load_parameters(buf, pa), std::runtime_error);
+  EXPECT_THROW(load_parameters("not a checkpoint at all........", pa), std::runtime_error);
 }
 
 TEST(Serialize, InflatedNameLengthThrowsBeforeAllocating) {
-  // A stream whose first name-length field claims 2^40 bytes or UINT64_MAX
+  // A blob whose first name-length field claims 2^40 bytes or UINT64_MAX
   // must be rejected as a name mismatch, not sized into a buffer (which
   // would throw bad_alloc/length_error or exhaust memory first).
   Rng rng(9);
   Mlp a(MlpConfig{.layer_dims = {2, 2}}, rng, "m");
   auto pa = a.parameters();
   for (const std::uint64_t name_len : {std::uint64_t{1} << 40, UINT64_MAX}) {
-    std::stringstream buf;
-    const std::uint64_t header[] = {0x45435448, pa.size(), name_len};
-    buf.write(reinterpret_cast<const char*>(header), sizeof(header));
-    EXPECT_THROW(load_parameters(buf, pa), std::runtime_error) << name_len;
+    std::string blob;
+    for (const std::uint64_t field : {std::uint64_t{0x45435448}, pa.size(), name_len}) {
+      binio::put_u64(blob, field);
+    }
+    EXPECT_THROW(load_parameters(blob, pa), std::runtime_error) << name_len;
   }
 }
 
@@ -96,12 +87,11 @@ void expect_poisoned_weight_rejected(double poison) {
   auto pa = a.parameters();
   ASSERT_EQ(pa.size(), 4u);
   pa[2].value->data()[5] = poison;  // the second layer's weights
-  std::stringstream buf;
-  save_parameters(buf, pa);
+  const std::string blob = save_parameters(pa);
   Mlp b(MlpConfig{.layer_dims = {3, 4, 2}}, rng, "m");
   auto pb = b.parameters();
   try {
-    load_parameters(buf, pb);
+    load_parameters(blob, pb);
     ADD_FAILURE() << "loaded a weight of " << poison;
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("'" + pa[2].name + "'"), std::string::npos)
@@ -141,11 +131,9 @@ TEST(Serialize, EctPriceModelCheckpointRestoresPredictions) {
   trained.fit(items);
   EctPriceModel restored(cfg, Rng(999));
 
-  std::stringstream buf;
-  auto pt = trained.parameters();
-  save_parameters(buf, pt);
+  const std::string blob = save_parameters(trained.parameters());
   auto pr = restored.parameters();
-  load_parameters(buf, pr);
+  load_parameters(blob, pr);
 
   const auto a = trained.predict_one(0, 5);
   const auto b = restored.predict_one(0, 5);

@@ -1,0 +1,59 @@
+// DecisionService input validation.  Kept out of test_serve.cpp, which
+// replaces the global operator new/delete to count allocations: GCC 12's
+// -Wmismatched-new-delete misfires on that file's existing tests once it
+// grows enough to change GCC's inlining of the replacements.
+#include "common/rng.hpp"
+#include "policy/drl_policy.hpp"
+#include "policy/observation.hpp"
+#include "serve/decision_service.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstddef>
+#include <memory>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+namespace ecthub::serve {
+namespace {
+
+TEST(ServeContract, RejectsNonFiniteObservationsBeforeAdmission) {
+  // A NaN feature makes every DRL logit NaN, and the argmax would silently
+  // answer action 0 (idle): decide() must refuse it, naming the first bad
+  // feature, before the request reaches the queue.
+  const std::size_t dim = policy::ObservationLayout{}.dim();
+  nn::Rng init(99);
+  policy::DrlPolicyConfig cfg;
+  cfg.state_dim = dim;
+  const auto actor = std::make_shared<policy::DrlPolicy>(cfg, init);
+  Rng rng(41);
+  nn::Matrix obs(2, dim);
+  for (double& x : obs.data()) x = rng.uniform(-1.0, 1.0);
+  std::vector<std::size_t> want(obs.rows());
+  actor->decide_batch(obs, want);
+
+  DecisionService service(actor, dim, {.max_batch = 1, .max_wait_us = 0});
+  for (const double poison : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    std::vector<double> bad(obs.data().begin(),
+                            obs.data().begin() + static_cast<std::ptrdiff_t>(dim));
+    bad[2] = poison;
+    bad[5] = poison;
+    try {
+      (void)service.decide(bad);
+      ADD_FAILURE() << "served an observation holding " << poison;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("feature 2 "), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(service.stats().requests, 0u);
+  EXPECT_EQ(service.stats().max_queue_depth, 0u);
+  // The next valid request is served as if nothing had happened.
+  EXPECT_EQ(service.decide(std::span<const double>(obs.data().data() + dim, dim)), want[1]);
+  EXPECT_EQ(service.stats().requests, 1u);
+}
+
+}  // namespace
+}  // namespace ecthub::serve

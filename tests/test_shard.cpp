@@ -16,11 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ecthub::sim {
@@ -103,6 +106,17 @@ ShardData fake_shard(std::size_t count, std::size_t shard_index = 0,
   }
   shard.report = AggregateReport(shard.results);
   return shard;
+}
+
+// FNV-1a over a byte string, kept local so the byte pins below do not lean
+// on the codec's own hash.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 // Fresh per-test scratch directory under the gtest temp root.
@@ -238,6 +252,17 @@ TEST(ShardIo, RoundTripsFieldExact) {
   EXPECT_EQ(serialize_shard(back), bytes);
 }
 
+TEST(ShardIo, SerializedBytesArePinned) {
+  // The version-1 encoding, pinned: a change to any field's encoding, order
+  // or width moves the size or the digest.
+  const std::string three = serialize_shard(fake_shard(3));
+  EXPECT_EQ(three.size(), 13230u);
+  EXPECT_EQ(fnv1a(three), 0xb77d3ca68c3676c4ULL);
+  const std::string empty = serialize_shard(fake_shard(0, 5, 6, 3));
+  EXPECT_EQ(empty.size(), 2592u);
+  EXPECT_EQ(fnv1a(empty), 0x6b8c991b360e28aaULL);
+}
+
 TEST(ShardIo, SaveLoadRoundTripsThroughDisk) {
   const fs::path dir = scratch_dir("save_load");
   const ShardData shard = fake_shard(4, 1, 3, 10);
@@ -268,7 +293,7 @@ TEST(ShardIo, TruncatedInputIsRejected) {
   for (const std::size_t keep :
        {std::size_t{0}, std::size_t{2}, std::size_t{6}, std::size_t{13},
         bytes.size() / 2, bytes.size() - 9, bytes.size() - 1}) {
-    EXPECT_THROW((void)parse_shard(bytes.substr(0, keep)), ShardTruncatedError)
+    EXPECT_THROW((void)parse_shard(bytes.substr(0, keep)), binio::TruncatedError)
         << "prefix of " << keep << " bytes";
   }
 }
@@ -276,14 +301,14 @@ TEST(ShardIo, TruncatedInputIsRejected) {
 TEST(ShardIo, BadMagicIsRejected) {
   std::string bytes = serialize_shard(fake_shard(3));
   bytes[0] = 'X';
-  EXPECT_THROW((void)parse_shard(bytes), ShardMagicError);
-  EXPECT_THROW((void)parse_shard("not a shard file at all"), ShardMagicError);
+  EXPECT_THROW((void)parse_shard(bytes), binio::MagicError);
+  EXPECT_THROW((void)parse_shard("not a shard file at all"), binio::MagicError);
 }
 
 TEST(ShardIo, FutureVersionIsRejected) {
   std::string bytes = serialize_shard(fake_shard(3));
   bytes[4] = 2;  // version u32 lives at offset 4 (little-endian)
-  EXPECT_THROW((void)parse_shard(bytes), ShardVersionError);
+  EXPECT_THROW((void)parse_shard(bytes), binio::VersionError);
 }
 
 TEST(ShardIo, FlippedPayloadByteIsRejected) {
@@ -293,14 +318,14 @@ TEST(ShardIo, FlippedPayloadByteIsRejected) {
   for (const std::size_t at : {std::size_t{40}, pristine.size() / 2, pristine.size() - 20}) {
     std::string bytes = pristine;
     bytes[at] = static_cast<char>(static_cast<unsigned char>(bytes[at]) ^ 0x40u);
-    EXPECT_THROW((void)parse_shard(bytes), ShardChecksumError) << "byte " << at;
+    EXPECT_THROW((void)parse_shard(bytes), binio::ChecksumError) << "byte " << at;
   }
 }
 
 TEST(ShardIo, TrailingGarbageIsRejected) {
   std::string bytes = serialize_shard(fake_shard(2));
   bytes += "extra";
-  EXPECT_THROW((void)parse_shard(bytes), ShardFormatError);
+  EXPECT_THROW((void)parse_shard(bytes), binio::FormatError);
 }
 
 TEST(ShardIo, InconsistentReportSectionIsRejected) {
@@ -308,18 +333,58 @@ TEST(ShardIo, InconsistentReportSectionIsRejected) {
   // structurally corrupt even with a valid checksum.
   ShardData shard = fake_shard(3);
   shard.report.add(fake_result(99));
-  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), ShardFormatError);
+  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), binio::FormatError);
 }
 
 TEST(ShardIo, MismatchedHubIdsAreRejected) {
   ShardData shard = fake_shard(3, 1, 2, 6);  // owns hubs [3, 6)
   shard.results[1].hub_id = 0;
-  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), ShardFormatError);
+  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), binio::FormatError);
+}
+
+// The shard container, restated so tests can seal payloads by hand.
+constexpr std::uint32_t kShardSections[] = {1, 2, 3};
+constexpr binio::Container kShardContainer{"shard", "ECSH", 1, kShardSections};
+
+TEST(ShardIo, InflatedResultCountIsFormatError) {
+  // A canonical plan may claim any job_count, and the results count only
+  // has to match it; the section's own length must bound it.  Claims of
+  // 2^61 and 2^40 jobs used to escape reserve() as length_error or
+  // bad_alloc, and 2^24 reserved 2^24 records before failing.
+  const std::string report = serialize_report(AggregateReport{});
+  for (const std::uint64_t jobs :
+       {std::uint64_t{1} << 61, std::uint64_t{1} << 40, std::uint64_t{1} << 24}) {
+    std::string plan;
+    for (const std::uint64_t field : {std::uint64_t{0}, std::uint64_t{1}, jobs,
+                                      std::uint64_t{0}, jobs}) {
+      binio::put_u64(plan, field);
+    }
+    std::string results;
+    binio::put_u64(results, jobs);
+    const std::string_view payloads[] = {plan, results, report};
+    EXPECT_THROW((void)parse_shard(binio::seal(kShardContainer, payloads)),
+                 binio::FormatError)
+        << jobs << " jobs";
+  }
+}
+
+TEST(ShardIo, NonFiniteResultDoubleIsFormatError) {
+  // A NaN or infinite double in a record used to reach AggregateReport's
+  // ExactSum and escape as std::invalid_argument (profit), or load
+  // silently (the SoC digest is never summed).
+  for (const double poison : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    ShardData shard = fake_shard(3);  // the report aggregates the finite values
+    shard.results[1].profit = poison;
+    EXPECT_THROW((void)parse_shard(serialize_shard(shard)), binio::FormatError) << poison;
+    shard = fake_shard(3);
+    shard.results[2].soc.max = poison;
+    EXPECT_THROW((void)parse_shard(serialize_shard(shard)), binio::FormatError) << poison;
+  }
 }
 
 TEST(ShardIo, MissingFileIsIoError) {
   EXPECT_THROW((void)load_shard(fs::path(testing::TempDir()) / "ecthub_no_such.ecsh"),
-               ShardIoError);
+               binio::Error);
 }
 
 // ------------------------------------------------------------ report groups
@@ -416,7 +481,7 @@ TEST(ShardDriverTest, MergeRejectsIncompleteOrMixedShardSets) {
       (void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "other.ecsh"}),
       ShardDriverError);
   EXPECT_THROW((void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "missing.ecsh"}),
-               ShardIoError);
+               binio::Error);
 
   // The complete set merges, in either listing order.
   const ShardMerge merged =
