@@ -58,12 +58,11 @@ int main(int argc, char** argv) {
         .add_double(stats::stddev(profits), 2);
   }
   {
-    core::DrlExperimentConfig drl;
+    core::DrlFleetTrainConfig drl;
     drl.env = env_cfg;
-    drl.train_iterations = train_iters;
-    drl.test_episodes = episodes;
+    drl.iterations = train_iters;
     const auto result = core::run_hub_experiment(hub, env_cfg.discount_by_hour, drl,
-                                                 "ECT-DRL");
+                                                 episodes, "ECT-DRL");
     sched_table.begin_row()
         .add("ECT-DRL (PPO)")
         .add_double(result.avg_daily_reward * static_cast<double>(drl.env.episode_days), 2)

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   benchx::align_fleet_with_stations(fleet, setup);
   const benchx::MethodSchedules schedules =
       benchx::train_pricing_stage(setup, fleet.size(), seed);
-  const core::DrlExperimentConfig drl_cfg = benchx::make_drl_config(flags);
+  const core::DrlFleetTrainConfig drl_cfg = benchx::make_drl_config(flags);
+  const std::size_t test_episodes = benchx::test_episodes(flags);
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
 
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
     std::map<std::string, core::HubMethodResult> results;
     for (const auto& method : benchx::method_order()) {
       results.emplace(method, core::run_hub_experiment(fleet[h], schedules.at(method).at(h),
-                                                       drl_cfg, method));
+                                                       drl_cfg, test_episodes, method));
     }
     TextTable table({"day", "Ours", "OR", "IPS", "DR"});
     const std::size_t days = results.at("Ours").daily_rewards.size();

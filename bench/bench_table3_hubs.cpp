@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   benchx::align_fleet_with_stations(fleet, setup);
   const benchx::MethodSchedules schedules =
       benchx::train_pricing_stage(setup, fleet.size(), seed);
-  const core::DrlExperimentConfig drl_cfg = benchx::make_drl_config(flags);
+  const core::DrlFleetTrainConfig drl_cfg = benchx::make_drl_config(flags);
+  const std::size_t test_episodes = benchx::test_episodes(flags);
   flags.check_unknown();
 
   // rewards[method][hub]
@@ -26,8 +27,8 @@ int main(int argc, char** argv) {
   for (std::size_t h = 0; h < std::min(num_hubs, fleet.size()); ++h) {
     std::cout << "\ntraining ECT-DRL on " << fleet[h].name << " (4 price inputs)...\n";
     for (const auto& method : benchx::method_order()) {
-      const auto result =
-          core::run_hub_experiment(fleet[h], schedules.at(method).at(h), drl_cfg, method);
+      const auto result = core::run_hub_experiment(fleet[h], schedules.at(method).at(h),
+                                                   drl_cfg, test_episodes, method);
       rewards[method].push_back(result.avg_daily_reward);
       std::cout << "  " << method << ": avg daily reward " << result.avg_daily_reward << "\n";
     }

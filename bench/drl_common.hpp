@@ -71,18 +71,22 @@ inline MethodSchedules train_pricing_stage(const EctPriceSetup& setup, std::size
   return schedules;
 }
 
-/// PPO experiment config from bench flags:
-///   --episode-days (30), --train-iters (12), --test-episodes (3),
+/// ECT-DRL training config from bench flags:
+///   --episode-days (30), --discount (0.2), --train-iters (12),
 ///   --ppo-episodes (6 per iteration)
-inline core::DrlExperimentConfig make_drl_config(const CliFlags& flags) {
-  core::DrlExperimentConfig cfg;
+inline core::DrlFleetTrainConfig make_drl_config(const CliFlags& flags) {
+  core::DrlFleetTrainConfig cfg;
   cfg.env.episode_days = static_cast<std::size_t>(flags.get_int("episode-days", 30));
   cfg.env.discount_fraction = flags.get_double("discount", 0.2);
   cfg.ppo.episodes_per_iteration =
       static_cast<std::size_t>(flags.get_int("ppo-episodes", 6));
-  cfg.train_iterations = static_cast<std::size_t>(flags.get_int("train-iters", 12));
-  cfg.test_episodes = static_cast<std::size_t>(flags.get_int("test-episodes", 3));
+  cfg.iterations = static_cast<std::size_t>(flags.get_int("train-iters", 12));
   return cfg;
+}
+
+/// Greedy test episodes per trained actor: --test-episodes (3).
+inline std::size_t test_episodes(const CliFlags& flags) {
+  return static_cast<std::size_t>(flags.get_int("test-episodes", 3));
 }
 
 /// Aligns each fleet hub's EV behaviour with the dataset station whose

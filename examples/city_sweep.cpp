@@ -279,8 +279,8 @@ int main(int argc, char** argv) {
   }
 
   if (zoo_mode) {
-    sim::ZooTrainConfig zoo_cfg;
-    zoo_cfg.episode_days = days;
+    core::DrlFleetTrainConfig zoo_cfg;
+    zoo_cfg.env.episode_days = days;
     zoo_cfg.iterations = drl_iters;
     zoo_cfg.train_hubs = drl_hubs;
     zoo_cfg.collector_threads = drl_threads;

@@ -41,13 +41,12 @@ int main(int argc, char** argv) {
         stats::mean(core::run_policy(env, *s, episodes)), 2);
   }
 
-  core::DrlExperimentConfig drl;
+  core::DrlFleetTrainConfig drl;
   drl.env = env_cfg;
-  drl.train_iterations = train_iters;
-  drl.test_episodes = episodes;
+  drl.iterations = train_iters;
   std::cout << "training PPO for " << train_iters << " iterations...\n";
   const auto result =
-      core::run_hub_experiment(hub, env_cfg.discount_by_hour, drl, "ECT-DRL");
+      core::run_hub_experiment(hub, env_cfg.discount_by_hour, drl, episodes, "ECT-DRL");
   table.begin_row().add("ECT-DRL (PPO)").add_double(
       result.avg_daily_reward * static_cast<double>(env_cfg.episode_days), 2);
 

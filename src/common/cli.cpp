@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub {
@@ -76,6 +77,10 @@ double CliFlags::get_double(const std::string& name, double def) const {
   if (parsed != it->second.size()) {
     throw std::invalid_argument("flag --" + name + " expects a number, got '" + it->second +
                                 "' (trailing garbage)");
+  }
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument("flag --" + name + " expects a finite number, got '" +
+                                it->second + "'");
   }
   return value;
 }

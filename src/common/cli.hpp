@@ -27,7 +27,8 @@ class CliFlags {
 
   /// Typed accessors return the default when the flag is absent.  get_int and
   /// get_double require the full value to parse — trailing garbage ("4abc")
-  /// throws std::invalid_argument instead of truncating.
+  /// throws std::invalid_argument instead of truncating — and get_double
+  /// rejects "nan", "inf" and "infinity" the same way.
   [[nodiscard]] std::string get_string(const std::string& name, std::string def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;

@@ -2,6 +2,7 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "core/policy_runner.hpp"
 #include "nn/serialize.hpp"
 
 #include <memory>
@@ -22,50 +23,6 @@ double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep
   }
   if (days == 0) throw std::invalid_argument("average_daily_reward: no days");
   return acc / static_cast<double>(days);
-}
-
-HubMethodResult run_hub_experiment(const HubConfig& hub,
-                                   const std::vector<bool>& discount_by_hour,
-                                   const DrlExperimentConfig& cfg,
-                                   const std::string& method_name) {
-  HubEnvConfig env_cfg = cfg.env;
-  env_cfg.discount_by_hour = discount_by_hour;
-  EctHubEnv env(hub, env_cfg);
-
-  rl::ActorCriticConfig ac_cfg;
-  ac_cfg.state_dim = env.state_dim();
-  ac_cfg.action_count = env.action_count();
-  rl::PpoTrainer trainer(cfg.ppo, ac_cfg, nn::Rng(cfg.ppo_seed));
-
-  HubMethodResult result;
-  result.hub = hub.name;
-  result.method = method_name;
-
-  const auto history = trainer.train(env, cfg.train_iterations);
-  result.train_curve.reserve(history.size());
-  for (const auto& h : history) result.train_curve.push_back(h.mean_episode_reward);
-
-  // Test episodes under the *deployed* greedy policy — the exported actor a
-  // fleet sweep loads — so Table III measures the serialization + Policy API
-  // path end to end, not the training-time network.  The ledger gives the
-  // per-day profits.
-  policy::DrlPolicy deployed(export_actor_checkpoint(trainer.policy()));
-  std::vector<std::vector<double>> daily_per_ep;
-  daily_per_ep.reserve(cfg.test_episodes);
-  for (std::size_t e = 0; e < cfg.test_episodes; ++e) {
-    std::vector<double> state = env.reset();
-    deployed.begin_episode();
-    bool done = false;
-    while (!done) {
-      rl::StepResult r = env.step(deployed.decide(state));
-      state = std::move(r.next_state);
-      done = r.done;
-    }
-    daily_per_ep.push_back(env.ledger().daily_profit());
-  }
-  result.avg_daily_reward = average_daily_reward(daily_per_ep);
-  result.daily_rewards = daily_per_ep.front();
-  return result;
 }
 
 policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac) {
@@ -90,10 +47,14 @@ namespace {
 /// trainer's init/shuffle stream, both derived from DrlFleetTrainConfig::seed.
 constexpr std::uint64_t kCollectorSeedTag = 0xc011ec70ULL;
 
-}  // namespace
+struct TrainedActor {
+  policy::DrlCheckpoint checkpoint;
+  std::vector<rl::PpoIterationStats> history;  ///< one entry per iteration
+};
 
-policy::DrlCheckpoint train_drl_checkpoint(const std::vector<DrlTrainLane>& lanes,
-                                           const DrlFleetTrainConfig& cfg) {
+/// The one ECT-DRL training run: train_fleet over `lanes`, actor exported.
+TrainedActor train_lanes(const std::vector<DrlTrainLane>& lanes,
+                         const DrlFleetTrainConfig& cfg) {
   if (lanes.empty()) throw std::invalid_argument("train_drl_checkpoint: no lanes");
   std::vector<std::unique_ptr<EctHubEnv>> envs;
   envs.reserve(lanes.size());
@@ -112,14 +73,16 @@ policy::DrlCheckpoint train_drl_checkpoint(const std::vector<DrlTrainLane>& lane
   rl::VecCollectorConfig collector;
   collector.threads = cfg.collector_threads;
   collector.seed = mix_seed(cfg.seed, kCollectorSeedTag);
-  trainer.train_fleet(env_ptrs, cfg.iterations, collector);
-  return export_actor_checkpoint(trainer.policy());
+  TrainedActor trained;
+  trained.history = trainer.train_fleet(env_ptrs, cfg.iterations, collector);
+  trained.checkpoint = export_actor_checkpoint(trainer.policy());
+  return trained;
 }
 
-policy::DrlCheckpoint train_drl_checkpoint(const HubConfig& hub,
-                                           const DrlFleetTrainConfig& cfg) {
+/// `cfg.train_hubs` replica lanes of `hub` under `cfg.env`.
+std::vector<DrlTrainLane> replica_lanes(const HubConfig& hub, const DrlFleetTrainConfig& cfg) {
   if (cfg.train_hubs == 0) {
-    throw std::invalid_argument("train_drl_checkpoint: train_hubs == 0");
+    throw std::invalid_argument("DrlFleetTrainConfig: train_hubs == 0");
   }
   std::vector<DrlTrainLane> lanes;
   lanes.reserve(cfg.train_hubs);
@@ -127,11 +90,55 @@ policy::DrlCheckpoint train_drl_checkpoint(const HubConfig& hub,
     DrlTrainLane lane{hub, cfg.env};
     // Replica lanes explore distinct episode streams; lane 0 is mixed too so
     // the checkpoint depends only on (hub.seed, train_hubs), not on whether
-    // the single- or multi-lane recipe produced it.
+    // the single- or multi-lane recipe produced it, and so no lane replays
+    // the hub's own stream (run_hub_experiment tests on it).
     lane.hub.seed = mix_seed(hub.seed, l);
     lanes.push_back(std::move(lane));
   }
-  return train_drl_checkpoint(lanes, cfg);
+  return lanes;
+}
+
+}  // namespace
+
+policy::DrlCheckpoint train_drl_checkpoint(const std::vector<DrlTrainLane>& lanes,
+                                           const DrlFleetTrainConfig& cfg) {
+  return train_lanes(lanes, cfg).checkpoint;
+}
+
+policy::DrlCheckpoint train_drl_checkpoint(const HubConfig& hub,
+                                           const DrlFleetTrainConfig& cfg) {
+  return train_lanes(replica_lanes(hub, cfg), cfg).checkpoint;
+}
+
+HubMethodResult run_hub_experiment(const HubConfig& hub,
+                                   const std::vector<bool>& discount_by_hour,
+                                   const DrlFleetTrainConfig& cfg, std::size_t test_episodes,
+                                   const std::string& method_name) {
+  DrlFleetTrainConfig train_cfg = cfg;
+  train_cfg.env.discount_by_hour = discount_by_hour;
+  const TrainedActor trained = train_lanes(replica_lanes(hub, train_cfg), train_cfg);
+
+  HubMethodResult result;
+  result.hub = hub.name;
+  result.method = method_name;
+  result.train_curve.reserve(trained.history.size());
+  for (const auto& h : trained.history) result.train_curve.push_back(h.mean_episode_reward);
+
+  // Test episodes under the *deployed* greedy policy — the exported actor a
+  // fleet sweep loads — so Table III measures the serialization + Policy API
+  // path end to end, not the training-time network.  The ledger gives the
+  // per-day profits.
+  EctHubEnv env(hub, train_cfg.env);
+  policy::DrlPolicy deployed(trained.checkpoint);
+  std::vector<std::vector<double>> daily_per_ep;
+  daily_per_ep.reserve(test_episodes);
+  for (std::size_t e = 0; e < test_episodes; ++e) {
+    (void)run_policy(env, deployed, 1);
+    daily_per_ep.push_back(env.ledger().daily_profit());
+  }
+  result.avg_daily_reward = average_daily_reward(daily_per_ep);
+  result.daily_rewards = daily_per_ep.front();
+  return result;
 }
 
 }  // namespace ecthub::core

@@ -1,8 +1,11 @@
-// Fleet experiment driver for Table III and Fig. 13.
+// ECT-DRL training and the fleet experiments behind Table III and Fig. 13.
 //
-// For each hub and each pricing method (ECT-Price / OR / IPS / DR), the
-// driver wires the method's discount schedule into the hub environment,
-// trains an ECT-DRL (PPO) scheduler on it, then evaluates the greedy policy:
+// One training recipe, DrlFleetTrainConfig, drives every PPO run: PPO over
+// env lanes collected in lockstep (rl::PpoTrainer::train_fleet), actor
+// exported for deployment.  train_drl_checkpoint returns that actor;
+// run_hub_experiment wires a pricing method's (ECT-Price / OR / IPS / DR)
+// discount schedule into the hub, trains the same way, then evaluates the
+// deployed greedy policy:
 //   - Table III: average daily reward over the test episodes;
 //   - Fig. 13:  the per-day reward series of one test episode.
 #pragma once
@@ -16,41 +19,9 @@
 
 namespace ecthub::core {
 
-struct DrlExperimentConfig {
-  HubEnvConfig env;
-  rl::PpoConfig ppo;
-  std::size_t train_iterations = 10;  ///< PPO collect+update cycles
-  std::size_t test_episodes = 5;
-  std::uint64_t ppo_seed = 99;
-};
-
-struct HubMethodResult {
-  std::string hub;
-  std::string method;
-  double avg_daily_reward = 0.0;        ///< Table III cell
-  std::vector<double> daily_rewards;    ///< Fig. 13 series (one test episode)
-  std::vector<double> train_curve;      ///< mean episode reward per iteration
-};
-
-/// Trains and evaluates ECT-DRL on one hub under one hourly discount schedule.
-[[nodiscard]] HubMethodResult run_hub_experiment(const HubConfig& hub,
-                                                 const std::vector<bool>& discount_by_hour,
-                                                 const DrlExperimentConfig& cfg,
-                                                 const std::string& method_name);
-
-/// Average of the daily-profit means across test episodes.
-[[nodiscard]] double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep);
-
-/// Serializes the actor path (shared trunk + actor head) of a trained
-/// actor-critic into a deployable DrlPolicy checkpoint.  The critic head is
-/// training-time baggage and is dropped; parameter names carry over, so the
-/// checkpoint loads straight into policy::DrlPolicy and any architecture
-/// mismatch fails loudly at load time.  Const: a const trainer can be
-/// checkpointed mid-training (e.g. from the rollout collector).
-[[nodiscard]] policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac);
-
-/// In-process training recipe behind SchedulerKind::kDrl: PPO over a fleet
-/// of env lanes collected in lockstep, actor exported for deployment.
+/// The ECT-DRL training recipe: PPO over a fleet of env lanes collected in
+/// lockstep.  The one config of train_drl_checkpoint, run_hub_experiment
+/// and sim::train_actor_zoo.
 struct DrlFleetTrainConfig {
   HubEnvConfig env;      ///< episode shape to train under
   rl::PpoConfig ppo;
@@ -64,6 +35,35 @@ struct DrlFleetTrainConfig {
   std::size_t collector_threads = 1;
 };
 
+struct HubMethodResult {
+  std::string hub;
+  std::string method;
+  double avg_daily_reward = 0.0;        ///< Table III cell
+  std::vector<double> daily_rewards;    ///< Fig. 13 series (one test episode)
+  std::vector<double> train_curve;      ///< mean episode reward per iteration
+};
+
+/// Trains ECT-DRL on `cfg.train_hubs` replica lanes of `hub` under one
+/// hourly discount schedule (exactly as train_drl_checkpoint does), then runs
+/// `test_episodes` greedy episodes of the deployed actor on a fresh env of
+/// `hub` itself, whose episode stream no training lane replays.
+[[nodiscard]] HubMethodResult run_hub_experiment(const HubConfig& hub,
+                                                 const std::vector<bool>& discount_by_hour,
+                                                 const DrlFleetTrainConfig& cfg,
+                                                 std::size_t test_episodes,
+                                                 const std::string& method_name);
+
+/// Average of the daily-profit means across test episodes.
+[[nodiscard]] double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep);
+
+/// Serializes the actor path (shared trunk + actor head) of a trained
+/// actor-critic into a deployable DrlPolicy checkpoint.  The critic head is
+/// training-time baggage and is dropped; parameter names carry over, so the
+/// checkpoint loads straight into policy::DrlPolicy and any architecture
+/// mismatch fails loudly at load time.  Const: a const trainer can be
+/// checkpointed mid-training (e.g. from the rollout collector).
+[[nodiscard]] policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac);
+
 /// One rollout lane of a multi-hub training run.
 struct DrlTrainLane {
   HubConfig hub;
@@ -71,8 +71,8 @@ struct DrlTrainLane {
 };
 
 /// Trains a PPO policy on `cfg.train_hubs` lockstep replicas of `hub` and
-/// returns the deployable actor checkpoint — what a fleet sweep loads when
-/// no pre-trained checkpoint is on disk.
+/// returns the deployable actor checkpoint: what a fleet sweep's
+/// SchedulerKind::kDrl loads when no pre-trained checkpoint is on disk.
 [[nodiscard]] policy::DrlCheckpoint train_drl_checkpoint(const HubConfig& hub,
                                                          const DrlFleetTrainConfig& cfg);
 

@@ -32,7 +32,8 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
   if (!cfg.discount_by_hour.empty() && cfg.discount_by_hour.size() != 24) {
     throw std::invalid_argument("HubEnvConfig: discount_by_hour must have 24 entries");
   }
-  if (cfg.discount_fraction < 0.0 || cfg.discount_fraction >= 1.0) {
+  // Every range check is written so that NaN fails it.
+  if (!(cfg.discount_fraction >= 0.0 && cfg.discount_fraction < 1.0)) {
     throw std::invalid_argument("HubEnvConfig: discount_fraction out of [0, 1)");
   }
   if (!(0.0 <= cfg.init_soc_lo && cfg.init_soc_lo <= cfg.init_soc_hi &&
@@ -40,12 +41,13 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
     throw std::invalid_argument("HubEnvConfig: bad init SoC range");
   }
   if (cfg.coupling.enabled) {
-    if (cfg.coupling.through_rate < 0.0) {
-      throw std::invalid_argument("HubCouplingConfig: through_rate < 0");
+    if (!(std::isfinite(cfg.coupling.through_rate) && cfg.coupling.through_rate >= 0.0)) {
+      throw std::invalid_argument("HubCouplingConfig: through_rate must be finite and >= 0");
     }
-    if (cfg.coupling.outage.rate_per_month < 0.0 ||
-        cfg.coupling.outage.min_duration_h < 0.0 ||
-        cfg.coupling.outage.max_duration_h < cfg.coupling.outage.min_duration_h) {
+    const OutageModel& outage = cfg.coupling.outage;
+    if (!(std::isfinite(outage.rate_per_month) && outage.rate_per_month >= 0.0 &&
+          outage.min_duration_h >= 0.0 && std::isfinite(outage.max_duration_h) &&
+          outage.max_duration_h >= outage.min_duration_h)) {
       throw std::invalid_argument("HubCouplingConfig: bad OutageModel");
     }
   }
@@ -60,8 +62,8 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
   // Fail on a bad battery (e.g. zero capacity) at construction, not at the
   // first reset deep inside a worker thread.
   hub_.battery.validate();
-  if (hub_.recovery_hours < 0.0) {
-    throw std::invalid_argument("HubConfig: recovery_hours < 0");
+  if (!(std::isfinite(hub_.recovery_hours) && hub_.recovery_hours >= 0.0)) {
+    throw std::invalid_argument("HubConfig: recovery_hours must be finite and >= 0");
   }
   // The station's behaviour profile is a pure function of the hub config, so
   // it is built once here (also validating it eagerly) rather than per reset.

@@ -1,5 +1,6 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -17,10 +18,9 @@ Dense::Dense(std::size_t in_dim, std::size_t out_dim, Rng& rng, std::string name
 }
 
 Matrix Dense::forward(const Matrix& x) {
-  if (x.cols() != w_.rows()) throw std::invalid_argument("Dense::forward: dim mismatch");
+  Matrix y;
+  forward_rows_into(x, 0, x.rows(), y);
   cached_x_ = x;
-  Matrix y = x.matmul(w_);
-  y.add_row_vector(b_);
   return y;
 }
 
@@ -89,18 +89,10 @@ std::vector<Parameter> Embedding::parameters() {
 }
 
 Matrix ActivationLayer::forward(const Matrix& x) {
+  Matrix y = x;
+  forward_inplace(y);
   cached_x_ = x;
-  switch (kind_) {
-    case Activation::kRelu:
-      return x.apply([](double v) { return v > 0.0 ? v : 0.0; });
-    case Activation::kSigmoid:
-      return x.apply([](double v) { return sigmoid(v); });
-    case Activation::kTanh:
-      return x.apply([](double v) { return std::tanh(v); });
-    case Activation::kIdentity:
-      return x;
-  }
-  throw std::logic_error("ActivationLayer: invalid kind");
+  return y;
 }
 
 void ActivationLayer::forward_inplace(Matrix& x) const {
@@ -149,15 +141,11 @@ Matrix ActivationLayer::backward(const Matrix& dy) const {
 
 Matrix softmax_rows(const Matrix& logits) {
   Matrix out(logits.rows(), logits.cols());
+  std::vector<double> row;
   for (std::size_t r = 0; r < logits.rows(); ++r) {
-    double mx = logits(r, 0);
-    for (std::size_t c = 1; c < logits.cols(); ++c) mx = std::max(mx, logits(r, c));
-    double denom = 0.0;
-    for (std::size_t c = 0; c < logits.cols(); ++c) {
-      out(r, c) = std::exp(logits(r, c) - mx);
-      denom += out(r, c);
-    }
-    for (std::size_t c = 0; c < logits.cols(); ++c) out(r, c) /= denom;
+    softmax_row_into(logits, r, row);
+    std::copy(row.begin(), row.end(),
+              out.data().begin() + static_cast<std::ptrdiff_t>(r * out.cols()));
   }
   return out;
 }
@@ -166,9 +154,6 @@ void softmax_row_into(const Matrix& logits, std::size_t row, std::vector<double>
   if (row >= logits.rows()) throw std::out_of_range("softmax_row_into: row out of range");
   const std::size_t cols = logits.cols();
   out.resize(cols);
-  // The exact operation sequence of softmax_rows — max-stabilize, exp in
-  // column order, accumulate, divide — so each value is bit-identical to
-  // the same element of the full-matrix call.
   double mx = logits(row, 0);
   for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, logits(row, c));
   double denom = 0.0;

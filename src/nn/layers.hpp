@@ -110,9 +110,9 @@ class ActivationLayer {
 /// Row-wise softmax (numerically stabilized).
 [[nodiscard]] Matrix softmax_rows(const Matrix& logits);
 
-/// Softmax of one row of `logits` written into `out` (resized to cols) —
-/// the same operation sequence as softmax_rows, so the values are
-/// bit-identical to that row of the full-matrix call.
+/// Softmax of one row of `logits` written into `out` (resized to cols):
+/// max-stabilize, exp in column order, accumulate, divide.  softmax_rows is
+/// this row by row, so the values are bit-identical to that row of it.
 void softmax_row_into(const Matrix& logits, std::size_t row, std::vector<double>& out);
 
 /// Backward of softmax given dL/dsoftmax; returns dL/dlogits.

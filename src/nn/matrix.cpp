@@ -198,12 +198,6 @@ Matrix Matrix::hadamard(const Matrix& other) const {
   return out;
 }
 
-Matrix Matrix::apply(const std::function<double(double)>& f) const {
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = f(data_[i]);
-  return out;
-}
-
 Matrix Matrix::col_sum() const {
   Matrix out(1, cols_);
   for (std::size_t r = 0; r < rows_; ++r) {

@@ -24,7 +24,6 @@
 #include "common/rng.hpp"
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 namespace ecthub::nn {
@@ -80,7 +79,6 @@ class Matrix {
   Matrix& add_row_vector(const Matrix& row);
 
   [[nodiscard]] Matrix hadamard(const Matrix& other) const;
-  [[nodiscard]] Matrix apply(const std::function<double(double)>& f) const;
 
   /// Column-wise sum -> 1 x cols.
   [[nodiscard]] Matrix col_sum() const;

@@ -18,34 +18,6 @@ PpoTrainer::PpoTrainer(PpoConfig cfg, ActorCriticConfig ac_cfg, nn::Rng rng)
   }
 }
 
-double PpoTrainer::collect_episode(Env& env, RolloutBuffer& buffer) {
-  std::vector<double> state = env.reset();
-  double total_reward = 0.0;
-  bool done = false;
-  while (!done) {
-    const ActorCritic::Sample sample = ac_.act(state, rng_);
-    const StepResult result = env.step(sample.action);
-    Transition t;
-    t.state = state;
-    t.action = sample.action;
-    t.log_prob = sample.log_prob;
-    t.reward = result.reward;
-    t.value = sample.value;
-    t.done = result.done;
-    t.truncated = result.done && result.truncated;
-    if (t.truncated) {
-      // Time-limit end: GAE bootstraps the critic's view of the final state
-      // instead of assuming a terminal (the paper's MDP has no terminal).
-      t.bootstrap_value = ac_.value_of(result.next_state, value_ws_);
-    }
-    buffer.add(std::move(t));
-    total_reward += result.reward;
-    state = result.next_state;
-    done = result.done;
-  }
-  return total_reward;
-}
-
 PpoUpdateStats PpoTrainer::update(const RolloutBuffer& buffer) {
   const auto& trans = buffer.transitions();
   if (trans.empty()) throw std::invalid_argument("PpoTrainer::update: empty buffer");
@@ -135,23 +107,6 @@ PpoUpdateStats PpoTrainer::update(const RolloutBuffer& buffer) {
     agg.clip_fraction /= b;
   }
   return agg;
-}
-
-std::vector<PpoIterationStats> PpoTrainer::train(Env& env, std::size_t iterations) {
-  std::vector<PpoIterationStats> history;
-  history.reserve(iterations);
-  for (std::size_t it = 0; it < iterations; ++it) {
-    RolloutBuffer buffer;
-    double reward_acc = 0.0;
-    for (std::size_t e = 0; e < cfg_.episodes_per_iteration; ++e) {
-      reward_acc += collect_episode(env, buffer);
-    }
-    PpoIterationStats stats;
-    stats.mean_episode_reward = reward_acc / static_cast<double>(cfg_.episodes_per_iteration);
-    stats.update = update(buffer);
-    history.push_back(stats);
-  }
-  return history;
 }
 
 std::vector<PpoIterationStats> PpoTrainer::train_fleet(const std::vector<Env*>& envs,

@@ -6,6 +6,11 @@
 // where r is the new/old probability ratio and H the policy entropy.  The
 // clip prevents the "great turbulence" of the vanilla policy gradient the
 // paper calls out.
+//
+// PpoTrainer::train_fleet is the one training loop: rl::VecRolloutCollector
+// gathers episodes on N env lanes in lockstep (one lane for a single env),
+// then one update runs on the lane-merged buffer.  core::train_drl_checkpoint,
+// core::run_hub_experiment and sim::train_actor_zoo all train through it.
 #pragma once
 
 #include "nn/optimizer.hpp"
@@ -48,18 +53,16 @@ struct PpoIterationStats {
 
 class PpoTrainer {
  public:
+  /// `rng` seeds the weight init and then the minibatch shuffles; rollout
+  /// sampling never draws from it.
   PpoTrainer(PpoConfig cfg, ActorCriticConfig ac_cfg, nn::Rng rng);
 
-  /// Runs `iterations` collect+update cycles on `env`.
-  std::vector<PpoIterationStats> train(Env& env, std::size_t iterations);
-
-  /// Fleet-scale training: `iterations` cycles of vectorized lockstep
-  /// collection over N env lanes (episodes_per_iteration episodes *per
-  /// lane*, batched stochastic forwards via ActorCritic::act_rows) followed
-  /// by the standard PPO update on the lane-merged buffer.  Collection
-  /// samples from the collector's per-lane streams — never from the
-  /// trainer's rng_ — and the update path is untouched, so the trained
-  /// weights are bit-identical at any VecCollectorConfig::threads.
+  /// The training loop: `iterations` cycles of vectorized lockstep
+  /// collection over N env lanes (one lane is fine; episodes_per_iteration
+  /// episodes *per lane*, batched stochastic forwards via
+  /// ActorCritic::act_rows) followed by the PPO update on the lane-merged
+  /// buffer.  Collection samples from the collector's per-lane streams, so
+  /// the trained weights are bit-identical at any VecCollectorConfig::threads.
   std::vector<PpoIterationStats> train_fleet(const std::vector<Env*>& envs,
                                              std::size_t iterations,
                                              const VecCollectorConfig& collector = {});
@@ -79,14 +82,10 @@ class PpoTrainer {
   PpoUpdateStats update(const RolloutBuffer& buffer);
 
  private:
-  /// Collects one full episode into `buffer`; returns its total reward.
-  double collect_episode(Env& env, RolloutBuffer& buffer);
-
   PpoConfig cfg_;
   nn::Rng rng_;
   ActorCritic ac_;
   nn::Adam opt_;
-  ActorCritic::RowsWorkspace value_ws_;  ///< truncation-bootstrap scratch
 };
 
 }  // namespace ecthub::rl

@@ -13,21 +13,16 @@ namespace {
 constexpr std::uint64_t kSpecialistTag = 0x5bec1a11ULL;
 constexpr std::uint64_t kGeneralistTag = 0x6e4e7a11ULL;
 
-core::HubEnvConfig training_env(const Scenario& scenario, const ZooTrainConfig& cfg) {
-  core::HubEnvConfig env = scenario.env;
-  if (cfg.episode_days > 0) env.episode_days = cfg.episode_days;
-  return env;
-}
-
 core::DrlTrainLane make_lane(const ScenarioRegistry& registry, const std::string& key,
                              std::size_t key_index, std::size_t replica,
-                             const ZooTrainConfig& cfg) {
+                             const core::DrlFleetTrainConfig& cfg) {
   const Scenario& scenario = registry.at(key);
   core::DrlTrainLane lane;
   lane.hub = scenario.make_hub(
       key + "-zoo-" + std::to_string(replica),
       mix_seed(mix_seed(cfg.seed, key_index), replica));
-  lane.env = training_env(scenario, cfg);
+  lane.env = scenario.env;
+  lane.env.episode_days = cfg.env.episode_days;
   return lane;
 }
 
@@ -42,7 +37,7 @@ void check_layout(const core::DrlTrainLane& lane, const core::HubEnvConfig& refe
 }  // namespace
 
 ActorZoo train_actor_zoo(const ScenarioRegistry& registry, std::vector<std::string> keys,
-                         const ZooTrainConfig& cfg) {
+                         const core::DrlFleetTrainConfig& cfg) {
   if (cfg.train_hubs == 0) throw std::invalid_argument("train_actor_zoo: train_hubs == 0");
   if (keys.empty()) keys = registry.keys();
   std::sort(keys.begin(), keys.end());
@@ -52,12 +47,8 @@ ActorZoo train_actor_zoo(const ScenarioRegistry& registry, std::vector<std::stri
   ActorZoo zoo;
   zoo.keys = keys;
 
-  core::DrlFleetTrainConfig fleet;
-  fleet.ppo = cfg.ppo;
-  fleet.iterations = cfg.iterations;
-  fleet.collector_threads = cfg.collector_threads;
-
-  const core::HubEnvConfig reference_env = training_env(registry.at(keys.front()), cfg);
+  core::DrlFleetTrainConfig fleet = cfg;
+  const core::HubEnvConfig& reference_env = registry.at(keys.front()).env;
 
   std::vector<core::DrlTrainLane> generalist_lanes;
   generalist_lanes.reserve(keys.size() * cfg.train_hubs);

@@ -6,33 +6,23 @@
 // mixed fleet with lanes drawn from every preset — the cross-scenario
 // baseline a specialist has to beat to justify its storage.
 //
-// Everything is deterministic: lane hub seeds and PPO seeds are mixed from
-// ZooTrainConfig::seed and the preset's index in the sorted key list, so the
-// same (registry, keys, cfg) triple always yields bit-identical checkpoint
-// blobs at any collector thread count.
+// Every actor trains with core::train_drl_checkpoint's recipe, configured by
+// the one core::DrlFleetTrainConfig.  Everything is deterministic: lane hub
+// seeds and PPO seeds are mixed from DrlFleetTrainConfig::seed and the
+// preset's index in the sorted key list, so the same (registry, keys, cfg)
+// triple always yields bit-identical checkpoint blobs at any collector
+// thread count.
 #pragma once
 
 #include "core/fleet.hpp"
 #include "policy/drl_policy.hpp"
 #include "sim/scenario.hpp"
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace ecthub::sim {
-
-struct ZooTrainConfig {
-  /// Training-episode length override; 0 keeps each scenario's own
-  /// episode_days.  Training runs are shorter than evaluation sweeps.
-  std::size_t episode_days = 7;
-  std::size_t iterations = 4;        ///< PPO collect+update cycles per actor
-  std::size_t train_hubs = 2;        ///< replica lanes per preset
-  std::size_t collector_threads = 1; ///< 0 = hardware concurrency
-  std::uint64_t seed = 2024;
-  rl::PpoConfig ppo;
-};
 
 struct ActorZoo {
   std::vector<std::string> keys;  ///< presets covered, sorted
@@ -40,13 +30,17 @@ struct ActorZoo {
   policy::DrlCheckpoint generalist;  ///< trained across every preset's lanes
 };
 
-/// Trains one specialist per key plus the generalist.  Keys are deduplicated
-/// and sorted before seed derivation; empty `keys` means every key in the
-/// registry.  Throws std::out_of_range on an unknown key and
-/// std::invalid_argument when the presets disagree on the observation layout
-/// (the generalist's lanes must share one actor architecture).
+/// Trains one specialist per key plus the generalist.  Each preset gets
+/// `cfg.train_hubs` replica lanes running the preset's own env for
+/// `cfg.env.episode_days` days (the rest of `cfg.env` is unused); every actor
+/// runs `cfg.iterations` PPO cycles under `cfg.ppo` on a
+/// `cfg.collector_threads` crew.  Keys are deduplicated and sorted before
+/// seed derivation; empty `keys` means every key in the registry.  Throws
+/// std::out_of_range on an unknown key and std::invalid_argument when the
+/// presets disagree on the observation layout (the generalist's lanes must
+/// share one actor architecture).
 [[nodiscard]] ActorZoo train_actor_zoo(const ScenarioRegistry& registry,
                                        std::vector<std::string> keys,
-                                       const ZooTrainConfig& cfg);
+                                       const core::DrlFleetTrainConfig& cfg);
 
 }  // namespace ecthub::sim

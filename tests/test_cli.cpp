@@ -109,6 +109,22 @@ TEST(CliFlagsStrict, DoubleRejectsTrailingGarbage) {
   EXPECT_THROW((void)flags.get_double("rate", 0.0), std::invalid_argument);
 }
 
+TEST(CliFlagsStrict, DoubleRejectsNonFinite) {
+  // std::stod parses these in full, so only a finiteness check stops them:
+  // `--discount inf` used to run as an infinite discount.
+  for (const char* value : {"nan", "NaN", "-nan", "inf", "-inf", "infinity", "-Infinity"}) {
+    const char* argv[] = {"prog", "--discount", value};
+    const CliFlags flags(3, argv);
+    try {
+      (void)flags.get_double("discount", 0.0);
+      FAIL() << "get_double accepted '" << value << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--discount"), std::string::npos)
+          << "the error must name the flag: " << e.what();
+    }
+  }
+}
+
 TEST(CliFlagsStrict, CleanNumbersStillParse) {
   const char* argv[] = {"prog", "--threads", "-4", "--discount", "0.25", "--rate", "1e3"};
   const CliFlags flags(7, argv);

@@ -18,6 +18,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -270,6 +271,30 @@ TEST(EctHubEnv, ConfigValidation) {
   bad4.init_soc_lo = 0.9;
   bad4.init_soc_hi = 0.3;
   EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), bad4), std::invalid_argument);
+
+  // NaN slips past a `x < lo` check; every range check must reject it.  The
+  // coupling rates and durations must also be finite.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  HubEnvConfig bad5 = small_env();
+  bad5.discount_fraction = nan;
+  EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), bad5), std::invalid_argument);
+  HubEnvConfig coupled = small_env();
+  coupled.coupling.enabled = true;
+  EXPECT_NO_THROW(EctHubEnv(HubConfig::urban("t", 13), coupled));
+  for (const double v : {nan, std::numeric_limits<double>::infinity()}) {
+    HubEnvConfig poisoned = coupled;
+    poisoned.coupling.through_rate = v;
+    EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), poisoned), std::invalid_argument) << v;
+    poisoned = coupled;
+    poisoned.coupling.outage.rate_per_month = v;
+    EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), poisoned), std::invalid_argument) << v;
+    poisoned = coupled;
+    poisoned.coupling.outage.min_duration_h = v;
+    EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), poisoned), std::invalid_argument) << v;
+    poisoned = coupled;
+    poisoned.coupling.outage.max_duration_h = v;
+    EXPECT_THROW(EctHubEnv(HubConfig::urban("t", 13), poisoned), std::invalid_argument) << v;
+  }
 }
 
 // ------------------------------------------------------- determinism (golden)
@@ -385,6 +410,10 @@ TEST(EctHubEnv, ZeroCapacityBatteryThrowsAtConstruction) {
 TEST(EctHubEnv, NegativeRecoveryHoursThrowsAtConstruction) {
   HubConfig hub = HubConfig::urban("bad-recovery", 58);
   hub.recovery_hours = -1.0;
+  EXPECT_THROW(EctHubEnv(hub, small_env()), std::invalid_argument);
+  hub.recovery_hours = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(EctHubEnv(hub, small_env()), std::invalid_argument);
+  hub.recovery_hours = std::numeric_limits<double>::infinity();
   EXPECT_THROW(EctHubEnv(hub, small_env()), std::invalid_argument);
 }
 
@@ -592,13 +621,12 @@ TEST(Fleet, AverageDailyReward) {
 }
 
 TEST(Fleet, RunHubExperimentSmoke) {
-  core::DrlExperimentConfig cfg;
+  DrlFleetTrainConfig cfg;
   cfg.env.episode_days = 2;
   cfg.ppo.episodes_per_iteration = 1;
-  cfg.train_iterations = 1;
-  cfg.test_episodes = 1;
+  cfg.iterations = 1;
   const auto result = run_hub_experiment(HubConfig::urban("smoke", 19),
-                                         std::vector<bool>(24, false), cfg, "Test");
+                                         std::vector<bool>(24, false), cfg, 1, "Test");
   EXPECT_EQ(result.method, "Test");
   EXPECT_EQ(result.daily_rewards.size(), 2u);
   EXPECT_EQ(result.train_curve.size(), 1u);
@@ -808,6 +836,31 @@ TEST(VecCollectorFleet, CheckpointBlobIdenticalAcrossCollectorThreads) {
   const policy::DrlCheckpoint four = train(4);
   EXPECT_EQ(one.blob, four.blob);
   EXPECT_FALSE(one.blob.empty());
+  // Absolute pin of the trained weights: the training recipe must not drift.
+  EXPECT_EQ(fnv1a(one.blob), 0xedf152da873d21dbULL);
+}
+
+TEST(VecCollectorFleet, HubExperimentIdenticalAcrossCollectorThreads) {
+  // The Table III / Fig. 13 path trains through the same collector crew; the
+  // crew size must not leak into its training curve or test rewards.
+  const auto run = [](std::size_t collector_threads) {
+    DrlFleetTrainConfig cfg;
+    cfg.env.episode_days = 1;
+    cfg.ppo.episodes_per_iteration = 2;
+    cfg.iterations = 2;
+    cfg.train_hubs = 3;
+    cfg.collector_threads = collector_threads;
+    std::vector<bool> evening(24, false);
+    for (std::size_t h = 18; h < 24; ++h) evening[h] = true;
+    return run_hub_experiment(HubConfig::urban("vec-exp", 23), evening, cfg, 2, "Test");
+  };
+  const HubMethodResult one = run(1);
+  const HubMethodResult four = run(4);
+  EXPECT_EQ(one.avg_daily_reward, four.avg_daily_reward);
+  EXPECT_EQ(one.daily_rewards, four.daily_rewards);
+  EXPECT_EQ(one.train_curve, four.train_curve);
+  EXPECT_EQ(one.train_curve.size(), 2u);
+  EXPECT_EQ(one.daily_rewards.size(), 1u);
 }
 
 TEST(VecCollectorFleet, MultiLaneTrainingValidates) {

@@ -118,13 +118,12 @@ TEST_F(PipelineFixture, DiscountsAvoidBusyDaytime) {
 TEST(Integration, PpoImprovesOverItsOwnStart) {
   // Short training on a tiny hub: final iterations should not be worse than
   // the first (PPO stability, the point of the clip).
-  core::DrlExperimentConfig cfg;
+  core::DrlFleetTrainConfig cfg;
   cfg.env.episode_days = 3;
   cfg.ppo.episodes_per_iteration = 2;
-  cfg.train_iterations = 6;
-  cfg.test_episodes = 2;
+  cfg.iterations = 6;
   const auto result = core::run_hub_experiment(core::HubConfig::urban("ppo", 780),
-                                               std::vector<bool>(24, false), cfg, "PPO");
+                                               std::vector<bool>(24, false), cfg, 2, "PPO");
   ASSERT_EQ(result.train_curve.size(), 6u);
   double first2 = (result.train_curve[0] + result.train_curve[1]) / 2.0;
   double last2 = (result.train_curve[4] + result.train_curve[5]) / 2.0;

@@ -200,7 +200,7 @@ TEST(Ppo, UpdateReportsFiniteStats) {
   cfg.update_epochs = 2;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(8));
   ToyEnv env;
-  const auto history = trainer.train(env, 2);
+  const auto history = trainer.train_fleet({&env}, 2);
   ASSERT_EQ(history.size(), 2u);
   for (const auto& h : history) {
     EXPECT_TRUE(std::isfinite(h.update.policy_loss));
@@ -218,7 +218,7 @@ TEST(Ppo, LearnsToyBandit) {
   cfg.entropy_coeff = 0.005;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(9));
   ToyEnv env;
-  trainer.train(env, 25);
+  trainer.train_fleet({&env}, 25);
   // Greedy policy should now collect near-maximal reward (8 per episode).
   const double reward = trainer.evaluate(env, 5);
   EXPECT_GT(reward, 7.0);
@@ -247,7 +247,7 @@ TEST_P(ClipSweepTest, MeanRatioStaysNearOne) {
   cfg.update_epochs = 3;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(21));
   ToyEnv env;
-  const auto history = trainer.train(env, 2);
+  const auto history = trainer.train_fleet({&env}, 2);
   for (const auto& h : history) {
     EXPECT_GT(h.update.mean_ratio, 1.0 - 3.0 * GetParam());
     EXPECT_LT(h.update.mean_ratio, 1.0 + 3.0 * GetParam());
@@ -290,7 +290,7 @@ TEST(Ppo, RatioNearOneOnFirstUpdate) {
   cfg.update_epochs = 1;
   PpoTrainer trainer(cfg, small_ac(), nn::Rng(12));
   ToyEnv env;
-  const auto history = trainer.train(env, 1);
+  const auto history = trainer.train_fleet({&env}, 1);
   EXPECT_NEAR(history[0].update.mean_ratio, 1.0, 0.3);
 }
 

@@ -3,6 +3,7 @@
 // factory, the parallel fleet runner and its lockstep-batched twin (the
 // bit-identity contract every future sharding/batching PR depends on), and
 // the aggregate report arithmetic.
+#include "common/binio.hpp"
 #include "policy/drl_policy.hpp"
 #include "sim/coupling.hpp"
 #include "sim/drl_zoo.hpp"
@@ -861,11 +862,12 @@ TEST(AggregateReport, TablesRenderOneRowPerGroupPlusTotal) {
 
 // ---------------------------------------------------------------- actor zoo
 
-ZooTrainConfig tiny_zoo_cfg() {
-  ZooTrainConfig cfg;
-  cfg.episode_days = 1;
+core::DrlFleetTrainConfig tiny_zoo_cfg() {
+  core::DrlFleetTrainConfig cfg;
+  cfg.env.episode_days = 1;
   cfg.iterations = 1;
   cfg.train_hubs = 1;
+  cfg.seed = 2024;
   cfg.ppo.episodes_per_iteration = 1;
   return cfg;
 }
@@ -891,17 +893,20 @@ TEST(DrlZoo, TrainsSpecialistPerKeyPlusGeneralist) {
 
 TEST(DrlZoo, DeterministicAcrossRunsAndCollectorThreads) {
   const ScenarioRegistry registry = ScenarioRegistry::with_builtins();
-  ZooTrainConfig cfg = tiny_zoo_cfg();
+  core::DrlFleetTrainConfig cfg = tiny_zoo_cfg();
   const ActorZoo a = train_actor_zoo(registry, {"urban"}, cfg);
   cfg.collector_threads = 4;
   const ActorZoo b = train_actor_zoo(registry, {"urban"}, cfg);
   EXPECT_EQ(a.specialists.at("urban").blob, b.specialists.at("urban").blob);
   EXPECT_EQ(a.generalist.blob, b.generalist.blob);
+  // Absolute pins of the trained weights: the zoo recipe must not drift.
+  EXPECT_EQ(binio::fnv1a(a.specialists.at("urban").blob), 0x72143650e11319ccULL);
+  EXPECT_EQ(binio::fnv1a(a.generalist.blob), 0x9417eaae8a8660fcULL);
 }
 
 TEST(DrlZoo, ValidatesInputs) {
   const ScenarioRegistry registry = ScenarioRegistry::with_builtins();
-  ZooTrainConfig cfg = tiny_zoo_cfg();
+  core::DrlFleetTrainConfig cfg = tiny_zoo_cfg();
   EXPECT_THROW((void)train_actor_zoo(registry, {"nope"}, cfg), std::out_of_range);
   cfg.train_hubs = 0;
   EXPECT_THROW((void)train_actor_zoo(registry, {"urban"}, cfg),
