@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 namespace {
 
 using namespace ecthub;
@@ -42,12 +44,13 @@ void BM_HubEnvStep(benchmark::State& state) {
   core::HubEnvConfig env_cfg;
   env_cfg.episode_days = 30;
   core::EctHubEnv env(hub, env_cfg);
-  env.reset();
+  std::vector<double> obs(env.state_dim());
+  env.reset_into(obs);
   std::size_t a = 0;
   for (auto _ : state) {
-    const rl::StepResult r = env.step(a % 3);
+    const rl::StepOutcome r = env.step_into(a % 3, obs);
     ++a;
-    if (r.done) env.reset();
+    if (r.done) env.reset_into(obs);
   }
 }
 BENCHMARK(BM_HubEnvStep);
@@ -57,8 +60,10 @@ void BM_HubEnvReset(benchmark::State& state) {
   core::HubEnvConfig env_cfg;
   env_cfg.episode_days = 30;
   core::EctHubEnv env(hub, env_cfg);
+  std::vector<double> obs(env.state_dim());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(env.reset());
+    env.reset_into(obs);
+    benchmark::DoNotOptimize(obs.data());
   }
 }
 BENCHMARK(BM_HubEnvReset);

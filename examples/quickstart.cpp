@@ -11,7 +11,6 @@
 #include "policy/rule_policies.hpp"
 
 #include <iostream>
-#include <utility>
 #include <vector>
 
 int main() {
@@ -31,15 +30,13 @@ int main() {
 
   // 3. Run one week under the greedy price-arbitrage policy.  Policies never
   //    see the environment — they read the observation vector each step.
+  //    The environment writes each observation into one reused buffer.
   policy::GreedyPricePolicy scheduler(env.observation_layout());
-  std::vector<double> state = env.reset();
+  std::vector<double> state(env.state_dim());
+  env.reset_into(state);
   scheduler.begin_episode();
   bool done = false;
-  while (!done) {
-    rl::StepResult r = env.step(scheduler.decide(state));
-    state = std::move(r.next_state);
-    done = r.done;
-  }
+  while (!done) done = env.step_into(scheduler.decide(state), state).done;
 
   // 4. Read the books.
   const core::ProfitLedger& ledger = env.ledger();

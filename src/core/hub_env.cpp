@@ -232,28 +232,12 @@ void EctHubEnv::observe_into(std::span<double> out) const {
   out[pos] = std::cos(2.0 * std::numbers::pi * hour / 24.0);
 }
 
-std::vector<double> EctHubEnv::reset() {
-  std::vector<double> state(state_dim());
-  reset_into(state);
-  return state;
-}
-
 void EctHubEnv::reset_into(std::span<double> state) {
   if (state.size() != state_dim()) {
     throw std::invalid_argument("EctHubEnv::reset_into: buffer size != state_dim()");
   }
   generate_episode();
   observe_into(state);
-}
-
-rl::StepResult EctHubEnv::step(std::size_t action) {
-  rl::StepResult result;
-  result.next_state.resize(state_dim());
-  const StepOutcome outcome = step_into(action, result.next_state);
-  result.reward = outcome.reward;
-  result.done = outcome.done;
-  result.truncated = outcome.truncated;
-  return result;
 }
 
 StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_state) {

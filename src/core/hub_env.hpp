@@ -73,11 +73,9 @@ struct HubEnvConfig {
   HubCouplingConfig coupling;
 };
 
-/// Reward / termination of one allocation-free step (EctHubEnv::step_into).
-/// Lives on the rl::Env interface now that the vectorized rollout collector
-/// drives arbitrary envs through the into-path; the alias keeps core
-/// spelling unchanged.  EctHubEnv episodes end only at the fixed horizon,
-/// so `done` always comes with `truncated` — GAE bootstraps V(s_T) there.
+/// Reward / termination of one step (EctHubEnv::step_into), spelled in core.
+/// EctHubEnv episodes end only at the fixed horizon, so `done` always comes
+/// with `truncated` — GAE bootstraps V(s_T) there.
 using StepOutcome = rl::StepOutcome;
 
 /// The coupling in/out view of one slot (EctHubEnv::step_into 3-arg
@@ -100,31 +98,25 @@ class EctHubEnv final : public rl::Env {
   /// Validates both configurations eagerly (including the battery pack, so a
   /// zero-capacity pack fails here rather than at the first reset).
   /// Construction is cheap — all episode buffers are allocated lazily on the
-  /// first reset() and reused across subsequent resets — so fleet workers can
-  /// build an env per hub without paying a large up-front cost.
+  /// first reset_into() and reused across subsequent resets — so fleet
+  /// workers can build an env per hub without paying a large up-front cost.
   EctHubEnv(HubConfig hub, HubEnvConfig env_cfg);
 
-  std::vector<double> reset() override;
-  rl::StepResult step(std::size_t action) override;
-
-  // ---- Allocation-free fast path ----------------------------------------
-  // reset() / step() are thin wrappers over these; fleet runners drive the
-  // *_into overloads with one persistent state buffer per hub, so after the
+  // ---- Stepping -----------------------------------------------------------
+  // Every driver steps one persistent state buffer per hub, so after the
   // first episode (warm-up) an episode costs zero heap allocations end to
   // end — generators regenerate in place, the observation is written in
   // place, and the battery/ledger live in place.
 
-  /// Writes the current observation (exactly what reset()/step() return)
-  /// into `out`; out.size() must equal state_dim().
+  /// Writes the current observation (exactly what reset_into()/step_into()
+  /// write) into `out`; out.size() must equal state_dim().
   void observe_into(std::span<double> out) const;
 
-  /// reset() without the return-value allocation: regenerates the episode
-  /// and writes the initial observation into `state`.
+  /// Regenerates the episode and writes the initial observation into `state`.
   void reset_into(std::span<double> state) override;
 
-  /// step() without the StepResult allocation: applies `action`, writes the
-  /// next observation into `next_state` and returns the reward/done pair.
-  /// Bit-identical to step().  When the episode ends (always a horizon
+  /// Applies `action`, writes the next observation into `next_state` and
+  /// returns the reward/done pair.  When the episode ends (always a horizon
   /// truncation here, so done comes with truncated) the buffer holds the
   /// *final* observation — the lookback windows hold their last slot and
   /// the hour-of-day encoding wraps — so a critic can bootstrap V(s_T).
@@ -163,7 +155,7 @@ class EctHubEnv final : public rl::Env {
   [[nodiscard]] const HubConfig& hub() const noexcept { return hub_; }
   [[nodiscard]] const HubEnvConfig& env_config() const noexcept { return cfg_; }
 
-  /// Per-slot series of the current episode (valid after reset()).
+  /// Per-slot series of the current episode (valid after reset_into()).
   [[nodiscard]] const std::vector<double>& bs_power_series() const { return bs_kw_; }
   [[nodiscard]] const std::vector<double>& cs_power_series() const { return occ_.power_kw; }
   [[nodiscard]] const std::vector<double>& renewable_series() const { return renewable_kw_; }
@@ -202,7 +194,7 @@ class EctHubEnv final : public rl::Env {
   std::optional<ev::ChargingStation> station_;         ///< built at construction
   std::optional<pricing::SellingPricePolicy> selling_; ///< built at first reset
   std::optional<battery::BatteryPack> pack_;  ///< in-place, re-emplaced per reset
-  ProfitLedger ledger_;                       ///< reused via reset() per episode
+  ProfitLedger ledger_;                       ///< cleared per episode, storage reused
   std::size_t t_ = 0;
   std::size_t episode_index_ = 0;  ///< episodes generated; keys the side streams
   bool episode_ready_ = false;

@@ -15,7 +15,9 @@ namespace ecthub::core {
 /// Runs `episodes` full episodes of `env` under `pol`; returns per-episode
 /// total profit.  Profit comes from the ledger — env rewards may be shaped
 /// for RL.  The policy sees each slot's observation exactly once, in order,
-/// and gets begin_episode() after every reset.
+/// and gets begin_episode() after every reset.  Every episode steps one
+/// observation buffer in place, so once the env and policy are warm a call
+/// allocates only that buffer and the returned vector.
 [[nodiscard]] std::vector<double> run_policy(EctHubEnv& env, policy::Policy& pol,
                                              std::size_t episodes);
 

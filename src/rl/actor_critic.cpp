@@ -134,20 +134,4 @@ ActorCritic::Sample ActorCritic::act(const std::vector<double>& state, nn::Rng& 
   return s;
 }
 
-std::size_t ActorCritic::act_greedy(const std::vector<double>& state) {
-  if (state.size() != cfg_.state_dim) {
-    throw std::invalid_argument("act_greedy: state dim mismatch");
-  }
-  act_ws_.single.resize_zeroed(1, cfg_.state_dim);
-  std::copy(state.begin(), state.end(), act_ws_.single.data().begin());
-  const RowsOutput fwd = forward_rows(act_ws_.single, 0, 1, act_ws_);
-  // argmax over logits == argmax over softmax probabilities (strictly
-  // increasing per-row map), including tie order.
-  std::size_t best = 0;
-  for (std::size_t a = 1; a < cfg_.action_count; ++a) {
-    if ((*fwd.logits)(0, a) > (*fwd.logits)(0, best)) best = a;
-  }
-  return best;
-}
-
 }  // namespace ecthub::rl

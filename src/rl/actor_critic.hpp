@@ -9,11 +9,14 @@
 //    batch that backward() differentiates through; backward() validates the
 //    incoming gradient shapes against that cache, so an interleaved stray
 //    forward can no longer silently pair gradients with the wrong batch.
-//  * act_rows()/value_of()/act()/act_greedy() — const inference over caller
-//    (or member) scratch.  They never touch the training cache, so sampling
+//  * act_rows()/value_of()/act() — sampling inference over caller (or
+//    member) scratch.  They never touch the training cache, so sampling
 //    actions between forward() and backward() is safe, and disjoint row
 //    blocks of one observation matrix may run on concurrent threads with
 //    distinct workspaces (the vectorized rollout collector's hot path).
+//
+// Greedy deployment is not here: core::export_actor_checkpoint hands the
+// actor's weights to policy::DrlPolicy, the one greedy evaluator.
 #pragma once
 
 #include "nn/layers.hpp"
@@ -91,9 +94,6 @@ class ActorCritic {
   /// episode tails.
   [[nodiscard]] double value_of(std::span<const double> state, RowsWorkspace& ws) const;
 
-  /// Greedy (argmax-probability) action for deployment.
-  std::size_t act_greedy(const std::vector<double>& state);
-
   [[nodiscard]] const ActorCriticConfig& config() const noexcept { return cfg_; }
 
   /// Trunk + both heads over rows [row_begin, row_end); returns (logits,
@@ -113,7 +113,7 @@ class ActorCritic {
   nn::Mlp actor_;   ///< -> logits
   nn::Mlp critic_;  ///< -> scalar value
   nn::Matrix cached_probs_;  ///< softmax of the last forward (for backward)
-  RowsWorkspace act_ws_;     ///< scratch of the single-state act paths
+  RowsWorkspace act_ws_;     ///< scratch of the single-state act()
 };
 
 }  // namespace ecthub::rl

@@ -1,25 +1,21 @@
 #include "rl/env.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace ecthub::rl {
 
-void Env::reset_into(std::span<double> state) {
-  const std::vector<double> s = reset();
-  if (state.size() != s.size()) {
-    throw std::invalid_argument("Env::reset_into: buffer size != state_dim()");
-  }
-  std::copy(s.begin(), s.end(), state.begin());
+std::vector<double> Env::reset() {
+  std::vector<double> state(state_dim());
+  reset_into(state);
+  return state;
 }
 
-StepOutcome Env::step_into(std::size_t action, std::span<double> next_state) {
-  const StepResult r = step(action);
-  if (next_state.size() != r.next_state.size()) {
-    throw std::invalid_argument("Env::step_into: buffer size != state_dim()");
-  }
-  std::copy(r.next_state.begin(), r.next_state.end(), next_state.begin());
-  return StepOutcome{r.reward, r.done, r.truncated};
+StepResult Env::step(std::size_t action) {
+  StepResult r;
+  r.next_state.resize(state_dim());
+  const StepOutcome out = step_into(action, r.next_state);
+  r.reward = out.reward;
+  r.done = out.done;
+  r.truncated = out.truncated;
+  return r;
 }
 
 }  // namespace ecthub::rl

@@ -34,6 +34,14 @@ HubEnvConfig small_env(std::size_t days = 3) {
   return cfg;
 }
 
+// Starts a fresh episode on `env`; returns the buffer holding its initial
+// observation, which step_into then advances in place.
+std::vector<double> reset_state(EctHubEnv& env) {
+  std::vector<double> state(env.state_dim());
+  env.reset_into(state);
+  return state;
+}
+
 // ---------------------------------------------------------------- config
 
 TEST(HubConfig, UrbanPresetHasPvOnly) {
@@ -113,18 +121,21 @@ TEST(Profit, LedgerTracksComponents) {
 
 TEST(EctHubEnv, ResetProducesStateOfDeclaredDim) {
   EctHubEnv env(HubConfig::urban("t", 3), small_env());
-  const auto state = env.reset();
-  EXPECT_EQ(state.size(), env.state_dim());
+  // reset_into must write every entry of a state_dim() buffer.
+  std::vector<double> state(env.state_dim(), std::numeric_limits<double>::quiet_NaN());
+  env.reset_into(state);
+  for (const double x : state) EXPECT_TRUE(std::isfinite(x));
+  EXPECT_EQ(state.size(), env.observation_layout().dim());
   EXPECT_EQ(env.action_count(), 3u);
 }
 
 TEST(EctHubEnv, EpisodeTerminatesAtHorizon) {
   EctHubEnv env(HubConfig::urban("t", 4), small_env(2));
-  env.reset();
+  std::vector<double> state = reset_state(env);
   std::size_t steps = 0;
   bool done = false;
   while (!done) {
-    done = env.step(0).done;
+    done = env.step_into(0, state).done;
     ++steps;
   }
   EXPECT_EQ(steps, 48u);
@@ -132,22 +143,23 @@ TEST(EctHubEnv, EpisodeTerminatesAtHorizon) {
 
 TEST(EctHubEnv, StepBeforeResetThrows) {
   EctHubEnv env(HubConfig::urban("t", 5), small_env());
-  EXPECT_THROW(env.step(0), std::logic_error);
+  std::vector<double> state(env.state_dim());
+  EXPECT_THROW(env.step_into(0, state), std::logic_error);
 }
 
 TEST(EctHubEnv, BadActionThrows) {
   EctHubEnv env(HubConfig::urban("t", 6), small_env());
-  env.reset();
-  EXPECT_THROW(env.step(3), std::invalid_argument);
+  std::vector<double> state = reset_state(env);
+  EXPECT_THROW(env.step_into(3, state), std::invalid_argument);
 }
 
 TEST(EctHubEnv, SocStaysWithinBoundsUnderRandomActions) {
   EctHubEnv env(HubConfig::rural("t", 7), small_env(5));
-  env.reset();
+  std::vector<double> state = reset_state(env);
   Rng rng(8);
   bool done = false;
   while (!done) {
-    done = env.step(static_cast<std::size_t>(rng.uniform_int(0, 2))).done;
+    done = env.step_into(static_cast<std::size_t>(rng.uniform_int(0, 2)), state).done;
     if (!done) {
       EXPECT_GE(env.soc_frac(), env.hub().battery.soc_min_frac - 1e-9);
       EXPECT_LE(env.soc_frac(), env.hub().battery.soc_max_frac + 1e-9);
@@ -161,7 +173,7 @@ TEST(EctHubEnv, ReserveFloorCoversBlackoutWindow) {
   HubConfig hub = HubConfig::urban("t", 9);
   hub.recovery_hours = 6.0;
   EctHubEnv env(hub, small_env(4));
-  env.reset();
+  reset_state(env);
   const auto& bs = env.bs_power_series();
   double worst = 0.0;
   for (std::size_t t = 0; t + 6 <= bs.size(); ++t) {
@@ -179,11 +191,11 @@ TEST(EctHubEnv, UnshapedRewardMatchesLedger) {
   HubEnvConfig cfg = small_env(2);
   cfg.shaped_reward = false;
   EctHubEnv env(HubConfig::urban("t", 10), cfg);
-  env.reset();
+  std::vector<double> state = reset_state(env);
   double acc = 0.0;
   bool done = false;
   while (!done) {
-    const auto r = env.step(1);
+    const StepOutcome r = env.step_into(1, state);
     acc += r.reward;
     done = r.done;
   }
@@ -197,14 +209,14 @@ TEST(EctHubEnv, ShapedRewardIsProfitDeltaVsIdle) {
   HubEnvConfig cfg = small_env(2);
   EctHubEnv env_active(hub, cfg);
   EctHubEnv env_idle(hub, cfg);
-  env_active.reset();
-  env_idle.reset();
+  std::vector<double> active_state = reset_state(env_active);
+  std::vector<double> idle_state = reset_state(env_idle);
   double shaped_acc = 0.0;
   bool done = false;
   while (!done) {
-    const auto r = env_active.step(2);  // discharge whenever possible
+    const StepOutcome r = env_active.step_into(2, active_state);  // discharge whenever possible
     shaped_acc += r.reward;
-    done = env_idle.step(0).done && r.done;
+    done = env_idle.step_into(0, idle_state).done && r.done;
   }
   const double true_delta =
       env_active.ledger().total_profit() - env_idle.ledger().total_profit();
@@ -213,10 +225,10 @@ TEST(EctHubEnv, ShapedRewardIsProfitDeltaVsIdle) {
 
 TEST(EctHubEnv, IdleShapedRewardIsZero) {
   EctHubEnv env(HubConfig::rural("t", 1011), small_env(1));
-  env.reset();
+  std::vector<double> state = reset_state(env);
   bool done = false;
   while (!done) {
-    const auto r = env.step(0);
+    const StepOutcome r = env.step_into(0, state);
     EXPECT_DOUBLE_EQ(r.reward, 0.0);
     done = r.done;
   }
@@ -230,18 +242,18 @@ TEST(EctHubEnv, DiscountsIncreaseChargingRevenue) {
 
   HubEnvConfig no_disc = small_env(20);
   EctHubEnv env_a(hub, no_disc);
-  env_a.reset();
+  std::vector<double> state_a = reset_state(env_a);
   bool done = false;
-  while (!done) done = env_a.step(0).done;
+  while (!done) done = env_a.step_into(0, state_a).done;
   const double revenue_no = env_a.ledger().total_revenue();
 
   HubEnvConfig with_disc = small_env(20);
   with_disc.discount_by_hour.assign(24, false);
   for (std::size_t h = 18; h < 24; ++h) with_disc.discount_by_hour[h] = true;
   EctHubEnv env_b(hub, with_disc);
-  env_b.reset();
+  std::vector<double> state_b = reset_state(env_b);
   done = false;
-  while (!done) done = env_b.step(0).done;
+  while (!done) done = env_b.step_into(0, state_b).done;
   const double revenue_disc = env_b.ledger().total_revenue();
 
   EXPECT_GT(revenue_disc, revenue_no);
@@ -249,7 +261,7 @@ TEST(EctHubEnv, DiscountsIncreaseChargingRevenue) {
 
 TEST(EctHubEnv, StateChannelsAreNormalized) {
   EctHubEnv env(HubConfig::rural("t", 12), small_env());
-  const auto state = env.reset();
+  const auto state = reset_state(env);
   for (double s : state) {
     EXPECT_TRUE(std::isfinite(s));
     EXPECT_GE(s, -2.0);
@@ -307,7 +319,7 @@ TEST(EctHubEnvGolden, FixedSeedPinsEpisodeSeries) {
   HubEnvConfig cfg;
   cfg.episode_days = 3;
   EctHubEnv env(HubConfig::urban("golden", 4242), cfg);
-  env.reset();
+  reset_state(env);
   ASSERT_EQ(env.slots_per_episode(), 72u);
 
   double rtp_sum = 0.0;
@@ -341,8 +353,8 @@ TEST(EctHubEnvGolden, TwoEnvsSameSeedProduceIdenticalEpisodes) {
   const HubConfig hub = HubConfig::rural("twin", 777);
   EctHubEnv a(hub, cfg);
   EctHubEnv b(hub, cfg);
-  const auto sa = a.reset();
-  const auto sb = b.reset();
+  const auto sa = reset_state(a);
+  const auto sb = reset_state(b);
   EXPECT_EQ(sa, sb);
   for (std::size_t t = 0; t < a.slots_per_episode(); ++t) {
     ASSERT_EQ(a.rtp_at(t), b.rtp_at(t)) << "slot " << t;
@@ -359,9 +371,9 @@ TEST(EctHubEnvGolden, SuccessiveResetsDrawFreshEpisodes) {
   HubEnvConfig cfg;
   cfg.episode_days = 2;
   EctHubEnv env(HubConfig::urban("fresh", 31), cfg);
-  env.reset();
+  std::vector<double> state = reset_state(env);
   const double first_rtp0 = env.rtp_at(0);
-  env.reset();
+  env.reset_into(state);
   EXPECT_NE(env.rtp_at(0), first_rtp0);
 }
 
@@ -376,13 +388,13 @@ TEST(EctHubEnv, EmptyDiscountScheduleMatchesAllFalse) {
   false_cfg.discount_by_hour.assign(24, false);
   EctHubEnv env_empty(hub, empty_cfg);
   EctHubEnv env_false(hub, false_cfg);
-  env_empty.reset();
-  env_false.reset();
+  std::vector<double> state = reset_state(env_empty);
+  reset_state(env_false);
   for (std::size_t t = 0; t < env_empty.slots_per_episode(); ++t) {
     ASSERT_EQ(env_empty.srtp_at(t), env_false.srtp_at(t)) << "slot " << t;
   }
   EXPECT_EQ(env_empty.cs_power_series(), env_false.cs_power_series());
-  EXPECT_NO_THROW(env_empty.step(1));
+  EXPECT_NO_THROW(env_empty.step_into(1, state));
 }
 
 TEST(EctHubEnv, PoliciesRunOnEmptyDiscountEnv) {
@@ -419,40 +431,13 @@ TEST(EctHubEnv, NegativeRecoveryHoursThrowsAtConstruction) {
 
 TEST(EctHubEnv, StepPastEpisodeEndThrows) {
   EctHubEnv env(HubConfig::urban("overrun", 59), small_env(1));
-  env.reset();
+  std::vector<double> state = reset_state(env);
   bool done = false;
-  while (!done) done = env.step(0).done;
-  EXPECT_THROW(env.step(0), std::logic_error);
+  while (!done) done = env.step_into(0, state).done;
+  EXPECT_THROW(env.step_into(0, state), std::logic_error);
   // A reset re-arms the episode.
-  env.reset();
-  EXPECT_NO_THROW(env.step(0));
-}
-
-TEST(EctHubEnv, IntoOverloadsAreBitIdenticalToAllocatingPath) {
-  // Two identically-seeded envs: one driven through reset()/step(), the
-  // other through the allocation-free reset_into()/step_into() fast path.
-  // Observations, rewards and ledger totals must match to the last bit.
-  EctHubEnv alloc_env(HubConfig::urban("into-a", 61), small_env(2));
-  EctHubEnv into_env(HubConfig::urban("into-a", 61), small_env(2));
-
-  std::vector<double> alloc_state = alloc_env.reset();
-  std::vector<double> into_state(into_env.state_dim());
-  into_env.reset_into(into_state);
-  ASSERT_EQ(into_state, alloc_state);
-
-  bool done = false;
-  std::size_t t = 0;
-  while (!done) {
-    const std::size_t action = t++ % 3;
-    rl::StepResult sr = alloc_env.step(action);
-    const StepOutcome out = into_env.step_into(action, into_state);
-    EXPECT_EQ(out.reward, sr.reward);
-    EXPECT_EQ(out.done, sr.done);
-    EXPECT_EQ(into_state, sr.next_state);
-    done = sr.done;
-  }
-  EXPECT_EQ(into_env.ledger().total_profit(), alloc_env.ledger().total_profit());
-  EXPECT_EQ(into_env.ledger().total_revenue(), alloc_env.ledger().total_revenue());
+  env.reset_into(state);
+  EXPECT_NO_THROW(env.step_into(0, state));
 }
 
 TEST(EctHubEnv, IntoOverloadsValidateBufferSize) {
@@ -469,7 +454,7 @@ TEST(EctHubEnv, IntoOverloadsValidateBufferSize) {
 
 TEST(EctHubEnv, ObserveIntoMatchesResetObservation) {
   EctHubEnv env(HubConfig::urban("into-c", 63), small_env(1));
-  const std::vector<double> from_reset = env.reset();
+  const std::vector<double> from_reset = reset_state(env);
   std::vector<double> observed(env.state_dim());
   env.observe_into(observed);
   EXPECT_EQ(observed, from_reset);
@@ -496,18 +481,18 @@ TEST(Profit, LedgerResetClearsTotalsAndDays) {
 //
 // The rule-based policies read the shared observation vector, never the env:
 // these tests drive them exactly the way run_policy / the fleet engine does,
-// tracking the state returned by reset()/step().
+// through the one buffer reset_into()/step_into() write.
 
 TEST(Policies, NoBatteryAlwaysIdles) {
   EctHubEnv env(HubConfig::urban("t", 14), small_env());
-  const std::vector<double> state = env.reset();
+  const std::vector<double> state = reset_state(env);
   policy::NoBatteryPolicy pol;
   EXPECT_EQ(pol.decide(state), 0u);
 }
 
 TEST(Policies, TouChargesOffPeakDischargesPeak) {
   EctHubEnv env(HubConfig::urban("t", 15), small_env());
-  std::vector<double> state = env.reset();
+  std::vector<double> state = reset_state(env);
   policy::TouPolicy pol(env.observation_layout());
   // Walk the first day and collect decisions by hour.
   std::vector<std::size_t> by_hour(24, 99);
@@ -515,9 +500,7 @@ TEST(Policies, TouChargesOffPeakDischargesPeak) {
   while (!done && env.current_slot() < 24) {
     const auto hour = static_cast<std::size_t>(env.hour_of_day(env.current_slot()));
     by_hour[hour] = pol.decide(state);
-    rl::StepResult r = env.step(0);
-    state = std::move(r.next_state);
-    done = r.done;
+    done = env.step_into(0, state).done;
   }
   EXPECT_EQ(by_hour[2], 1u);   // off-peak charge
   EXPECT_EQ(by_hour[18], 2u);  // peak discharge
@@ -545,7 +528,7 @@ TEST(Policies, ForecastChargesCheapHoursDischargesExpensive) {
   // Walk several days so the seasonal price curve is learned, then check the
   // decisions: early-morning trough hours should charge, evening peak hours
   // should discharge.
-  std::vector<double> state = env.reset();
+  std::vector<double> state = reset_state(env);
   pol.begin_episode();
   std::vector<std::size_t> last_day_decision(24, 99);
   bool done = false;
@@ -554,9 +537,7 @@ TEST(Policies, ForecastChargesCheapHoursDischargesExpensive) {
     const auto hour = static_cast<std::size_t>(env.hour_of_day(t));
     const std::size_t a = pol.decide(state);
     if (t >= 9 * 24) last_day_decision[hour] = a;
-    rl::StepResult r = env.step(a);
-    state = std::move(r.next_state);
-    done = r.done;
+    done = env.step_into(a, state).done;
   }
   EXPECT_EQ(last_day_decision[3], 1u);   // night trough: charge
   EXPECT_EQ(last_day_decision[20], 2u);  // evening peak: discharge
@@ -579,7 +560,7 @@ TEST(Policies, ForecastRejectsBadBands) {
 
 TEST(Policies, RandomIsDeterministicPerSeed) {
   EctHubEnv env(HubConfig::urban("t", 17), small_env());
-  const std::vector<double> state = env.reset();
+  const std::vector<double> state = reset_state(env);
   policy::RandomPolicy a(5), b(5);
   for (int i = 0; i < 20; ++i) EXPECT_EQ(a.decide(state), b.decide(state));
 }
@@ -608,10 +589,17 @@ TEST(Fleet, ExportedActorMatchesTrainingPolicyDecisions) {
   rl::ActorCritic trained(ac_cfg, init_rng);
   policy::DrlPolicy deployed(export_actor_checkpoint(trained));
   Rng obs_rng(5);
-  for (int i = 0; i < 50; ++i) {
-    std::vector<double> state(ac_cfg.state_dim);
-    for (double& x : state) x = obs_rng.uniform(0.0, 1.5);
-    EXPECT_EQ(deployed.decide(state), trained.act_greedy(state)) << "state " << i;
+  nn::Matrix states(50, ac_cfg.state_dim);
+  for (double& x : states.data()) x = obs_rng.uniform(0.0, 1.5);
+  rl::ActorCritic::RowsWorkspace ws;
+  const nn::Matrix& logits = *trained.forward_rows(states, 0, states.rows(), ws).logits;
+  for (std::size_t r = 0; r < states.rows(); ++r) {
+    std::size_t argmax = 0;
+    for (std::size_t a = 1; a < logits.cols(); ++a) {
+      if (logits(r, a) > logits(r, argmax)) argmax = a;
+    }
+    const std::span<const double> state(states.data().data() + r * states.cols(), states.cols());
+    EXPECT_EQ(deployed.decide(state), argmax) << "state " << r;
   }
 }
 
@@ -760,22 +748,21 @@ TEST(NnGolden, PpoUpdatePinsCheckpointDigest) {
   rl::RolloutBuffer buffer;
   nn::Rng sample_rng(1306);
   rl::ActorCritic::RowsWorkspace ws;
-  std::vector<double> state = env.reset();
+  std::vector<double> state = reset_state(env);
   bool done = false;
   while (!done) {
     const rl::ActorCritic::Sample s = trainer.policy().act(state, sample_rng);
-    rl::StepResult step = env.step(s.action);
     rl::Transition t;
     t.state = state;
+    const StepOutcome step = env.step_into(s.action, state);
     t.action = s.action;
     t.log_prob = s.log_prob;
     t.reward = step.reward;
     t.value = s.value;
     t.done = step.done;
     t.truncated = step.truncated;
-    if (step.truncated) t.bootstrap_value = trainer.policy().value_of(step.next_state, ws);
+    if (step.truncated) t.bootstrap_value = trainer.policy().value_of(state, ws);
     buffer.add(std::move(t));
-    state = std::move(step.next_state);
     done = step.done;
   }
   ASSERT_EQ(buffer.size(), 48u);
@@ -795,17 +782,17 @@ TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {
   // flag truncated alongside done and hand back a real (finite, in-range)
   // final observation for the critic bootstrap — not a zeroed buffer.
   EctHubEnv env(HubConfig::urban("trunc", 64), small_env(1));
-  env.reset();
-  rl::StepResult last;
+  std::vector<double> state = reset_state(env);
+  StepOutcome last;
   bool done = false;
   while (!done) {
-    last = env.step(1);
+    std::fill(state.begin(), state.end(), 0.0);  // every step must overwrite it
+    last = env.step_into(1, state);
     done = last.done;
   }
   EXPECT_TRUE(last.truncated);
-  ASSERT_EQ(last.next_state.size(), env.state_dim());
   double magnitude = 0.0;
-  for (const double x : last.next_state) {
+  for (const double x : state) {
     EXPECT_TRUE(std::isfinite(x));
     magnitude += std::abs(x);
   }
@@ -814,8 +801,8 @@ TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {
 
 TEST(EctHubEnv, MidEpisodeStepsAreNotTruncated) {
   EctHubEnv env(HubConfig::urban("trunc2", 65), small_env(1));
-  env.reset();
-  const rl::StepResult first = env.step(0);
+  std::vector<double> state = reset_state(env);
+  const StepOutcome first = env.step_into(0, state);
   EXPECT_FALSE(first.done);
   EXPECT_FALSE(first.truncated);
 }

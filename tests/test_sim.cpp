@@ -159,7 +159,8 @@ TEST(ScenarioGolden, FixedSeedPinsEveryPreset) {
     core::HubEnvConfig env_cfg = scenario.env;
     env_cfg.episode_days = 2;
     core::EctHubEnv env(reg.make_hub(g.key, "golden", 4242), env_cfg);
-    env.reset();
+    std::vector<double> state(env.state_dim());
+    env.reset_into(state);
     ASSERT_EQ(env.slots_per_episode(), 48u) << g.key;
     double rtp = 0.0, srtp = 0.0;
     for (std::size_t t = 0; t < 48; ++t) {
