@@ -25,7 +25,7 @@ double mean_profit(ecthub::core::EctHubEnv& env, ecthub::policy::Policy& pol,
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto episodes = static_cast<std::size_t>(flags.get_int("episodes", 5));
+  const std::size_t episodes = flags.get_size("episodes", 5);
 
   std::cout << "=== Ablation: scheduler, renewables and reserve choices ===\n\n";
 
@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   // Small pack so the blackout-reserve floor actually constrains cycling.
   hub.battery.capacity_kwh = 50.0;
   core::HubEnvConfig env_cfg;
-  env_cfg.episode_days = static_cast<std::size_t>(flags.get_int("episode-days", 30));
-  const auto train_iters = static_cast<std::size_t>(flags.get_int("train-iters", 120));
+  env_cfg.episode_days = flags.get_size("episode-days", 30);
+  const std::size_t train_iters = flags.get_size("train-iters", 120);
   flags.check_unknown();
   // A mild always-evening discount schedule so the charging station is active.
   env_cfg.discount_by_hour.assign(24, false);

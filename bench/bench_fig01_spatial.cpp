@@ -15,8 +15,8 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto stations = static_cast<std::size_t>(flags.get_int("stations", 2500));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const std::size_t stations = flags.get_size("stations", 2500);
+  const std::uint64_t seed = flags.get_size("seed", 7);
   flags.check_unknown();
 
   std::cout << "=== Fig. 1: road / base-station spatial overlap ===\n";

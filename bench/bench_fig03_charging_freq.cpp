@@ -14,9 +14,9 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 33));
+  const std::uint64_t seed = flags.get_size("seed", 33);
   ev::DatasetConfig cfg;
-  cfg.num_days = static_cast<std::size_t>(flags.get_int("days", 1095));
+  cfg.num_days = flags.get_size("days", 1095);
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
 

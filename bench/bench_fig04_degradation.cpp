@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto days = static_cast<std::size_t>(flags.get_int("days", 350));
+  const std::size_t days = flags.get_size("days", 350);
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
 

@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 55));
+  const std::uint64_t seed = flags.get_size("seed", 55);
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
 

@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 11: strata prediction of four example stations ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
+  const std::uint64_t seed = flags.get_size("seed", 101);
   const std::string csv_dir = flags.get_string("csv", "");
   flags.check_unknown();
 

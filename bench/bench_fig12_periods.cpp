@@ -10,7 +10,7 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 12: strata distribution of four periods ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
+  const std::uint64_t seed = flags.get_size("seed", 101);
   flags.check_unknown();
 
   causal::EctPriceModel model(setup.price_cfg, Rng(seed + 10));

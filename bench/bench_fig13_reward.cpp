@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 13: total reward of four example hubs ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags, 0.3);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
+  const std::uint64_t seed = flags.get_size("seed", 101);
 
   std::vector<core::HubConfig> fleet = core::default_fleet();
   benchx::align_fleet_with_stations(fleet, setup);

@@ -121,20 +121,20 @@ bool buffers_identical(const std::vector<ecthub::rl::RolloutBuffer>& a,
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto require_positive = [&](const char* name, std::int64_t def) {
-    const std::int64_t v = flags.get_int(name, def);
-    if (v <= 0) {
+  const auto require_positive = [&](const char* name, std::size_t def) {
+    const std::size_t v = flags.get_size(name, def);
+    if (v == 0) {
       std::cerr << "bench_fleet: --" << name << " must be >= 1\n";
       std::exit(1);
     }
-    return static_cast<std::size_t>(v);
+    return v;
   };
   const std::size_t hubs = require_positive("hubs", 64);
   const std::size_t days = require_positive("days", 4);
   const std::size_t episodes = require_positive("episodes", 1);
   const std::size_t drl_iters = require_positive("drl-iters", 3);
   const std::size_t inference_reps = require_positive("inference-reps", 200);
-  const auto base_seed = static_cast<std::uint64_t>(flags.get_int("base-seed", 7));
+  const std::uint64_t base_seed = flags.get_size("base-seed", 7);
   const std::vector<std::size_t> thread_list =
       parse_thread_list(flags.get_string("threads-list", "1,2,4,8"));
   flags.check_unknown();

@@ -122,9 +122,9 @@ CellResult run_cell(const std::shared_ptr<policy::Policy>& policy,
 
 int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
-  const auto requests = static_cast<std::size_t>(flags.get_int("requests", 2000));
-  const auto max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 32));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 7));
+  const std::size_t requests = flags.get_size("requests", 2000);
+  const std::size_t max_batch = flags.get_size("max-batch", 32);
+  const std::uint64_t seed = flags.get_size("seed", 7);
   const std::vector<std::size_t> clients_list =
       parse_size_list(flags.get_string("clients-list", "1,4,16"));
   const std::vector<std::size_t> wait_list =

@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   std::cout << "=== Table II: performance evaluation of ECT-Price ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
+  const std::uint64_t seed = flags.get_size("seed", 101);
 
   // Train each method once; the discount fraction only affects scoring.
-  const auto ensemble = static_cast<std::size_t>(flags.get_int("ensemble", 3));
+  const std::size_t ensemble = flags.get_size("ensemble", 3);
   const double budget_frac = flags.get_double("budget-frac", 0.10);
   flags.check_unknown();
   std::cout << "training ECT-Price (ensemble of " << ensemble << ")...\n";

@@ -11,8 +11,8 @@ int main(int argc, char** argv) {
   const CliFlags flags(argc, argv);
   std::cout << "=== Table III: average daily rewards for 12 ECT-Hubs ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags, 0.3);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
-  const auto num_hubs = static_cast<std::size_t>(flags.get_int("hubs", 12));
+  const std::uint64_t seed = flags.get_size("seed", 101);
+  const std::size_t num_hubs = flags.get_size("hubs", 12);
 
   std::vector<core::HubConfig> fleet = core::default_fleet();
   benchx::align_fleet_with_stations(fleet, setup);

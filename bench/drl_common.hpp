@@ -76,17 +76,16 @@ inline MethodSchedules train_pricing_stage(const EctPriceSetup& setup, std::size
 ///   --ppo-episodes (6 per iteration)
 inline core::DrlFleetTrainConfig make_drl_config(const CliFlags& flags) {
   core::DrlFleetTrainConfig cfg;
-  cfg.env.episode_days = static_cast<std::size_t>(flags.get_int("episode-days", 30));
+  cfg.env.episode_days = flags.get_size("episode-days", 30);
   cfg.env.discount_fraction = flags.get_double("discount", 0.2);
-  cfg.ppo.episodes_per_iteration =
-      static_cast<std::size_t>(flags.get_int("ppo-episodes", 6));
-  cfg.iterations = static_cast<std::size_t>(flags.get_int("train-iters", 12));
+  cfg.ppo.episodes_per_iteration = flags.get_size("ppo-episodes", 6);
+  cfg.iterations = flags.get_size("train-iters", 12);
   return cfg;
 }
 
 /// Greedy test episodes per trained actor: --test-episodes (3).
 inline std::size_t test_episodes(const CliFlags& flags) {
-  return static_cast<std::size_t>(flags.get_int("test-episodes", 3));
+  return flags.get_size("test-episodes", 3);
 }
 
 /// Aligns each fleet hub's EV behaviour with the dataset station whose

@@ -36,10 +36,10 @@ inline EctPriceSetup make_setup(const CliFlags& flags,
                                 double default_confounder = ev::DatasetConfig{}.demand_sigma) {
   EctPriceSetup s;
   ev::DatasetConfig dcfg;
-  dcfg.num_stations = static_cast<std::size_t>(flags.get_int("stations", 12));
-  dcfg.num_days = static_cast<std::size_t>(flags.get_int("days", 200));
+  dcfg.num_stations = flags.get_size("stations", 12);
+  dcfg.num_days = flags.get_size("days", 200);
   dcfg.demand_sigma = flags.get_double("confounder", default_confounder);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 101));
+  const std::uint64_t seed = flags.get_size("seed", 101);
   const ev::ChargingDataset dataset(dcfg, Rng(seed));
   const auto split = dataset.split(0.8);
   s.train = causal::encode(split.train);
@@ -48,14 +48,13 @@ inline EctPriceSetup make_setup(const CliFlags& flags,
 
   causal::NcfConfig ncf;
   ncf.num_stations = dcfg.num_stations;
-  ncf.embedding_dim = static_cast<std::size_t>(flags.get_int("embedding", 16));
-  const auto epochs = static_cast<std::size_t>(flags.get_int("epochs", 10));
+  ncf.embedding_dim = flags.get_size("embedding", 16);
+  const std::size_t epochs = flags.get_size("epochs", 10);
   s.price_cfg.ncf = ncf;
   // The multi-task stratification objective (products of heads under MSE)
   // converges more slowly than the baselines' direct regressions, so
   // ECT-Price trains longer by default (override with --price-epochs).
-  s.price_cfg.epochs =
-      static_cast<std::size_t>(flags.get_int("price-epochs", static_cast<int>(epochs * 3)));
+  s.price_cfg.epochs = flags.get_size("price-epochs", epochs * 3);
   s.uplift_cfg.ncf = ncf;
   s.uplift_cfg.epochs = epochs;
 

@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto trials = static_cast<std::size_t>(flags.get_int("trials", 500));
+  const std::size_t trials = flags.get_size("trials", 500);
   const double recovery_h = flags.get_double("recovery-hours", 4.0);
   flags.check_unknown();
 

@@ -186,24 +186,22 @@ int main(int argc, char** argv) {
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
   const bool list_mode = flags.get_bool("list");
 
-  const auto require_positive = [&](const char* name, std::int64_t def) {
-    const std::int64_t v = flags.get_int(name, def);
-    if (v <= 0) {
+  const auto require_positive = [&](const char* name, std::size_t def) {
+    const std::size_t v = flags.get_size(name, def);
+    if (v == 0) {
       std::cerr << "city_sweep: --" << name << " must be >= 1\n";
       std::exit(1);
     }
-    return static_cast<std::size_t>(v);
+    return v;
   };
   const std::size_t hubs_per_scenario = require_positive("hubs-per-scenario", 2);
   const std::size_t days = require_positive("days", 7);
   const std::size_t episodes = require_positive("episodes", 1);
   const std::size_t drl_iters = require_positive("drl-iters", 4);
   const std::size_t drl_hubs = require_positive("drl-hubs", 1);
-  const auto drl_threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, flags.get_int("drl-threads", 1)));  // 0 = hardware concurrency
-  const auto threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, flags.get_int("threads", 0)));  // 0 = hardware concurrency
-  const auto base_seed = static_cast<std::uint64_t>(flags.get_int("base-seed", 7));
+  const std::size_t drl_threads = flags.get_size("drl-threads", 1);  // 0 = hardware concurrency
+  const std::size_t threads = flags.get_size("threads", 0);  // 0 = hardware concurrency
+  const std::uint64_t base_seed = flags.get_size("base-seed", 7);
   const bool metro_mode = flags.has("metro");
   const std::size_t metro_hubs = metro_mode ? require_positive("metro", 0) : 0;
   if (metro_mode && metro_hubs < 2) {
@@ -214,8 +212,8 @@ int main(int argc, char** argv) {
   // path, so it implies --lockstep; a coupled metro *requires* lockstep.
   const bool lockstep =
       flags.get_bool("lockstep") || flags.has("lockstep-threads") || metro_mode;
-  const auto lockstep_threads = static_cast<std::size_t>(std::max<std::int64_t>(
-      0, flags.get_int("lockstep-threads", 1)));  // 0 = hardware concurrency
+  const std::size_t lockstep_threads =
+      flags.get_size("lockstep-threads", 1);  // 0 = hardware concurrency
 
   const std::string scheduler_arg = flags.get_string("scheduler", "tou");
   std::vector<sim::SchedulerKind> kinds;

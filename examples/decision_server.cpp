@@ -39,10 +39,10 @@ std::uint64_t steady_now_us() {
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto clients = static_cast<std::size_t>(flags.get_int("clients", 4));
-  const auto requests = static_cast<std::size_t>(flags.get_int("requests", 64));
-  const auto max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 8));
-  const auto wait_us = static_cast<std::uint64_t>(flags.get_int("wait-us", 200));
+  const std::size_t clients = flags.get_size("clients", 4);
+  const std::size_t requests = flags.get_size("requests", 64);
+  const std::size_t max_batch = flags.get_size("max-batch", 8);
+  const std::uint64_t wait_us = flags.get_size("wait-us", 200);
   flags.check_unknown();
 
   // The policy under service: one shared stateless ECT-DRL actor.

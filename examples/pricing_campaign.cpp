@@ -14,11 +14,11 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto station = static_cast<std::size_t>(flags.get_int("station", 0));
+  const std::size_t station = flags.get_size("station", 0);
 
   ev::DatasetConfig dcfg;
-  dcfg.num_days = static_cast<std::size_t>(flags.get_int("days", 120));
-  const auto epochs = static_cast<std::size_t>(flags.get_int("epochs", 2));
+  dcfg.num_days = flags.get_size("days", 120);
+  const std::size_t epochs = flags.get_size("epochs", 2);
   const double discount_fraction = flags.get_double("discount", 0.2);
   flags.check_unknown();
   std::cout << "generating charging history (" << dcfg.num_stations << " stations x "

@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto episodes = static_cast<std::size_t>(flags.get_int("episodes", 5));
+  const std::size_t episodes = flags.get_size("episodes", 5);
   flags.check_unknown();
 
   core::HubEnvConfig env_cfg;

@@ -16,8 +16,8 @@
 int main(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const auto train_iters = static_cast<std::size_t>(flags.get_int("train-iters", 60));
-  const auto episodes = static_cast<std::size_t>(flags.get_int("episodes", 4));
+  const std::size_t train_iters = flags.get_size("train-iters", 60);
+  const std::size_t episodes = flags.get_size("episodes", 4);
   flags.check_unknown();
 
   core::HubConfig hub = core::HubConfig::urban("UrbanHub", 11);

@@ -1,6 +1,9 @@
 #include "common/cli.hpp"
 
+#include "common/parse.hpp"
+
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
 namespace ecthub {
@@ -42,25 +45,16 @@ std::string CliFlags::get_string(const std::string& name, std::string def) const
   return it == values_.end() ? std::move(def) : it->second;
 }
 
-std::int64_t CliFlags::get_int(const std::string& name, std::int64_t def) const {
+std::size_t CliFlags::get_size(const std::string& name, std::size_t def) const {
   consumed_.insert(name);
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  std::size_t parsed = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(it->second, &parsed);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" + it->second +
-                                "'");
+  const std::optional<std::size_t> value = parse_size(it->second);
+  if (!value) {
+    throw std::invalid_argument("flag --" + name + " expects a non-negative integer, got '" +
+                                it->second + "'");
   }
-  // std::stoll("4abc") stops at the first non-digit and yields 4; the whole
-  // value must be the number, so a mistyped flag value cannot half-parse.
-  if (parsed != it->second.size()) {
-    throw std::invalid_argument("flag --" + name + " expects an integer, got '" + it->second +
-                                "' (trailing garbage)");
-  }
-  return value;
+  return *value;
 }
 
 double CliFlags::get_double(const std::string& name, double def) const {

@@ -6,10 +6,11 @@
 // — called by each binary once all flags have been read — throws listing any
 // parsed flag nothing ever asked for (`--lockstep-treads 4` must not silently
 // run defaults).  The numeric accessors are strict: the whole value must
-// parse, so `--threads 4abc` fails instead of reading 4.
+// parse, so `--threads 4abc` fails instead of reading 4, and a count takes
+// only plain digits, so `--episodes -1` fails instead of wrapping to 2^64-1.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <set>
@@ -25,12 +26,14 @@ class CliFlags {
 
   [[nodiscard]] bool has(const std::string& name) const;
 
-  /// Typed accessors return the default when the flag is absent.  get_int and
-  /// get_double require the full value to parse — trailing garbage ("4abc")
-  /// throws std::invalid_argument instead of truncating — and get_double
-  /// rejects "nan", "inf" and "infinity" the same way.
+  /// Typed accessors return the default when the flag is absent.  get_size
+  /// and get_double require the full value to parse — trailing garbage
+  /// ("4abc") throws std::invalid_argument instead of truncating.  get_size
+  /// (counts, indices, seeds) takes only a run of decimal digits that fits in
+  /// std::size_t (common/parse.hpp's parse_size): "-1", "+4", " 4", "0x10"
+  /// and "1e3" throw.  get_double rejects "nan", "inf" and "infinity".
   [[nodiscard]] std::string get_string(const std::string& name, std::string def) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const;
 

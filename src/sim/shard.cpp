@@ -1,9 +1,12 @@
 #include "sim/shard.hpp"
 
+#include "common/parse.hpp"
+
 #include <algorithm>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ecthub::sim {
 
@@ -29,34 +32,21 @@ ShardPlan plan_shard(std::size_t job_count, std::size_t shard_index,
 }
 
 std::pair<std::size_t, std::size_t> parse_shard_spec(const std::string& spec) {
-  const auto malformed = [&spec]() {
-    return std::invalid_argument("parse_shard_spec: expected i/n (e.g. 0/4), got '" + spec +
-                                 "'");
-  };
-  const std::size_t slash = spec.find('/');
-  if (slash == std::string::npos || spec.find('/', slash + 1) != std::string::npos) {
-    throw malformed();
+  const std::string_view text(spec);
+  const std::size_t slash = text.find('/');
+  // parse_size takes only digits, so a second '/' fails the count side.
+  const std::optional<std::size_t> index =
+      slash == std::string_view::npos ? std::nullopt : parse_size(text.substr(0, slash));
+  const std::optional<std::size_t> count =
+      slash == std::string_view::npos ? std::nullopt : parse_size(text.substr(slash + 1));
+  if (!index || !count) {
+    throw std::invalid_argument("parse_shard_spec: expected i/n (e.g. 0/4), got '" + spec +
+                                "'");
   }
-  // Full-token digit runs on both sides: no signs, whitespace, hex prefixes
-  // or trailing garbage — everything std::stoull silently tolerates.
-  const auto parse_side = [&](std::size_t begin, std::size_t end) {
-    if (begin == end) throw malformed();
-    std::size_t value = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const char c = spec[i];
-      if (c < '0' || c > '9') throw malformed();
-      const auto digit = static_cast<std::size_t>(c - '0');
-      if (value > (std::numeric_limits<std::size_t>::max() - digit) / 10) throw malformed();
-      value = value * 10 + digit;
-    }
-    return value;
-  };
-  const std::size_t index = parse_side(0, slash);
-  const std::size_t count = parse_side(slash + 1, spec.size());
-  if (count == 0 || index >= count) {
+  if (*count == 0 || *index >= *count) {
     throw std::invalid_argument("parse_shard_spec: shard " + spec + " is out of range");
   }
-  return {index, count};
+  return {*index, *count};
 }
 
 std::vector<FleetJob> shard_fleet_jobs(const std::vector<FleetJob>& jobs,

@@ -12,8 +12,10 @@
 #include "common/time_grid.hpp"
 #include "core/hub_config.hpp"
 #include "core/hub_env.hpp"
+#include "core/policy_runner.hpp"
 #include "ev/station.hpp"
 #include "policy/drl_policy.hpp"
+#include "policy/rule_policies.hpp"
 #include "pricing/rtp.hpp"
 #include "pricing/selling.hpp"
 #include "renewables/plant.hpp"
@@ -126,6 +128,39 @@ TEST(AllocationAudit, RuralHubEpisodeAlsoAllocationFree) {
   const std::uint64_t before = allocations();
   run_episode();
   EXPECT_EQ(allocations() - before, 0u);
+}
+
+TEST(AllocationAudit, RunPolicyAllocatesOnlyItsBufferAndResult) {
+  // core::run_policy (Table III, the scheduler ablation, the hub examples)
+  // steps one observation buffer in place.  Once the env and the policy are
+  // warm, a call allocates that buffer and the returned profit vector —
+  // nothing per episode or per slot, under every scheduler family.
+  core::HubEnvConfig env_cfg;
+  env_cfg.episode_days = 2;
+  const policy::ObservationLayout layout{env_cfg.lookback};
+  nn::Rng rng(43);
+  policy::DrlPolicyConfig drl_cfg;
+  drl_cfg.state_dim = layout.dim();
+  policy::DrlPolicy drl(drl_cfg, rng);
+  policy::TouPolicy tou(layout);
+  policy::GreedyPricePolicy greedy(layout);
+  policy::ForecastPolicy forecast(layout);
+  policy::NoBatteryPolicy none;
+  for (policy::Policy* pol : {static_cast<policy::Policy*>(&tou),
+                              static_cast<policy::Policy*>(&greedy),
+                              static_cast<policy::Policy*>(&forecast),
+                              static_cast<policy::Policy*>(&none),
+                              static_cast<policy::Policy*>(&drl)}) {
+    core::EctHubEnv env(core::HubConfig::urban("alloc-run", 993), env_cfg);
+    (void)core::run_policy(env, *pol, 1);  // warm-up
+    for (const std::size_t episodes : {std::size_t{1}, std::size_t{3}}) {
+      const std::uint64_t before = allocations();
+      const std::vector<double> profits = core::run_policy(env, *pol, episodes);
+      const std::uint64_t used = allocations() - before;
+      EXPECT_EQ(used, 2u) << pol->name() << ", " << episodes << " episode(s)";
+      EXPECT_EQ(profits.size(), episodes);
+    }
+  }
 }
 
 TEST(AllocationAudit, WeatherGenerateIntoAllocationFreeAfterWarmup) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -17,7 +19,7 @@ TEST(CliFlagsUnknown, UnconsumedFlagThrowsByName) {
   // defaults because nothing ever asked for the typo'd key.
   const char* argv[] = {"prog", "--lockstep-treads", "4"};
   const CliFlags flags(3, argv);
-  (void)flags.get_int("lockstep-threads", 1);
+  (void)flags.get_size("lockstep-threads", 1);
   try {
     flags.check_unknown();
     FAIL() << "check_unknown accepted an unconsumed flag";
@@ -30,7 +32,7 @@ TEST(CliFlagsUnknown, UnconsumedFlagThrowsByName) {
 TEST(CliFlagsUnknown, ConsumedFlagsPass) {
   const char* argv[] = {"prog", "--alpha", "3", "--beta=x", "--gamma"};
   const CliFlags flags(5, argv);
-  (void)flags.get_int("alpha", 0);
+  (void)flags.get_size("alpha", 0);
   (void)flags.get_string("beta", "");
   (void)flags.get_bool("gamma");
   EXPECT_NO_THROW(flags.check_unknown());
@@ -48,7 +50,7 @@ TEST(CliFlagsUnknown, HasCountsAsConsumption) {
 TEST(CliFlagsUnknown, AbsentFlagReadsDoNotMaskOtherUnknowns) {
   const char* argv[] = {"prog", "--oops", "1"};
   const CliFlags flags(3, argv);
-  (void)flags.get_int("days", 7);  // absent: returns the default
+  (void)flags.get_size("days", 7);  // absent: returns the default
   EXPECT_THROW(flags.check_unknown(), std::invalid_argument);
 }
 
@@ -76,7 +78,7 @@ TEST(CliFlagsUnknown, StrayPositionalsThrowUnlessRead) {
   // to silently run defaults — the same bug class as a typo'd flag name.
   const char* argv[] = {"prog", "stations=2500", "--seed", "7"};
   const CliFlags flags(4, argv);
-  (void)flags.get_int("seed", 0);
+  (void)flags.get_size("seed", 0);
   try {
     flags.check_unknown();
     FAIL() << "check_unknown accepted a stray positional";
@@ -90,7 +92,7 @@ TEST(CliFlagsUnknown, ReadingPositionalsWaivesTheStrayCheck) {
   // A binary that consumes positionals declares so by reading positional().
   const char* argv[] = {"prog", "input.ecsh", "--seed", "7"};
   const CliFlags flags(4, argv);
-  (void)flags.get_int("seed", 0);
+  (void)flags.get_size("seed", 0);
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_NO_THROW(flags.check_unknown());
 }
@@ -99,7 +101,28 @@ TEST(CliFlagsStrict, IntRejectsTrailingGarbage) {
   // std::stoll("4abc") yields 4; the accessor must reject the partial parse.
   const char* argv[] = {"prog", "--threads", "4abc"};
   const CliFlags flags(3, argv);
-  EXPECT_THROW((void)flags.get_int("threads", 1), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_size("threads", 1), std::invalid_argument);
+}
+
+TEST(CliFlagsStrict, SizeRejectsSignsAndSpaces) {
+  // Counts used to go through std::stoll and a cast to an unsigned type, so
+  // `--episodes -1` wrapped to 2^64 - 1 and ran until killed (or died in
+  // vector::reserve).  Only a plain digit run that fits in size_t parses.
+  for (const char* value : {"-4", "+4", " 4", "4 ", "0x10", "1e3", "18446744073709551616"}) {
+    const char* argv[] = {"prog", "--episodes", value};
+    const CliFlags flags(3, argv);
+    try {
+      (void)flags.get_size("episodes", 1);
+      FAIL() << "get_size accepted '" << value << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--episodes"), std::string::npos)
+          << "the error must name the flag: " << e.what();
+    }
+  }
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  const std::string max_text = std::to_string(max);
+  const char* argv[] = {"prog", "--episodes", max_text.c_str()};
+  EXPECT_EQ(CliFlags(3, argv).get_size("episodes", 1), max);
 }
 
 TEST(CliFlagsStrict, DoubleRejectsTrailingGarbage) {
@@ -126,9 +149,9 @@ TEST(CliFlagsStrict, DoubleRejectsNonFinite) {
 }
 
 TEST(CliFlagsStrict, CleanNumbersStillParse) {
-  const char* argv[] = {"prog", "--threads", "-4", "--discount", "0.25", "--rate", "1e3"};
+  const char* argv[] = {"prog", "--threads", "4", "--discount", "0.25", "--rate", "1e3"};
   const CliFlags flags(7, argv);
-  EXPECT_EQ(flags.get_int("threads", 0), -4);
+  EXPECT_EQ(flags.get_size("threads", 0), 4u);
   EXPECT_DOUBLE_EQ(flags.get_double("discount", 0.0), 0.25);
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 1000.0);
   EXPECT_NO_THROW(flags.check_unknown());
@@ -139,7 +162,7 @@ TEST(CliFlagsStrict, BooleanSwitchValueIsNotAnInteger) {
   // integer must fail loud, not yield some truncation of "true".
   const char* argv[] = {"prog", "--n"};
   const CliFlags flags(2, argv);
-  EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_size("n", 0), std::invalid_argument);
 }
 
 }  // namespace

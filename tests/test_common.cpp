@@ -307,7 +307,7 @@ TEST(TextTable, CsvOutput) {
 TEST(CliFlags, ParsesSpaceAndEqualsForms) {
   const char* argv[] = {"prog", "--alpha", "3", "--beta=hello", "--flag"};
   const CliFlags flags(5, argv);
-  EXPECT_EQ(flags.get_int("alpha", 0), 3);
+  EXPECT_EQ(flags.get_size("alpha", 0), 3u);
   EXPECT_EQ(flags.get_string("beta", ""), "hello");
   EXPECT_TRUE(flags.get_bool("flag"));
 }
@@ -315,7 +315,7 @@ TEST(CliFlags, ParsesSpaceAndEqualsForms) {
 TEST(CliFlags, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   const CliFlags flags(1, argv);
-  EXPECT_EQ(flags.get_int("missing", 9), 9);
+  EXPECT_EQ(flags.get_size("missing", 9), 9u);
   EXPECT_DOUBLE_EQ(flags.get_double("missing", 1.5), 1.5);
   EXPECT_FALSE(flags.get_bool("missing"));
 }
@@ -323,7 +323,7 @@ TEST(CliFlags, DefaultsWhenAbsent) {
 TEST(CliFlags, BadIntegerThrows) {
   const char* argv[] = {"prog", "--n", "abc"};
   const CliFlags flags(3, argv);
-  EXPECT_THROW((void)flags.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_size("n", 0), std::invalid_argument);
 }
 
 TEST(CliFlags, PositionalArguments) {
