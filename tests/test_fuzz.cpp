@@ -1,9 +1,9 @@
-// Deterministic mutation fuzzing of every binary parser: shard files
+// Deterministic mutation fuzzing of every input parser.  Binary: shard files
 // (sim::parse_shard), DRL checkpoint files (DrlCheckpoint::parse, then a
 // DrlPolicy built from the result) and bare nn parameter blobs
-// (nn::load_parameters).
+// (nn::load_parameters).  Text: CliFlags::get_size and sim::parse_shard_spec.
 //
-// A seeded Rng drives a fixed budget of cases per format.  Each case applies
+// A seeded Rng drives a fixed budget of cases per format.  Each binary case applies
 // one mutation: truncation at a random length, one flipped bit, or an
 // aligned 8-byte field overwritten with 2^32, 2^40 or UINT64_MAX.  For the
 // two sealed formats every other case mutates one section's payload and
@@ -11,11 +11,20 @@
 // not only the checksum.  Every case must parse or throw a binio::Error
 // (DrlPolicyConfig's std::invalid_argument for a zero width is accepted
 // too); a bad_alloc, a length_error or a sanitizer report fails the test.
+//
+// Each text case inserts, deletes or replaces one to three characters drawn
+// from digits, '/', '-', '+', ' ', 'x' and 'e' — what a lenient number
+// parser half-accepts.  Every case must return or throw
+// std::invalid_argument, and a returned value must be what the text spells:
+// a non-empty digit run for get_size, digits/digits with index < count for
+// parse_shard_spec.
 #include "common/binio.hpp"
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
 #include "nn/serialize.hpp"
 #include "policy/drl_policy.hpp"
+#include "sim/shard.hpp"
 #include "sim/shard_io.hpp"
 
 #include <gtest/gtest.h>
@@ -175,6 +184,81 @@ TEST(ParserFuzz, ParameterBlob) {
   std::vector<nn::Parameter> params = model.parameters();
   fuzz(pristine, nullptr, 303,
        [&params](std::string_view bytes) { nn::load_parameters(bytes, params); });
+}
+
+// ------------------------------------------------------------ text parsers
+
+constexpr std::string_view kTextAlphabet = "0123456789/-+ xe";
+
+// Inserts, deletes or replaces one to three characters of `text`.
+void mutate_text(std::string& text, Rng& rng) {
+  for (std::size_t edits = 1 + pick(rng, 3); edits > 0; --edits) {
+    const char c = kTextAlphabet[pick(rng, kTextAlphabet.size())];
+    switch (text.empty() ? 0 : pick(rng, 3)) {
+      case 0: text.insert(pick(rng, text.size() + 1), 1, c); break;
+      case 1: text.erase(pick(rng, text.size()), 1); break;
+      default: text[pick(rng, text.size())] = c; break;
+    }
+  }
+}
+
+// The oracle: `text` is a non-empty ASCII digit run whose value is `value`
+// (leading zeros allowed).
+bool spells(std::string_view text, std::size_t value) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string_view::npos) {
+    return false;
+  }
+  const std::size_t first = text.find_first_not_of('0');
+  const std::string_view digits = first == std::string_view::npos ? "0" : text.substr(first);
+  return digits == std::to_string(value);
+}
+
+// Runs kCasesPerFormat mutated copies of `seeds` through `parse`, which
+// checks what it returns against the oracle.  Both outcomes must be common,
+// so the oracle sees accepted values and not only rejections.
+void fuzz_text(const std::vector<std::string>& seeds, std::uint64_t seed,
+               const std::function<void(const std::string&)>& parse) {
+  Rng rng(seed);
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kCasesPerFormat; ++i) {
+    std::string text = seeds[pick(rng, seeds.size())];
+    mutate_text(text, rng);
+    try {
+      parse(text);
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "case " << i << " '" << text << "' escaped as " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, kCasesPerFormat / 10);
+  EXPECT_LT(rejected, kCasesPerFormat - kCasesPerFormat / 10);
+}
+
+TEST(ParserFuzz, CliFlags) {
+  fuzz_text({"4", "120", "0", "007", "18446744073709551615", "-1"}, 404,
+            [](const std::string& text) {
+              const std::string arg = "--n=" + text;
+              const char* argv[] = {"prog", arg.c_str()};
+              const std::size_t value = CliFlags(2, argv).get_size("n", 0);
+              if (!spells(text, value)) {
+                ADD_FAILURE() << "get_size read '" << text << "' as " << value;
+              }
+            });
+}
+
+TEST(ParserFuzz, ShardSpec) {
+  fuzz_text({"0/4", "3/4", "11/12", "0/1", "18446744073709551614/18446744073709551615"}, 505,
+            [](const std::string& text) {
+              const auto [index, count] = sim::parse_shard_spec(text);
+              const std::size_t slash = text.find('/');
+              const std::string_view view(text);
+              if (slash == std::string::npos || !spells(view.substr(0, slash), index) ||
+                  !spells(view.substr(slash + 1), count) || index >= count) {
+                ADD_FAILURE() << "parse_shard_spec read '" << text << "' as " << index << "/"
+                              << count;
+              }
+            });
 }
 
 }  // namespace
