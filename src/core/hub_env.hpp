@@ -103,7 +103,7 @@ class EctHubEnv final : public rl::Env {
   EctHubEnv(HubConfig hub, HubEnvConfig env_cfg);
 
   // ---- Stepping -----------------------------------------------------------
-  // Every driver steps one persistent state buffer per hub, so after the
+  // Every caller steps one persistent state buffer per hub, so after the
   // first episode (warm-up) an episode costs zero heap allocations end to
   // end — generators regenerate in place, the observation is written in
   // place, and the battery/ledger live in place.

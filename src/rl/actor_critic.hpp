@@ -9,11 +9,11 @@
 //    batch that backward() differentiates through; backward() validates the
 //    incoming gradient shapes against that cache, so an interleaved stray
 //    forward can no longer silently pair gradients with the wrong batch.
-//  * act_rows()/value_of()/act() — sampling inference over caller (or
-//    member) scratch.  They never touch the training cache, so sampling
-//    actions between forward() and backward() is safe, and disjoint row
-//    blocks of one observation matrix may run on concurrent threads with
-//    distinct workspaces (the vectorized rollout collector's hot path).
+//  * act_rows()/value_of()/act() — inference over caller (or member)
+//    scratch.  They never touch the training cache, so sampling actions
+//    between forward() and backward() is safe, and disjoint row blocks of
+//    one observation matrix may run on concurrent threads with distinct
+//    workspaces (the vectorized rollout collector's hot path).
 //
 // Greedy deployment is not here: core::export_actor_checkpoint hands the
 // actor's weights to policy::DrlPolicy, the one greedy evaluator.

@@ -2,7 +2,7 @@
 //
 // The ECT-Hub environment (src/core/hub_env.hpp) implements this interface;
 // keeping it abstract lets the PPO trainer be unit-tested on toy MDPs.
-// Every driver — the fleet runner, the rollout collector, core::run_policy —
+// Every caller — the fleet runner, the rollout collector, core::run_policy —
 // steps an env through reset_into / step_into over one caller-owned
 // observation buffer, so a step allocates nothing on the interface.
 //

@@ -11,7 +11,7 @@
 //                              shards may have run on other machines)
 //
 // Identity guarantee (pinned by tests/test_shard.cpp and bench_fleet part
-// 7): because shard_fleet_jobs preserves every hub's global id/seed and the
+// 5): because shard_fleet_jobs preserves every hub's global id/seed and the
 // report sums are exact (ExactSum), the merged report is byte-identical in
 // serialized form to the single-process FleetRunner run of the same jobs
 // and config, for any shard count.

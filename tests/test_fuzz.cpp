@@ -3,8 +3,8 @@
 // DrlPolicy built from the result) and bare nn parameter blobs
 // (nn::load_parameters).  Text: CliFlags::get_size and sim::parse_shard_spec.
 //
-// A seeded Rng drives a fixed budget of cases per format.  Each binary case applies
-// one mutation: truncation at a random length, one flipped bit, or an
+// A seeded Rng drives a fixed budget of cases per format.  Each binary case
+// applies one mutation: truncation at a random length, one flipped bit, or an
 // aligned 8-byte field overwritten with 2^32, 2^40 or UINT64_MAX.  For the
 // two sealed formats every other case mutates one section's payload and
 // re-seals it with binio::seal, so the payload parsers see the damage and
