@@ -12,6 +12,15 @@ cmake -B "${PREFIX}" -S . -DECTHUB_WERROR=ON -DECTHUB_EXTRA_WARNINGS=ON \
 cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" --output-on-failure --no-tests=error -j "${JOBS}"
 
+# The NN's bits must not depend on which libm variants glibc dispatches to:
+# rerun the NN goldens, the zoo digests and nn/elementary's suite with the
+# AVX2 and FMA variants masked (what a CPU without them gets).  Not yet the
+# whole suite: the environment's own libm calls and Rng::normal still vary
+# under masking, and so does one training digest built on them.
+echo "    masked libm dispatch (glibc.cpu.hwcaps=-AVX2,-FMA)"
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA ctest --test-dir "${PREFIX}" \
+  -R '^(NnGolden|DrlZoo|Elementary)\.' --output-on-failure --no-tests=error -j "${JOBS}"
+
 # Job 2 flips the bench gate on in the same tree, so the module libraries
 # from job 1 are reused and only the bench binaries compile fresh (under the
 # same -Werror + extra-warnings wall).
@@ -67,12 +76,13 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      so three libstdc++-internal false-positive classes are suppressed with
 #      justification (see tools/lint_allowlist.txt header and README "Static
 #      analysis"); every other -Wanalyzer-* check is a hard error;
-#  (d) the matmul kernel's no-fusion contract (it rounds every multiply and
-#      every add, see src/nn/matrix.hpp): src/nn/matrix.cpp is compiled
-#      again with job 1's own command from compile_commands.json plus -mfma,
-#      which lets the compiler fuse wherever the build's flags allow it, and
-#      that object must contain no fused multiply-add (vfmadd).
-echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + matmul codegen"
+#  (d) the no-fusion contract of the NN kernels (they round every multiply
+#      and every add, see src/nn/matrix.hpp and src/nn/elementary.hpp):
+#      src/nn/matrix.cpp and src/nn/elementary.cpp are compiled again with
+#      job 1's own commands from compile_commands.json plus -mfma, which lets
+#      the compiler fuse wherever the build's flags allow it, and neither
+#      object may contain a fused multiply-add (vfmadd).
+echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + NN kernel codegen"
 cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
@@ -86,20 +96,22 @@ for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp; do
 done
 echo "    analyzer pass clean over common/nn/battery/weather"
 
-MATRIX_FMA_O="${PREFIX}/matrix-mfma-check.o"
-python3 - "${PREFIX}/compile_commands.json" "${MATRIX_FMA_O}" <<'EOF'
+for src in src/nn/matrix.cpp src/nn/elementary.cpp; do
+  FMA_O="${PREFIX}/$(basename "${src}" .cpp)-mfma-check.o"
+  python3 - "${PREFIX}/compile_commands.json" "${src}" "${FMA_O}" <<'EOF'
 import json, os, shlex, subprocess, sys
 entries = json.load(open(sys.argv[1]))
-entry = next(e for e in entries if e["file"].endswith("src/nn/matrix.cpp"))
+entry = next(e for e in entries if e["file"].endswith(sys.argv[2]))
 args = shlex.split(entry["command"])
-args[args.index("-o") + 1] = os.path.abspath(sys.argv[2])
+args[args.index("-o") + 1] = os.path.abspath(sys.argv[3])
 subprocess.run(args + ["-mfma"], cwd=entry["directory"], check=True)
 EOF
-if objdump -d "${MATRIX_FMA_O}" | grep -q vfmadd; then
-  echo "FAIL: src/nn/matrix.cpp built with -mfma contains a fused multiply-add (vfmadd)" >&2
-  exit 1
-fi
-echo "    src/nn/matrix.cpp built with -mfma: no vfmadd"
+  if objdump -d "${FMA_O}" | grep -q vfmadd; then
+    echo "FAIL: ${src} built with -mfma contains a fused multiply-add (vfmadd)" >&2
+    exit 1
+  fi
+  echo "    ${src} built with -mfma: no vfmadd"
+done
 
 # Job 6 runs the benchmark smoke: every workload tiny, untraced and traced.
 # The traced runs replay run_lockstep and run_job through perfbench's own

@@ -1,12 +1,13 @@
 #include "nn/layers.hpp"
 
+#include "nn/elementary.hpp"
+
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::nn {
 
-double sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+double sigmoid(double x) { return 1.0 / (1.0 + elementary::exp(-x)); }
 
 Dense::Dense(std::size_t in_dim, std::size_t out_dim, Rng& rng, std::string name)
     : name_(std::move(name)),
@@ -91,7 +92,7 @@ std::vector<Parameter> Embedding::parameters() {
 Matrix ActivationLayer::forward(const Matrix& x) {
   Matrix y = x;
   forward_inplace(y);
-  cached_x_ = x;
+  cached_y_ = y;
   return y;
 }
 
@@ -104,7 +105,7 @@ void ActivationLayer::forward_inplace(Matrix& x) const {
       for (double& v : x.data()) v = sigmoid(v);
       return;
     case Activation::kTanh:
-      for (double& v : x.data()) v = std::tanh(v);
+      elementary::tanh_inplace(x.data());
       return;
     case Activation::kIdentity:
       return;
@@ -113,24 +114,16 @@ void ActivationLayer::forward_inplace(Matrix& x) const {
 }
 
 Matrix ActivationLayer::backward(const Matrix& dy) const {
-  if (cached_x_.empty()) throw std::logic_error("ActivationLayer::backward before forward");
+  if (cached_y_.empty()) throw std::logic_error("ActivationLayer::backward before forward");
   Matrix dx(dy.rows(), dy.cols());
   for (std::size_t r = 0; r < dy.rows(); ++r) {
     for (std::size_t c = 0; c < dy.cols(); ++c) {
-      const double x = cached_x_(r, c);
+      const double y = cached_y_(r, c);
       double g = 1.0;
       switch (kind_) {
-        case Activation::kRelu: g = x > 0.0 ? 1.0 : 0.0; break;
-        case Activation::kSigmoid: {
-          const double s = sigmoid(x);
-          g = s * (1.0 - s);
-          break;
-        }
-        case Activation::kTanh: {
-          const double th = std::tanh(x);
-          g = 1.0 - th * th;
-          break;
-        }
+        case Activation::kRelu: g = y > 0.0 ? 1.0 : 0.0; break;
+        case Activation::kSigmoid: g = y * (1.0 - y); break;
+        case Activation::kTanh: g = 1.0 - y * y; break;
         case Activation::kIdentity: g = 1.0; break;
       }
       dx(r, c) = dy(r, c) * g;
@@ -158,7 +151,7 @@ void softmax_row_into(const Matrix& logits, std::size_t row, std::vector<double>
   for (std::size_t c = 1; c < cols; ++c) mx = std::max(mx, logits(row, c));
   double denom = 0.0;
   for (std::size_t c = 0; c < cols; ++c) {
-    out[c] = std::exp(logits(row, c) - mx);
+    out[c] = elementary::exp(logits(row, c) - mx);
     denom += out[c];
   }
   for (std::size_t c = 0; c < cols; ++c) out[c] /= denom;

@@ -89,14 +89,16 @@ class Embedding {
 
 enum class Activation { kRelu, kSigmoid, kTanh, kIdentity };
 
-/// Stateless-parameter activation layer (caches pre-activation input).
+/// Stateless-parameter activation layer.  forward caches its output y, and
+/// backward reads the local derivative from it: 1 - y^2 (tanh), y (1 - y)
+/// (sigmoid), y > 0 (ReLU) — the same bits as recomputing the activation.
 class ActivationLayer {
  public:
   explicit ActivationLayer(Activation kind) : kind_(kind) {}
 
   Matrix forward(const Matrix& x);
-  /// Inference-only: applies the activation in place without caching the
-  /// pre-activation input (thread-safe const); same values as forward(x).
+  /// Inference-only: applies the activation in place without caching
+  /// anything (thread-safe const); same values as forward(x).
   void forward_inplace(Matrix& x) const;
   Matrix backward(const Matrix& dy) const;
 
@@ -104,7 +106,7 @@ class ActivationLayer {
 
  private:
   Activation kind_;
-  Matrix cached_x_;
+  Matrix cached_y_;
 };
 
 /// Row-wise softmax (numerically stabilized).

@@ -1,7 +1,8 @@
 #include "nn/loss.hpp"
 
+#include "nn/elementary.hpp"
+
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::nn {
@@ -32,7 +33,7 @@ std::pair<double, Matrix> bce_loss(const Matrix& prob, const Matrix& target) {
   for (std::size_t i = 0; i < prob.data().size(); ++i) {
     const double p = std::clamp(prob.data()[i], kEps, 1.0 - kEps);
     const double y = target.data()[i];
-    loss += -(y * std::log(p) + (1.0 - y) * std::log(1.0 - p));
+    loss += -(y * elementary::log(p) + (1.0 - y) * elementary::log(1.0 - p));
     grad.data()[i] = (p - y) / (p * (1.0 - p)) / n;
   }
   return {loss / n, grad};

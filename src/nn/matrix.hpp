@@ -11,7 +11,7 @@
 // its a(i, k) * b(k, j) terms for k ascending, one rounding per multiply and
 // one per add, whatever the shape or tile — the property that lets a
 // batched fleet GEMM reproduce per-hub matrix-vector forwards exactly
-// (tests/test_nn.cpp pins it over a randomized shape sweep).  matrix.cpp
+// (tests/test_nn.cpp pins it over a randomized shape sweep).  The project
 // builds with -ffp-contract=off so that no build fuses the multiply-add.
 // The right-hand operand must be finite: zero entries of the left one are
 // multiplied, not skipped, and 0 * inf is NaN (load_parameters rejects

@@ -1,5 +1,7 @@
 #include "nn/optimizer.hpp"
 
+#include "nn/elementary.hpp"
+
 #include <cmath>
 #include <stdexcept>
 
@@ -26,8 +28,8 @@ void Adam::step(std::vector<Parameter>& params) {
     const double norm = std::sqrt(norm_sq);
     if (norm > cfg_.grad_clip) scale = cfg_.grad_clip / norm;
   }
-  const double bc1 = 1.0 - std::pow(cfg_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(cfg_.beta2, static_cast<double>(t_));
+  const double bc1 = 1.0 - elementary::powi(cfg_.beta1, t_);
+  const double bc2 = 1.0 - elementary::powi(cfg_.beta2, t_);
   for (auto& p : params) {
     if (p.value == nullptr || p.grad == nullptr) throw std::invalid_argument("Adam: null param");
     auto& slot = slots_[p.value];

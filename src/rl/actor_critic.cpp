@@ -1,7 +1,8 @@
 #include "rl/actor_critic.hpp"
 
+#include "nn/elementary.hpp"
+
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::rl {
@@ -106,7 +107,7 @@ void ActorCritic::act_rows(const nn::Matrix& states, std::size_t row_begin,
     nn::softmax_row_into(*fwd.logits, i, ws.probs);
     Sample s;
     s.action = rngs[r].categorical(ws.probs);
-    s.log_prob = std::log(std::max(ws.probs[s.action], 1e-12));
+    s.log_prob = nn::elementary::log(std::max(ws.probs[s.action], 1e-12));
     s.value = (*fwd.values)(i, 0);
     out[r] = s;
   }

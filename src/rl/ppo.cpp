@@ -1,7 +1,8 @@
 #include "rl/ppo.hpp"
 
+#include "nn/elementary.hpp"
+
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -55,7 +56,7 @@ PpoUpdateStats PpoTrainer::update(const RolloutBuffer& buffer) {
         const double adv = targets.advantages[order[start + k]];
         const double ret = targets.returns[order[start + k]];
         const double p_new = std::max(out.probs(k, t.action), 1e-12);
-        const double p_old = std::exp(t.log_prob);
+        const double p_old = nn::elementary::exp(t.log_prob);
         const double ratio = p_new / p_old;  // Eq. 26
         stats.mean_ratio += ratio / dn;
 
@@ -81,8 +82,9 @@ PpoUpdateStats PpoTrainer::update(const RolloutBuffer& buffer) {
         // loss adds beta * (log p + 1) to dL/dp for every action.
         for (std::size_t a = 0; a < out.probs.cols(); ++a) {
           const double p = std::max(out.probs(k, a), 1e-12);
-          stats.entropy -= p * std::log(p) / dn;
-          dprobs(k, a) += cfg_.entropy_coeff * (std::log(p) + 1.0) / dn;
+          const double log_p = nn::elementary::log(p);
+          stats.entropy -= p * log_p / dn;
+          dprobs(k, a) += cfg_.entropy_coeff * (log_p + 1.0) / dn;
         }
       }
 

@@ -116,6 +116,31 @@ TEST(LintDeterminism, NamespaceScopeStaticIsNotAFunctionLocal) {
   EXPECT_TRUE(findings.empty());
 }
 
+/// A fixture's findings as if the file lived at `dir`/<name> in the repo.
+std::vector<Finding> lint_fixture_at(const std::string& dir, const std::string& name) {
+  return ecthub::lint::lint_source(dir + "/" + name, read_file(kFixtureDir + "/" + name));
+}
+
+TEST(LintDeterminism, LibmCallsFlaggedUnderNnAndRl) {
+  for (const std::string dir : {"src/nn", "src/rl", "/work/ecthub/src/nn"}) {
+    const auto findings = lint_fixture_at(dir, "determinism_libm.cpp");
+    EXPECT_EQ(findings.size(), 10u) << dir;
+    EXPECT_EQ(rule_counts(findings)["determinism/libm"], 10) << dir;
+  }
+}
+
+TEST(LintDeterminism, LibmCallsOutsideNnAndRlAreClean) {
+  // The environment's weather, traffic and pricing series still call libm;
+  // the rule covers the NN and RL code only.
+  EXPECT_TRUE(lint_fixture_at("src/weather", "determinism_libm.cpp").empty());
+  EXPECT_TRUE(lint_fixture_at("tests/nn", "determinism_libm.cpp").empty());
+}
+
+TEST(LintClean, ElementaryCallsAreClean) {
+  EXPECT_TRUE(lint_fixture_at("src/nn", "clean_elementary.cpp").empty());
+  EXPECT_TRUE(lint_fixture_at("src/rl", "clean_elementary.cpp").empty());
+}
+
 // ---------------------------------------------------------------------------
 // Hot-path allocation rules
 // ---------------------------------------------------------------------------

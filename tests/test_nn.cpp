@@ -1,6 +1,7 @@
 // Tests for the from-scratch NN library.  Every layer's analytic gradient is
 // verified against central finite differences — the property that keeps the
 // hand-written backprop in ECT-Price and PPO trustworthy.
+#include "nn/elementary.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/matrix.hpp"
@@ -10,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <vector>
 
 namespace ecthub::nn {
 namespace {
@@ -406,6 +411,30 @@ INSTANTIATE_TEST_SUITE_P(AllActivations, ActivationGradTest,
                          ::testing::Values(Activation::kRelu, Activation::kSigmoid,
                                            Activation::kTanh, Activation::kIdentity));
 
+TEST(ActivationLayer, BackwardFromCachedOutputEqualsRecomputedDerivative) {
+  // backward reads the derivative off the cached output; recomputing the
+  // activation from the input must give the same bits.
+  Rng rng(10);
+  const Matrix x = Matrix::randn(6, 7, rng, 9.0);
+  const Matrix dy = Matrix::randn(6, 7, rng);
+  for (const Activation kind : {Activation::kRelu, Activation::kSigmoid, Activation::kTanh,
+                                Activation::kIdentity}) {
+    ActivationLayer act(kind);
+    act.forward(x);
+    const Matrix dx = act.backward(dy);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double v = x.data()[i];
+      double g = 1.0;
+      if (kind == Activation::kRelu) g = v > 0.0 ? 1.0 : 0.0;
+      if (kind == Activation::kSigmoid) g = sigmoid(v) * (1.0 - sigmoid(v));
+      if (kind == Activation::kTanh) {
+        g = 1.0 - elementary::tanh(v) * elementary::tanh(v);
+      }
+      EXPECT_EQ(dx.data()[i], dy.data()[i] * g) << "kind " << static_cast<int>(kind) << " i " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------- MLP
 
 TEST(Mlp, ShapesAndParameterCount) {
@@ -561,6 +590,181 @@ TEST(Softmax, RowIntoRejectsOutOfRangeRow) {
   const Matrix logits(2, 3, 0.0);
   std::vector<double> row;
   EXPECT_THROW(softmax_row_into(logits, 2, row), std::out_of_range);
+}
+
+// ---------------------------------------------------------------- elementary
+
+/// |got - ref| in units of the last place of a double of ref's magnitude
+/// (2^-1074 below the normal range).
+double ulp_error(double got, long double ref) {
+  const int exponent = std::max(std::ilogb(ref), -1022);
+  return static_cast<double>(std::fabs(static_cast<long double>(got) - ref) /
+                             std::ldexp(1.0L, exponent - 52));
+}
+
+std::vector<double> uniform_inputs(double lo, double hi, std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = rng.uniform(lo, hi);
+  return xs;
+}
+
+/// n magnitudes log-spaced over [2^lo, 2^hi], each with both signs.
+std::vector<double> log_spaced_inputs(double lo, double hi, std::size_t n) {
+  std::vector<double> xs;
+  xs.reserve(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i) / static_cast<double>(n - 1);
+    const double x = std::exp2(lo + (hi - lo) * t);
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  return xs;
+}
+
+std::vector<double> concat(std::vector<double> a, const std::vector<double>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+struct Worst {
+  double ulp = 0.0;
+  double at = 0.0;
+};
+
+/// The largest ulp_error of f against ref over xs; a NaN error (f(x) is NaN
+/// where ref is not) counts as the largest.
+template <class F, class Ref>
+Worst worst_ulp(const std::vector<double>& xs, F f, Ref ref) {
+  Worst w;
+  for (const double x : xs) {
+    const double e = ulp_error(f(x), ref(static_cast<long double>(x)));
+    if (!(e <= w.ulp)) w = {e, x};
+  }
+  return w;
+}
+
+/// The tanh sweep: uniform on [-20, 20] and magnitudes down to 2^-60.
+std::vector<double> tanh_sweep() {
+  return concat(uniform_inputs(-20.0, 20.0, 1'000'000, 101),
+                log_spaced_inputs(-60.0, 5.0, 250'000));
+}
+
+TEST(Elementary, TanhWithinTwoUlpOfLongDouble) {
+  const std::vector<double> xs = tanh_sweep();
+  const Worst w = worst_ulp(
+      xs, [](double x) { return elementary::tanh(x); }, [](long double x) { return tanhl(x); });
+  EXPECT_LE(w.ulp, 2.0) << "at x = " << w.at;
+}
+
+TEST(Elementary, ExpWithinTwoUlpOfLongDouble) {
+  // Out to the overflow and underflow thresholds (the lowest results are
+  // subnormal), plus magnitudes down to 2^-60.
+  const std::vector<double> xs =
+      concat(concat(uniform_inputs(-20.0, 20.0, 400'000, 102),
+                    uniform_inputs(-745.13, 709.78, 600'000, 103)),
+             log_spaced_inputs(-60.0, 9.0, 100'000));
+  const Worst w = worst_ulp(
+      xs, [](double x) { return elementary::exp(x); }, [](long double x) { return expl(x); });
+  EXPECT_LE(w.ulp, 2.0) << "at x = " << w.at;
+}
+
+TEST(Elementary, LogWithinTwoUlpOfLongDouble) {
+  // Over (0, 1e300]: log-uniform from the smallest subnormal, uniform on
+  // (0, 2], and 1 +- 2^-k, where log x is small.
+  std::vector<double> xs;
+  for (const double e : uniform_inputs(-1074.0, std::log2(1e300), 800'000, 104)) {
+    xs.push_back(std::exp2(e));
+  }
+  for (const double x : uniform_inputs(0.0, 2.0, 200'000, 105)) xs.push_back(x);
+  for (const double x : log_spaced_inputs(-60.0, -1.0, 50'000)) xs.push_back(1.0 + x);
+  xs.push_back(std::numeric_limits<double>::denorm_min());
+  xs.push_back(1e300);
+  const Worst w = worst_ulp(
+      xs, [](double x) { return elementary::log(x); }, [](long double x) { return logl(x); });
+  EXPECT_LE(w.ulp, 2.0) << "at x = " << w.at;
+}
+
+TEST(Elementary, SpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(elementary::tanh(0.0)), std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(elementary::tanh(-0.0)),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(elementary::tanh(kInf), 1.0);
+  EXPECT_EQ(elementary::tanh(-kInf), -1.0);
+  EXPECT_EQ(elementary::tanh(1e300), 1.0);
+  for (const double nan : {kNan, -kNan}) {
+    EXPECT_TRUE(std::isnan(elementary::tanh(nan)));
+    EXPECT_TRUE(std::isnan(elementary::exp(nan)));
+    EXPECT_TRUE(std::isnan(elementary::log(nan)));
+  }
+
+  EXPECT_TRUE(std::isfinite(elementary::exp(709.78)));
+  for (const double x : {709.79, 710.0, 1e3, 1e308, kInf}) EXPECT_EQ(elementary::exp(x), kInf) << x;
+  EXPECT_GT(elementary::exp(-745.13), 0.0);
+  for (const double x : {-745.14, -746.0, -1e3, -1e308, -kInf}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(elementary::exp(x)), std::bit_cast<std::uint64_t>(0.0))
+        << x;
+  }
+  EXPECT_EQ(elementary::exp(0.0), 1.0);
+
+  EXPECT_EQ(elementary::log(0.0), -kInf);
+  EXPECT_EQ(elementary::log(-0.0), -kInf);
+  EXPECT_EQ(elementary::log(kInf), kInf);
+  EXPECT_EQ(elementary::log(1.0), 0.0);
+  for (const double x : {-1.0, -1e-310, -kInf}) EXPECT_TRUE(std::isnan(elementary::log(x))) << x;
+}
+
+TEST(Elementary, TanhIsOddBitForBitAndBounded) {
+  for (const double x : tanh_sweep()) {
+    const double t = elementary::tanh(x);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(elementary::tanh(-x)), std::bit_cast<std::uint64_t>(-t))
+        << "x = " << x;
+    ASSERT_LE(std::fabs(t), 1.0) << "x = " << x;
+  }
+}
+
+TEST(Elementary, TanhInplaceEqualsScalarTanhBitForBit) {
+  // Every span length through 9 (whole vectors and a scalar tail) at even
+  // and odd element offsets; elements outside the span stay untouched.
+  const std::vector<double> inputs = uniform_inputs(-6.0, 6.0, 16, 106);
+  for (std::size_t offset : {0u, 1u, 3u}) {
+    for (std::size_t len = 0; len <= 9; ++len) {
+      std::vector<double> buf = inputs;
+      elementary::tanh_inplace(std::span<double>(buf.data() + offset, len));
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        const bool inside = i >= offset && i < offset + len;
+        const double want = inside ? elementary::tanh(inputs[i]) : inputs[i];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(buf[i]), std::bit_cast<std::uint64_t>(want))
+            << "offset " << offset << " len " << len << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(Elementary, PowiIsExactAtOneAndTracksPowl) {
+  // Adam's bias corrections: beta^t for every step count t.  Relative error
+  // against powl, with DBL_MIN as the floor once beta^t leaves the normal
+  // range (it underflows towards 0 there, and 1 - beta^t is 1 either way).
+  for (const double beta : {0.9, 0.999}) {
+    EXPECT_EQ(elementary::powi(beta, 0), 1.0);
+    EXPECT_EQ(elementary::powi(beta, 1), beta);
+    double worst = 0.0;
+    std::uint64_t worst_t = 0;
+    for (std::uint64_t t = 1; t <= 1'000'000; ++t) {
+      const long double ref = powl(static_cast<long double>(beta), static_cast<long double>(t));
+      const long double floor =
+          std::max(ref, static_cast<long double>(std::numeric_limits<double>::min()));
+      const double rel = static_cast<double>(
+          std::fabs(static_cast<long double>(elementary::powi(beta, t)) - ref) / floor);
+      if (rel > worst) {
+        worst = rel;
+        worst_t = t;
+      }
+    }
+    EXPECT_LE(worst, 1e-9) << "beta " << beta << " t " << worst_t;
+  }
 }
 
 TEST(Dense, ConstParameterViewsAliasTheWeights) {

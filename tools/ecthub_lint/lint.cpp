@@ -389,6 +389,47 @@ bool is_workspace_receiver(std::string chain) {
   return false;
 }
 
+/// Source under src/nn/ or src/rl/, whose result bits must not depend on
+/// the host's libm (nn/elementary provides the functions instead).
+bool in_libm_free_tree(const std::string& path) {
+  for (const char* dir : {"src/nn/", "src/rl/"}) {
+    const std::string d(dir);
+    if (path.compare(0, d.size(), d) == 0 || path.find("/" + d) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Whether the name at `pos` (followed by '(') calls the libm function:
+/// std::-qualified, ::-qualified or unqualified.  A member call, a call
+/// qualified by another namespace (nn::elementary::tanh) and a declaration
+/// (`double tanh(double x)`: a type name right before it) are not.
+bool is_libm_call(const std::string& text, std::size_t pos) {
+  auto skip_space_back = [&](std::size_t e) {
+    while (e > 0 && std::isspace(static_cast<unsigned char>(text[e - 1])) != 0) --e;
+    return e;
+  };
+  auto word_before = [&](std::size_t e) {
+    std::size_t b = e;
+    while (b > 0 && is_ident(text[b - 1])) --b;
+    return text.substr(b, e - b);
+  };
+  std::size_t e = skip_space_back(pos);
+  if (e == 0) return true;
+  if (text[e - 1] == '.' || (e >= 2 && text[e - 2] == '-' && text[e - 1] == '>')) return false;
+  if (e >= 2 && text[e - 2] == ':' && text[e - 1] == ':') {
+    const std::string scope = word_before(skip_space_back(e - 2));
+    return scope.empty() || scope == "std";
+  }
+  if (is_ident(text[e - 1])) {
+    const std::string prev = word_before(e);
+    return prev == "return" || prev == "co_return" || prev == "co_yield" || prev == "case" ||
+           prev == "throw" || prev == "else" || prev == "do";
+  }
+  return true;
+}
+
 bool is_header_path(const std::string& path) {
   for (const char* ext : {".hpp", ".h", ".hh", ".hxx"}) {
     const std::string e(ext);
@@ -465,6 +506,19 @@ std::vector<Finding> lint_source(const std::string& path, const std::string& con
       add(pos, "determinism/wall-clock",
           "clock reads make results irreproducible; benchmarks live in bench/, not src/");
       pos += needle.size();
+    }
+  }
+
+  // --- determinism: libm transcendental functions in the NN and RL code ----
+  if (in_libm_free_tree(path)) {
+    for (const char* fn : {"tanh", "exp", "expm1", "log", "log1p", "pow", "sin", "cos"}) {
+      for (std::size_t pos : call_occurrences(stripped, fn)) {
+        if (!is_libm_call(stripped, pos)) continue;
+        add(pos, "determinism/libm",
+            std::string("libm's ") + fn +
+                " picks a CPU-dependent variant at run time; NN and RL code calls "
+                "nn::elementary so trained weights do not depend on the host");
+      }
     }
   }
 

@@ -10,7 +10,9 @@
 //    functions.  Every stochastic stream must be an Rng seeded via mix_seed
 //    from the experiment configuration; a single `static thread_local`
 //    scratch RNG (the PR 5 checkpoint-load bug) silently makes results
-//    history-dependent.
+//    history-dependent.  Under src/nn/ and src/rl/, no libm tanh, exp,
+//    expm1, log, log1p, pow, sin or cos either: glibc dispatches them by
+//    CPU, so they go through nn/elementary (called with its namespace).
 //  * hot-path allocation hygiene — functions on the steady-state episode
 //    path (the `*_into` family, `decide_rows`, `act_rows`) must not allocate:
 //    no `new`, no make_unique/make_shared, no std::string construction, and
@@ -76,7 +78,8 @@ class Allowlist {
 
 /// Lints one file's content.  `path` selects the rule set (header rules for
 /// .hpp/.h/.hh, source rules for everything else; determinism and hot-path
-/// rules apply to both).  Findings come back in line order.
+/// rules apply to both, determinism/libm only to paths under src/nn/ and
+/// src/rl/).  Findings come back in line order.
 [[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
                                                const std::string& content);
 
