@@ -25,10 +25,7 @@
 // the BarrierCrew) at 1/4/8 collector threads.  Per-lane RNG streams make
 // every cell's collected buffers bit-comparable to the serial reference.
 //
-// Part 5 times forked process sharding against the single-process run,
-// checking the merged report byte for byte.
-//
-// Part 6 prices the metro coupling layer: the same spatially generated
+// Part 5 prices the metro coupling layer: the same spatially generated
 // fleet runs uncoupled and coupled (per-slot CouplingBus exchange plus the
 // correlated weather/outage fronts), reporting the throughput cost and the
 // routed spillover, with the coupled run cross-checked bit-identical across
@@ -48,34 +45,20 @@
 #include "sim/metro.hpp"
 #include "sim/report.hpp"
 #include "sim/scenario.hpp"
-#include "sim/shard_driver.hpp"
-#include "sim/shard_io.hpp"
 #include "spatial/metro.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace {
-
-std::vector<std::size_t> parse_thread_list(const std::string& csv) {
-  std::vector<std::size_t> out;
-  std::istringstream stream(csv);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) out.push_back(static_cast<std::size_t>(std::stoul(item)));
-  }
-  return out;
-}
 
 double now_ms_since(const std::chrono::steady_clock::time_point& start) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
@@ -135,8 +118,7 @@ int main(int argc, char** argv) {
   const std::size_t drl_iters = require_positive("drl-iters", 3);
   const std::size_t inference_reps = require_positive("inference-reps", 200);
   const std::uint64_t base_seed = flags.get_size("base-seed", 7);
-  const std::vector<std::size_t> thread_list =
-      parse_thread_list(flags.get_string("threads-list", "1,2,4,8"));
+  const std::vector<std::size_t> thread_list = flags.get_size_list("threads-list", {1, 2, 4, 8});
   flags.check_unknown();
 
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
@@ -391,61 +373,7 @@ int main(int argc, char** argv) {
                  "count above)\n";
   }
 
-  // --- Part 5: process sharding — forked "fleet of fleets" vs one process --
-  // The part-1 fleet again, split 1/2/4/8 ways across forked worker
-  // processes (one shard file per child, each worker single-threaded so the
-  // speedup column shows pure process-level scaling), then merged from the
-  // shard files.  The merged report must be BYTE-identical in serialized
-  // form to the single-process report, and every per-hub result field-
-  // identical — the whole-sweep determinism contract the shard layer rides
-  // on.  Runs before the metro part so a --hubs 1 invocation reaches it.
-  {
-    std::cout << "\n=== Process sharding: forked workers + shard-file merge vs "
-                 "single process ===\n";
-    const sim::AggregateReport whole_report(reference);
-    const std::string whole_bytes = sim::serialize_report(whole_report);
-    sim::FleetRunnerConfig shard_cfg;
-    shard_cfg.base_seed = base_seed;
-    shard_cfg.threads = 1;
-    shard_cfg.episodes_per_hub = episodes;
-    const sim::ShardDriver driver(shard_cfg);
-    TextTable shard_table(
-        {"shards", "wall ms", "hubs/s", "speedup", "bit-identical"});
-    for (const std::size_t shards :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      std::string tmpl =
-          (std::filesystem::temp_directory_path() / "bench_fleet_shards.XXXXXX")
-              .string();
-      if (::mkdtemp(tmpl.data()) == nullptr) {
-        std::cerr << "bench_fleet: cannot create a shard directory\n";
-        return 1;
-      }
-      const std::filesystem::path dir(tmpl);
-      const auto start = std::chrono::steady_clock::now();
-      const sim::ShardMerge merged = driver.run_forked(jobs, shards, dir);
-      const double ms = now_ms_since(start);
-      const bool identical =
-          results_identical(merged.results, reference) &&
-          sim::serialize_report(merged.report) == whole_bytes;
-      shard_table.begin_row()
-          .add_int(static_cast<long long>(shards))
-          .add_double(ms, 1)
-          .add_double(static_cast<double>(hubs) * 1000.0 / ms, 1)
-          .add_double(serial_ms / ms, 2)
-          .add(identical ? "yes" : "NO");
-      std::filesystem::remove_all(dir);
-      if (!identical) {
-        std::cerr << "SHARD IDENTITY VIOLATION at " << shards << " shards\n";
-        shard_table.print(std::cout);
-        return 1;
-      }
-    }
-    shard_table.print(std::cout);
-    std::cout << "(merged AggregateReport compared byte-for-byte in serialized "
-                 "form against the single-process run)\n";
-  }
-
-  // --- Part 6: metro coupling — coupled vs uncoupled throughput/spillover --
+  // --- Part 5: metro coupling — coupled vs uncoupled throughput/spillover --
   // The same spatially generated fleet twice: once uncoupled (coupling
   // stripped, the pre-metro hot path) and once coupled (through-traffic,
   // CouplingBus exchange at every slot barrier, correlated fronts).  The

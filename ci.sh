@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# CI entry point: tier-1 verify plus a bench-compile-only job.
+# CI entry point: tier-1 verify plus a bench compile-and-smoke job.
 # Usage: ./ci.sh [build-dir-prefix]   (default: build-ci)
 set -eu
 
@@ -24,10 +24,13 @@ GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA ctest --test-dir "${PREFIX}" \
 # Job 2 flips the bench gate on in the same tree, so the module libraries
 # from job 1 are reused and only the bench binaries compile fresh (under the
 # same -Werror + extra-warnings wall).
-echo "==> Job 2: bench compile-only (-Werror + extra warning wall)"
+# bench_fleet and bench_serve check their own bit-identity and exit 1 on a
+# break, so their CTest smokes (bench.*) run here.
+echo "==> Job 2: bench compile + self-checking bench smokes (-Werror + extra warning wall)"
 cmake -B "${PREFIX}" -S . -DECTHUB_WERROR=ON -DECTHUB_EXTRA_WARNINGS=ON \
   -DECTHUB_BUILD_BENCH=ON
 cmake --build "${PREFIX}" -j "${JOBS}"
+ctest --test-dir "${PREFIX}" -R '^bench\.' --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 3 runs the tier-1 suite under ASan + UBSan in a separate tree: the
 # fleet runner executes hubs across a thread pool, so every push exercises
@@ -46,14 +49,14 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
 # LockstepDeterminism.* and CouplingBus.* match the filter below), the
 # vectorized rollout collector's
 # bit-identity suite (VecCollector*, whose crew shards env stepping and
-# row-block act_rows GEMMs across threads), the process-sharding suite
-# (Shard*, whose driver forks worker processes that spawn their own thread
-# pools, plus the ExactSum register the merged reports ride on) and the
+# row-block act_rows GEMMs across threads), the sharding suite (Shard*,
+# whose shards run on the fleet runner's crew and merge from shard files,
+# plus the ExactSum register the merged reports ride on) and the
 # decision-service suite (Serve*, whose worker micro-batches concurrent
 # decide(obs) callers into one decide_rows forward) and the
-# DRL/metro/sharding/serving smokes, so every push exercises the lockstep
+# DRL/metro/shard-file/serving smokes, so every push exercises the lockstep
 # barriers, the concurrent row-block decide_rows/act_rows paths, the
-# slot-barrier CouplingBus exchange, the fork/merge shard path and the
+# slot-barrier CouplingBus exchange, the shard run/merge path and the
 # request-batching queue under TSan as well as ASan (the ASan job above runs
 # the full suite including the smokes).
 echo "==> Job 4: TSan lockstep (test_sim + collector + DRL/metro smokes)"

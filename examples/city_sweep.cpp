@@ -22,9 +22,8 @@
 //   $ ./city_sweep --scheduler drl --drl-hubs 8 --drl-threads 4
 //   $ ./city_sweep --drl-zoo --drl-hubs 2           # specialist vs generalist
 //   $ ./city_sweep --metro 16 --scheduler all       # coupled metro fleet
-//   $ ./city_sweep --shard 0/4 --shard-out s0.ecsh  # worker: run shard 0 of 4
+//   $ ./city_sweep --shard 0/4 --shard-out s0.ecsh  # run shard 0 of 4
 //   $ ./city_sweep --merge-shards 's*.ecsh'         # merge shard files
-//   $ ./city_sweep --shard-fork 4 --shard-verify    # fork 4 workers + check
 //   $ ./city_sweep --list                           # show the registry
 //
 // --drl-hubs N trains on N lockstep replica lanes of the training hub (the
@@ -42,16 +41,15 @@
 // hardware concurrency) and implies --lockstep; results are bit-identical
 // at any thread count.
 //
-// Sharded sweeps ("fleet of fleets"): --shard i/n runs only the contiguous
-// job range shard i of n owns — with the hubs' *global* ids and seeds, so
-// shard membership cannot change any trajectory — and writes one shard file
-// (--shard-out).  --merge-shards <glob> folds shard files back into the
-// aggregate tables; --shard-fork N does both in one invocation through N
-// forked worker processes.  The merged report is byte-identical in
-// serialized form to the single-process run of the same seed
-// (--shard-verify pins it on the spot; exits non-zero on violation).
-// Sharding needs a single --scheduler (not 'all') and an uncoupled fleet
-// (no --metro): the CouplingBus exchange spans the whole fleet every slot.
+// Sharded sweeps ("fleet of fleets"): one machine runs the plain sweep on
+// its --threads crew.  Several processes or machines each run --shard i/n,
+// which runs only the contiguous job range shard i of n owns — with the
+// hubs' *global* ids and seeds, so shard membership cannot change any
+// trajectory — and writes one shard file (--shard-out).  --merge-shards
+// <glob> folds the files back into the tables the plain sweep prints, equal
+// to them for the same seed.  Sharding needs a single --scheduler (not
+// 'all') and an uncoupled fleet (no --metro): the CouplingBus exchange
+// spans the whole fleet every slot.
 //
 // --metro N replaces the i.i.d. hub bag with a spatially generated metro of
 // N hubs (MetroMap seeded from --base-seed): sites derive from base-station
@@ -70,7 +68,6 @@
 #include "sim/report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/shard.hpp"
-#include "sim/shard_driver.hpp"
 #include "sim/shard_io.hpp"
 #include "spatial/metro.hpp"
 
@@ -238,12 +235,33 @@ int main(int argc, char** argv) {
   const std::string checkpoint_path = flags.get_string("drl-checkpoint", "");
   const bool shard_run = flags.has("shard");
   const std::string shard_spec_arg = flags.get_string("shard", "");
+  const bool shard_out_given = flags.has("shard-out");
   const std::string shard_out = flags.get_string("shard-out", "");
-  const bool shard_fork = flags.has("shard-fork");
-  const std::size_t shard_fork_count = require_positive("shard-fork", 2);
-  const std::string shard_dir_arg = flags.get_string("shard-dir", "");
-  const bool shard_verify = flags.get_bool("shard-verify");
   flags.check_unknown();
+
+  // A shard flag the chosen path would ignore, or a sweep a shard cannot
+  // split, fails loud before anything trains or runs.
+  const char* shard_misuse = nullptr;
+  if (merge_mode && shard_run) {
+    shard_misuse = "--merge-shards cannot take --shard";
+  } else if (merge_mode && shard_out_given) {
+    shard_misuse = "--merge-shards cannot take --shard-out";
+  } else if (shard_out_given && !shard_run) {
+    shard_misuse = "--shard-out needs --shard";
+  } else if (shard_run && shard_out.empty()) {
+    shard_misuse = "--shard requires --shard-out <path>";
+  } else if (shard_run && metro_mode) {
+    shard_misuse = "--shard cannot split a coupled metro fleet (the CouplingBus "
+                   "exchange spans every hub each slot)";
+  } else if (shard_run && kinds.size() != 1) {
+    shard_misuse = "--shard needs a single --scheduler, not 'all'";
+  }
+  if (shard_misuse != nullptr) {
+    std::cerr << "city_sweep: " << shard_misuse << "\n";
+    return 1;
+  }
+  const auto [shard_index, shard_count] =
+      shard_run ? parse_shard_spec(shard_spec_arg) : std::pair<std::size_t, std::size_t>{0, 1};
 
   if (list_mode) {
     TextTable table({"scenario", "summary"});
@@ -265,7 +283,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     try {
-      const sim::ShardMerge merged = sim::ShardDriver::merge_shard_files(paths);
+      const sim::ShardData merged = sim::merge_shard_files(paths);
       std::cout << "=== Merged " << paths.size() << " shard file(s): "
                 << merged.results.size() << " hubs ===\n\n";
       print_fleet_report(merged.results, merged.report);
@@ -366,75 +384,17 @@ int main(int argc, char** argv) {
   runner_cfg.threads = threads;
   runner_cfg.lockstep_threads = lockstep_threads;
   runner_cfg.episodes_per_hub = episodes;
-  const sim::FleetRunner runner(runner_cfg);
 
-  // ---- sharded execution ("fleet of fleets") ------------------------------
-  if (shard_run || shard_fork) {
-    if (metro_mode) {
-      std::cerr << "city_sweep: --shard/--shard-fork cannot split a coupled metro "
-                   "fleet (the CouplingBus exchange spans every hub each slot)\n";
-      return 1;
-    }
-    if (kinds.size() != 1) {
-      std::cerr << "city_sweep: --shard/--shard-fork need a single --scheduler, "
-                   "not 'all'\n";
-      return 1;
-    }
+  // ---- one shard of a sharded sweep ("fleet of fleets") --------------------
+  if (shard_run) {
     const std::vector<sim::FleetJob> jobs = sim::make_fleet_jobs(
         registry, expanded, expanded.size(), days, kinds.front(), checkpoint);
-    const sim::ShardDriver driver(runner_cfg);
     try {
-      if (shard_run) {
-        const auto [shard_index, shard_count] = parse_shard_spec(shard_spec_arg);
-        const std::string& out_path = shard_out;
-        if (out_path.empty()) {
-          std::cerr << "city_sweep: --shard requires --shard-out <path>\n";
-          return 1;
-        }
-        const sim::ShardData shard = driver.run_shard(jobs, shard_index, shard_count);
-        sim::save_shard(out_path, shard);
-        std::cout << "shard " << shard_index << "/" << shard_count << ": hubs ["
-                  << shard.plan.begin << ", " << shard.plan.end << ") of "
-                  << shard.plan.job_count << " -> " << out_path << "\n";
-        return 0;
-      }
-      // --shard-fork N: the whole sweep through N forked workers, one shard
-      // file per child under --shard-dir (a fresh temp directory without it).
-      const std::size_t shard_count = shard_fork_count;
-      std::filesystem::path dir = shard_dir_arg;
-      if (dir.empty()) {
-        std::string tmpl =
-            (std::filesystem::temp_directory_path() / "city_sweep_shards.XXXXXX")
-                .string();
-        if (::mkdtemp(tmpl.data()) == nullptr) {
-          std::cerr << "city_sweep: cannot create a shard directory\n";
-          return 1;
-        }
-        dir = tmpl;
-      } else {
-        std::filesystem::create_directories(dir);
-      }
-      std::cout << "=== City sweep: " << jobs.size() << " hubs sharded "
-                << shard_count << "-way across forked workers (shard files in "
-                << dir.string() << ") ===\n\n";
-      const sim::ShardMerge merged = driver.run_forked(jobs, shard_count, dir);
-      print_fleet_report(merged.results, merged.report);
-      if (shard_verify) {
-        // The guarantee, checked on the spot: the merged report (and every
-        // per-hub result) is bit-identical to the single-process run.
-        const std::vector<sim::HubRunResult> baseline = runner.run(jobs);
-        const sim::AggregateReport baseline_report(baseline);
-        if (merged.results != baseline ||
-            sim::serialize_report(merged.report) !=
-                sim::serialize_report(baseline_report)) {
-          std::cerr << "city_sweep: SHARD IDENTITY VIOLATION — merged report "
-                       "differs from the single-process run\n";
-          return 1;
-        }
-        std::cout << "\nshard-verify: " << shard_count
-                  << "-way merged report byte-identical to the single-process "
-                     "run\n";
-      }
+      const sim::ShardData shard = sim::run_shard(jobs, shard_index, shard_count, runner_cfg);
+      sim::save_shard(shard_out, shard);
+      std::cout << "shard " << shard_index << "/" << shard_count << ": hubs ["
+                << shard.plan.begin << ", " << shard.plan.end << ") of "
+                << shard.plan.job_count << " -> " << shard_out << "\n";
     } catch (const std::exception& e) {
       std::cerr << "city_sweep: " << e.what() << "\n";
       return 1;
@@ -442,6 +402,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const sim::FleetRunner runner(runner_cfg);
   const std::size_t fleet_size = metro ? metro->hubs().size() : expanded.size();
   std::cout << "=== City sweep: " << fleet_size << " hubs, " << scenario_keys.size()
             << " scenarios, " << episodes << " episode(s) x " << days
@@ -480,12 +441,7 @@ int main(int argc, char** argv) {
                    std::make_move_iterator(batch.end()));
   }
 
-  sim::per_hub_table(results).print(std::cout);
-  std::cout << "\n--- Aggregate by scenario ---\n";
-  const sim::AggregateReport report(results);
-  report.scenario_table().print(std::cout);
-  std::cout << "\n--- Aggregate by scheduler ---\n";
-  report.scheduler_table().print(std::cout);
+  print_fleet_report(results, sim::AggregateReport(results));
 
   if (metro) {
     double through = 0.0, exported = 0.0, served = 0.0, dropped = 0.0;

@@ -2,9 +2,11 @@
 
 #include "common/parse.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace ecthub {
 
@@ -55,6 +57,29 @@ std::size_t CliFlags::get_size(const std::string& name, std::size_t def) const {
                                 it->second + "'");
   }
   return *value;
+}
+
+std::vector<std::size_t> CliFlags::get_size_list(const std::string& name,
+                                                std::vector<std::size_t> def) const {
+  consumed_.insert(name);
+  const auto it = values_.find(name);
+  if (it == values_.end()) return def;
+  const std::string_view text = it->second;
+  std::vector<std::size_t> values;
+  for (std::size_t begin = 0;;) {
+    const std::size_t comma = std::min(text.find(',', begin), text.size());
+    const std::string_view item = text.substr(begin, comma - begin);
+    const std::optional<std::size_t> value = parse_size(item);
+    if (!value) {
+      throw std::invalid_argument("flag --" + name +
+                                  " expects a comma-separated list of non-negative "
+                                  "integers, got item '" +
+                                  std::string(item) + "' in '" + it->second + "'");
+    }
+    values.push_back(*value);
+    if (comma == text.size()) return values;
+    begin = comma + 1;
+  }
 }
 
 double CliFlags::get_double(const std::string& name, double def) const {

@@ -34,6 +34,11 @@ class CliFlags {
   /// and "1e3" throw.  get_double rejects "nan", "inf" and "infinity".
   [[nodiscard]] std::string get_string(const std::string& name, std::string def) const;
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t def) const;
+  /// A comma-separated list of get_size values ("1,2,4").  Every item must
+  /// parse: "1,,2", "2," and "" throw like "-1" and "4abc", naming the flag
+  /// and the item.
+  [[nodiscard]] std::vector<std::size_t> get_size_list(const std::string& name,
+                                                       std::vector<std::size_t> def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const;
 

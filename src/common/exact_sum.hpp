@@ -16,9 +16,9 @@
 // sign bit — ~1.5e23 worst-case addends before the register can wrap, far
 // beyond any fleet sweep.
 //
-// The limb state is the serialization format of the sharded-sweep report
-// (sim/shard_io): shard files carry exact sums, so merging shards read
-// from disk is as exact as merging in memory.
+// Sharded sweeps rely on this: shard files carry per-hub results only, each
+// loaded shard re-aggregates its report, and the reports merged from any
+// shard set == the single-process report (sim/shard_io).
 #pragma once
 
 #include <array>
@@ -28,11 +28,6 @@ namespace ecthub {
 
 class ExactSum {
  public:
-  /// 34 × 64 = 2176 bits: full double range (2098 bits) + 77-bit headroom
-  /// + sign.
-  static constexpr std::size_t kLimbs = 34;
-  using Limbs = std::array<std::uint64_t, kLimbs>;
-
   constexpr ExactSum() = default;
 
   /// Folds one addend into the register, exactly.  Throws
@@ -59,19 +54,14 @@ class ExactSum {
   /// report +0.0; magnitudes beyond the double range report ±infinity.
   [[nodiscard]] double value() const noexcept;
 
-  /// Raw register state, little-endian limb order (serialization surface).
-  [[nodiscard]] const Limbs& limbs() const noexcept { return limbs_; }
-
-  /// Rebuilds an accumulator from serialized limb state.
-  [[nodiscard]] static ExactSum from_limbs(const Limbs& limbs) noexcept {
-    ExactSum s;
-    s.limbs_ = limbs;
-    return s;
-  }
-
   friend bool operator==(const ExactSum&, const ExactSum&) = default;
 
  private:
+  /// 34 × 64 = 2176 bits: full double range (2098 bits) + 77-bit headroom
+  /// + sign.
+  static constexpr std::size_t kLimbs = 34;
+  using Limbs = std::array<std::uint64_t, kLimbs>;
+
   void add_magnitude(std::uint64_t mantissa, unsigned shift) noexcept;
   void sub_magnitude(std::uint64_t mantissa, unsigned shift) noexcept;
 

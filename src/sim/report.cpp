@@ -1,7 +1,5 @@
 #include "sim/report.hpp"
 
-#include <utility>
-
 namespace ecthub::sim {
 
 void GroupStats::absorb(const HubRunResult& r) {
@@ -81,16 +79,6 @@ void AggregateReport::merge(const AggregateReport& other) {
   totals_.merge(other.totals_);
   for (const auto& [key, stats] : other.by_scenario_) by_scenario_[key].merge(stats);
   for (const auto& [key, stats] : other.by_scheduler_) by_scheduler_[key].merge(stats);
-}
-
-AggregateReport AggregateReport::from_groups(GroupStats totals,
-                                             std::map<std::string, GroupStats> by_scenario,
-                                             std::map<std::string, GroupStats> by_scheduler) {
-  AggregateReport report;
-  report.totals_ = totals;
-  report.by_scenario_ = std::move(by_scenario);
-  report.by_scheduler_ = std::move(by_scheduler);
-  return report;
 }
 
 TextTable AggregateReport::scenario_table() const {

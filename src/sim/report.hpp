@@ -7,9 +7,8 @@
 // Group sums accumulate in ExactSum registers, which are exactly
 // associative — absorbing results one by one and merging per-shard partial
 // reports in any grouping produce bit-identical state.  That is the
-// property the sharded sweep driver (sim/shard_driver) is pinned on: a
-// report merged from 1/2/4/8 shard files equals the single-process report
-// byte for byte in serialized form (sim/shard_io).
+// property sharded sweeps are pinned on: a report merged from 1/2/4/8 shard
+// files (sim/shard_io's merge_shard_files) == the single-process report.
 #pragma once
 
 #include "common/exact_sum.hpp"
@@ -68,12 +67,6 @@ class AggregateReport {
   /// Exact: any fold order over a partition of the same results reproduces
   /// the unsharded report's state bit for bit.
   void merge(const AggregateReport& other);
-
-  /// Rebuilds a report from its group decomposition — the load-time
-  /// counterpart of the accessors below (sim/shard_io deserialization).
-  [[nodiscard]] static AggregateReport from_groups(
-      GroupStats totals, std::map<std::string, GroupStats> by_scenario,
-      std::map<std::string, GroupStats> by_scheduler);
 
   [[nodiscard]] const GroupStats& totals() const noexcept { return totals_; }
   [[nodiscard]] const std::map<std::string, GroupStats>& by_scenario() const noexcept {

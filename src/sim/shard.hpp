@@ -5,10 +5,10 @@
 // contiguous job range [begin, end), ranges over all i tile [0, count)
 // exactly (every job in exactly one shard, sizes differing by at most one,
 // larger shards first).  shard_fleet_jobs copies that range out of a
-// make_fleet_jobs job list; the runner executes it with
+// make_fleet_jobs job list; run_shard (sim/shard_io) executes it with
 // FleetRunnerConfig::hub_id_offset = begin, so every hub keeps its global
 // mix_seed(base_seed, hub_id) stream — shard membership cannot change any
-// hub's trajectory, which is what makes the merged report bit-identical to
+// hub's trajectory, which is what makes the merged shard files equal to
 // the single-process run (tests/test_shard.cpp pins it end to end).
 //
 // Coupled (metro) jobs are rejected for n > 1: the CouplingBus exchange is

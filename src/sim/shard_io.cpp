@@ -1,6 +1,9 @@
 #include "sim/shard_io.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <stdexcept>
 #include <utility>
 
 namespace ecthub::sim {
@@ -11,30 +14,11 @@ using binio::put_double;
 using binio::put_string;
 using binio::put_u64;
 
-constexpr std::uint32_t kSectionIds[] = {1, 2, 3};  // plan, results, report
-constexpr binio::Container kShard{"shard", "ECSH", 1, kSectionIds};
+constexpr std::uint32_t kSectionIds[] = {1, 2};  // plan, results
+constexpr binio::Container kShard{"shard", "ECSH", 2, kSectionIds};
 /// The smallest HubRunResult record: 24 eight-byte fields, three of them
 /// the lengths of empty strings, and no episode profits.
 constexpr std::uint64_t kMinResultBytes = 24 * 8;
-
-void put_exact_sum(std::string& out, const ExactSum& sum) {
-  for (const std::uint64_t limb : sum.limbs()) put_u64(out, limb);
-}
-
-void put_group(std::string& out, const GroupStats& g) {
-  put_u64(out, g.hubs);
-  put_u64(out, g.episodes);
-  put_exact_sum(out, g.revenue);
-  put_exact_sum(out, g.grid_cost);
-  put_exact_sum(out, g.bp_cost);
-  put_exact_sum(out, g.profit);
-  put_exact_sum(out, g.soc_mean_sum);
-  put_exact_sum(out, g.through_kwh);
-  put_exact_sum(out, g.spill_exported_kwh);
-  put_exact_sum(out, g.spill_served_kwh);
-  put_exact_sum(out, g.spill_dropped_kwh);
-  put_u64(out, g.outage_slots);
-}
 
 void put_result(std::string& out, const HubRunResult& r) {
   put_u64(out, r.hub_id);
@@ -62,29 +46,6 @@ void put_result(std::string& out, const HubRunResult& r) {
   put_double(out, r.spill_served_kwh);
   put_double(out, r.spill_dropped_kwh);
   put_u64(out, r.outage_slots);
-}
-
-[[nodiscard]] ExactSum read_exact_sum(binio::Reader& in) {
-  ExactSum::Limbs limbs{};
-  for (std::uint64_t& limb : limbs) limb = in.u64();
-  return ExactSum::from_limbs(limbs);
-}
-
-[[nodiscard]] GroupStats read_group(binio::Reader& in) {
-  GroupStats g;
-  g.hubs = in.u64();
-  g.episodes = in.u64();
-  g.revenue = read_exact_sum(in);
-  g.grid_cost = read_exact_sum(in);
-  g.bp_cost = read_exact_sum(in);
-  g.profit = read_exact_sum(in);
-  g.soc_mean_sum = read_exact_sum(in);
-  g.through_kwh = read_exact_sum(in);
-  g.spill_exported_kwh = read_exact_sum(in);
-  g.spill_served_kwh = read_exact_sum(in);
-  g.spill_dropped_kwh = read_exact_sum(in);
-  g.outage_slots = in.u64();
-  return g;
 }
 
 [[nodiscard]] HubRunResult read_result(binio::Reader& in) {
@@ -127,38 +88,7 @@ void put_result(std::string& out, const HubRunResult& r) {
   return r;
 }
 
-[[nodiscard]] std::map<std::string, GroupStats> read_keyed_groups(binio::Reader& in,
-                                                                  const char* what) {
-  std::map<std::string, GroupStats> groups;
-  const std::uint64_t count = in.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string key = in.str();
-    if (groups.contains(key)) {
-      throw binio::FormatError(std::string("shard report: duplicate ") + what + " key '" +
-                               key + "'");
-    }
-    groups.emplace(std::move(key), read_group(in));
-  }
-  return groups;
-}
-
 }  // namespace
-
-std::string serialize_report(const AggregateReport& report) {
-  std::string out;
-  put_group(out, report.totals());
-  put_u64(out, report.by_scenario().size());
-  for (const auto& [key, stats] : report.by_scenario()) {
-    put_string(out, key);
-    put_group(out, stats);
-  }
-  put_u64(out, report.by_scheduler().size());
-  for (const auto& [key, stats] : report.by_scheduler()) {
-    put_string(out, key);
-    put_group(out, stats);
-  }
-  return out;
-}
 
 std::string serialize_shard(const ShardData& shard) {
   std::string plan;
@@ -172,8 +102,7 @@ std::string serialize_shard(const ShardData& shard) {
   put_u64(results, shard.results.size());
   for (const HubRunResult& r : shard.results) put_result(results, r);
 
-  const std::string report = serialize_report(shard.report);
-  const std::string_view payloads[] = {plan, results, report};
+  const std::string_view payloads[] = {plan, results};
   return binio::seal(kShard, payloads);
 }
 
@@ -224,19 +153,7 @@ ShardData parse_shard(std::string_view bytes) {
     }
     in.expect_end();
   }
-  {
-    binio::Reader in(sections[2], "shard report");
-    GroupStats totals = read_group(in);
-    std::map<std::string, GroupStats> by_scenario = read_keyed_groups(in, "scenario");
-    std::map<std::string, GroupStats> by_scheduler = read_keyed_groups(in, "scheduler");
-    in.expect_end();
-    shard.report = AggregateReport::from_groups(std::move(totals), std::move(by_scenario),
-                                                std::move(by_scheduler));
-  }
-  if (!(AggregateReport(shard.results) == shard.report)) {
-    throw binio::FormatError("shard report section does not aggregate the shard's own "
-                             "results");
-  }
+  shard.report = AggregateReport(shard.results);
   return shard;
 }
 
@@ -246,6 +163,63 @@ void save_shard(const std::filesystem::path& path, const ShardData& shard) {
 
 ShardData load_shard(const std::filesystem::path& path) {
   return parse_shard(binio::read_file(path));
+}
+
+ShardData run_shard(const std::vector<FleetJob>& jobs, std::size_t shard_index,
+                    std::size_t shard_count, const FleetRunnerConfig& cfg) {
+  ShardData shard;
+  shard.plan = plan_shard(jobs.size(), shard_index, shard_count);
+  const std::vector<FleetJob> sub = shard_fleet_jobs(jobs, shard_index, shard_count);
+  FleetRunnerConfig shard_cfg = cfg;
+  shard_cfg.hub_id_offset = shard.plan.begin;  // global ids ⇒ global seeds
+  const FleetRunner runner(shard_cfg);
+  const bool coupled =
+      std::any_of(sub.begin(), sub.end(), [](const FleetJob& j) { return j.coupled(); });
+  shard.results = coupled ? runner.run_lockstep(sub) : runner.run(sub);
+  shard.report = AggregateReport(shard.results);
+  return shard;
+}
+
+ShardData merge_shard_files(const std::vector<std::filesystem::path>& paths) {
+  if (paths.empty()) {
+    throw std::invalid_argument("merge_shard_files: no shard files to merge");
+  }
+  std::vector<ShardData> shards;
+  shards.reserve(paths.size());
+  for (const std::filesystem::path& path : paths) shards.push_back(load_shard(path));
+  std::sort(shards.begin(), shards.end(), [](const ShardData& a, const ShardData& b) {
+    return a.plan.shard_index < b.plan.shard_index;
+  });
+
+  const std::size_t shard_count = shards.front().plan.shard_count;
+  const std::size_t job_count = shards.front().plan.job_count;
+  if (shards.size() != shard_count) {
+    throw binio::FormatError("merge_shard_files: " + std::to_string(shards.size()) +
+                             " shard files for a " + std::to_string(shard_count) +
+                             "-way sweep; the shard set is incomplete or overfull");
+  }
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    const ShardPlan& plan = shards[i].plan;
+    if (plan.shard_count != shard_count || plan.job_count != job_count) {
+      throw binio::FormatError("merge_shard_files: shard files from different sweeps "
+                               "(shard_count/job_count mismatch)");
+    }
+    if (plan.shard_index != i) {
+      throw binio::FormatError("merge_shard_files: shard index " + std::to_string(i) +
+                               " is missing or duplicated in the file set");
+    }
+  }
+
+  ShardData merged;
+  merged.plan = plan_shard(job_count, 0, 1);
+  merged.results.reserve(job_count);
+  for (ShardData& shard : shards) {
+    merged.results.insert(merged.results.end(),
+                          std::make_move_iterator(shard.results.begin()),
+                          std::make_move_iterator(shard.results.end()));
+    merged.report.merge(shard.report);
+  }
+  return merged;
 }
 
 }  // namespace ecthub::sim

@@ -433,16 +433,6 @@ TEST(ExactSum, RejectsNonFiniteAddends) {
   EXPECT_EQ(s, ExactSum{});  // failed adds leave the register untouched
 }
 
-TEST(ExactSum, LimbsRoundTrip) {
-  ExactSum s;
-  s += 123.456;
-  s += -0.001;
-  s += 9.875e12;
-  const ExactSum restored = ExactSum::from_limbs(s.limbs());
-  EXPECT_EQ(restored, s);
-  EXPECT_EQ(restored.value(), s.value());
-}
-
 // ---------------------------------------------------------------- binio
 
 TEST(Binio, WritersAreLittleEndianByteByByte) {

@@ -1,16 +1,15 @@
-// Tests for the process-sharded sweep subsystem: the contiguous shard
-// partitioner, the versioned shard serialization (round trips, typed
-// corruption rejection), the fork/merge ShardDriver, and the headline
-// identity guarantee — a 64-hub all-scenario sweep sharded 1/2/4/8 ways
-// through real forked worker processes merges byte-identical (serialized
-// report compared) to the single-process FleetRunner run.
+// Tests for the sharded sweep subsystem: the contiguous shard partitioner,
+// the versioned shard serialization (round trips, typed corruption
+// rejection), run_shard and merge_shard_files, and the headline identity
+// guarantee — a 64-hub all-scenario sweep sharded 1/2/4/8 ways through
+// shard files merges to the single-process FleetRunner run: equal per-hub
+// results, an equal report and byte-identical serialized artifacts.
 #include "policy/drl_policy.hpp"
 #include "sim/fleet_runner.hpp"
 #include "sim/metro.hpp"
 #include "sim/report.hpp"
 #include "sim/scenario.hpp"
 #include "sim/shard.hpp"
-#include "sim/shard_driver.hpp"
 #include "sim/shard_io.hpp"
 #include "spatial/metro.hpp"
 
@@ -253,20 +252,20 @@ TEST(ShardIo, RoundTripsFieldExact) {
 }
 
 TEST(ShardIo, SerializedBytesArePinned) {
-  // The version-1 encoding, pinned: a change to any field's encoding, order
+  // The version-2 encoding, pinned: a change to any field's encoding, order
   // or width moves the size or the digest.
   const std::string three = serialize_shard(fake_shard(3));
-  EXPECT_EQ(three.size(), 13230u);
-  EXPECT_EQ(fnv1a(three), 0xb77d3ca68c3676c4ULL);
+  EXPECT_EQ(three.size(), 791u);
+  EXPECT_EQ(fnv1a(three), 0xead5b040a5288a25ULL);
   const std::string empty = serialize_shard(fake_shard(0, 5, 6, 3));
-  EXPECT_EQ(empty.size(), 2592u);
-  EXPECT_EQ(fnv1a(empty), 0x6b8c991b360e28aaULL);
+  EXPECT_EQ(empty.size(), 92u);
+  EXPECT_EQ(fnv1a(empty), 0x71b7470dc63763c7ULL);
 }
 
 TEST(ShardIo, SaveLoadRoundTripsThroughDisk) {
   const fs::path dir = scratch_dir("save_load");
   const ShardData shard = fake_shard(4, 1, 3, 10);
-  const fs::path path = dir / ShardDriver::shard_file_name(1, 3);
+  const fs::path path = dir / "shard-1-of-3.ecsh";
   save_shard(path, shard);
   const ShardData back = load_shard(path);
   EXPECT_EQ(back.plan, shard.plan);
@@ -306,9 +305,13 @@ TEST(ShardIo, BadMagicIsRejected) {
 }
 
 TEST(ShardIo, FutureVersionIsRejected) {
-  std::string bytes = serialize_shard(fake_shard(3));
-  bytes[4] = 2;  // version u32 lives at offset 4 (little-endian)
-  EXPECT_THROW((void)parse_shard(bytes), binio::VersionError);
+  // Version 1 files also carried a serialized report; no reader for them is
+  // kept, so they fail like a future version.
+  for (const int version : {3, 1}) {
+    std::string bytes = serialize_shard(fake_shard(3));
+    bytes[4] = static_cast<char>(version);  // version u32 at offset 4, little-endian
+    EXPECT_THROW((void)parse_shard(bytes), binio::VersionError) << version;
+  }
 }
 
 TEST(ShardIo, FlippedPayloadByteIsRejected) {
@@ -328,14 +331,6 @@ TEST(ShardIo, TrailingGarbageIsRejected) {
   EXPECT_THROW((void)parse_shard(bytes), binio::FormatError);
 }
 
-TEST(ShardIo, InconsistentReportSectionIsRejected) {
-  // A shard whose report section does not aggregate its own results is
-  // structurally corrupt even with a valid checksum.
-  ShardData shard = fake_shard(3);
-  shard.report.add(fake_result(99));
-  EXPECT_THROW((void)parse_shard(serialize_shard(shard)), binio::FormatError);
-}
-
 TEST(ShardIo, MismatchedHubIdsAreRejected) {
   ShardData shard = fake_shard(3, 1, 2, 6);  // owns hubs [3, 6)
   shard.results[1].hub_id = 0;
@@ -343,15 +338,14 @@ TEST(ShardIo, MismatchedHubIdsAreRejected) {
 }
 
 // The shard container, restated so tests can seal payloads by hand.
-constexpr std::uint32_t kShardSections[] = {1, 2, 3};
-constexpr binio::Container kShardContainer{"shard", "ECSH", 1, kShardSections};
+constexpr std::uint32_t kShardSections[] = {1, 2};
+constexpr binio::Container kShardContainer{"shard", "ECSH", 2, kShardSections};
 
 TEST(ShardIo, InflatedResultCountIsFormatError) {
   // A canonical plan may claim any job_count, and the results count only
   // has to match it; the section's own length must bound it.  Claims of
   // 2^61 and 2^40 jobs used to escape reserve() as length_error or
   // bad_alloc, and 2^24 reserved 2^24 records before failing.
-  const std::string report = serialize_report(AggregateReport{});
   for (const std::uint64_t jobs :
        {std::uint64_t{1} << 61, std::uint64_t{1} << 40, std::uint64_t{1} << 24}) {
     std::string plan;
@@ -361,7 +355,7 @@ TEST(ShardIo, InflatedResultCountIsFormatError) {
     }
     std::string results;
     binio::put_u64(results, jobs);
-    const std::string_view payloads[] = {plan, results, report};
+    const std::string_view payloads[] = {plan, results};
     EXPECT_THROW((void)parse_shard(binio::seal(kShardContainer, payloads)),
                  binio::FormatError)
         << jobs << " jobs";
@@ -427,7 +421,6 @@ TEST(AggregateReportShard, MergeIsBitExactForAnyGrouping) {
                                     results.begin() + static_cast<std::ptrdiff_t>(plan.end)}));
     }
     EXPECT_TRUE(merged == whole) << parts << "-way merge";
-    EXPECT_EQ(serialize_report(merged), serialize_report(whole)) << parts << "-way merge";
   }
 }
 
@@ -449,16 +442,15 @@ TEST(FleetRunnerShard, HubIdOffsetPreservesGlobalSeedsOnSubRanges) {
   }
 }
 
-// ------------------------------------------------------------ shard driver
+// ------------------------------------------------------------ run and merge
 
 TEST(ShardDriverTest, RunShardMatchesTheSingleProcessSlice) {
   const std::vector<FleetJob> jobs = make_mixed_jobs(10);
   FleetRunnerConfig cfg;
   cfg.threads = 2;
   const std::vector<HubRunResult> whole = FleetRunner(cfg).run(jobs);
-  const ShardDriver driver(cfg);
   for (std::size_t i = 0; i < 3; ++i) {
-    const ShardData shard = driver.run_shard(jobs, i, 3);
+    const ShardData shard = run_shard(jobs, i, 3, cfg);
     ASSERT_EQ(shard.results.size(), shard.plan.size());
     for (std::size_t k = 0; k < shard.results.size(); ++k) {
       EXPECT_EQ(shard.results[k], whole[shard.plan.begin + k])
@@ -473,19 +465,18 @@ TEST(ShardDriverTest, MergeRejectsIncompleteOrMixedShardSets) {
   save_shard(dir / "b.ecsh", fake_shard(2, 1, 2, 4));
   save_shard(dir / "other.ecsh", fake_shard(2, 0, 3, 6));  // different sweep
 
-  EXPECT_THROW((void)ShardDriver::merge_shard_files({}), ShardDriverError);
-  EXPECT_THROW((void)ShardDriver::merge_shard_files({dir / "a.ecsh"}), ShardDriverError);
-  EXPECT_THROW((void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "a.ecsh"}),
-               ShardDriverError);
-  EXPECT_THROW(
-      (void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "other.ecsh"}),
-      ShardDriverError);
-  EXPECT_THROW((void)ShardDriver::merge_shard_files({dir / "a.ecsh", dir / "missing.ecsh"}),
-               binio::Error);
+  EXPECT_THROW((void)merge_shard_files({}), std::invalid_argument);
+  EXPECT_THROW((void)merge_shard_files({dir / "a.ecsh"}), binio::FormatError);
+  EXPECT_THROW((void)merge_shard_files({dir / "a.ecsh", dir / "b.ecsh", dir / "b.ecsh"}),
+               binio::FormatError);
+  EXPECT_THROW((void)merge_shard_files({dir / "a.ecsh", dir / "a.ecsh"}), binio::FormatError);
+  EXPECT_THROW((void)merge_shard_files({dir / "a.ecsh", dir / "other.ecsh"}),
+               binio::FormatError);
+  EXPECT_THROW((void)merge_shard_files({dir / "a.ecsh", dir / "missing.ecsh"}), binio::Error);
 
-  // The complete set merges, in either listing order.
-  const ShardMerge merged =
-      ShardDriver::merge_shard_files({dir / "b.ecsh", dir / "a.ecsh"});
+  // The complete set merges, in either listing order, into the 0-of-1 shard.
+  const ShardData merged = merge_shard_files({dir / "b.ecsh", dir / "a.ecsh"});
+  EXPECT_EQ(merged.plan, plan_shard(4, 0, 1));
   EXPECT_EQ(merged.results.size(), 4u);
   EXPECT_EQ(merged.report.totals().hubs, 4u);
   for (std::size_t i = 0; i < merged.results.size(); ++i) {
@@ -494,54 +485,38 @@ TEST(ShardDriverTest, MergeRejectsIncompleteOrMixedShardSets) {
   fs::remove_all(dir);
 }
 
-TEST(ShardDriverTest, ForkedWorkerFailurePropagates) {
-  const fs::path dir = scratch_dir("worker_failure");
-  // A DRL job without a checkpoint passes job construction but fails inside
-  // the worker — the child exits 1 and the parent surfaces the shard.
-  std::vector<FleetJob> jobs = make_jobs(4);
-  jobs[3].scheduler = SchedulerKind::kDrl;
-  jobs[3].checkpoint = nullptr;
-  FleetRunnerConfig cfg;
-  cfg.threads = 1;
-  const ShardDriver driver(cfg);
-  try {
-    (void)driver.run_forked(jobs, 2, dir);
-    FAIL() << "run_forked accepted a failing worker";
-  } catch (const ShardDriverError& e) {
-    EXPECT_NE(std::string(e.what()).find("exited with status 1"), std::string::npos)
-        << e.what();
-  }
-  fs::remove_all(dir);
-}
-
 // ------------------------------------------------------------ headline
 
 // The acceptance-criteria test: a 64-hub sweep over all six scenarios and
-// three scheduler families (including the batched DRL actor), sharded
-// 1/2/4/8 ways across real forked worker processes, must merge to an
-// AggregateReport byte-identical in serialized form to the single-process
-// FleetRunner run — and to identical per-hub results, field for field.
-TEST(ShardIdentity, ForkedSweepMergesBitIdenticalToSingleProcess) {
+// three scheduler families (including the batched DRL actor), run 1/2/4/8
+// ways through run_shard, saved as shard files and merged back, must equal
+// the single-process FleetRunner run: identical per-hub results, an equal
+// report, and the same serialized artifact as the unsharded 0-of-1 shard.
+TEST(ShardIdentity, ShardFilesMergeBitIdenticalToSingleProcess) {
   const std::vector<FleetJob> jobs = make_mixed_jobs(64);
   FleetRunnerConfig cfg;
   cfg.threads = 2;
   const std::vector<HubRunResult> baseline_results = FleetRunner(cfg).run(jobs);
   const AggregateReport baseline(baseline_results);
-  const std::string baseline_bytes = serialize_report(baseline);
+  const std::string whole_bytes = serialize_shard(run_shard(jobs, 0, 1, cfg));
 
-  const ShardDriver driver(cfg);
   for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     const fs::path dir = scratch_dir("identity_" + std::to_string(n));
-    const ShardMerge merged = driver.run_forked(jobs, n, dir);
+    std::vector<fs::path> paths;
+    for (std::size_t i = 0; i < n; ++i) {
+      paths.push_back(dir / ("shard-" + std::to_string(i) + ".ecsh"));
+      save_shard(paths.back(), run_shard(jobs, i, n, cfg));
+    }
+    const ShardData merged = merge_shard_files(paths);
     ASSERT_EQ(merged.results.size(), baseline_results.size()) << n << "-way";
     for (std::size_t i = 0; i < merged.results.size(); ++i) {
       ASSERT_EQ(merged.results[i], baseline_results[i])
           << n << "-way sharding changed hub " << i;
     }
     EXPECT_TRUE(merged.report == baseline) << n << "-way";
-    EXPECT_EQ(serialize_report(merged.report), baseline_bytes)
-        << n << "-way merged report is not byte-identical";
+    EXPECT_EQ(serialize_shard(merged), whole_bytes)
+        << n << "-way merged artifact is not byte-identical";
     fs::remove_all(dir);
   }
 }

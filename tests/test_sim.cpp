@@ -415,6 +415,21 @@ TEST(FleetRunnerLockstep, EmptyJobList) {
   EXPECT_TRUE(FleetRunner(FleetRunnerConfig{}).run_lockstep({}).empty());
 }
 
+// Physics every result must satisfy, whatever path produced it: the last
+// episode's SoC stays inside the job's Eq. 5 pack bounds (± 1e-12 for the
+// kWh -> fraction division) and was sampled once per slot.
+void expect_soc_within_pack_bounds(const std::vector<FleetJob>& jobs,
+                                   const std::vector<HubRunResult>& results) {
+  ASSERT_EQ(results.size(), jobs.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const battery::BatteryConfig& pack = jobs[i].hub.battery;
+    const SocDigest& soc = results[i].soc;
+    EXPECT_GE(soc.min, pack.soc_min_frac - 1e-12) << "hub " << i;
+    EXPECT_LE(soc.max, pack.soc_max_frac + 1e-12) << "hub " << i;
+    EXPECT_EQ(soc.samples, results[i].slots_per_episode) << "hub " << i;
+  }
+}
+
 // ------------------------------------------------------------ threaded lockstep
 
 std::vector<HubRunResult> run_lockstep_fleet(const std::vector<FleetJob>& jobs,
@@ -469,6 +484,19 @@ TEST(LockstepDeterminism, FourWayBitIdentity64HubsAllScenariosAllSchedulers) {
   expect_results_bit_identical(per_hub, lockstep_1);
   expect_results_bit_identical(per_hub, lockstep_3);
   expect_results_bit_identical(per_hub, lockstep_8);
+
+  // The same runs as physics: SoC within the pack bounds, the ledger total
+  // equal to its episodes' left fold, and no coupling on an uncoupled fleet.
+  expect_soc_within_pack_bounds(jobs, per_hub);
+  for (const HubRunResult& r : per_hub) {
+    ASSERT_EQ(r.episode_profit.size(), 2u) << r.hub_name;
+    EXPECT_EQ(r.profit, (0.0 + r.episode_profit[0]) + r.episode_profit[1]) << r.hub_name;
+    EXPECT_EQ(r.through_kwh, 0.0) << r.hub_name;
+    EXPECT_EQ(r.spill_exported_kwh, 0.0) << r.hub_name;
+    EXPECT_EQ(r.spill_served_kwh, 0.0) << r.hub_name;
+    EXPECT_EQ(r.spill_dropped_kwh, 0.0) << r.hub_name;
+    EXPECT_EQ(r.outage_slots, 0u) << r.hub_name;
+  }
 }
 
 TEST(LockstepDeterminism, GemmPlacementIsBitIdenticalAtEveryThreadCount) {
@@ -531,15 +559,22 @@ TEST(LockstepDeterminism, CoupledMetroFleetBitIdenticalAcrossThreadsAndGemm) {
 
   // The coupling must actually be live: demand flowed over the bus and some
   // of it was absorbed by neighbors.
-  double exported = 0.0, served = 0.0, through = 0.0;
+  double exported = 0.0, served = 0.0, dropped = 0.0, through = 0.0;
   for (const HubRunResult& r : reference) {
     exported += r.spill_exported_kwh;
     served += r.spill_served_kwh;
+    dropped += r.spill_dropped_kwh;
     through += r.through_kwh;
   }
   EXPECT_GT(through, 0.0);
   EXPECT_GT(exported, 0.0);
   EXPECT_GT(served, 0.0);
+
+  // Physics: SoC within the pack bounds, and imports only come from
+  // exports, so what neighbors served or dropped cannot exceed what was
+  // exported (the rest was still in flight at turnover).
+  expect_soc_within_pack_bounds(jobs, reference);
+  EXPECT_LE(served + dropped, exported * (1.0 + 1e-12));
 }
 
 // ------------------------------------------------------------ fleet golden
