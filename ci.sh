@@ -84,8 +84,12 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      src/nn/matrix.cpp and src/nn/elementary.cpp are compiled again with
 #      job 1's own commands from compile_commands.json plus -mfma, which lets
 #      the compiler fuse wherever the build's flags allow it, and neither
-#      object may contain a fused multiply-add (vfmadd).
-echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + NN kernel codegen"
+#      object may contain a fused multiply-add (vfmadd);
+#  (e) no test-only modules: every src/**/*.hpp must be #included by some
+#      file under src, bench, examples, perfbench/src or tools other than
+#      its own .cpp.  It guards whole modules only; a dead function inside
+#      a live header is a review matter.
+echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + NN kernel codegen + orphan headers"
 cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
@@ -115,6 +119,20 @@ EOF
   fi
   echo "    ${src} built with -mfma: no vfmadd"
 done
+
+ORPHANS=0
+for hdr in $(find src -name '*.hpp' | sort); do
+  rel="${hdr#src/}"
+  if ! grep -rlF --include='*.hpp' --include='*.cpp' "#include \"${rel}\"" \
+      src bench examples perfbench/src tools | grep -vxF "${hdr%.hpp}.cpp" | grep -q .; then
+    echo "FAIL: ${hdr} is included by no program (only by tests or its own .cpp)" >&2
+    ORPHANS=$((ORPHANS + 1))
+  fi
+done
+if [ "${ORPHANS}" -ne 0 ]; then
+  exit 1
+fi
+echo "    every src/ header is included by a program"
 
 # Job 6 runs the benchmark smoke: every workload tiny, untraced and traced.
 # The traced runs replay run_lockstep and run_job through perfbench's own

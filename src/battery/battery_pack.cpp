@@ -10,21 +10,25 @@ constexpr double kEps = 1e-9;
 }
 
 void BatteryConfig::validate() const {
-  if (capacity_kwh <= 0.0) throw std::invalid_argument("BatteryConfig: capacity_kwh <= 0");
-  if (charge_rate_kw <= 0.0) throw std::invalid_argument("BatteryConfig: charge_rate_kw <= 0");
-  if (discharge_rate_kw <= 0.0) {
+  // Written so that NaN fails every check, and every field must be finite.
+  for (const double x : {capacity_kwh, charge_rate_kw, discharge_rate_kw, op_cost_per_slot}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("BatteryConfig: non-finite field");
+  }
+  if (!(capacity_kwh > 0.0)) throw std::invalid_argument("BatteryConfig: capacity_kwh <= 0");
+  if (!(charge_rate_kw > 0.0)) throw std::invalid_argument("BatteryConfig: charge_rate_kw <= 0");
+  if (!(discharge_rate_kw > 0.0)) {
     throw std::invalid_argument("BatteryConfig: discharge_rate_kw <= 0");
   }
-  if (charge_efficiency <= 0.0 || charge_efficiency > 1.0) {
+  if (!(charge_efficiency > 0.0 && charge_efficiency <= 1.0)) {
     throw std::invalid_argument("BatteryConfig: charge_efficiency out of (0, 1]");
   }
-  if (discharge_efficiency <= 0.0 || discharge_efficiency > 1.0) {
+  if (!(discharge_efficiency > 0.0 && discharge_efficiency <= 1.0)) {
     throw std::invalid_argument("BatteryConfig: discharge_efficiency out of (0, 1]");
   }
   if (!(0.0 <= soc_min_frac && soc_min_frac < soc_max_frac && soc_max_frac <= 1.0)) {
     throw std::invalid_argument("BatteryConfig: need 0 <= soc_min < soc_max <= 1");
   }
-  if (op_cost_per_slot < 0.0) throw std::invalid_argument("BatteryConfig: op_cost < 0");
+  if (!(op_cost_per_slot >= 0.0)) throw std::invalid_argument("BatteryConfig: op_cost < 0");
 }
 
 BatteryPack::BatteryPack(BatteryConfig cfg, double initial_soc_frac) : cfg_(cfg), soc_kwh_(0.0) {

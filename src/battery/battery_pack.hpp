@@ -74,9 +74,8 @@ class BatteryPack {
     return cfg_.soc_max_frac * cfg_.capacity_kwh;
   }
 
-  /// Energy the pack can still absorb / deliver (bus side), kWh.
+  /// Energy the pack can still absorb (bus side), kWh.
   [[nodiscard]] double headroom_kwh() const noexcept { return soc_max_kwh() - soc_kwh_; }
-  [[nodiscard]] double available_kwh() const noexcept { return soc_kwh_ - soc_min_kwh(); }
 
   /// Raises the effective SoC floor (used by the blackout-reserve constraint,
   /// Eq. 6).  Must stay within [soc_min, soc_max].

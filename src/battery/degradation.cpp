@@ -48,10 +48,4 @@ std::vector<double> DegradationModel::voltage_trajectory(const DegradationConfig
   return v;
 }
 
-double lead_acid_ocv(double soc_frac) {
-  const double s = std::clamp(soc_frac, 0.0, 1.0);
-  // 2.05 V empty -> 2.23 V full, the usual VRLA open-circuit window.
-  return 2.05 + 0.18 * s;
-}
-
 }  // namespace ecthub::battery

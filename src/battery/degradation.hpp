@@ -49,8 +49,4 @@ class DegradationModel {
   double fade_ = 0.0;  // cumulative fractional capacity loss
 };
 
-/// Open-circuit voltage of a lead-acid cell as a function of SoC fraction —
-/// an affine fit adequate over the 20-95% window the pack operates in.
-[[nodiscard]] double lead_acid_ocv(double soc_frac);
-
 }  // namespace ecthub::battery

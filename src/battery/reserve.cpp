@@ -5,13 +5,6 @@
 
 namespace ecthub::battery {
 
-double reserve_energy_full_load(double bs_power_kw, double recovery_hours) {
-  if (bs_power_kw < 0.0 || recovery_hours < 0.0) {
-    throw std::invalid_argument("reserve_energy_full_load: negative input");
-  }
-  return bs_power_kw * recovery_hours;
-}
-
 double reserve_energy_worst_window(const std::vector<double>& bs_power_kw,
                                    std::size_t recovery_slots, double dt_hours) {
   if (recovery_slots == 0) throw std::invalid_argument("reserve window must be >= 1 slot");

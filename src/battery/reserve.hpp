@@ -2,18 +2,14 @@
 //
 // The SoC floor must cover the base station's energy draw over the estimated
 // grid-recovery time T_r:  sum_{t..t+Tr} P_BS(t) <= SoC_min.  We size the
-// floor against the worst-case window of a representative load trace (or
-// simply full load), which is the conservative reading operators use.
+// floor against the worst-case window of a representative load trace, which
+// is the conservative reading operators use.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 namespace ecthub::battery {
-
-/// Energy (kWh) needed to ride through `recovery_hours` at constant
-/// `bs_power_kw` — the full-load conservative bound.
-[[nodiscard]] double reserve_energy_full_load(double bs_power_kw, double recovery_hours);
 
 /// Energy (kWh) of the worst contiguous window of `recovery_slots` slots in a
 /// BS power trace sampled at `dt_hours` per slot.  Throws if the trace is

@@ -1,7 +1,7 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub {
@@ -43,11 +43,6 @@ std::uint64_t Rng::poisson(double mean) {
   return d(engine_);
 }
 
-double Rng::weibull(double shape, double scale) {
-  std::weibull_distribution<double> d(shape, scale);
-  return d(engine_);
-}
-
 double Rng::exponential(double rate) {
   if (rate <= 0.0) throw std::invalid_argument("Rng::exponential: rate must be > 0");
   std::exponential_distribution<double> d(rate);
@@ -66,11 +61,21 @@ void Rng::shuffle(std::vector<std::size_t>& idx) {
 
 std::size_t Rng::categorical(const std::vector<double>& weights) {
   if (weights.empty()) throw std::invalid_argument("Rng::categorical: empty weights");
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  if (total <= 0.0) throw std::invalid_argument("Rng::categorical: weights must sum > 0");
+  // Every weight is checked before the draw, so a bad one throws on every
+  // call (not only when the walk reaches it) and leaves the stream untouched.
+  // Written so that NaN fails.
+  double total = 0.0;
+  for (const double w : weights) {
+    if (!(std::isfinite(w) && w >= 0.0)) {
+      throw std::invalid_argument("Rng::categorical: weights must be finite and >= 0");
+    }
+    total += w;
+  }
+  if (!(std::isfinite(total) && total > 0.0)) {
+    throw std::invalid_argument("Rng::categorical: weights must sum to a finite value > 0");
+  }
   double u = uniform(0.0, total);
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (weights[i] < 0.0) throw std::invalid_argument("Rng::categorical: negative weight");
     u -= weights[i];
     if (u <= 0.0) return i;
   }

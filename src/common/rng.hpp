@@ -39,9 +39,6 @@ class Rng {
   /// Poisson draw with the given mean (mean <= 0 yields 0).
   std::uint64_t poisson(double mean);
 
-  /// Weibull draw with shape k and scale lambda.
-  double weibull(double shape, double scale);
-
   /// Exponential draw with the given rate (rate > 0).
   double exponential(double rate);
 
@@ -53,9 +50,9 @@ class Rng {
   void shuffle(std::vector<std::size_t>& idx);
 
   /// Sample an index from an (unnormalized, non-negative) weight vector.
+  /// Throws std::invalid_argument, without drawing, unless every weight is
+  /// finite and >= 0 and their sum is finite and > 0.
   std::size_t categorical(const std::vector<double>& weights);
-
-  std::mt19937_64& engine() noexcept { return engine_; }
 
  private:
   std::mt19937_64 engine_;

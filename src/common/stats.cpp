@@ -81,40 +81,6 @@ double sum(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
-std::vector<double> moving_average(const std::vector<double>& v, std::size_t w) {
-  if (w == 0) throw std::invalid_argument("moving_average: window must be >= 1");
-  std::vector<double> out(v.size(), 0.0);
-  // Exactly w interior elements: (w-1)/2 older plus w/2 newer neighbours —
-  // the symmetric [i-half, i+half] for odd w, one extra on the newer side
-  // for even w ([i-half, i+half] with half = w/2 was 2*(w/2)+1 wide, so an
-  // even request never got its own width).
-  const auto half_older = static_cast<std::ptrdiff_t>((w - 1) / 2);
-  const auto half_newer = static_cast<std::ptrdiff_t>(w / 2);
-  const auto n = static_cast<std::ptrdiff_t>(v.size());
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(0, i - half_older);
-    const std::ptrdiff_t hi = std::min(n - 1, i + half_newer);
-    double acc = 0.0;
-    for (std::ptrdiff_t j = lo; j <= hi; ++j) acc += v[static_cast<std::size_t>(j)];
-    out[static_cast<std::size_t>(i)] = acc / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<std::size_t> histogram(const std::vector<double>& v, double lo, double hi,
-                                   std::size_t bins) {
-  if (bins == 0) throw std::invalid_argument("histogram: bins must be >= 1");
-  if (hi <= lo) throw std::invalid_argument("histogram: hi must be > lo");
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : v) {
-    auto b = static_cast<std::ptrdiff_t>((x - lo) / width);
-    b = std::clamp<std::ptrdiff_t>(b, 0, static_cast<std::ptrdiff_t>(bins) - 1);
-    ++counts[static_cast<std::size_t>(b)];
-  }
-  return counts;
-}
-
 double autocorrelation(const std::vector<double>& v, std::size_t lag) {
   if (v.size() <= lag + 1) return 0.0;
   const double m = mean(v);

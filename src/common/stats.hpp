@@ -29,19 +29,6 @@ double min(const std::vector<double>& v);
 double max(const std::vector<double>& v);
 double sum(const std::vector<double>& v);
 
-/// Centered moving average over a window of exactly `w` elements in the
-/// interior: out[i] averages v[i - (w-1)/2 .. i + w/2], so odd widths are
-/// symmetric and even widths take the extra element on the newer (higher-
-/// index) side.  Near the edges the window clamps to the available range
-/// (fewer than `w` elements).  (Pre-fix, an even `w` silently widened to the
-/// next odd width: w=4 averaged 5 elements.)
-std::vector<double> moving_average(const std::vector<double>& v, std::size_t w);
-
-/// Histogram over [lo, hi) with `bins` equal-width buckets; values outside
-/// the range are clamped into the first/last bucket.
-std::vector<std::size_t> histogram(const std::vector<double>& v, double lo, double hi,
-                                   std::size_t bins);
-
 /// Lag-k autocorrelation; 0 when undefined.
 double autocorrelation(const std::vector<double>& v, std::size_t lag);
 

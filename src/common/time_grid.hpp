@@ -1,7 +1,7 @@
 // Discrete time grid shared by every simulator in the ECT-Hub system.
 //
 // The paper (Sec. III) models operation over time slots t1..tT.  All our
-// generators (traffic, weather, prices, EV arrivals) and the hub environment
+// generators (traffic, weather, prices, EV occupancy) and the hub environment
 // agree on one TimeGrid so that slot indices can be exchanged between modules
 // without unit confusion.
 #pragma once

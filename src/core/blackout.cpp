@@ -6,33 +6,35 @@
 
 namespace ecthub::core {
 
-std::vector<OutageEvent> draw_outages(const OutageModel& model, std::size_t num_slots,
-                                      double dt_hours, Rng& rng) {
-  if (num_slots == 0) throw std::invalid_argument("draw_outages: num_slots == 0");
-  if (dt_hours <= 0.0) throw std::invalid_argument("draw_outages: dt_hours <= 0");
-  if (model.rate_per_month < 0.0 || model.min_duration_h < 0.0 ||
-      model.max_duration_h < model.min_duration_h) {
-    throw std::invalid_argument("draw_outages: bad OutageModel");
+void OutageModel::validate() const {
+  // Written so that NaN fails.
+  if (!(std::isfinite(rate_per_month) && rate_per_month >= 0.0 && min_duration_h >= 0.0 &&
+        std::isfinite(max_duration_h) && max_duration_h >= min_duration_h)) {
+    throw std::invalid_argument("OutageModel: need a finite rate >= 0 and 0 <= min <= max < inf");
   }
-  const double horizon_months =
-      static_cast<double>(num_slots) * dt_hours / (30.0 * 24.0);
+}
+
+void draw_outages_into(const OutageModel& model, double dt_hours, Rng& rng,
+                       std::span<std::uint8_t> flags) {
+  model.validate();
+  if (flags.empty()) throw std::invalid_argument("draw_outages_into: no slots");
+  if (!(std::isfinite(dt_hours) && dt_hours > 0.0)) {
+    throw std::invalid_argument("draw_outages_into: dt_hours must be finite and > 0");
+  }
+  std::fill(flags.begin(), flags.end(), std::uint8_t{0});
+  const std::size_t num_slots = flags.size();
+  const double horizon_months = static_cast<double>(num_slots) * dt_hours / (30.0 * 24.0);
   const std::uint64_t count = rng.poisson(model.rate_per_month * horizon_months);
-  std::vector<OutageEvent> events;
-  events.reserve(count);
   for (std::uint64_t k = 0; k < count; ++k) {
-    OutageEvent e;
-    e.start_slot = static_cast<std::size_t>(
+    const auto start = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(num_slots) - 1));
     const double dur_h = rng.uniform(model.min_duration_h, model.max_duration_h);
-    e.duration_slots = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::ceil(dur_h / dt_hours)));
-    events.push_back(e);
+    const auto dur =
+        std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(dur_h / dt_hours)));
+    const std::size_t end = std::min(num_slots, start + dur);
+    std::fill(flags.begin() + static_cast<std::ptrdiff_t>(start),
+              flags.begin() + static_cast<std::ptrdiff_t>(end), std::uint8_t{1});
   }
-  std::sort(events.begin(), events.end(),
-            [](const OutageEvent& a, const OutageEvent& b) {
-              return a.start_slot < b.start_slot;
-            });
-  return events;
 }
 
 RideThroughResult ride_through(const battery::BatteryConfig& pack, double soc_kwh,

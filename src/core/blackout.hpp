@@ -12,14 +12,11 @@
 #include "common/rng.hpp"
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ecthub::core {
-
-struct OutageEvent {
-  std::size_t start_slot = 0;
-  std::size_t duration_slots = 0;
-};
 
 struct OutageModel {
   /// Expected outages per 30 days.
@@ -27,12 +24,20 @@ struct OutageModel {
   /// Outage duration, uniform in [min, max] hours.
   double min_duration_h = 1.0;
   double max_duration_h = 8.0;
+
+  /// Throws std::invalid_argument unless the rate is finite and >= 0 and
+  /// 0 <= min_duration_h <= max_duration_h < inf.
+  void validate() const;
 };
 
-/// Draws outage events over a horizon of `num_slots` slots of `dt_hours`.
-[[nodiscard]] std::vector<OutageEvent> draw_outages(const OutageModel& model,
-                                                    std::size_t num_slots, double dt_hours,
-                                                    Rng& rng);
+/// Draws grid outages over a horizon of flags.size() slots of `dt_hours` and
+/// writes them as per-slot flags: every flag is overwritten, 1 inside an
+/// outage and 0 elsewhere.  The outage count is Poisson with mean
+/// rate_per_month over the horizon; each outage then starts at a uniform slot
+/// and lasts a uniform [min, max] hours, rounded up to whole slots (at least
+/// one) and cut at the horizon.  Allocation-free.
+void draw_outages_into(const OutageModel& model, double dt_hours, Rng& rng,
+                       std::span<std::uint8_t> flags);
 
 /// Result of riding one outage on battery.
 struct RideThroughResult {

@@ -44,12 +44,7 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
     if (!(std::isfinite(cfg.coupling.through_rate) && cfg.coupling.through_rate >= 0.0)) {
       throw std::invalid_argument("HubCouplingConfig: through_rate must be finite and >= 0");
     }
-    const OutageModel& outage = cfg.coupling.outage;
-    if (!(std::isfinite(outage.rate_per_month) && outage.rate_per_month >= 0.0 &&
-          outage.min_duration_h >= 0.0 && std::isfinite(outage.max_duration_h) &&
-          outage.max_duration_h >= outage.min_duration_h)) {
-      throw std::invalid_argument("HubCouplingConfig: bad OutageModel");
-    }
+    cfg.coupling.outage.validate();
   }
   return cfg;
 }
@@ -59,9 +54,17 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
       cfg_(validated(std::move(env_cfg))),
       rng_(hub_.seed),
       ledger_(cfg_.slots_per_day) {
-  // Fail on a bad battery (e.g. zero capacity) at construction, not at the
-  // first reset deep inside a worker thread.
+  // Fail on a bad hub config (a zero-capacity battery, a NaN price level) at
+  // construction, not at the first reset deep inside a worker thread.  Every
+  // component check is written so that NaN fails it; the station and its EV
+  // profile are checked as they are built below.
+  hub_.bs.validate();
   hub_.battery.validate();
+  hub_.plant.validate();
+  hub_.traffic.validate();
+  hub_.weather.validate();
+  hub_.rtp.validate();
+  hub_.selling.validate();
   if (!(std::isfinite(hub_.recovery_hours) && hub_.recovery_hours >= 0.0)) {
     throw std::invalid_argument("HubConfig: recovery_hours must be finite and >= 0");
   }
@@ -154,27 +157,12 @@ void EctHubEnv::generate_episode() {
                                      coupling.through_rate * traffic_.load_rate[t]));
     }
     outage_.resize(grid.size());
-    std::fill(outage_.begin(), outage_.end(), std::uint8_t{0});
     if (fronted && coupling.outage.rate_per_month > 0.0) {
-      // The draw_outages sampling loop, inlined to write reused flags instead
-      // of allocating an event vector (the zero-alloc episode contract).
       Rng outage_rng(
           mix_seed(mix_seed(coupling.front_seed, kOutageFrontStream), episode));
-      const double dt = grid.slot_hours();
-      const double horizon_months =
-          static_cast<double>(grid.size()) * dt / (30.0 * 24.0);
-      const std::uint64_t count =
-          outage_rng.poisson(coupling.outage.rate_per_month * horizon_months);
-      for (std::uint64_t k = 0; k < count; ++k) {
-        const auto start = static_cast<std::size_t>(
-            outage_rng.uniform_int(0, static_cast<std::int64_t>(grid.size()) - 1));
-        const double dur_h = outage_rng.uniform(coupling.outage.min_duration_h,
-                                                coupling.outage.max_duration_h);
-        const auto dur =
-            std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(dur_h / dt)));
-        const std::size_t end = std::min(grid.size(), start + dur);
-        for (std::size_t s = start; s < end; ++s) outage_[s] = 1;
-      }
+      draw_outages_into(coupling.outage, grid.slot_hours(), outage_rng, outage_);
+    } else {
+      std::fill(outage_.begin(), outage_.end(), std::uint8_t{0});
     }
   }
 

@@ -95,8 +95,9 @@ struct SlotCoupling {
 
 class EctHubEnv final : public rl::Env {
  public:
-  /// Validates both configurations eagerly (including the battery pack, so a
-  /// zero-capacity pack fails here rather than at the first reset).
+  /// Validates both configurations eagerly (every component of the hub, so a
+  /// zero-capacity pack or a NaN field fails here rather than at the first
+  /// reset).
   /// Construction is cheap — all episode buffers are allocated lazily on the
   /// first reset_into() and reused across subsequent resets — so fleet
   /// workers can build an env per hub without paying a large up-front cost.
@@ -153,16 +154,11 @@ class EctHubEnv final : public rl::Env {
   [[nodiscard]] const battery::BatteryPack& pack() const { return *pack_; }
   [[nodiscard]] const ProfitLedger& ledger() const { return ledger_; }
   [[nodiscard]] const HubConfig& hub() const noexcept { return hub_; }
-  [[nodiscard]] const HubEnvConfig& env_config() const noexcept { return cfg_; }
 
   /// Per-slot series of the current episode (valid after reset_into()).
   [[nodiscard]] const std::vector<double>& bs_power_series() const { return bs_kw_; }
   [[nodiscard]] const std::vector<double>& cs_power_series() const { return occ_.power_kw; }
   [[nodiscard]] const std::vector<double>& renewable_series() const { return renewable_kw_; }
-
-  /// Coupled-mode series (empty on an uncoupled hub).
-  [[nodiscard]] const std::vector<double>& through_series() const { return through_kw_; }
-  [[nodiscard]] const std::vector<std::uint8_t>& outage_series() const { return outage_; }
 
  private:
   [[nodiscard]] static HubEnvConfig validated(HubEnvConfig cfg);

@@ -55,13 +55,14 @@ StrataProfile::StrataProfile(double popularity, double evening_sensitivity,
     : popularity_(popularity),
       evening_sensitivity_(evening_sensitivity),
       evening_commuter_(evening_commuter) {
-  if (popularity <= 0.0 || popularity > 1.0) {
+  // Written so that NaN fails.
+  if (!(popularity > 0.0 && popularity <= 1.0)) {
     throw std::invalid_argument("StrataProfile: popularity out of (0, 1]");
   }
-  if (evening_sensitivity < 0.0 || evening_sensitivity > 1.0) {
+  if (!(evening_sensitivity >= 0.0 && evening_sensitivity <= 1.0)) {
     throw std::invalid_argument("StrataProfile: evening_sensitivity out of [0, 1]");
   }
-  if (evening_commuter < 0.0 || evening_commuter > 1.0) {
+  if (!(evening_commuter >= 0.0 && evening_commuter <= 1.0)) {
     throw std::invalid_argument("StrataProfile: evening_commuter out of [0, 1]");
   }
   for (std::size_t h = 0; h < 24; ++h) {

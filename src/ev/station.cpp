@@ -1,13 +1,16 @@
 #include "ev/station.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::ev {
 
 ChargingStation::ChargingStation(StationConfig cfg, StrataProfile profile)
     : cfg_(cfg), profile_(std::move(profile)) {
-  if (cfg_.plug_rate_kw <= 0.0) throw std::invalid_argument("StationConfig: plug_rate_kw <= 0");
+  if (!(std::isfinite(cfg_.plug_rate_kw) && cfg_.plug_rate_kw > 0.0)) {
+    throw std::invalid_argument("StationConfig: plug_rate_kw must be finite and > 0");
+  }
   if (cfg_.num_plugs == 0) throw std::invalid_argument("StationConfig: num_plugs == 0");
 }
 

@@ -1,22 +1,8 @@
 #include "forecast/predictors.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::forecast {
-
-EmaPredictor::EmaPredictor(double alpha) : alpha_(alpha) {
-  if (alpha <= 0.0 || alpha > 1.0) throw std::invalid_argument("EmaPredictor: alpha out of (0, 1]");
-}
-
-void EmaPredictor::observe(double value) {
-  if (!primed_) {
-    level_ = value;
-    primed_ = true;
-    return;
-  }
-  level_ += alpha_ * (value - level_);
-}
 
 SeasonalNaivePredictor::SeasonalNaivePredictor(std::size_t period, double alpha)
     : period_(period), alpha_(alpha), seasonal_(period, 0.0), seen_(period, false) {
@@ -40,40 +26,6 @@ void SeasonalNaivePredictor::observe(std::size_t t, double value) {
 double SeasonalNaivePredictor::predict(std::size_t t) const {
   const std::size_t slot = t % period_;
   return seen_[slot] ? seasonal_[slot] : global_mean_;
-}
-
-void Ar1Predictor::observe(double value) {
-  if (has_prev_) {
-    sx_ += prev_;
-    sy_ += value;
-    sxx_ += prev_ * prev_;
-    sxy_ += prev_ * value;
-    ++n_;
-  }
-  prev_ = value;
-  has_prev_ = true;
-}
-
-double Ar1Predictor::phi() const {
-  if (n_ < 2) return 0.0;
-  const double dn = static_cast<double>(n_);
-  const double denom = sxx_ - sx_ * sx_ / dn;
-  if (std::abs(denom) < 1e-12) return 0.0;
-  return (sxy_ - sx_ * sy_ / dn) / denom;
-}
-
-double Ar1Predictor::predict() const { return predict_ahead(1); }
-
-double Ar1Predictor::predict_ahead(std::size_t k) const {
-  if (!has_prev_ || n_ < 2) return prev_;
-  const double dn = static_cast<double>(n_);
-  const double p = phi();
-  const double c = (sy_ - p * sx_) / dn;
-  const double mean = std::abs(1.0 - p) < 1e-9 ? prev_ : c / (1.0 - p);
-  double x = prev_;
-  for (std::size_t i = 0; i < k; ++i) x = c + p * x;
-  (void)mean;
-  return x;
 }
 
 }  // namespace ecthub::forecast

@@ -1,10 +1,6 @@
-// Lightweight online forecasters for prices, traffic and generation.
-//
-// The paper notes network traffic is "a good indicator for predicting
-// electricity costs" and that renewable output is "hard to predict in
-// advance"; these predictors quantify both claims and power the
-// forecast-based policy (policy/rule_policies.hpp), an interpretable
-// middle ground between the TOU rule and ECT-DRL.
+// The online seasonal price forecaster behind the forecast-based policy
+// (policy/rule_policies.hpp), an interpretable middle ground between the TOU
+// rule and ECT-DRL.
 #pragma once
 
 #include <cmath>
@@ -12,21 +8,6 @@
 #include <vector>
 
 namespace ecthub::forecast {
-
-/// Exponential moving average: level-only smoothing.
-class EmaPredictor {
- public:
-  explicit EmaPredictor(double alpha);
-
-  void observe(double value);
-  [[nodiscard]] double predict() const noexcept { return level_; }
-  [[nodiscard]] bool primed() const noexcept { return primed_; }
-
- private:
-  double alpha_;
-  double level_ = 0.0;
-  bool primed_ = false;
-};
 
 /// Seasonal-naive with EMA-smoothed seasonal slots: the forecast for hour h
 /// is the smoothed history of past values at hour h.  The right baseline for
@@ -55,25 +36,9 @@ class SeasonalNaivePredictor {
   std::size_t count_ = 0;
 };
 
-/// AR(1) fit by online least squares: x_{t+1} ~ c + phi x_t.
-class Ar1Predictor {
- public:
-  void observe(double value);
-  [[nodiscard]] double predict() const;
-  /// k-step-ahead forecast (geometric reversion to the implied mean).
-  [[nodiscard]] double predict_ahead(std::size_t k) const;
-  [[nodiscard]] double phi() const;
-
- private:
-  double prev_ = 0.0;
-  bool has_prev_ = false;
-  // Online sums for least squares over (x_t, x_{t+1}) pairs.
-  double sx_ = 0, sy_ = 0, sxx_ = 0, sxy_ = 0;
-  std::size_t n_ = 0;
-};
-
-/// Mean absolute error of a forecaster replayed over a series (utility for
-/// the volatility analysis and tests).
+/// Mean absolute error of a seasonal forecaster replayed over a series,
+/// predicting each slot before observing it (slots of the first season are
+/// not scored).
 template <typename Predictor>
 double replay_mae_seasonal(Predictor& p, const std::vector<double>& series) {
   double abs_err = 0.0;

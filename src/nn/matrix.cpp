@@ -166,19 +166,6 @@ Matrix& Matrix::add_inplace(const Matrix& other) {
   return *this;
 }
 
-Matrix& Matrix::sub_inplace(const Matrix& other) {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("sub_inplace: shape mismatch");
-  }
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Matrix& Matrix::scale_inplace(double s) {
-  for (double& x : data_) x *= s;
-  return *this;
-}
-
 Matrix& Matrix::add_row_vector(const Matrix& rowv) {
   if (rowv.rows_ != 1 || rowv.cols_ != cols_) {
     throw std::invalid_argument("add_row_vector: expected 1 x cols vector");
@@ -187,15 +174,6 @@ Matrix& Matrix::add_row_vector(const Matrix& rowv) {
     for (std::size_t c = 0; c < cols_; ++c) data_[r * cols_ + c] += rowv.data_[c];
   }
   return *this;
-}
-
-Matrix Matrix::hadamard(const Matrix& other) const {
-  if (rows_ != other.rows_ || cols_ != other.cols_) {
-    throw std::invalid_argument("hadamard: shape mismatch");
-  }
-  Matrix out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] = data_[i] * other.data_[i];
-  return out;
 }
 
 Matrix Matrix::col_sum() const {
@@ -225,21 +203,8 @@ Matrix Matrix::slice_cols(std::size_t begin, std::size_t end) const {
   return out;
 }
 
-Matrix Matrix::row(std::size_t r) const {
-  if (r >= rows_) throw std::out_of_range("row: index out of range");
-  Matrix out(1, cols_);
-  for (std::size_t c = 0; c < cols_; ++c) out(0, c) = data_[r * cols_ + c];
-  return out;
-}
-
 void Matrix::fill(double v) {
   for (double& x : data_) x = v;
-}
-
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
 }
 
 }  // namespace ecthub::nn

@@ -73,12 +73,8 @@ class Matrix {
   [[nodiscard]] Matrix transpose() const;
 
   Matrix& add_inplace(const Matrix& other);
-  Matrix& sub_inplace(const Matrix& other);
-  Matrix& scale_inplace(double s);
   /// Adds a 1 x cols row vector to every row.
   Matrix& add_row_vector(const Matrix& row);
-
-  [[nodiscard]] Matrix hadamard(const Matrix& other) const;
 
   /// Column-wise sum -> 1 x cols.
   [[nodiscard]] Matrix col_sum() const;
@@ -87,13 +83,8 @@ class Matrix {
   [[nodiscard]] Matrix hconcat(const Matrix& other) const;
   /// Extracts columns [begin, end).
   [[nodiscard]] Matrix slice_cols(std::size_t begin, std::size_t end) const;
-  /// Extracts row r as a 1 x cols matrix.
-  [[nodiscard]] Matrix row(std::size_t r) const;
 
   void fill(double v);
-
-  /// Frobenius norm; useful for gradient-norm diagnostics.
-  [[nodiscard]] double frobenius_norm() const;
 
  private:
   std::size_t rows_ = 0;

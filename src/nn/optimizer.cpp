@@ -7,15 +7,6 @@
 
 namespace ecthub::nn {
 
-void Sgd::step(std::vector<Parameter>& params) const {
-  for (auto& p : params) {
-    if (p.value == nullptr || p.grad == nullptr) throw std::invalid_argument("Sgd: null param");
-    for (std::size_t i = 0; i < p.value->data().size(); ++i) {
-      p.value->data()[i] -= lr_ * p.grad->data()[i];
-    }
-  }
-}
-
 void Adam::step(std::vector<Parameter>& params) {
   ++t_;
   // Optional global-norm gradient clipping before the moment update.

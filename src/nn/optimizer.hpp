@@ -1,6 +1,6 @@
-// Optimizers.  The paper trains everything with Adam (lr 1e-2 for ECT-Price
-// and baselines, 1e-3 for ECT-DRL, weight decay 1e-4); we implement Adam with
-// decoupled weight decay plus plain SGD for tests.
+// The optimizer.  The paper trains everything with Adam (lr 1e-2 for
+// ECT-Price and baselines, 1e-3 for ECT-DRL, weight decay 1e-4); we implement
+// Adam with decoupled weight decay.
 #pragma once
 
 #include "nn/layers.hpp"
@@ -9,15 +9,6 @@
 #include <vector>
 
 namespace ecthub::nn {
-
-class Sgd {
- public:
-  explicit Sgd(double lr) : lr_(lr) {}
-  void step(std::vector<Parameter>& params) const;
-
- private:
-  double lr_;
-};
 
 struct AdamConfig {
   double lr = 1e-3;

@@ -7,16 +7,6 @@
 
 namespace ecthub::policy {
 
-ObservationLayout ObservationLayout::from_dim(std::size_t state_dim) {
-  if (state_dim < kChannels + 3 || (state_dim - 3) % kChannels != 0) {
-    throw std::invalid_argument("ObservationLayout: no lookback yields state_dim " +
-                                std::to_string(state_dim));
-  }
-  ObservationLayout layout;
-  layout.lookback = (state_dim - 3) / kChannels;
-  return layout;
-}
-
 void ObservationLayout::check(std::span<const double> obs) const {
   if (obs.size() != dim()) {
     throw std::invalid_argument("ObservationLayout: observation has " +

@@ -33,10 +33,6 @@ struct ObservationLayout {
 
   [[nodiscard]] std::size_t dim() const noexcept { return kChannels * lookback + 3; }
 
-  /// Inverts dim(): the layout whose dim() equals `state_dim`.  Throws
-  /// std::invalid_argument when no lookback produces that dimension.
-  [[nodiscard]] static ObservationLayout from_dim(std::size_t state_dim);
-
   // ---- channel offsets (each window spans [offset, offset + lookback)) ----
   [[nodiscard]] std::size_t rtp_begin() const noexcept { return 0; }
   [[nodiscard]] std::size_t ghi_begin() const noexcept { return lookback; }

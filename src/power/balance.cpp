@@ -1,33 +1,11 @@
 #include "power/balance.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace ecthub::power {
 
 double PowerFlow::grid_kw() const {
   return std::max(0.0, bs_kw + cs_kw + bp_kw - wt_kw - pv_kw);
-}
-
-double PowerFlow::curtailed_kw() const {
-  return std::max(0.0, wt_kw + pv_kw - (bs_kw + cs_kw + bp_kw));
-}
-
-std::vector<double> grid_import_series(const std::vector<double>& bs_kw,
-                                       const std::vector<double>& cs_kw,
-                                       const std::vector<double>& bp_kw,
-                                       const std::vector<double>& wt_kw,
-                                       const std::vector<double>& pv_kw) {
-  const std::size_t n = bs_kw.size();
-  if (cs_kw.size() != n || bp_kw.size() != n || wt_kw.size() != n || pv_kw.size() != n) {
-    throw std::invalid_argument("grid_import_series: length mismatch");
-  }
-  std::vector<double> out(n);
-  for (std::size_t t = 0; t < n; ++t) {
-    PowerFlow f{bs_kw[t], cs_kw[t], bp_kw[t], wt_kw[t], pv_kw[t]};
-    out[t] = f.grid_kw();
-  }
-  return out;
 }
 
 }  // namespace ecthub::power

@@ -6,8 +6,6 @@
 // feed-in is not viable, Sec. I).
 #pragma once
 
-#include <vector>
-
 namespace ecthub::power {
 
 /// All power terms for one slot, kW.  Sign conventions follow the paper:
@@ -21,16 +19,6 @@ struct PowerFlow {
 
   /// Grid import per Eq. 7, never negative.
   [[nodiscard]] double grid_kw() const;
-
-  /// Renewable power generated but not absorbed (curtailed), never negative.
-  [[nodiscard]] double curtailed_kw() const;
 };
-
-/// Applies Eq. 7 across a horizon; all vectors must share one length.
-[[nodiscard]] std::vector<double> grid_import_series(const std::vector<double>& bs_kw,
-                                                     const std::vector<double>& cs_kw,
-                                                     const std::vector<double>& bp_kw,
-                                                     const std::vector<double>& wt_kw,
-                                                     const std::vector<double>& pv_kw);
 
 }  // namespace ecthub::power

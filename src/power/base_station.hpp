@@ -12,6 +12,9 @@ namespace ecthub::power {
 struct BaseStationConfig {
   double idle_power_kw = 1.0;  ///< P_min: BBU + idle AAU
   double full_power_kw = 3.5;  ///< P_max at load rate 1.0
+
+  /// Throws std::invalid_argument unless 0 <= idle < full, both finite.
+  void validate() const;
 };
 
 class BaseStation {

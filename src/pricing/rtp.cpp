@@ -7,15 +7,22 @@
 
 namespace ecthub::pricing {
 
-RtpGenerator::RtpGenerator(RtpConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.base_price <= 0.0) throw std::invalid_argument("RtpConfig: base_price must be > 0");
-  if (cfg_.spike_prob < 0.0 || cfg_.spike_prob > 1.0) {
+void RtpConfig::validate() const {
+  // Written so that NaN fails every check, and every field must be finite.
+  for (const double x :
+       {base_price, diurnal_amplitude, load_coupling, noise_sigma, spike_scale, floor_price}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("RtpConfig: non-finite field");
+  }
+  if (!(base_price > 0.0)) throw std::invalid_argument("RtpConfig: base_price must be > 0");
+  if (!(spike_prob >= 0.0 && spike_prob <= 1.0)) {
     throw std::invalid_argument("RtpConfig: spike_prob out of [0, 1]");
   }
-  if (cfg_.noise_persistence < 0.0 || cfg_.noise_persistence >= 1.0) {
+  if (!(noise_persistence >= 0.0 && noise_persistence < 1.0)) {
     throw std::invalid_argument("RtpConfig: noise_persistence out of [0, 1)");
   }
 }
+
+RtpGenerator::RtpGenerator(RtpConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.validate(); }
 
 double RtpGenerator::diurnal_component(double hour_of_day) const {
   // Two-bump day: a morning shoulder around 9h and the dominant evening peak

@@ -22,6 +22,9 @@ struct RtpConfig {
   double spike_prob = 0.01;        ///< per-slot probability of a price spike
   double spike_scale = 60.0;       ///< mean additional $/MWh during a spike
   double floor_price = 10.0;       ///< prices never drop below this
+
+  /// Throws std::invalid_argument on a non-finite field or a range error.
+  void validate() const;
 };
 
 class RtpGenerator {

@@ -1,6 +1,7 @@
 #include "pricing/selling.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::pricing {
@@ -37,9 +38,17 @@ std::size_t DiscountSchedule::num_discounted() const {
       std::count_if(fractions_.begin(), fractions_.end(), [](double f) { return f > 0.0; }));
 }
 
+void SellingConfig::validate() const {
+  // Written so that NaN fails.
+  if (!(std::isfinite(markup) && markup > 0.0)) {
+    throw std::invalid_argument("SellingConfig: markup must be finite and > 0");
+  }
+  if (!std::isfinite(floor)) throw std::invalid_argument("SellingConfig: floor must be finite");
+}
+
 SellingPricePolicy::SellingPricePolicy(SellingConfig cfg, DiscountSchedule schedule)
     : cfg_(cfg), schedule_(std::move(schedule)) {
-  if (cfg_.markup <= 0.0) throw std::invalid_argument("SellingConfig: markup must be > 0");
+  cfg_.validate();
 }
 
 double SellingPricePolicy::srtp(std::size_t t, double rtp) const {

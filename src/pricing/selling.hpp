@@ -40,6 +40,9 @@ struct SellingConfig {
   double markup = 1.85;
   /// Hard floor on SRTP, $/MWh — the hub never sells below marginal cost.
   double floor = 20.0;
+
+  /// Throws std::invalid_argument unless markup > 0 and both are finite.
+  void validate() const;
 };
 
 class SellingPricePolicy {

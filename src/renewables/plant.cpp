@@ -23,7 +23,12 @@ PlantConfig PlantConfig::rural() {
 
 PlantConfig PlantConfig::none() { return PlantConfig{}; }
 
-RenewablePlant::RenewablePlant(PlantConfig cfg) : cfg_(cfg) {}
+void PlantConfig::validate() const {
+  if (pv) pv->validate();
+  if (wt) wt->validate();
+}
+
+RenewablePlant::RenewablePlant(PlantConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
 GenerationSeries RenewablePlant::generate(const weather::WeatherSeries& wx) const {
   GenerationSeries out;

@@ -24,6 +24,9 @@ struct PlantConfig {
   static PlantConfig rural();
   /// No renewables (the prior-work baseline [7] setting).
   static PlantConfig none();
+
+  /// Validates whichever of the PV and turbine configs is present.
+  void validate() const;
 };
 
 /// Per-slot generation split used by Fig. 2 and the hub environment.

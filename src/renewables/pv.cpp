@@ -1,20 +1,27 @@
 #include "renewables/pv.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::renewables {
 
-PvArray::PvArray(PvConfig cfg) : cfg_(cfg) {
-  if (cfg_.area_m2 <= 0.0) throw std::invalid_argument("PvConfig: area_m2 must be > 0");
-  if (cfg_.efficiency <= 0.0 || cfg_.efficiency > 1.0) {
+void PvConfig::validate() const {
+  // Written so that NaN fails every check, and every field must be finite.
+  for (const double x : {area_m2, temp_coeff_per_c, rated_power_w}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("PvConfig: non-finite field");
+  }
+  if (!(area_m2 > 0.0)) throw std::invalid_argument("PvConfig: area_m2 must be > 0");
+  if (!(efficiency > 0.0 && efficiency <= 1.0)) {
     throw std::invalid_argument("PvConfig: efficiency out of (0, 1]");
   }
-  if (cfg_.inverter_efficiency <= 0.0 || cfg_.inverter_efficiency > 1.0) {
+  if (!(inverter_efficiency > 0.0 && inverter_efficiency <= 1.0)) {
     throw std::invalid_argument("PvConfig: inverter_efficiency out of (0, 1]");
   }
-  if (cfg_.rated_power_w <= 0.0) throw std::invalid_argument("PvConfig: rated_power_w <= 0");
+  if (!(rated_power_w > 0.0)) throw std::invalid_argument("PvConfig: rated_power_w <= 0");
 }
+
+PvArray::PvArray(PvConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
 double PvArray::power_w(double ghi_wm2, double ambient_temp_c) const {
   if (ghi_wm2 <= 0.0) return 0.0;
@@ -25,14 +32,6 @@ double PvArray::power_w(double ghi_wm2, double ambient_temp_c) const {
                                             std::max(0.0, cell_temp_c - 25.0));
   const double dc = ghi_wm2 * cfg_.area_m2 * cfg_.efficiency * derate;
   return std::min(dc * cfg_.inverter_efficiency, cfg_.rated_power_w);
-}
-
-std::vector<double> PvArray::series(const weather::WeatherSeries& wx) const {
-  std::vector<double> out(wx.size());
-  for (std::size_t t = 0; t < wx.size(); ++t) {
-    out[t] = power_w(wx.ghi_wm2[t], wx.temperature_c[t]);
-  }
-  return out;
 }
 
 }  // namespace ecthub::renewables

@@ -6,10 +6,6 @@
 // series, not module-level electrical detail.
 #pragma once
 
-#include "weather/weather.hpp"
-
-#include <vector>
-
 namespace ecthub::renewables {
 
 struct PvConfig {
@@ -18,6 +14,9 @@ struct PvConfig {
   double temp_coeff_per_c = 0.004;  ///< fractional derating per deg C above 25
   double inverter_efficiency = 0.97;
   double rated_power_w = 8000.0;    ///< inverter clipping limit
+
+  /// Throws std::invalid_argument on a non-finite field or a range error.
+  void validate() const;
 };
 
 class PvArray {
@@ -26,9 +25,6 @@ class PvArray {
 
   /// AC power (W) for one slot's weather.
   [[nodiscard]] double power_w(double ghi_wm2, double ambient_temp_c) const;
-
-  /// Whole-horizon series from a weather series.
-  [[nodiscard]] std::vector<double> series(const weather::WeatherSeries& wx) const;
 
   [[nodiscard]] const PvConfig& config() const noexcept { return cfg_; }
 

@@ -5,16 +5,19 @@
 
 namespace ecthub::renewables {
 
-WindTurbine::WindTurbine(WindTurbineConfig cfg) : cfg_(cfg) {
-  if (!(0.0 < cfg_.cut_in_ms && cfg_.cut_in_ms < cfg_.rated_speed_ms &&
-        cfg_.rated_speed_ms < cfg_.cut_out_ms)) {
+void WindTurbineConfig::validate() const {
+  // Written so that NaN fails.
+  if (!(0.0 < cut_in_ms && cut_in_ms < rated_speed_ms && rated_speed_ms < cut_out_ms &&
+        std::isfinite(cut_out_ms))) {
     throw std::invalid_argument(
-        "WindTurbineConfig: need 0 < cut_in < rated_speed < cut_out");
+        "WindTurbineConfig: need 0 < cut_in < rated_speed < cut_out < inf");
   }
-  if (cfg_.rated_power_w <= 0.0) {
-    throw std::invalid_argument("WindTurbineConfig: rated_power_w must be > 0");
+  if (!(std::isfinite(rated_power_w) && rated_power_w > 0.0)) {
+    throw std::invalid_argument("WindTurbineConfig: rated_power_w must be finite and > 0");
   }
 }
+
+WindTurbine::WindTurbine(WindTurbineConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
 double WindTurbine::power_w(double v) const {
   if (v < cfg_.cut_in_ms || v >= cfg_.cut_out_ms) return 0.0;
@@ -23,12 +26,6 @@ double WindTurbine::power_w(double v) const {
   const double num = std::pow(v, 3.0) - std::pow(cfg_.cut_in_ms, 3.0);
   const double den = std::pow(cfg_.rated_speed_ms, 3.0) - std::pow(cfg_.cut_in_ms, 3.0);
   return cfg_.rated_power_w * num / den;
-}
-
-std::vector<double> WindTurbine::series(const weather::WeatherSeries& wx) const {
-  std::vector<double> out(wx.size());
-  for (std::size_t t = 0; t < wx.size(); ++t) out[t] = power_w(wx.wind_speed_ms[t]);
-  return out;
 }
 
 }  // namespace ecthub::renewables

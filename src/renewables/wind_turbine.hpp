@@ -4,10 +4,6 @@
 // cut-in and rated speed, flat at rated power, zero above cut-out.
 #pragma once
 
-#include "weather/weather.hpp"
-
-#include <vector>
-
 namespace ecthub::renewables {
 
 struct WindTurbineConfig {
@@ -15,6 +11,10 @@ struct WindTurbineConfig {
   double rated_speed_ms = 11.0;
   double cut_out_ms = 25.0;
   double rated_power_w = 10000.0;
+
+  /// Throws std::invalid_argument unless 0 < cut_in < rated_speed < cut_out
+  /// and rated_power_w > 0, all finite.
+  void validate() const;
 };
 
 class WindTurbine {
@@ -22,8 +22,6 @@ class WindTurbine {
   explicit WindTurbine(WindTurbineConfig cfg);
 
   [[nodiscard]] double power_w(double wind_speed_ms) const;
-
-  [[nodiscard]] std::vector<double> series(const weather::WeatherSeries& wx) const;
 
   [[nodiscard]] const WindTurbineConfig& config() const noexcept { return cfg_; }
 

@@ -6,14 +6,22 @@
 
 namespace ecthub::traffic {
 
-TrafficGenerator::TrafficGenerator(TrafficConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.noise_persistence < 0.0 || cfg_.noise_persistence >= 1.0) {
+void TrafficConfig::validate() const {
+  // Written so that NaN fails every check, and every field must be finite.
+  for (const double x : {weekend_factor, noise_sigma, peak_volume_gb}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("TrafficConfig: non-finite field");
+  }
+  if (!(noise_persistence >= 0.0 && noise_persistence < 1.0)) {
     throw std::invalid_argument("TrafficConfig: noise_persistence must be in [0, 1)");
   }
-  if (cfg_.noise_sigma < 0.0) throw std::invalid_argument("TrafficConfig: noise_sigma < 0");
-  if (cfg_.min_load < 0.0 || cfg_.min_load > 1.0) {
+  if (!(noise_sigma >= 0.0)) throw std::invalid_argument("TrafficConfig: noise_sigma < 0");
+  if (!(min_load >= 0.0 && min_load <= 1.0)) {
     throw std::invalid_argument("TrafficConfig: min_load out of [0, 1]");
   }
+}
+
+TrafficGenerator::TrafficGenerator(TrafficConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
+  cfg_.validate();
 }
 
 TrafficTrace TrafficGenerator::generate(const TimeGrid& grid) {

@@ -25,6 +25,9 @@ struct TrafficConfig {
   double peak_volume_gb = 160.0;
   /// Floor on the load rate (control-plane traffic never drops to zero).
   double min_load = 0.05;
+
+  /// Throws std::invalid_argument on a non-finite field or a range error.
+  void validate() const;
 };
 
 /// One generated trace: per-slot load rate and traffic volume.

@@ -23,15 +23,22 @@ double clear_sky_ghi(const SolarConfig& cfg, std::size_t day_of_year, double hou
   return seasonal_peak * std::sin(std::numbers::pi * x);
 }
 
-SolarModel::SolarModel(SolarConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.peak_ghi <= 0.0) throw std::invalid_argument("SolarConfig: peak_ghi must be > 0");
-  if (cfg_.cloud_switch_prob < 0.0 || cfg_.cloud_switch_prob > 1.0) {
+void SolarConfig::validate() const {
+  // Written so that NaN fails every check, and every field must be finite.
+  for (const double x :
+       {peak_ghi, season_daylength_swing_h, mean_daylength_h, transmittance_sigma}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("SolarConfig: non-finite field");
+  }
+  if (!(peak_ghi > 0.0)) throw std::invalid_argument("SolarConfig: peak_ghi must be > 0");
+  if (!(cloud_switch_prob >= 0.0 && cloud_switch_prob <= 1.0)) {
     throw std::invalid_argument("SolarConfig: cloud_switch_prob out of [0, 1]");
   }
-  if (cfg_.cloudy_transmittance < 0.0 || cfg_.cloudy_transmittance > 1.0) {
+  if (!(cloudy_transmittance >= 0.0 && cloudy_transmittance <= 1.0)) {
     throw std::invalid_argument("SolarConfig: cloudy_transmittance out of [0, 1]");
   }
 }
+
+SolarModel::SolarModel(SolarConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.validate(); }
 
 std::vector<double> SolarModel::generate(const TimeGrid& grid) {
   std::vector<double> ghi;

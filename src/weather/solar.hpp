@@ -29,6 +29,9 @@ struct SolarConfig {
   double transmittance_sigma = 0.10;
   /// Day-of-year the horizon starts at (0..364); controls the season.
   std::size_t start_day_of_year = 172;  // summer solstice by default
+
+  /// Throws std::invalid_argument on a non-finite field or a range error.
+  void validate() const;
 };
 
 /// Clear-sky GHI (W/m^2) at a given hour of day for a given day of year.

@@ -2,10 +2,21 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 
 namespace ecthub::weather {
 
-WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {}
+void WeatherConfig::validate() const {
+  solar.validate();
+  wind.validate();
+  for (const double x : {mean_temperature_c, diurnal_temp_swing_c, temp_noise_sigma}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("WeatherConfig: non-finite field");
+  }
+}
+
+WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
+  cfg_.validate();
+}
 
 WeatherSeries WeatherGenerator::generate(const TimeGrid& grid) {
   WeatherSeries series;

@@ -26,6 +26,9 @@ struct WeatherConfig {
   double mean_temperature_c = 18.0;
   double diurnal_temp_swing_c = 8.0;
   double temp_noise_sigma = 1.0;
+
+  /// Validates solar and wind, and requires the temperature fields finite.
+  void validate() const;
 };
 
 /// Generates consistent solar / wind / temperature series on one grid.

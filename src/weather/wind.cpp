@@ -7,13 +7,19 @@
 
 namespace ecthub::weather {
 
-WindModel::WindModel(WindConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
-  if (cfg_.mean_speed_ms < 0.0) throw std::invalid_argument("WindConfig: mean_speed_ms < 0");
-  if (cfg_.reversion_rate <= 0.0 || cfg_.reversion_rate >= 1.0) {
+void WindConfig::validate() const {
+  // Written so that NaN fails every check, and every field must be finite.
+  for (const double x : {mean_speed_ms, volatility, diurnal_amplitude, max_speed_ms}) {
+    if (!std::isfinite(x)) throw std::invalid_argument("WindConfig: non-finite field");
+  }
+  if (!(mean_speed_ms >= 0.0)) throw std::invalid_argument("WindConfig: mean_speed_ms < 0");
+  if (!(reversion_rate > 0.0 && reversion_rate < 1.0)) {
     throw std::invalid_argument("WindConfig: reversion_rate must be in (0, 1)");
   }
-  if (cfg_.volatility < 0.0) throw std::invalid_argument("WindConfig: volatility < 0");
+  if (!(volatility >= 0.0)) throw std::invalid_argument("WindConfig: volatility < 0");
 }
+
+WindModel::WindModel(WindConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.validate(); }
 
 std::vector<double> WindModel::generate(const TimeGrid& grid) {
   std::vector<double> speed;

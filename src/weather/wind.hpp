@@ -21,6 +21,9 @@ struct WindConfig {
   double volatility = 1.4;         ///< OU innovation scale, m/s
   double diurnal_amplitude = 0.15; ///< fractional afternoon boost
   double max_speed_ms = 35.0;      ///< physical clamp
+
+  /// Throws std::invalid_argument on a non-finite field or a range error.
+  void validate() const;
 };
 
 class WindModel {

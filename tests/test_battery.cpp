@@ -256,18 +256,7 @@ TEST(Degradation, NegativeInputsThrow) {
   EXPECT_THROW(m.advance(0.0, -1.0), std::invalid_argument);
 }
 
-TEST(Degradation, OcvIncreasesWithSoc) {
-  EXPECT_LT(lead_acid_ocv(0.2), lead_acid_ocv(0.8));
-  EXPECT_DOUBLE_EQ(lead_acid_ocv(-1.0), lead_acid_ocv(0.0));  // clamped
-  EXPECT_DOUBLE_EQ(lead_acid_ocv(2.0), lead_acid_ocv(1.0));
-}
-
 // ---------------------------------------------------------------- reserve
-
-TEST(Reserve, FullLoadBound) {
-  EXPECT_DOUBLE_EQ(reserve_energy_full_load(3.5, 4.0), 14.0);
-  EXPECT_THROW((void)reserve_energy_full_load(-1.0, 4.0), std::invalid_argument);
-}
 
 TEST(Reserve, WorstWindowFindsPeak) {
   // Trace with a 2-slot peak of 5+6 = 11 kWh at dt=1.

@@ -5,6 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace ecthub::core {
 namespace {
 
@@ -52,39 +58,63 @@ TEST(RideThrough, Validation) {
   EXPECT_THROW((void)ride_through(small_pack(), 10.0, {-1.0}, 1.0), std::invalid_argument);
 }
 
-TEST(DrawOutages, CountScalesWithRate) {
+std::size_t outage_slots(const std::vector<std::uint8_t>& flags) {
+  return static_cast<std::size_t>(std::count(flags.begin(), flags.end(), std::uint8_t{1}));
+}
+
+TEST(DrawOutagesInto, CountScalesWithRate) {
   OutageModel calm;
   calm.rate_per_month = 0.5;
   OutageModel stormy;
   stormy.rate_per_month = 10.0;
   Rng rng_a(1), rng_b(1);
-  const auto few = draw_outages(calm, 24 * 90, 1.0, rng_a);
-  const auto many = draw_outages(stormy, 24 * 90, 1.0, rng_b);
-  EXPECT_LT(few.size(), many.size());
+  std::vector<std::uint8_t> few(24 * 90), many(24 * 90);
+  draw_outages_into(calm, 1.0, rng_a, few);
+  draw_outages_into(stormy, 1.0, rng_b, many);
+  EXPECT_LT(outage_slots(few), outage_slots(many));
 }
 
-TEST(DrawOutages, EventsWithinHorizonAndSorted) {
+TEST(DrawOutagesInto, OverwritesEveryFlag) {
+  // Reused buffers carry the previous episode's flags (here: garbage); the
+  // draw must leave only 0s and 1s, and a zero rate must clear them all.
   OutageModel model;
   model.rate_per_month = 5.0;
   Rng rng(2);
-  const auto events = draw_outages(model, 24 * 60, 1.0, rng);
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_LT(events[i].start_slot, 24u * 60u);
-    EXPECT_GE(events[i].duration_slots, 1u);
-    if (i > 0) {
-      EXPECT_GE(events[i].start_slot, events[i - 1].start_slot);
-    }
-  }
+  std::vector<std::uint8_t> flags(24 * 60, std::uint8_t{7});
+  draw_outages_into(model, 1.0, rng, flags);
+  for (const std::uint8_t f : flags) ASSERT_LE(f, 1u);
+  EXPECT_GT(outage_slots(flags), 0u);
+  EXPECT_LT(outage_slots(flags), flags.size());
+  model.rate_per_month = 0.0;
+  draw_outages_into(model, 1.0, rng, flags);
+  EXPECT_EQ(std::count(flags.begin(), flags.end(), std::uint8_t{0}),
+            static_cast<std::ptrdiff_t>(flags.size()));
 }
 
-TEST(DrawOutages, Validation) {
+TEST(DrawOutagesInto, Validation) {
+  Rng rng(3);
+  std::vector<std::uint8_t> flags(24);
   OutageModel bad;
   bad.max_duration_h = 0.5;
   bad.min_duration_h = 1.0;
-  Rng rng(3);
-  EXPECT_THROW(draw_outages(bad, 24, 1.0, rng), std::invalid_argument);
-  OutageModel ok;
-  EXPECT_THROW(draw_outages(ok, 0, 1.0, rng), std::invalid_argument);
+  EXPECT_THROW(draw_outages_into(bad, 1.0, rng, flags), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double v : {nan, inf, -1.0}) {
+    OutageModel poisoned;
+    poisoned.rate_per_month = v;
+    EXPECT_THROW(draw_outages_into(poisoned, 1.0, rng, flags), std::invalid_argument) << v;
+    poisoned = OutageModel{};
+    poisoned.min_duration_h = v;
+    EXPECT_THROW(draw_outages_into(poisoned, 1.0, rng, flags), std::invalid_argument) << v;
+    poisoned = OutageModel{};
+    poisoned.max_duration_h = v;
+    EXPECT_THROW(draw_outages_into(poisoned, 1.0, rng, flags), std::invalid_argument) << v;
+    EXPECT_THROW(draw_outages_into(OutageModel{}, v, rng, flags), std::invalid_argument) << v;
+  }
+  EXPECT_THROW(draw_outages_into(OutageModel{}, 0.0, rng, flags), std::invalid_argument);
+  std::vector<std::uint8_t> none;
+  EXPECT_THROW(draw_outages_into(OutageModel{}, 1.0, rng, none), std::invalid_argument);
 }
 
 TEST(OutageSurvival, ProperReserveGuaranteesSurvival) {

@@ -171,8 +171,25 @@ TEST(Rng, CategoricalRespectsWeights) {
 
 TEST(Rng, CategoricalRejectsBadInput) {
   Rng rng(13);
+  const Rng untouched = rng;
   EXPECT_THROW(rng.categorical({}), std::invalid_argument);
   EXPECT_THROW(rng.categorical({0.0, 0.0}), std::invalid_argument);
+  const double max = std::numeric_limits<double>::max();
+  EXPECT_THROW(rng.categorical({max, max}), std::invalid_argument);  // sum overflows
+  // A bad weight anywhere throws on every call, not only when the walk
+  // happens to reach it, and no call draws from the stream.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -0.1}) {
+    for (std::size_t at = 0; at < 3; ++at) {
+      std::vector<double> w = {0.9, 0.2, 0.3};
+      w[at] = bad;
+      for (int call = 0; call < 100; ++call) {
+        EXPECT_THROW(rng.categorical(w), std::invalid_argument) << bad << " at " << at;
+      }
+    }
+  }
+  Rng expected = untouched;
+  EXPECT_EQ(rng.uniform(), expected.uniform());
 }
 
 TEST(Rng, ShufflePermutes) {
@@ -223,46 +240,6 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileValidation) {
   EXPECT_THROW(stats::percentile({}, 50), std::invalid_argument);
   EXPECT_THROW(stats::percentile({1.0}, 101), std::invalid_argument);
-}
-
-TEST(Stats, MovingAverageSmoothes) {
-  const std::vector<double> v = {0, 10, 0, 10, 0, 10};
-  const auto ma = stats::moving_average(v, 3);
-  EXPECT_EQ(ma.size(), v.size());
-  // Interior points average their neighbourhood.
-  EXPECT_NEAR(ma[2], (10.0 + 0.0 + 10.0) / 3.0, 1e-12);
-}
-
-TEST(Stats, MovingAverageEvenWindowIsExactlyThatWide) {
-  // Regression: w=4 used to average 2*(4/2)+1 = 5 elements, so no even
-  // request ever got its own width.  The contract is exactly w interior
-  // elements, the extra one on the newer side: out[i] = mean(v[i-1..i+2]).
-  const std::vector<double> v = {1, 2, 4, 8, 16, 32};
-  const auto ma = stats::moving_average(v, 4);
-  ASSERT_EQ(ma.size(), v.size());
-  EXPECT_NEAR(ma[2], (2.0 + 4.0 + 8.0 + 16.0) / 4.0, 1e-12);
-  EXPECT_NEAR(ma[3], (4.0 + 8.0 + 16.0 + 32.0) / 4.0, 1e-12);
-  // Edges clamp to what exists: out[0] spans v[0..2], out[5] spans v[4..5].
-  EXPECT_NEAR(ma[0], (1.0 + 2.0 + 4.0) / 3.0, 1e-12);
-  EXPECT_NEAR(ma[5], (16.0 + 32.0) / 2.0, 1e-12);
-}
-
-TEST(Stats, MovingAverageWidthOneIsIdentityAndOddStaysSymmetric) {
-  const std::vector<double> v = {3, 1, 4, 1, 5};
-  EXPECT_EQ(stats::moving_average(v, 1), v);
-  const auto ma2 = stats::moving_average(v, 2);  // out[i] = mean(v[i..i+1])
-  EXPECT_NEAR(ma2[0], 2.0, 1e-12);
-  EXPECT_NEAR(ma2[3], 3.0, 1e-12);
-  EXPECT_NEAR(ma2[4], 5.0, 1e-12);  // clamped: only v[4] remains
-  EXPECT_THROW((void)stats::moving_average(v, 0), std::invalid_argument);
-}
-
-TEST(Stats, HistogramCountsAndClamps) {
-  const std::vector<double> v = {-1.0, 0.1, 0.5, 0.9, 2.0};
-  const auto h = stats::histogram(v, 0.0, 1.0, 2);
-  EXPECT_EQ(h.size(), 2u);
-  EXPECT_EQ(h[0] + h[1], v.size());
-  EXPECT_EQ(h[0], 2u);  // -1 clamped into bin 0, plus 0.1; 0.5/0.9/2.0 land in bin 1
 }
 
 TEST(Stats, AutocorrelationOfPeriodicSignal) {

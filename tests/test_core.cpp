@@ -429,6 +429,84 @@ TEST(EctHubEnv, NegativeRecoveryHoursThrowsAtConstruction) {
   EXPECT_THROW(EctHubEnv(hub, small_env()), std::invalid_argument);
 }
 
+// Every double field of HubConfig, nested configs included, set to NaN or
+// +inf must fail at construction, before any episode runs.  NaN passes a
+// `x <= 0` check, so every component check must be written to reject it.
+TEST(EctHubEnv, NonFiniteHubConfigThrowsAtConstruction) {
+  struct Field {
+    const char* name;
+    double& (*at)(HubConfig&);
+  };
+#define HUB_FIELD(path) Field{#path, [](HubConfig& h) -> double& { return h.path; }}
+  const Field fields[] = {
+      HUB_FIELD(bs.idle_power_kw),
+      HUB_FIELD(bs.full_power_kw),
+      HUB_FIELD(battery.capacity_kwh),
+      HUB_FIELD(battery.charge_rate_kw),
+      HUB_FIELD(battery.discharge_rate_kw),
+      HUB_FIELD(battery.charge_efficiency),
+      HUB_FIELD(battery.discharge_efficiency),
+      HUB_FIELD(battery.soc_min_frac),
+      HUB_FIELD(battery.soc_max_frac),
+      HUB_FIELD(battery.op_cost_per_slot),
+      HUB_FIELD(station.plug_rate_kw),
+      HUB_FIELD(plant.pv->area_m2),
+      HUB_FIELD(plant.pv->efficiency),
+      HUB_FIELD(plant.pv->temp_coeff_per_c),
+      HUB_FIELD(plant.pv->inverter_efficiency),
+      HUB_FIELD(plant.pv->rated_power_w),
+      HUB_FIELD(plant.wt->cut_in_ms),
+      HUB_FIELD(plant.wt->rated_speed_ms),
+      HUB_FIELD(plant.wt->cut_out_ms),
+      HUB_FIELD(plant.wt->rated_power_w),
+      HUB_FIELD(traffic.weekend_factor),
+      HUB_FIELD(traffic.noise_persistence),
+      HUB_FIELD(traffic.noise_sigma),
+      HUB_FIELD(traffic.peak_volume_gb),
+      HUB_FIELD(traffic.min_load),
+      HUB_FIELD(weather.solar.peak_ghi),
+      HUB_FIELD(weather.solar.season_daylength_swing_h),
+      HUB_FIELD(weather.solar.mean_daylength_h),
+      HUB_FIELD(weather.solar.cloud_switch_prob),
+      HUB_FIELD(weather.solar.cloudy_transmittance),
+      HUB_FIELD(weather.solar.transmittance_sigma),
+      HUB_FIELD(weather.wind.mean_speed_ms),
+      HUB_FIELD(weather.wind.reversion_rate),
+      HUB_FIELD(weather.wind.volatility),
+      HUB_FIELD(weather.wind.diurnal_amplitude),
+      HUB_FIELD(weather.wind.max_speed_ms),
+      HUB_FIELD(weather.mean_temperature_c),
+      HUB_FIELD(weather.diurnal_temp_swing_c),
+      HUB_FIELD(weather.temp_noise_sigma),
+      HUB_FIELD(rtp.base_price),
+      HUB_FIELD(rtp.diurnal_amplitude),
+      HUB_FIELD(rtp.load_coupling),
+      HUB_FIELD(rtp.noise_sigma),
+      HUB_FIELD(rtp.noise_persistence),
+      HUB_FIELD(rtp.spike_prob),
+      HUB_FIELD(rtp.spike_scale),
+      HUB_FIELD(rtp.floor_price),
+      HUB_FIELD(selling.markup),
+      HUB_FIELD(selling.floor),
+      HUB_FIELD(ev_popularity),
+      HUB_FIELD(ev_evening_sensitivity),
+      HUB_FIELD(ev_evening_commuter),
+      HUB_FIELD(recovery_hours),
+  };
+#undef HUB_FIELD
+  // The rural preset carries both a PV array and a wind turbine.
+  const HubConfig valid = HubConfig::rural("finite", 60);
+  EXPECT_NO_THROW(EctHubEnv(valid, small_env(1)));
+  for (const Field& field : fields) {
+    for (const double v :
+         {std::numeric_limits<double>::quiet_NaN(), std::numeric_limits<double>::infinity()}) {
+      HubConfig hub = valid;
+      field.at(hub) = v;
+      EXPECT_THROW(EctHubEnv(hub, small_env(1)), std::invalid_argument) << field.name << " = " << v;
+    }
+  }
+}
+
 TEST(EctHubEnv, StepPastEpisodeEndThrows) {
   EctHubEnv env(HubConfig::urban("overrun", 59), small_env(1));
   std::vector<double> state = reset_state(env);
@@ -649,6 +727,47 @@ std::uint64_t fnv1a(const std::vector<double>& values) {
     for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<char>((bits >> (8 * b)) & 0xFF));
   }
   return fnv1a(bytes);
+}
+
+// The coupled outage front, pinned across rates that range from no outage
+// to several a week: every slot's outage flag, export and served import,
+// plus each episode's profit, through one digest.  A changed outage draw
+// fails here; regenerate deliberately (print the count and the digest in
+// hex), like the goldens above.
+TEST(EctHubEnvGolden, CoupledOutageFrontIsPinned) {
+  std::string bytes;
+  const auto put = [&bytes](double x) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<char>((bits >> (8 * b)) & 0xFF));
+  };
+  std::size_t outage_slots = 0;
+  for (const std::uint64_t seed : {3ULL, 11ULL}) {
+    for (const double rate : {0.0, 1.0, 6.0, 20.0}) {
+      HubEnvConfig cfg = small_env(30);
+      cfg.coupling.enabled = true;
+      cfg.coupling.through_rate = 0.5;
+      cfg.coupling.front_seed = 0x5eed + seed;
+      cfg.coupling.outage = OutageModel{rate, 1.0, 9.0};
+      EctHubEnv env(HubConfig::urban("front", seed), cfg);
+      std::vector<double> state(env.state_dim());
+      for (int episode = 0; episode < 3; ++episode) {
+        env.reset_into(state);
+        for (std::size_t t = 0; t < env.slots_per_episode(); ++t) {
+          SlotCoupling coupling;
+          coupling.import_kw = static_cast<double>(t % 5) * 3.0;
+          (void)env.step_into(t % 3, state, coupling);
+          if (coupling.outage) ++outage_slots;
+          bytes.push_back(coupling.outage ? '\1' : '\0');
+          put(coupling.export_kw);
+          put(coupling.served_import_kw);
+        }
+        put(env.ledger().total_profit());
+      }
+    }
+  }
+  EXPECT_EQ(outage_slots, 754u);
+  EXPECT_EQ(fnv1a(bytes), 0xa084d48758bbfdd3ULL);
 }
 
 rl::ActorCriticConfig golden_actor_config() {

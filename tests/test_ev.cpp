@@ -1,7 +1,6 @@
-// Tests for the EV behaviour substrate: strata ground truth, arrivals,
-// charging stations and the synthetic charging-history dataset.
+// Tests for the EV behaviour substrate: strata ground truth, charging
+// stations and the synthetic charging-history dataset.
 #include "common/stats.hpp"
-#include "ev/arrival.hpp"
 #include "ev/behavior.hpp"
 #include "ev/dataset.hpp"
 #include "ev/station.hpp"
@@ -111,53 +110,6 @@ TEST(Stratum, ToStringCoversAll) {
   EXPECT_EQ(to_string(Stratum::kNone), "None");
   EXPECT_EQ(to_string(Stratum::kIncentive), "Incentive");
   EXPECT_EQ(to_string(Stratum::kAlways), "Always");
-}
-
-// ---------------------------------------------------------------- arrival
-
-TEST(ArrivalProcess, ProfileShapeMatchesFig3) {
-  const auto p = default_arrival_profile();
-  // Quiet night, busy midday, evening in between.
-  EXPECT_LT(p[3], 0.1);
-  EXPECT_GT(p[11], 0.9);
-  EXPECT_GT(p[19], p[3]);
-  EXPECT_LT(p[19], p[11]);
-}
-
-TEST(ArrivalProcess, IntensityScalesWithDiscount) {
-  ArrivalConfig cfg;
-  cfg.discount_uplift = 2.0;
-  ArrivalProcess proc(cfg, Rng(5));
-  const TimeGrid grid(1, 24);
-  EXPECT_NEAR(proc.intensity(grid, 12, true), 2.0 * proc.intensity(grid, 12, false), 1e-9);
-}
-
-TEST(ArrivalProcess, MoreArrivalsAtMiddayThanNight) {
-  ArrivalProcess proc(ArrivalConfig{}, Rng(6));
-  const TimeGrid grid(200, 24);
-  const auto counts = proc.generate(grid);
-  double midday = 0, night = 0;
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    const double h = grid.hour_of_day(t);
-    if (h >= 10 && h <= 14) midday += static_cast<double>(counts[t]);
-    if (h >= 1 && h <= 4) night += static_cast<double>(counts[t]);
-  }
-  EXPECT_GT(midday, 3.0 * night);
-}
-
-TEST(ArrivalProcess, DiscountFlagsLengthChecked) {
-  ArrivalProcess proc(ArrivalConfig{}, Rng(7));
-  const TimeGrid grid(1, 24);
-  EXPECT_THROW(proc.generate(grid, std::vector<bool>(5, true)), std::invalid_argument);
-}
-
-TEST(ArrivalProcess, RejectsBadConfig) {
-  ArrivalConfig bad;
-  bad.discount_uplift = 0.5;
-  EXPECT_THROW(ArrivalProcess(bad, Rng(1)), std::invalid_argument);
-  ArrivalConfig bad2;
-  bad2.peak_rate_per_hour = -1.0;
-  EXPECT_THROW(ArrivalProcess(bad2, Rng(1)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- station

@@ -1,41 +1,13 @@
 // Tests for the forecasting module and its scheduler integration.
-#include "common/stats.hpp"
 #include "forecast/predictors.hpp"
 #include "pricing/rtp.hpp"
-#include "weather/wind.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace ecthub::forecast {
 namespace {
-
-TEST(Ema, FirstObservationPrimesLevel) {
-  EmaPredictor p(0.5);
-  EXPECT_FALSE(p.primed());
-  p.observe(10.0);
-  EXPECT_TRUE(p.primed());
-  EXPECT_DOUBLE_EQ(p.predict(), 10.0);
-}
-
-TEST(Ema, ConvergesToConstant) {
-  EmaPredictor p(0.3);
-  for (int i = 0; i < 100; ++i) p.observe(7.0);
-  EXPECT_NEAR(p.predict(), 7.0, 1e-9);
-}
-
-TEST(Ema, SmoothingFactorControlsSpeed) {
-  EmaPredictor fast(0.9), slow(0.1);
-  fast.observe(0.0);
-  slow.observe(0.0);
-  fast.observe(10.0);
-  slow.observe(10.0);
-  EXPECT_GT(fast.predict(), slow.predict());
-}
-
-TEST(Ema, RejectsBadAlpha) {
-  EXPECT_THROW(EmaPredictor(0.0), std::invalid_argument);
-  EXPECT_THROW(EmaPredictor(1.5), std::invalid_argument);
-}
 
 TEST(SeasonalNaive, LearnsPerfectlyPeriodicSignal) {
   SeasonalNaivePredictor p(24, 0.5);
@@ -53,9 +25,9 @@ TEST(SeasonalNaive, FallsBackToGlobalMeanBeforeSeen) {
   EXPECT_DOUBLE_EQ(p.predict(5), 100.0);
 }
 
-TEST(SeasonalNaive, BeatsEmaOnDiurnalPrices) {
+TEST(SeasonalNaive, BeatsRunningMeanOnDiurnalPrices) {
   // The claim behind the scheduler: a seasonal model predicts diurnal RTP
-  // far better than a level-only EMA.
+  // far better than a level-only forecast.
   pricing::RtpGenerator gen(pricing::RtpConfig{}, Rng(1));
   const TimeGrid grid(60, 24);
   const auto rtp = gen.generate(grid);
@@ -63,79 +35,24 @@ TEST(SeasonalNaive, BeatsEmaOnDiurnalPrices) {
   SeasonalNaivePredictor seasonal(24, 0.2);
   const double seasonal_mae = replay_mae_seasonal(seasonal, rtp);
 
-  // EMA replay: predict-then-observe.
-  EmaPredictor ema(0.3);
-  double ema_err = 0.0;
+  // Running-mean replay: predict-then-observe, scored on the same slots.
+  double mean = 0.0;
+  double mean_err = 0.0;
   std::size_t scored = 0;
   for (std::size_t t = 0; t < rtp.size(); ++t) {
     if (t >= 24) {
-      ema_err += std::abs(ema.predict() - rtp[t]);
+      mean_err += std::abs(mean - rtp[t]);
       ++scored;
     }
-    ema.observe(rtp[t]);
+    mean += (rtp[t] - mean) / static_cast<double>(t + 1);
   }
-  const double ema_mae = ema_err / static_cast<double>(scored);
-  EXPECT_LT(seasonal_mae, 0.8 * ema_mae);
+  const double mean_mae = mean_err / static_cast<double>(scored);
+  EXPECT_LT(seasonal_mae, 0.8 * mean_mae);
 }
 
 TEST(SeasonalNaive, Validation) {
   EXPECT_THROW(SeasonalNaivePredictor(0), std::invalid_argument);
   EXPECT_THROW(SeasonalNaivePredictor(24, 0.0), std::invalid_argument);
-}
-
-TEST(Ar1, RecoversPhiOfSyntheticProcess) {
-  Rng rng(2);
-  Ar1Predictor p;
-  double x = 0.0;
-  for (int i = 0; i < 5000; ++i) {
-    x = 0.7 * x + rng.normal(0.0, 1.0);
-    p.observe(x);
-  }
-  EXPECT_NEAR(p.phi(), 0.7, 0.05);
-}
-
-TEST(Ar1, PredictAheadRevertsTowardMean) {
-  Rng rng(3);
-  Ar1Predictor p;
-  double x = 0.0;
-  for (int i = 0; i < 3000; ++i) {
-    x = 5.0 + 0.6 * (x - 5.0) + rng.normal(0.0, 0.5);
-    p.observe(x);
-  }
-  // Long-horizon forecast approaches the process mean (5.0).
-  EXPECT_NEAR(p.predict_ahead(100), 5.0, 0.5);
-}
-
-TEST(Ar1, FewSamplesFallBackToLastValue) {
-  Ar1Predictor p;
-  p.observe(42.0);
-  EXPECT_DOUBLE_EQ(p.predict(), 42.0);
-}
-
-TEST(Ar1, WindForecastBeatsNothingButIsImperfect) {
-  // The paper's volatility claim, quantified: even the best simple predictor
-  // leaves substantial wind error.
-  weather::WindModel model(weather::WindConfig{}, Rng(4));
-  const TimeGrid grid(60, 24);
-  const auto wind = model.generate(grid);
-  Ar1Predictor p;
-  double err = 0.0, naive_err = 0.0;
-  std::size_t n = 0;
-  double prev = wind[0];
-  for (std::size_t t = 0; t < wind.size(); ++t) {
-    if (t >= 48) {
-      err += std::abs(p.predict() - wind[t]);
-      naive_err += std::abs(stats::mean(wind) - wind[t]);
-      ++n;
-    }
-    p.observe(wind[t]);
-    prev = wind[t];
-  }
-  (void)prev;
-  const double ar_mae = err / static_cast<double>(n);
-  const double mean_mae = naive_err / static_cast<double>(n);
-  EXPECT_LT(ar_mae, mean_mae);     // AR(1) beats the unconditional mean...
-  EXPECT_GT(ar_mae, 0.5);          // ...but material error remains (volatility).
 }
 
 }  // namespace

@@ -46,16 +46,6 @@ nn::Matrix fake_obs_batch(const ObservationLayout& layout, Rng& rng, std::size_t
 
 // ------------------------------------------------------------------ layout
 
-TEST(ObservationLayout, DimRoundTripsThroughFromDim) {
-  for (const std::size_t lookback : {1u, 3u, 6u, 12u}) {
-    const ObservationLayout layout{lookback};
-    EXPECT_EQ(ObservationLayout::from_dim(layout.dim()).lookback, lookback);
-  }
-  EXPECT_THROW((void)ObservationLayout::from_dim(0), std::invalid_argument);
-  EXPECT_THROW((void)ObservationLayout::from_dim(7), std::invalid_argument);
-  EXPECT_THROW((void)ObservationLayout::from_dim(34), std::invalid_argument);
-}
-
 TEST(ObservationLayout, DefaultMatchesHubEnvStateDim) {
   // 5 channels x 6 lookback + SoC + hour phase — the EctHubEnv default.
   EXPECT_EQ(ObservationLayout{}.dim(), 33u);

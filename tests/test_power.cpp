@@ -1,5 +1,4 @@
 // Tests for the BS power model (Eq. 1) and the grid balance (Eq. 7).
-#include "common/rng.hpp"
 #include "power/balance.hpp"
 #include "power/base_station.hpp"
 
@@ -56,7 +55,6 @@ TEST(PowerFlow, GridImportCoversDeficit) {
   // BS 2 + CS 7 + BP charging 3 - renewables 4 = 8 kW imported.
   const PowerFlow f{2.0, 7.0, 3.0, 1.0, 3.0};
   EXPECT_DOUBLE_EQ(f.grid_kw(), 8.0);
-  EXPECT_DOUBLE_EQ(f.curtailed_kw(), 0.0);
 }
 
 TEST(PowerFlow, SurplusIsCurtailedNotExported) {
@@ -64,7 +62,6 @@ TEST(PowerFlow, SurplusIsCurtailedNotExported) {
   // surplus is curtailed — the paper's no-feed-in assumption.
   const PowerFlow f{2.0, 0.0, 0.0, 5.0, 3.0};
   EXPECT_DOUBLE_EQ(f.grid_kw(), 0.0);
-  EXPECT_DOUBLE_EQ(f.curtailed_kw(), 6.0);
 }
 
 TEST(PowerFlow, DischargingBatteryReducesImport) {
@@ -77,36 +74,6 @@ TEST(PowerFlow, DischargingBatteryReducesImport) {
 TEST(PowerFlow, ChargingBatteryIncreasesImport) {
   const PowerFlow charging{3.0, 0.0, 4.0, 0.0, 0.0};
   EXPECT_DOUBLE_EQ(charging.grid_kw(), 7.0);
-}
-
-TEST(GridImportSeries, MatchesPerSlotFlows) {
-  const std::vector<double> bs = {2.0, 2.0};
-  const std::vector<double> cs = {0.0, 7.0};
-  const std::vector<double> bp = {1.0, -1.0};
-  const std::vector<double> wt = {0.0, 3.0};
-  const std::vector<double> pv = {5.0, 0.0};
-  const auto grid = grid_import_series(bs, cs, bp, wt, pv);
-  ASSERT_EQ(grid.size(), 2u);
-  EXPECT_DOUBLE_EQ(grid[0], 0.0);  // 2 + 0 + 1 - 5 < 0
-  EXPECT_DOUBLE_EQ(grid[1], 5.0);  // 2 + 7 - 1 - 3
-}
-
-TEST(GridImportSeries, LengthMismatchThrows) {
-  EXPECT_THROW(grid_import_series({1.0}, {1.0, 2.0}, {0.0}, {0.0}, {0.0}),
-               std::invalid_argument);
-}
-
-TEST(GridImportSeries, NeverNegative) {
-  Rng rng(33);
-  std::vector<double> bs(100), cs(100), bp(100), wt(100), pv(100);
-  for (std::size_t t = 0; t < 100; ++t) {
-    bs[t] = rng.uniform(0, 4);
-    cs[t] = rng.uniform(0, 15);
-    bp[t] = rng.uniform(-20, 20);
-    wt[t] = rng.uniform(0, 10);
-    pv[t] = rng.uniform(0, 8);
-  }
-  for (double g : grid_import_series(bs, cs, bp, wt, pv)) EXPECT_GE(g, 0.0);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Tests for the pricing substrate: RTP generator, TOU tariff, selling policy.
+// Tests for the pricing substrate: RTP generator and selling policy.
 #include "common/stats.hpp"
 #include "pricing/rtp.hpp"
 #include "pricing/selling.hpp"
-#include "pricing/tariff.hpp"
 
 #include <gtest/gtest.h>
 
@@ -137,27 +136,6 @@ TEST_P(RtpSeedSweep, DeterministicAndFloored) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RtpSeedSweep, ::testing::Values(1u, 17u, 123u, 9999u));
-
-// ---------------------------------------------------------------- TOU
-
-TEST(TouTariff, TypicalTariffWindows) {
-  const TouTariff t = TouTariff::typical();
-  EXPECT_DOUBLE_EQ(t.price_at_hour(3.0), 45.0);    // off-peak (wraps midnight)
-  EXPECT_DOUBLE_EQ(t.price_at_hour(23.5), 45.0);   // off-peak
-  EXPECT_DOUBLE_EQ(t.price_at_hour(18.0), 110.0);  // peak
-  EXPECT_DOUBLE_EQ(t.price_at_hour(12.0), 75.0);   // shoulder
-}
-
-TEST(TouTariff, NegativeHourWraps) {
-  const TouTariff t = TouTariff::typical();
-  EXPECT_DOUBLE_EQ(t.price_at_hour(-1.0), t.price_at_hour(23.0));
-}
-
-TEST(TouTariff, RejectsInvalidPeriods) {
-  EXPECT_THROW(TouTariff({{25.0, 3.0, 10.0}}, 5.0), std::invalid_argument);
-  EXPECT_THROW(TouTariff({{1.0, 3.0, -10.0}}, 5.0), std::invalid_argument);
-  EXPECT_THROW(TouTariff({}, -5.0), std::invalid_argument);
-}
 
 // ---------------------------------------------------------------- selling
 
