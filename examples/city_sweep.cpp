@@ -51,6 +51,12 @@
 // 'all') and an uncoupled fleet (no --metro): the CouplingBus exchange
 // spans the whole fleet every slot.
 //
+// A path exits 1 on a flag it would ignore, naming it: --merge-shards takes
+// no other flag, --drl-zoo takes none of --scheduler, --metro, --lockstep,
+// --lockstep-threads, --drl-checkpoint, --shard and --shard-out, and
+// --shard (which always runs the per-hub path) takes neither --lockstep nor
+// --lockstep-threads.
+//
 // --metro N replaces the i.i.d. hub bag with a spatially generated metro of
 // N hubs (MetroMap seeded from --base-seed): sites derive from base-station
 // density on a synthetic road network, demand spills between road-graph
@@ -78,6 +84,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <memory>
@@ -239,25 +246,41 @@ int main(int argc, char** argv) {
   const std::string shard_out = flags.get_string("shard-out", "");
   flags.check_unknown();
 
-  // A shard flag the chosen path would ignore, or a sweep a shard cannot
-  // split, fails loud before anything trains or runs.
-  const char* shard_misuse = nullptr;
-  if (merge_mode && shard_run) {
-    shard_misuse = "--merge-shards cannot take --shard";
-  } else if (merge_mode && shard_out_given) {
-    shard_misuse = "--merge-shards cannot take --shard-out";
+  // A flag the chosen path would ignore, or a sweep a shard cannot split,
+  // fails loud before anything trains or runs.  --merge-shards reads only
+  // its glob, --drl-zoo trains its own actors and evaluates them per hub,
+  // and a shard always runs the per-hub path.
+  const auto first_given = [&](std::initializer_list<const char*> names) -> const char* {
+    for (const char* name : names) {
+      if (flags.has(name)) return name;
+    }
+    return nullptr;
+  };
+  const char* mode = merge_mode ? "--merge-shards" : zoo_mode ? "--drl-zoo" : "--shard";
+  const char* ignored =
+      merge_mode ? first_given({"shard", "shard-out", "list", "hubs-per-scenario", "days",
+                                "episodes", "drl-iters", "drl-hubs", "drl-threads", "threads",
+                                "base-seed", "metro", "lockstep", "lockstep-threads",
+                                "scheduler", "scenarios", "drl-zoo", "drl-checkpoint"})
+      : zoo_mode ? first_given({"scheduler", "metro", "lockstep", "lockstep-threads",
+                                "drl-checkpoint", "shard", "shard-out"})
+      : shard_run ? first_given({"lockstep", "lockstep-threads"})
+                  : nullptr;
+  std::string misuse;
+  if (ignored != nullptr) {
+    misuse = std::string(mode) + " cannot take --" + ignored;
   } else if (shard_out_given && !shard_run) {
-    shard_misuse = "--shard-out needs --shard";
+    misuse = "--shard-out needs --shard";
   } else if (shard_run && shard_out.empty()) {
-    shard_misuse = "--shard requires --shard-out <path>";
+    misuse = "--shard requires --shard-out <path>";
   } else if (shard_run && metro_mode) {
-    shard_misuse = "--shard cannot split a coupled metro fleet (the CouplingBus "
-                   "exchange spans every hub each slot)";
+    misuse = "--shard cannot split a coupled metro fleet (the CouplingBus exchange spans "
+             "every hub each slot)";
   } else if (shard_run && kinds.size() != 1) {
-    shard_misuse = "--shard needs a single --scheduler, not 'all'";
+    misuse = "--shard needs a single --scheduler, not 'all'";
   }
-  if (shard_misuse != nullptr) {
-    std::cerr << "city_sweep: " << shard_misuse << "\n";
+  if (!misuse.empty()) {
+    std::cerr << "city_sweep: " << misuse << "\n";
     return 1;
   }
   const auto [shard_index, shard_count] =

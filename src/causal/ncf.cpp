@@ -72,12 +72,9 @@ nn::Matrix NcfRegressor::forward(const std::vector<std::size_t>& station_ids,
 }
 
 double NcfRegressor::train_step(const Batch& batch, const std::vector<double>& targets,
-                                const std::vector<double>& weights, nn::Adam& opt) {
+                                nn::Adam& opt) {
   if (targets.size() != batch.size()) {
     throw std::invalid_argument("NcfRegressor::train_step: target size mismatch");
-  }
-  if (!weights.empty() && weights.size() != batch.size()) {
-    throw std::invalid_argument("NcfRegressor::train_step: weight size mismatch");
   }
   zero_grad();
   const nn::Matrix pred = forward(batch.station_ids, batch.time_ids);
@@ -85,10 +82,9 @@ double NcfRegressor::train_step(const Batch& batch, const std::vector<double>& t
   double loss = 0.0;
   nn::Matrix dpred(pred.rows(), 1);
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double w = weights.empty() ? 1.0 : weights[i];
     const double diff = pred(i, 0) - targets[i];
-    loss += w * diff * diff;
-    dpred(i, 0) = 2.0 * w * diff / n;
+    loss += diff * diff;
+    dpred(i, 0) = 2.0 * diff / n;
   }
   backbone_.backward(head_.backward(dpred));
   auto params = parameters();

@@ -60,10 +60,8 @@ class NcfRegressor {
   nn::Matrix forward(const std::vector<std::size_t>& station_ids,
                      const std::vector<std::size_t>& time_ids);
 
-  /// One optimizer step against MSE on `targets` with optional per-item
-  /// `weights`; returns the (weighted) loss.
-  double train_step(const Batch& batch, const std::vector<double>& targets,
-                    const std::vector<double>& weights, nn::Adam& opt);
+  /// One optimizer step against MSE on `targets`; returns the loss.
+  double train_step(const Batch& batch, const std::vector<double>& targets, nn::Adam& opt);
 
   /// Convenience scalar prediction.
   [[nodiscard]] double predict(std::size_t station_id, std::size_t time_id);

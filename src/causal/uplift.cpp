@@ -40,7 +40,7 @@ void train_regressor(NcfRegressor& model, const std::vector<Item>& items,
       std::vector<double> batch_targets;
       batch_targets.reserve(idx.size());
       for (std::size_t j : idx) batch_targets.push_back(targets[j]);
-      model.train_step(b, batch_targets, {}, opt);
+      model.train_step(b, batch_targets, opt);
     }
   }
 }

@@ -2,11 +2,9 @@
 
 #include "common/parse.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 
 namespace ecthub {
 
@@ -59,29 +57,6 @@ std::size_t CliFlags::get_size(const std::string& name, std::size_t def) const {
   return *value;
 }
 
-std::vector<std::size_t> CliFlags::get_size_list(const std::string& name,
-                                                std::vector<std::size_t> def) const {
-  consumed_.insert(name);
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string_view text = it->second;
-  std::vector<std::size_t> values;
-  for (std::size_t begin = 0;;) {
-    const std::size_t comma = std::min(text.find(',', begin), text.size());
-    const std::string_view item = text.substr(begin, comma - begin);
-    const std::optional<std::size_t> value = parse_size(item);
-    if (!value) {
-      throw std::invalid_argument("flag --" + name +
-                                  " expects a comma-separated list of non-negative "
-                                  "integers, got item '" +
-                                  std::string(item) + "' in '" + it->second + "'");
-    }
-    values.push_back(*value);
-    if (comma == text.size()) return values;
-    begin = comma + 1;
-  }
-}
-
 double CliFlags::get_double(const std::string& name, double def) const {
   consumed_.insert(name);
   const auto it = values_.find(name);
@@ -127,9 +102,8 @@ void CliFlags::check_unknown() const {
                                 "header comment for the flags it reads)");
   }
   // Stray positionals are the same bug class: `stations=2500` (missing the
-  // leading --) must not silently run defaults.  Binaries that take
-  // positionals read positional() before this call, which waives the check.
-  if (!positional_read_ && !positional_.empty()) {
+  // leading --) must not silently run defaults.
+  if (!positional_.empty()) {
     std::string stray;
     for (const std::string& p : positional_) {
       if (!stray.empty()) stray += ", ";

@@ -34,33 +34,22 @@ class CliFlags {
   /// and "1e3" throw.  get_double rejects "nan", "inf" and "infinity".
   [[nodiscard]] std::string get_string(const std::string& name, std::string def) const;
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t def) const;
-  /// A comma-separated list of get_size values ("1,2,4").  Every item must
-  /// parse: "1,,2", "2," and "" throw like "-1" and "4abc", naming the flag
-  /// and the item.
-  [[nodiscard]] std::vector<std::size_t> get_size_list(const std::string& name,
-                                                       std::vector<std::size_t> def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const;
 
   /// Throws std::invalid_argument listing every parsed --flag that no
-  /// has()/get_*() call ever consumed, and any positional arguments when the
-  /// binary never read positional() (`stations=2500` without the `--` must
-  /// not silently run defaults).  Binaries call this once after their last
-  /// flag read, so experiment-script typos fail loud instead of silently
-  /// running defaults.
+  /// has()/get_*() call ever consumed, and any positional arguments, which
+  /// no binary takes (`stations=2500` without the `--` must not silently
+  /// run defaults).  Binaries call this once after their last flag read, so
+  /// experiment-script typos fail loud instead of silently running defaults.
   void check_unknown() const;
-
-  [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
-    positional_read_ = true;
-    return positional_;
-  }
 
  private:
   std::map<std::string, std::string> values_;
+  /// Kept only so check_unknown() can name them.
   std::vector<std::string> positional_;
   /// Flags a has()/get_*() call asked about — the parser's notion of "known".
   mutable std::set<std::string> consumed_;
-  mutable bool positional_read_ = false;
 };
 
 }  // namespace ecthub

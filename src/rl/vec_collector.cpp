@@ -1,9 +1,9 @@
 #include "rl/vec_collector.hpp"
 
-#include "common/crew.hpp"
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -11,7 +11,7 @@
 namespace ecthub::rl {
 
 VecRolloutCollector::VecRolloutCollector(std::vector<Env*> envs, VecCollectorConfig cfg)
-    : envs_(std::move(envs)), cfg_(cfg) {
+    : envs_(std::move(envs)), crew_(crew_size(cfg.threads, envs_.size())) {
   if (envs_.empty()) throw std::invalid_argument("VecRolloutCollector: no envs");
   for (Env* env : envs_) {
     if (env == nullptr) throw std::invalid_argument("VecRolloutCollector: null env");
@@ -26,17 +26,13 @@ VecRolloutCollector::VecRolloutCollector(std::vector<Env*> envs, VecCollectorCon
     throw std::invalid_argument("VecRolloutCollector: duplicate env lane");
   }
 
-  crew_size_ = crew_size(cfg_.threads, envs_.size());
-
   const std::size_t n = envs_.size();
   rngs_.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) rngs_.emplace_back(ecthub::mix_seed(cfg_.seed, l));
+  for (std::size_t l = 0; l < n; ++l) rngs_.emplace_back(ecthub::mix_seed(cfg.seed, l));
   buffers_.resize(n);
   lane_reward_.assign(n, 0.0);
   lane_episodes_.assign(n, 0);
 }
-
-VecRolloutCollector::~VecRolloutCollector() = default;
 
 void VecRolloutCollector::clear() {
   for (RolloutBuffer& b : buffers_) b.clear();
@@ -74,8 +70,8 @@ VecRolloutCollector::Stats VecRolloutCollector::collect(const ActorCritic& ac,
   remaining_.assign(n, episodes_per_lane);
   lane_reward_.assign(n, 0.0);
   lane_episodes_.assign(n, 0);
-  workspaces_.resize(crew_size_);
-  if (crew_size_ > 1 && !crew_) crew_ = std::make_unique<BarrierCrew>(crew_size_);
+  const std::size_t members = crew_.size();
+  workspaces_.resize(members);
 
   const auto row_span = [&](std::size_t lane) {
     return std::span<double>(obs_.data().data() + lane * dim, dim);
@@ -87,9 +83,11 @@ VecRolloutCollector::Stats VecRolloutCollector::collect(const ActorCritic& ac,
   // One fused phase per fleet slot: episode turnover, the member's row-block
   // stochastic forward, then step + record.  Every lane is touched by
   // exactly one member, so no phase-internal synchronization is needed.
-  const auto step_partition = [&](std::size_t member) {
-    const std::size_t lo = member * n / crew_size_;
-    const std::size_t hi = (member + 1) * n / crew_size_;
+  // Built once here: BarrierCrew::run takes a const std::function&, so a
+  // lambda passed per slot would allocate a fresh std::function every slot.
+  const std::function<void(std::size_t)> step_partition = [&](std::size_t member) {
+    const std::size_t lo = member * n / members;
+    const std::size_t hi = (member + 1) * n / members;
     for (std::size_t lane = lo; lane < hi; ++lane) {
       if (needs_reset_[lane] != 0) {
         if (remaining_[lane] == 0) {
@@ -135,11 +133,7 @@ VecRolloutCollector::Stats VecRolloutCollector::collect(const ActorCritic& ac,
       any_work = remaining_[lane] > 0 || needs_reset_[lane] == 0;
     }
     if (!any_work) break;
-    if (crew_) {
-      crew_->run(step_partition);
-    } else {
-      step_partition(0);
-    }
+    crew_.run(step_partition);
   }
 
   Stats stats = finish_stats();

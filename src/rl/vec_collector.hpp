@@ -13,37 +13,35 @@
 //    streams persist across collect() calls and are never shared, so every
 //    transition is a pure function of (envs, actor weights, seed, episode
 //    index) — independent of thread count and of the other lanes.
-//  * With threads > 1, lanes split into fixed contiguous partitions across a
-//    BarrierCrew; each member drives its partition through one fused phase
-//    per slot (episode turnover -> act_rows on its contiguous row block with
-//    its own RowsWorkspace -> step + record).  A lane is touched by exactly
-//    one thread, row-block GEMMs are bit-identical at any split, and the
-//    per-lane RNG streams replay exactly — so the collected buffers are
-//    bit-identical to the serial per-lane reference (collect_serial) at any
-//    `threads` setting.  Finished lanes keep a stale observation row and
-//    are masked out of sampling, so they never consume stream draws.
+//  * Lanes split into fixed contiguous partitions across a BarrierCrew, at
+//    every crew size including 1; each member drives its partition through
+//    one fused phase per slot (episode turnover -> act_rows on its
+//    contiguous row block with its own RowsWorkspace -> step + record).  A
+//    lane is touched by exactly one thread, row-block GEMMs are
+//    bit-identical at any split, and the per-lane RNG streams replay
+//    exactly — so the collected buffers are bit-identical to the serial
+//    per-lane reference (collect_serial) at any `threads` setting.
+//    Finished lanes keep a stale observation row and are masked out of
+//    sampling, so they never consume stream draws.
 //  * Episodes that end truncated (time limit) record the critic bootstrap
 //    V(s_T) on their final transition, evaluated on the terminal observation
 //    the env leaves in the lane row.
 #pragma once
 
+#include "common/crew.hpp"
 #include "rl/actor_critic.hpp"
 #include "rl/env.hpp"
 #include "rl/rollout.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-namespace ecthub {
-class BarrierCrew;  // common/crew.hpp
-}
 
 namespace ecthub::rl {
 
 struct VecCollectorConfig {
-  /// Crew size for the per-slot phase; 0 = hardware concurrency, 1 = serial
-  /// in-thread (the default).  Any value collects bit-identical buffers.
+  /// Crew size for the per-slot phase, clamped to the lane count; 0 =
+  /// hardware concurrency, 1 = the calling thread alone (the default).  Any
+  /// value collects bit-identical buffers.
   std::size_t threads = 1;
   /// Base of the per-lane sampling streams: lane l draws from
   /// Rng(mix_seed(seed, l)).
@@ -55,7 +53,6 @@ class VecRolloutCollector {
   /// Non-owning lanes: every env must outlive the collector, be distinct,
   /// and agree on state_dim/action_count (matching `ac` when collected).
   VecRolloutCollector(std::vector<Env*> envs, VecCollectorConfig cfg);
-  ~VecRolloutCollector();
 
   VecRolloutCollector(const VecRolloutCollector&) = delete;
   VecRolloutCollector& operator=(const VecRolloutCollector&) = delete;
@@ -86,13 +83,11 @@ class VecRolloutCollector {
   Stats finish_stats() const;
 
   std::vector<Env*> envs_;
-  VecCollectorConfig cfg_;
-  std::size_t crew_size_ = 1;  ///< resolved crew size (clamped to lanes)
   std::vector<nn::Rng> rngs_;  ///< per-lane sampling streams, persistent
   std::vector<RolloutBuffer> buffers_;
   std::vector<double> lane_reward_;      ///< per-lane reward accumulators
   std::vector<std::size_t> lane_episodes_;
-  std::unique_ptr<BarrierCrew> crew_;    ///< lazily built when threads > 1
+  BarrierCrew crew_;                     ///< runs every slot's phase
 
   // Lockstep slot state (sized to lanes, reused across collect calls).
   nn::Matrix obs_;                       ///< one observation row per lane

@@ -33,8 +33,8 @@
 // only nondeterministic observables are the latency/batch-size statistics,
 // and those are fed by an *injected* clock (ServiceConfig::now_us) — src/
 // code reads no clock itself, so the repo-wide determinism invariant
-// (ecthub_lint) holds; benches and examples inject std::chrono, tests
-// inject a fake counter.
+// (ecthub_lint) holds; the benchmark and the examples inject std::chrono,
+// tests inject a fake counter.
 #pragma once
 
 #include "nn/matrix.hpp"

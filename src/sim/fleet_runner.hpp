@@ -156,7 +156,7 @@ class ScenarioRegistry;  // scenario.hpp
 /// exist in `registry`).  Hub i is named "<key>-<i>" and runs the scenario's
 /// episode shape with `episode_days` days.  `checkpoint` is attached to every
 /// job (needed when scheduler == kDrl).  The shared job-construction path of
-/// the sweep driver, the fleet bench and the determinism tests.
+/// the sweep driver, the benchmark and the determinism tests.
 [[nodiscard]] std::vector<FleetJob> make_fleet_jobs(
     const ScenarioRegistry& registry, const std::vector<std::string>& scenario_keys,
     std::size_t count, std::size_t episode_days, SchedulerKind scheduler,

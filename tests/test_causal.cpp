@@ -107,7 +107,7 @@ TEST(NcfRegressor, LearnsSimpleSignal) {
   std::vector<std::size_t> idx(items.size());
   std::iota(idx.begin(), idx.end(), 0);
   for (int epoch = 0; epoch < 30; ++epoch) {
-    reg.train_step(make_batch(items, idx), targets, {}, opt);
+    reg.train_step(make_batch(items, idx), targets, opt);
   }
   EXPECT_GT(reg.predict(0, 3), 0.7);
   EXPECT_LT(reg.predict(3, 3), 0.3);

@@ -10,7 +10,6 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace ecthub {
 namespace {
@@ -89,15 +88,6 @@ TEST(CliFlagsUnknown, StrayPositionalsThrowUnlessRead) {
   }
 }
 
-TEST(CliFlagsUnknown, ReadingPositionalsWaivesTheStrayCheck) {
-  // A binary that consumes positionals declares so by reading positional().
-  const char* argv[] = {"prog", "input.ecsh", "--seed", "7"};
-  const CliFlags flags(4, argv);
-  (void)flags.get_size("seed", 0);
-  ASSERT_EQ(flags.positional().size(), 1u);
-  EXPECT_NO_THROW(flags.check_unknown());
-}
-
 TEST(CliFlagsStrict, IntRejectsTrailingGarbage) {
   // std::stoll("4abc") yields 4; the accessor must reject the partial parse.
   const char* argv[] = {"prog", "--threads", "4abc"};
@@ -124,31 +114,6 @@ TEST(CliFlagsStrict, SizeRejectsSignsAndSpaces) {
   const std::string max_text = std::to_string(max);
   const char* argv[] = {"prog", "--episodes", max_text.c_str()};
   EXPECT_EQ(CliFlags(3, argv).get_size("episodes", 1), max);
-}
-
-TEST(CliFlagsStrict, SizeListRejectsSignsGarbageAndEmptyItems) {
-  // The bench list flags used to split on ',' and run std::stoul per item:
-  // `--clients-list -1` wrapped to 2^64 - 1 client threads and died in
-  // reserve(), and `--wait-list 4abc` ran as 4.
-  for (const char* value : {"-1", "4abc", "1,,2", "2,", ",2", "", "1, 2"}) {
-    const char* argv[] = {"prog", "--clients-list", value};
-    const CliFlags flags(3, argv);
-    try {
-      (void)flags.get_size_list("clients-list", {1});
-      FAIL() << "get_size_list accepted '" << value << "'";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("--clients-list"), std::string::npos)
-          << "the error must name the flag: " << what;
-      EXPECT_NE(what.find("'" + std::string(value) + "'"), std::string::npos)
-          << "the error must quote the value: " << what;
-    }
-  }
-  const char* argv[] = {"prog", "--clients-list", "1,2,4"};
-  const CliFlags flags(3, argv);
-  EXPECT_EQ(flags.get_size_list("clients-list", {9}), (std::vector<std::size_t>{1, 2, 4}));
-  EXPECT_EQ(flags.get_size_list("wait-list", {0, 50}), (std::vector<std::size_t>{0, 50}));
-  EXPECT_NO_THROW(flags.check_unknown());
 }
 
 TEST(CliFlagsStrict, DoubleRejectsTrailingGarbage) {

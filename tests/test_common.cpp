@@ -306,11 +306,15 @@ TEST(CliFlags, BadIntegerThrows) {
 TEST(CliFlags, PositionalArguments) {
   const char* argv[] = {"prog", "pos1", "--k", "v", "pos2"};
   const CliFlags flags(5, argv);
-  // "pos2" follows a consumed flag value, so only pos1 is positional... or
-  // both: --k consumes "v", then pos2 is positional.
-  ASSERT_EQ(flags.positional().size(), 2u);
-  EXPECT_EQ(flags.positional()[0], "pos1");
-  EXPECT_EQ(flags.positional()[1], "pos2");
+  (void)flags.get_string("k", "");
+  // --k consumes "v", so pos1 and pos2 are the positionals, and no binary
+  // takes any: check_unknown rejects them by name.
+  try {
+    flags.check_unknown();
+    FAIL() << "check_unknown accepted positional arguments";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'pos1', 'pos2'"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------- ExactSum

@@ -1,8 +1,7 @@
 // Deterministic mutation fuzzing of every input parser.  Binary: shard files
 // (sim::parse_shard), DRL checkpoint files (DrlCheckpoint::parse, then a
 // DrlPolicy built from the result) and bare nn parameter blobs
-// (nn::load_parameters).  Text: CliFlags::get_size and get_size_list, and
-// sim::parse_shard_spec.
+// (nn::load_parameters).  Text: CliFlags::get_size and sim::parse_shard_spec.
 //
 // A seeded Rng drives a fixed budget of cases per format.  Each binary case
 // applies one mutation: truncation at a random length, one flipped bit, or an
@@ -17,8 +16,8 @@
 // from digits, '/', ',', '-', '+', ' ', 'x' and 'e' — what a lenient number
 // parser half-accepts.  Every case must return or throw
 // std::invalid_argument, and a returned value must be what the text spells:
-// a non-empty digit run for get_size, such runs joined by ',' for
-// get_size_list, digits/digits with index < count for parse_shard_spec.
+// a non-empty digit run for get_size, digits/digits with index < count for
+// parse_shard_spec.
 #include "common/binio.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
@@ -30,7 +29,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -245,25 +243,6 @@ TEST(ParserFuzz, CliFlags) {
               const std::size_t value = CliFlags(2, argv).get_size("n", 0);
               if (!spells(text, value)) {
                 ADD_FAILURE() << "get_size read '" << text << "' as " << value;
-              }
-            });
-  fuzz_text({"1,2,4", "0,100,400", "8", "007,18446744073709551615", "2,"}, 406,
-            [](const std::string& text) {
-              const std::string arg = "--n=" + text;
-              const char* argv[] = {"prog", arg.c_str()};
-              const std::vector<std::size_t> values = CliFlags(2, argv).get_size_list("n", {});
-              std::size_t begin = 0;
-              for (const std::size_t value : values) {
-                const std::size_t comma = std::min(text.find(',', begin), text.size());
-                if (begin > text.size() ||
-                    !spells(std::string_view(text).substr(begin, comma - begin), value)) {
-                  ADD_FAILURE() << "get_size_list read '" << text << "' with item " << value;
-                }
-                begin = comma + 1;
-              }
-              if (begin != text.size() + 1) {
-                ADD_FAILURE() << "get_size_list read '" << text << "' as " << values.size()
-                              << " item(s)";
               }
             });
 }
