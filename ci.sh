@@ -42,8 +42,9 @@ cmake --build "${PREFIX}-asan" -j "${JOBS}"
 UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
-# Job 4 rebuilds under ThreadSanitizer and runs the sim-engine suite (the
-# per-hub runner's work-stealing crew, the barrier-synchronized lockstep
+# Job 4 rebuilds under ThreadSanitizer and runs the BarrierCrew unit suite
+# (the crew every fleet path and the collector run on), the sim-engine suite
+# (the per-hub runner's work-stealing crew, the barrier-synchronized lockstep
 # crew, the four-way run/lockstep×1/×3/×8 identity harness, the crew-size
 # sweep against run() and the coupled-metro identity harness —
 # LockstepDeterminism.* and CouplingBus.* match the filter below), the
@@ -64,7 +65,7 @@ cmake -B "${PREFIX}-tsan" -S . -DECTHUB_SANITIZE=thread -DECTHUB_BUILD_BENCH=OFF
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
-  -R 'Scenario|MixSeed|PolicyFactory|FleetJobs|FleetRunner|Lockstep|CouplingBus|AggregateReport|VecCollector|DrlZoo|Shard|ExactSum|Serve|city_sweep_drl|city_sweep_metro|city_sweep_shard|decision_server' \
+  -R 'BarrierCrew|Scenario|MixSeed|PolicyFactory|FleetJobs|FleetRunner|Lockstep|CouplingBus|AggregateReport|VecCollector|DrlZoo|Shard|ExactSum|Serve|city_sweep_drl|city_sweep_metro|city_sweep_shard|decision_server' \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 5 is the static-analysis gate:
@@ -74,8 +75,9 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      entries that no longer match real source lines (stale entries);
 #  (b) header self-containment — every src/**/*.hpp compiled standalone
 #      (twice, for guard idempotency) via the generated-TU object target;
-#  (c) GCC -fanalyzer compile-only over the leaf modules (common, nn,
-#      battery, weather).  GCC 12's analyzer does not model std::allocator,
+#  (c) GCC -fanalyzer compile-only over the leaf modules and the episode
+#      generators (common, nn, battery, weather, traffic, pricing, forecast,
+#      renewables, ev).  GCC 12's analyzer does not model std::allocator,
 #      so three libstdc++-internal false-positive classes are suppressed with
 #      justification (see tools/lint_allowlist.txt header and README "Static
 #      analysis"); every other -Wanalyzer-* check is a hard error;
@@ -94,14 +96,15 @@ cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
 
-for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp; do
+for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp \
+    src/traffic/*.cpp src/pricing/*.cpp src/forecast/*.cpp src/renewables/*.cpp src/ev/*.cpp; do
   g++ -std=c++20 -Isrc -O1 -c "$f" -o /dev/null \
     -fanalyzer -Werror \
     -Wno-analyzer-use-of-uninitialized-value \
     -Wno-analyzer-null-dereference \
     -Wno-analyzer-possible-null-dereference
 done
-echo "    analyzer pass clean over common/nn/battery/weather"
+echo "    analyzer pass clean over common/nn/battery/weather/traffic/pricing/forecast/renewables/ev"
 
 for src in src/nn/matrix.cpp src/nn/elementary.cpp; do
   FMA_O="${PREFIX}/$(basename "${src}" .cpp)-mfma-check.o"

@@ -37,34 +37,19 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y) {
   return sxy / std::sqrt(sxx * syy);
 }
 
-namespace {
-
-double sorted_percentile(const std::vector<double>& v, double p) {
-  const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
-}
-
-void check_percentile_args(const std::vector<double>& v, double p) {
-  if (v.empty()) throw std::invalid_argument("percentile: empty vector");
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) throw std::invalid_argument("percentile: empty vector");
   if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of [0,100]");
+  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = rank - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
-
-}  // namespace
 
 double percentile(std::vector<double> v, double p) {
-  check_percentile_args(v, p);
   std::sort(v.begin(), v.end());
   return sorted_percentile(v, p);
-}
-
-double percentile(const std::vector<double>& v, double p, std::vector<double>& scratch) {
-  check_percentile_args(v, p);
-  scratch.assign(v.begin(), v.end());
-  std::sort(scratch.begin(), scratch.end());
-  return sorted_percentile(scratch, p);
 }
 
 double min(const std::vector<double>& v) {

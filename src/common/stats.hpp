@@ -21,9 +21,10 @@ double pearson(const std::vector<double>& x, const std::vector<double>& y);
 /// Linearly-interpolated percentile, p in [0, 100].
 double percentile(std::vector<double> v, double p);
 
-/// Allocation-free variant for hot paths: copies `v` into `scratch` (whose
-/// capacity is reused across calls) before the in-place sort.
-double percentile(const std::vector<double>& v, double p, std::vector<double>& scratch);
+/// percentile() of a vector already in ascending order: no copy, no sort, so
+/// several quantiles of one window cost one sort (or none, for a window kept
+/// sorted as it slides).
+double sorted_percentile(const std::vector<double>& sorted, double p);
 
 double min(const std::vector<double>& v);
 double max(const std::vector<double>& v);

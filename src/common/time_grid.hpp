@@ -6,7 +6,9 @@
 // without unit confusion.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 
 namespace ecthub {
@@ -63,5 +65,21 @@ class TimeGrid {
   std::size_t num_days_;
   std::size_t slots_per_day_;
 };
+
+/// Writes f(grid.hour_of_day(t)) into out[t] for every slot t of `grid`
+/// (out.size() must equal grid.size()), calling f once per slot of the day.
+/// hour_of_day depends only on t % slots_per_day, so every later day is a
+/// copy of the first and holds exactly the bits f would have returned.
+template <typename F>
+void fill_by_slot_of_day(const TimeGrid& grid, std::span<double> out, F f) {
+  if (out.size() != grid.size()) {
+    throw std::invalid_argument("fill_by_slot_of_day: out.size() != grid.size()");
+  }
+  const std::size_t day = grid.slots_per_day();
+  for (std::size_t s = 0; s < day; ++s) out[s] = f(grid.hour_of_day(s));
+  for (std::size_t t = day; t < out.size(); t += day) {
+    std::copy_n(out.begin(), day, out.begin() + static_cast<std::ptrdiff_t>(t));
+  }
+}
 
 }  // namespace ecthub

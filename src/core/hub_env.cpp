@@ -73,6 +73,13 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
   station_.emplace(hub_.station,
                    ev::StrataProfile(hub_.ev_popularity, hub_.ev_evening_sensitivity,
                                      hub_.ev_evening_commuter));
+  const TimeGrid day(1, cfg_.slots_per_day);
+  hour_sin_.resize(day.size());
+  hour_cos_.resize(day.size());
+  fill_by_slot_of_day(day, hour_sin_,
+                      [](double hour) { return std::sin(2.0 * std::numbers::pi * hour / 24.0); });
+  fill_by_slot_of_day(day, hour_cos_,
+                      [](double hour) { return std::cos(2.0 * std::numbers::pi * hour / 24.0); });
 }
 
 std::size_t EctHubEnv::state_dim() const { return observation_layout().dim(); }
@@ -214,10 +221,9 @@ void EctHubEnv::observe_into(std::span<double> out) const {
   // Wrapping by hand keeps the final observation (t_ == size, where
   // TimeGrid::hour_of_day would range-check) on the same 24 h phase;
   // identical to hour_of_day(t_) for every in-episode slot.
-  const double hour = static_cast<double>(t_ % cfg_.slots_per_day) *
-                      (24.0 / static_cast<double>(cfg_.slots_per_day));
-  out[pos++] = std::sin(2.0 * std::numbers::pi * hour / 24.0);
-  out[pos] = std::cos(2.0 * std::numbers::pi * hour / 24.0);
+  const std::size_t slot_of_day = t_ % cfg_.slots_per_day;
+  out[pos++] = hour_sin_[slot_of_day];
+  out[pos] = hour_cos_[slot_of_day];
 }
 
 void EctHubEnv::reset_into(std::span<double> state) {

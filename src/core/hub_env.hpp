@@ -187,6 +187,11 @@ class EctHubEnv final : public rl::Env {
   std::vector<double> through_kw_;    ///< coupled: through-traffic demand
   std::vector<std::uint8_t> outage_;  ///< coupled: front outage flags
 
+  // The observation's hour-of-day phase, sin and cos, by slot of the day;
+  // built at construction.
+  std::vector<double> hour_sin_;
+  std::vector<double> hour_cos_;
+
   std::optional<ev::ChargingStation> station_;         ///< built at construction
   std::optional<pricing::SellingPricePolicy> selling_; ///< built at first reset
   std::optional<battery::BatteryPack> pack_;  ///< in-place, re-emplaced per reset

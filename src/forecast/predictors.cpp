@@ -1,5 +1,6 @@
 #include "forecast/predictors.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ecthub::forecast {
@@ -26,6 +27,17 @@ void SeasonalNaivePredictor::observe(std::size_t t, double value) {
 double SeasonalNaivePredictor::predict(std::size_t t) const {
   const std::size_t slot = t % period_;
   return seen_[slot] ? seasonal_[slot] : global_mean_;
+}
+
+SeasonalNaivePredictor::Range SeasonalNaivePredictor::season_range() const {
+  const double first = seen_[0] ? seasonal_[0] : global_mean_;
+  Range r{first, first};
+  for (std::size_t slot = 1; slot < period_; ++slot) {
+    const double p = seen_[slot] ? seasonal_[slot] : global_mean_;
+    r.lo = std::min(r.lo, p);
+    r.hi = std::max(r.hi, p);
+  }
+  return r;
 }
 
 }  // namespace ecthub::forecast

@@ -25,6 +25,14 @@ class SeasonalNaivePredictor {
   /// seasonal slot has been seen.
   [[nodiscard]] double predict(std::size_t t) const;
 
+  /// Lowest and highest forecast over one season: min and max of predict(0)
+  /// .. predict(period - 1), taken in that order in one pass over the slots.
+  struct Range {
+    double lo;
+    double hi;
+  };
+  [[nodiscard]] Range season_range() const;
+
   [[nodiscard]] std::size_t period() const noexcept { return period_; }
 
  private:

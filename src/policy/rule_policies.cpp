@@ -3,6 +3,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::policy {
@@ -56,13 +57,21 @@ GreedyPricePolicy::GreedyPricePolicy(ObservationLayout layout, double low_quanti
 
 std::size_t GreedyPricePolicy::decide(std::span<const double> obs) {
   const double now = layout_.rtp(obs);
+  if (std::isnan(now)) throw std::invalid_argument("GreedyPricePolicy: NaN price");
   // Trailing window of realized prices: the current slot plus the previous
-  // day (24 slots), exactly the slots a per-slot decision has seen.
+  // day (24 slots), exactly the slots a per-slot decision has seen.  The
+  // sorted copy slides with it — one binary-search erase and one insert per
+  // slot — and holds what std::sort of the window would, so both quantiles
+  // are read off it directly.
   constexpr std::size_t kWindow = 24;
+  if (seen_.size() == kWindow + 1) {
+    sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), seen_.front()));
+    seen_.erase(seen_.begin());
+  }
   seen_.push_back(now);
-  if (seen_.size() > kWindow + 1) seen_.erase(seen_.begin());
-  const double p_lo = stats::percentile(seen_, low_q_, scratch_);
-  const double p_hi = stats::percentile(seen_, high_q_, scratch_);
+  sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), now), now);
+  const double p_lo = stats::sorted_percentile(sorted_, low_q_);
+  const double p_hi = stats::sorted_percentile(sorted_, high_q_);
   if (now <= p_lo) return 1;
   if (now >= p_hi) return 2;
   return 0;
@@ -79,13 +88,9 @@ std::size_t ForecastPolicy::decide(std::span<const double> obs) {
   // Feed the realized price for this slot, then act on the predicted curve.
   price_forecast_.observe(slot_, layout_.rtp(obs));
 
-  // Predicted daily curve and its band edges.
-  double lo = price_forecast_.predict(0), hi = lo;
-  for (std::size_t h = 1; h < 24; ++h) {
-    const double p = price_forecast_.predict(h);
-    lo = std::min(lo, p);
-    hi = std::max(hi, p);
-  }
+  // Predicted daily curve (the predictor's 24 hourly slots) and its band
+  // edges.
+  const auto [lo, hi] = price_forecast_.season_range();
   const double now = price_forecast_.predict(slot_);
   ++slot_;
   if (hi - lo < 1e-9) return 0;

@@ -52,20 +52,23 @@ class TouPolicy final : public Policy {
 /// Price-threshold arbitrage: charge when the current RTP is below the
 /// trailing-day low quantile, discharge above the high quantile.  Stateful:
 /// it accumulates one realized price per decide() call and clears the window
-/// at each episode start.
+/// at each episode start.  A NaN price throws std::invalid_argument.
 class GreedyPricePolicy final : public Policy {
  public:
   explicit GreedyPricePolicy(ObservationLayout layout = {}, double low_quantile = 30.0,
                              double high_quantile = 70.0);
   std::size_t decide(std::span<const double> obs) override;
-  void begin_episode() override { seen_.clear(); }
+  void begin_episode() override {
+    seen_.clear();
+    sorted_.clear();
+  }
   [[nodiscard]] std::string name() const override { return "GreedyPrice"; }
 
  private:
   ObservationLayout layout_;
   double low_q_, high_q_;
-  std::vector<double> seen_;     ///< trailing window of realized prices, $/MWh
-  std::vector<double> scratch_;  ///< percentile sort buffer (zero-alloc decide)
+  std::vector<double> seen_;    ///< trailing window of realized prices, oldest first
+  std::vector<double> sorted_;  ///< the same prices in ascending order
 };
 
 /// Forecast-driven arbitrage: learns the diurnal price curve online with a

@@ -49,10 +49,13 @@ void RtpGenerator::generate_into(const TimeGrid& grid, const std::vector<double>
     throw std::invalid_argument("RtpGenerator: system_load length must match grid");
   }
   price_out.resize(grid.size());
+  // The diurnal curve depends only on the hour of day: evaluated once per
+  // slot of the day, then read back and overwritten slot by slot below.
+  fill_by_slot_of_day(grid, price_out, [this](double hour) { return diurnal_component(hour); });
   double ar = 0.0;
   for (std::size_t t = 0; t < grid.size(); ++t) {
     ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
-    double p = cfg_.base_price + diurnal_component(grid.hour_of_day(t)) + ar;
+    double p = cfg_.base_price + price_out[t] + ar;
     if (!system_load.empty()) p += cfg_.load_coupling * system_load[t];
     if (rng_.bernoulli(cfg_.spike_prob)) p += rng_.exponential(1.0 / cfg_.spike_scale);
     price_out[t] = std::max(p, cfg_.floor_price);

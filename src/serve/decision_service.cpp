@@ -172,12 +172,12 @@ ServiceStats DecisionService::stats() const {
   if (latency_total_ > 0) {
     const std::size_t window =
         static_cast<std::size_t>(std::min<std::uint64_t>(latency_total_, latency_ring_.size()));
-    const std::vector<double> samples(latency_ring_.begin(),
-                                      latency_ring_.begin() +
-                                          static_cast<std::ptrdiff_t>(window));
-    s.latency_p50_us = stats::percentile(samples, 50.0);
-    s.latency_p95_us = stats::percentile(samples, 95.0);
-    s.latency_p99_us = stats::percentile(samples, 99.0);
+    std::vector<double> samples(latency_ring_.begin(),
+                                latency_ring_.begin() + static_cast<std::ptrdiff_t>(window));
+    std::sort(samples.begin(), samples.end());
+    s.latency_p50_us = stats::sorted_percentile(samples, 50.0);
+    s.latency_p95_us = stats::sorted_percentile(samples, 95.0);
+    s.latency_p99_us = stats::sorted_percentile(samples, 99.0);
     s.latency_max_us = latency_max_us_;
   }
   return s;

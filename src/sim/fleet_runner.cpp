@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -85,9 +87,18 @@ class HubLane {
   /// carries the routed imports in and the slot's exports out (an uncoupled
   /// hub leaves every output zero).  Samples the SoC, adds the coupling
   /// totals and, at episode end, folds the ledger into the result.  Returns
-  /// true when the episode ended.
+  /// true when the episode ended.  Finite but extreme prices can overflow:
+  /// a non-finite slot reward, or a non-finite dollar total once the episode
+  /// is folded, throws std::runtime_error naming the hub and the episode
+  /// (and the slot).
   bool step(std::size_t action, std::span<double> obs, core::SlotCoupling& coupling) {
-    in_episode_ = !env_->step_into(action, obs, coupling).done;
+    const std::size_t slot = env_->current_slot();
+    const core::StepOutcome outcome = env_->step_into(action, obs, coupling);
+    if (!std::isfinite(outcome.reward)) {
+      throw std::runtime_error(where() + " slot " + std::to_string(slot) +
+                               ": non-finite reward");
+    }
+    in_episode_ = !outcome.done;
     if (record_soc_) {
       const double s = env_->soc_frac();
       soc_.last = s;
@@ -111,6 +122,10 @@ class HubLane {
     result_.grid_cost += ledger.total_grid_cost();
     result_.bp_cost += ledger.total_bp_cost();
     result_.profit += ledger.total_profit();
+    if (!(std::isfinite(result_.revenue) && std::isfinite(result_.grid_cost) &&
+          std::isfinite(result_.bp_cost) && std::isfinite(result_.profit))) {
+      throw std::runtime_error(where() + ": non-finite profit total");
+    }
     result_.episode_profit.push_back(ledger.total_profit());
     return true;
   }
@@ -118,6 +133,12 @@ class HubLane {
   [[nodiscard]] HubRunResult take_result() { return std::move(result_); }
 
  private:
+  /// "FleetRunner: hub '<name>' (id <id>) episode <e>", e the running one.
+  [[nodiscard]] std::string where() const {
+    return "FleetRunner: hub '" + result_.hub_name + "' (id " + std::to_string(result_.hub_id) +
+           ") episode " + std::to_string(result_.episode_profit.size());
+  }
+
   std::unique_ptr<core::EctHubEnv> env_;
   double dt_hours_;  ///< slot duration, for kW -> kWh coupling totals
   bool in_episode_ = false;

@@ -34,10 +34,14 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
   const DiurnalProfile profile = DiurnalProfile::for_area(cfg_.area);
   trace.load_rate.resize(grid.size());
   trace.volume_gb.resize(grid.size());
+  // The envelope depends only on the hour of day: evaluated once per slot of
+  // the day, then read back and overwritten slot by slot below.
+  fill_by_slot_of_day(grid, trace.load_rate,
+                      [&profile](double hour) { return profile.at_hour(hour); });
 
   double ar = 0.0;  // AR(1) log-multiplier state
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    const double envelope = profile.at_hour(grid.hour_of_day(t));
+    const double envelope = trace.load_rate[t];
     const double weekend = grid.is_weekend(t) ? cfg_.weekend_factor : 1.0;
     ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
     const double load = std::clamp(envelope * weekend * std::exp(ar), cfg_.min_load, 1.0);

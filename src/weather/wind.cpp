@@ -29,11 +29,15 @@ std::vector<double> WindModel::generate(const TimeGrid& grid) {
 
 void WindModel::generate_into(const TimeGrid& grid, std::vector<double>& out_speed) {
   out_speed.resize(grid.size());
+  // The diurnal factor depends only on the hour of day: evaluated once per
+  // slot of the day, then read back and overwritten slot by slot below.
+  fill_by_slot_of_day(grid, out_speed, [this](double hour) {
+    return 1.0 + cfg_.diurnal_amplitude *
+                     std::sin(2.0 * std::numbers::pi * (hour - 9.0) / 24.0);
+  });
   double x = cfg_.mean_speed_ms;  // OU state
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    const double diurnal =
-        1.0 + cfg_.diurnal_amplitude *
-                  std::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 9.0) / 24.0);
+    const double diurnal = out_speed[t];
     x += cfg_.reversion_rate * (cfg_.mean_speed_ms - x) +
          rng_.normal(0.0, cfg_.volatility);
     x = std::clamp(x, 0.0, cfg_.max_speed_ms);

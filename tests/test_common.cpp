@@ -1,6 +1,8 @@
-// Unit tests for the common substrate: time grid, RNG, statistics, tables.
+// Unit tests for the common substrate: time grid, RNG, statistics, tables,
+// the barrier crew.
 #include "common/binio.hpp"
 #include "common/cli.hpp"
+#include "common/crew.hpp"
 #include "common/csv.hpp"
 #include "common/exact_sum.hpp"
 #include "common/rng.hpp"
@@ -10,14 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 #include <fstream>
 
@@ -78,6 +85,25 @@ TEST(TimeGrid, OutOfRangeSlotThrows) {
   const TimeGrid grid(1, 24);
   EXPECT_THROW((void)grid.day_of(24), std::out_of_range);
   EXPECT_THROW((void)grid.day_start(1), std::out_of_range);
+}
+
+TEST(TimeGrid, FillBySlotOfDayWritesEverySlotsHour) {
+  for (const std::size_t spd : {24u, 96u, 7u}) {
+    const TimeGrid grid(9, spd);
+    std::vector<double> out(grid.size(), -1.0);
+    std::size_t calls = 0;
+    fill_by_slot_of_day(grid, out, [&calls](double hour) {
+      ++calls;
+      return 3.0 * hour - 1.0;
+    });
+    EXPECT_EQ(calls, spd);
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      EXPECT_EQ(out[t], 3.0 * grid.hour_of_day(t) - 1.0) << spd << " " << t;
+    }
+    std::vector<double> short_out(grid.size() - 1);
+    EXPECT_THROW(fill_by_slot_of_day(grid, short_out, [](double h) { return h; }),
+                 std::invalid_argument);
+  }
 }
 
 TEST(TimeGrid, DayStart) {
@@ -240,6 +266,22 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileValidation) {
   EXPECT_THROW(stats::percentile({}, 50), std::invalid_argument);
   EXPECT_THROW(stats::percentile({1.0}, 101), std::invalid_argument);
+}
+
+TEST(Stats, SortedPercentileMatchesPercentileAndValidates) {
+  Rng rng(31);
+  for (std::size_t n = 1; n <= 40; ++n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = rng.normal(0.0, 5.0);
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double p : {0.0, 1.0, 30.0, 50.0, 70.0, 99.0, 100.0}) {
+      EXPECT_EQ(stats::sorted_percentile(sorted, p), stats::percentile(v, p)) << n << " " << p;
+    }
+  }
+  EXPECT_THROW((void)stats::sorted_percentile({}, 50), std::invalid_argument);
+  EXPECT_THROW((void)stats::sorted_percentile({1.0}, -1), std::invalid_argument);
+  EXPECT_THROW((void)stats::sorted_percentile({1.0}, 101), std::invalid_argument);
 }
 
 TEST(Stats, AutocorrelationOfPeriodicSignal) {
@@ -509,6 +551,85 @@ TEST(WriteCsv, RoundTripsColumns) {
 
 TEST(WriteCsv, RejectsRaggedColumns) {
   EXPECT_THROW(write_csv("/tmp/x.csv", {"a", "b"}, {{1.0}, {1.0, 2.0}}), std::runtime_error);
+}
+
+// ------------------------------------------------------------- BarrierCrew
+
+TEST(BarrierCrew, EachIndexRunsOncePerRunAndTheCoordinatorTakesTheLast) {
+  for (const std::size_t size : {1u, 2u, 4u, 8u}) {
+    BarrierCrew crew(size);
+    ASSERT_EQ(crew.size(), size);
+    std::vector<std::atomic<int>> calls(size);
+    std::vector<std::thread::id> ran_on(size);
+    const std::function<void(std::size_t)> task = [&](std::size_t i) {
+      calls[i].fetch_add(1);
+      ran_on[i] = std::this_thread::get_id();
+    };
+    constexpr int kRuns = 5;
+    for (int r = 0; r < kRuns; ++r) crew.run(task);
+    for (std::size_t i = 0; i < size; ++i) EXPECT_EQ(calls[i].load(), kRuns) << size << " " << i;
+    EXPECT_EQ(ran_on[size - 1], std::this_thread::get_id()) << size;
+    for (std::size_t i = 0; i + 1 < size; ++i) {
+      EXPECT_NE(ran_on[i], std::this_thread::get_id()) << size << " " << i;
+    }
+  }
+}
+
+TEST(BarrierCrew, AThrowingMemberRethrowsAfterEveryMemberFinishes) {
+  BarrierCrew crew(4);
+  std::vector<std::atomic<int>> finished(4);
+  const std::function<void(std::size_t)> task = [&](std::size_t i) {
+    if (i == 0) throw std::runtime_error("member 0 failed");
+    // The others outlast the thrower: run() may only return after them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished[i].store(1);
+  };
+  try {
+    crew.run(task);
+    ADD_FAILURE() << "run did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "member 0 failed");
+  }
+  for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(finished[i].load(), 1) << i;
+
+  // The crew stays usable, and a clean run no longer throws.
+  std::atomic<int> calls{0};
+  crew.run([&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 4);
+}
+
+TEST(BarrierCrew, SeveralThrowersGiveExactlyOneException) {
+  BarrierCrew crew(8);
+  const std::function<void(std::size_t)> task = [](std::size_t i) {
+    throw std::runtime_error("member " + std::to_string(i));
+  };
+  for (int r = 0; r < 3; ++r) {
+    int caught = 0;
+    try {
+      crew.run(task);
+    } catch (const std::runtime_error& e) {
+      ++caught;
+      EXPECT_EQ(std::string(e.what()).rfind("member ", 0), 0u) << e.what();
+    }
+    EXPECT_EQ(caught, 1);
+  }
+  std::atomic<int> calls{0};
+  crew.run([&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(BarrierCrew, DestroyedWithoutARunJoinsCleanly) {
+  for (const std::size_t size : {1u, 2u, 4u, 8u}) {
+    const BarrierCrew crew(size);
+    EXPECT_EQ(crew.size(), size);
+  }
+}
+
+TEST(BarrierCrew, CrewSizeClampsToTheWorkItems) {
+  EXPECT_EQ(crew_size(8, 3), 3u);
+  EXPECT_EQ(crew_size(2, 0), 1u);
+  EXPECT_EQ(crew_size(0, 1), 1u);
+  EXPECT_EQ(crew_size(3, 8), 3u);
 }
 
 }  // namespace

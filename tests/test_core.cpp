@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <numbers>
 #include <span>
 #include <string>
 #include <string_view>
@@ -536,6 +537,33 @@ TEST(EctHubEnv, ObserveIntoMatchesResetObservation) {
   std::vector<double> observed(env.state_dim());
   env.observe_into(observed);
   EXPECT_EQ(observed, from_reset);
+}
+
+// The hour channels come from per-slot-of-day tables built at construction;
+// they must equal sin/cos of the slot's hour at every slot, including the
+// final observation (t == size), which wraps to the next day's first slot.
+TEST(EctHubEnv, HourChannelsAreSinCosOfTheSlotHour) {
+  for (const std::size_t spd : {24u, 96u, 7u}) {
+    HubEnvConfig cfg = small_env(2);
+    cfg.slots_per_day = spd;
+    EctHubEnv env(HubConfig::urban("hours", 41), cfg);
+    const policy::ObservationLayout layout = env.observation_layout();
+    const auto check = [&](const std::vector<double>& obs, std::size_t t) {
+      const double hour = static_cast<double>(t % spd) * (24.0 / static_cast<double>(spd));
+      EXPECT_EQ(obs[layout.hour_sin_index()], std::sin(2.0 * std::numbers::pi * hour / 24.0))
+          << spd << " " << t;
+      EXPECT_EQ(obs[layout.hour_cos_index()], std::cos(2.0 * std::numbers::pi * hour / 24.0))
+          << spd << " " << t;
+    };
+    std::vector<double> state = reset_state(env);
+    check(state, 0);
+    bool done = false;
+    while (!done) {
+      done = env.step_into(0, state).done;
+      check(state, env.current_slot());
+    }
+    EXPECT_EQ(env.current_slot(), env.slots_per_episode());
+  }
 }
 
 TEST(Profit, LedgerResetClearsTotalsAndDays) {

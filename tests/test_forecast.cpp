@@ -1,10 +1,14 @@
 // Tests for the forecasting module and its scheduler integration.
+#include "common/rng.hpp"
 #include "forecast/predictors.hpp"
 #include "pricing/rtp.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 namespace ecthub::forecast {
 namespace {
@@ -53,6 +57,38 @@ TEST(SeasonalNaive, BeatsRunningMeanOnDiurnalPrices) {
 TEST(SeasonalNaive, Validation) {
   EXPECT_THROW(SeasonalNaivePredictor(0), std::invalid_argument);
   EXPECT_THROW(SeasonalNaivePredictor(24, 0.0), std::invalid_argument);
+}
+
+// season_range() must return exactly the bits of the per-slot predict() loop
+// it replaces (std::min / std::max in slot order), from the first observation
+// on, while some slots still fall back to the global mean.
+TEST(SeasonalNaive, SeasonRangeMatchesThePerSlotPredictLoop) {
+  for (const std::size_t period : {24u, 7u, 1u}) {
+    SeasonalNaivePredictor p(period);
+    Rng rng(period);
+    const auto check = [&](std::size_t step) {
+      double lo = p.predict(0), hi = lo;
+      for (std::size_t s = 1; s < period; ++s) {
+        lo = std::min(lo, p.predict(s));
+        hi = std::max(hi, p.predict(s));
+      }
+      const SeasonalNaivePredictor::Range r = p.season_range();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.lo), std::bit_cast<std::uint64_t>(lo))
+          << period << " " << step;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.hi), std::bit_cast<std::uint64_t>(hi))
+          << period << " " << step;
+    };
+    check(0);  // nothing seen: every slot is the global mean
+    for (std::size_t step = 0; step < 2000; ++step) {
+      // Random slot indices (unseen slots linger), repeats, signed zeros.
+      const std::size_t t = static_cast<std::size_t>(rng.uniform_int(0, 200));
+      double v = rng.normal(40.0, 30.0);
+      if (step % 5 == 0) v = static_cast<double>(rng.uniform_int(-2, 2));
+      if (step % 11 == 0) v = -0.0;
+      p.observe(t, v);
+      check(step + 1);
+    }
+  }
 }
 
 }  // namespace

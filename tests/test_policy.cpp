@@ -3,6 +3,8 @@
 // and the DrlPolicy checkpoint round trip.
 #include "common/binio.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
+#include "forecast/predictors.hpp"
 #include "policy/drl_policy.hpp"
 #include "policy/observation.hpp"
 #include "policy/rule_policies.hpp"
@@ -291,6 +293,111 @@ TEST(PolicyStatefulness, GreedyWindowClearsAtEpisodeStart) {
   for (std::size_t t = 0; t < 30; ++t) {
     const auto obs = fake_obs(layout, replay, static_cast<double>(t % 24));
     EXPECT_EQ(a.decide(obs), b.decide(obs)) << "slot " << t;
+  }
+}
+
+// The GreedyPricePolicy decision rule the sorted window replaced: copy the
+// trailing window, sort it, and read each quantile off the sorted copy.
+class GreedyReference {
+ public:
+  GreedyReference(double low_q, double high_q) : low_q_(low_q), high_q_(high_q) {}
+  void begin_episode() { seen_.clear(); }
+  std::size_t decide(double now) {
+    seen_.push_back(now);
+    if (seen_.size() > 25) seen_.erase(seen_.begin());
+    const double p_lo = stats::percentile(seen_, low_q_);
+    const double p_hi = stats::percentile(seen_, high_q_);
+    if (now <= p_lo) return 1;
+    if (now >= p_hi) return 2;
+    return 0;
+  }
+
+ private:
+  double low_q_, high_q_;
+  std::vector<double> seen_;
+};
+
+// One observation carrying `price` in the RTP channel (the only one the
+// price rules read); returns the price the policy decodes from it.
+double set_price(const ObservationLayout& layout, std::vector<double>& obs, double price) {
+  obs[layout.rtp_begin() + layout.lookback - 1] = price / ObservationLayout::kPriceScale;
+  return layout.rtp(obs);
+}
+
+TEST(GreedyPricePolicy, SortedWindowDecidesLikeSortingTheWindow) {
+  const ObservationLayout layout;
+  struct Stream {
+    double low_q, high_q;
+    std::uint64_t seed;
+  };
+  for (const Stream& s : {Stream{30.0, 70.0, 1}, Stream{0.0, 100.0, 2}, Stream{12.5, 87.5, 3}}) {
+    GreedyPricePolicy pol(layout, s.low_q, s.high_q);
+    GreedyReference ref(s.low_q, s.high_q);
+    Rng rng(s.seed);
+    std::vector<double> obs(layout.dim(), 0.0);
+    std::size_t left_in_episode = 0;
+    for (std::size_t i = 0; i < 100000; ++i) {
+      if (left_in_episode == 0) {
+        // Episode restarts, many shorter than the 25-price window.
+        left_in_episode = static_cast<std::size_t>(rng.uniform_int(1, 80));
+        pol.begin_episode();
+        ref.begin_episode();
+      }
+      --left_in_episode;
+      double price = 0.0;
+      switch (rng.uniform_int(0, 4)) {
+        case 0: price = rng.normal(60.0, 40.0); break;  // negatives too
+        case 1: price = static_cast<double>(rng.uniform_int(-3, 3)); break;  // repeats
+        case 2: price = rng.bernoulli(0.5) ? -0.0 : 0.0; break;
+        case 3: price = std::ldexp(rng.normal(0.0, 1.0), -1074 / 2); break;  // tiny
+        default: price = 70.0; break;
+      }
+      const double now = set_price(layout, obs, price);
+      ASSERT_EQ(pol.decide(obs), ref.decide(now)) << "stream " << s.seed << " price " << i;
+    }
+  }
+}
+
+TEST(GreedyPricePolicy, NaNPriceIsRejected) {
+  const ObservationLayout layout;
+  GreedyPricePolicy pol(layout);
+  std::vector<double> obs(layout.dim(), 0.5);
+  (void)pol.decide(obs);
+  obs[layout.rtp_begin() + layout.lookback - 1] = std::nan("");
+  EXPECT_THROW((void)pol.decide(obs), std::invalid_argument);
+}
+
+// The ForecastPolicy decision rule before season_range(): the predicted
+// day's low and high from 24 predict() calls.
+TEST(ForecastPolicy, SeasonRangeDecidesLikeThePredictLoop) {
+  const ObservationLayout layout;
+  ForecastPolicy pol(layout);
+  forecast::SeasonalNaivePredictor ref(24);
+  Rng rng(9);
+  std::vector<double> obs(layout.dim(), 0.0);
+  std::size_t slot = 0;
+  for (std::size_t i = 0; i < 20000; ++i) {
+    if (i % 500 == 0) {
+      pol.begin_episode();
+      slot = 0;
+    }
+    const double price = rng.bernoulli(0.2) ? static_cast<double>(rng.uniform_int(40, 42))
+                                            : rng.normal(70.0, 25.0);
+    const double now_price = set_price(layout, obs, price);
+    ref.observe(slot, now_price);
+    double lo = ref.predict(0), hi = lo;
+    for (std::size_t h = 1; h < 24; ++h) {
+      lo = std::min(lo, ref.predict(h));
+      hi = std::max(hi, ref.predict(h));
+    }
+    const double now = ref.predict(slot);
+    ++slot;
+    std::size_t expected = 0;
+    if (!(hi - lo < 1e-9)) {
+      const double pos = (now - lo) / (hi - lo);
+      expected = pos <= 0.3 ? 1 : (pos >= 0.7 ? 2 : 0);
+    }
+    ASSERT_EQ(pol.decide(obs), expected) << "slot " << i;
   }
 }
 

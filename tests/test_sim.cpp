@@ -4,6 +4,7 @@
 // bit-identity contract every future sharding/batching PR depends on), and
 // the aggregate report arithmetic.
 #include "common/binio.hpp"
+#include "core/hub_env.hpp"
 #include "policy/drl_policy.hpp"
 #include "sim/coupling.hpp"
 #include "sim/drl_zoo.hpp"
@@ -836,6 +837,97 @@ TEST(FleetRunner, WorkerExceptionsPropagate) {
     ASSERT_EQ(results.size(), 4u);
     EXPECT_TRUE(std::isfinite(results[2].profit)) << threads;
   }
+}
+
+// Prices near DBL_MAX are finite and pass every config check, but a slot's
+// profit, or a running sum of finite ones, overflows.  These helpers build
+// the one-hub TOU job at a given price and replay its episodes on one env,
+// as FleetRunner steps them, so the tests find where the overflow happens on
+// this host without pinning libm's bits.
+std::vector<FleetJob> overflow_jobs(double price) {
+  const ScenarioRegistry registry = ScenarioRegistry::with_builtins();
+  std::vector<FleetJob> jobs = make_fleet_jobs(registry, {"urban"}, 1, 2, SchedulerKind::kTou);
+  jobs[0].hub.rtp.base_price = price;
+  jobs[0].hub.rtp.diurnal_amplitude = price;
+  return jobs;
+}
+
+struct OverflowReplay {
+  bool rewards_finite;  ///< every slot's reward in every replayed episode
+  bool totals_finite;   ///< the dollar totals summed over the episodes
+  std::size_t episode;  ///< where the replay stopped
+  std::size_t slot;     ///< the non-finite reward's slot, if any
+};
+
+/// Replays up to `episodes` episodes, stopping at the first non-finite
+/// reward or running total.
+OverflowReplay replay_episodes(const FleetJob& job, const FleetRunnerConfig& cfg,
+                               std::size_t episodes) {
+  core::HubConfig hub = job.hub;
+  hub.seed = mix_seed(cfg.base_seed, cfg.hub_id_offset);
+  core::EctHubEnv env(hub, job.env);
+  const auto pol = make_policy(SchedulerKind::kTou, 0, env.observation_layout());
+  std::vector<double> state(env.state_dim());
+  double revenue = 0.0, grid_cost = 0.0, bp_cost = 0.0, profit = 0.0;
+  for (std::size_t e = 0; e < episodes; ++e) {
+    env.reset_into(state);
+    for (std::size_t t = 0; t < env.slots_per_episode(); ++t) {
+      if (!std::isfinite(env.step_into(pol->decide(state), state).reward)) {
+        return {false, true, e, t};
+      }
+    }
+    const core::ProfitLedger& ledger = env.ledger();
+    revenue += ledger.total_revenue();
+    grid_cost += ledger.total_grid_cost();
+    bp_cost += ledger.total_bp_cost();
+    profit += ledger.total_profit();
+    if (!(std::isfinite(revenue) && std::isfinite(grid_cost) && std::isfinite(bp_cost) &&
+          std::isfinite(profit))) {
+      return {true, false, e, 0};
+    }
+  }
+  return {true, true, episodes, 0};
+}
+
+void expect_both_paths_throw(const std::vector<FleetJob>& jobs, const FleetRunnerConfig& cfg,
+                             const std::string& expected) {
+  const FleetRunner runner(cfg);
+  for (const bool lockstep : {false, true}) {
+    try {
+      (void)(lockstep ? runner.run_lockstep(jobs) : runner.run(jobs));
+      ADD_FAILURE() << "no throw, lockstep " << lockstep;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), expected) << "lockstep " << lockstep;
+    }
+  }
+}
+
+TEST(FleetRunner, NonFiniteRewardNamesTheHubEpisodeAndSlot) {
+  const std::vector<FleetJob> jobs = overflow_jobs(1.5e308);
+  const FleetRunnerConfig cfg;
+  const OverflowReplay replay = replay_episodes(jobs[0], cfg, 1);
+  ASSERT_FALSE(replay.rewards_finite);
+  expect_both_paths_throw(jobs, cfg,
+                          "FleetRunner: hub 'urban-0' (id 0) episode 0 slot " +
+                              std::to_string(replay.slot) + ": non-finite reward");
+}
+
+TEST(FleetRunner, NonFiniteProfitTotalNamesTheHubAndEpisode) {
+  // Lower the price until every slot's reward stays finite; the totals
+  // summed over enough episodes still overflow, and the fold must say so
+  // instead of handing back infinite or NaN totals.
+  FleetRunnerConfig cfg;
+  cfg.episodes_per_hub = 5000;
+  double price = 1.5e308;
+  OverflowReplay replay = replay_episodes(overflow_jobs(price)[0], cfg, cfg.episodes_per_hub);
+  while (!replay.rewards_finite) {
+    price *= 0.75;
+    replay = replay_episodes(overflow_jobs(price)[0], cfg, cfg.episodes_per_hub);
+  }
+  ASSERT_FALSE(replay.totals_finite) << "price " << price;
+  expect_both_paths_throw(overflow_jobs(price), cfg,
+                          "FleetRunner: hub 'urban-0' (id 0) episode " +
+                              std::to_string(replay.episode) + ": non-finite profit total");
 }
 
 // ------------------------------------------------------------ report

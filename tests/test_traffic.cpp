@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace ecthub::traffic {
 namespace {
 
@@ -195,6 +198,36 @@ TEST_P(AllAreasTest, GeneratesValidTraceForEveryArchetype) {
 INSTANTIATE_TEST_SUITE_P(Areas, AllAreasTest,
                          ::testing::Values(AreaType::kResidential, AreaType::kOffice,
                                            AreaType::kHighway, AreaType::kMixed));
+
+// The load rate is the envelope times the weekend factor evaluated slot by
+// slot, times the AR(1) noise drawn in slot order: replaying the draws from
+// an identically seeded Rng checks that the envelope computed once per slot
+// of the day and reused across days holds exactly those bits, at any grid
+// resolution.
+TEST(TrafficGenerator, TraceReplaysThePerSlotExpression) {
+  for (const AreaType area :
+       {AreaType::kResidential, AreaType::kOffice, AreaType::kHighway, AreaType::kMixed}) {
+    TrafficConfig cfg;
+    cfg.area = area;
+    const DiurnalProfile profile = DiurnalProfile::for_area(area);
+    for (const std::size_t spd : {24u, 96u, 7u}) {
+      const TimeGrid grid(9, spd);  // spans a weekend
+      TrafficGenerator gen(cfg, Rng(8));
+      const TrafficTrace trace = gen.generate(grid);
+      ASSERT_EQ(trace.load_rate.size(), grid.size());
+      Rng draws(8);
+      double ar = 0.0;
+      for (std::size_t t = 0; t < grid.size(); ++t) {
+        const double weekend = grid.is_weekend(t) ? cfg.weekend_factor : 1.0;
+        ar = cfg.noise_persistence * ar + draws.normal(0.0, cfg.noise_sigma);
+        const double load = std::clamp(
+            profile.at_hour(grid.hour_of_day(t)) * weekend * std::exp(ar), cfg.min_load, 1.0);
+        EXPECT_EQ(trace.load_rate[t], load) << to_string(area) << " " << spd << " " << t;
+        EXPECT_EQ(trace.volume_gb[t], load * cfg.peak_volume_gb);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace ecthub::traffic

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+#include <vector>
+
 namespace ecthub::weather {
 namespace {
 
@@ -245,6 +250,54 @@ TEST(WeatherGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
   EXPECT_EQ(reused.temperature_c.data(), temp_buf);
   EXPECT_EQ(reused.size(), grid.size());
   EXPECT_NE(reused.wind_speed_ms, fresh.wind_speed_ms);
+}
+
+// Wind speed and temperature are their diurnal curves evaluated slot by slot
+// combined with noise drawn in slot order: replaying the draws from an
+// identically seeded Rng checks that the curves computed once per slot of
+// the day and reused across days hold exactly those bits, at any grid
+// resolution.
+TEST(WindModel, SeriesReplaysThePerSlotExpression) {
+  const WindConfig cfg;
+  for (const std::size_t spd : {24u, 96u, 7u}) {
+    const TimeGrid grid(9, spd);
+    WindModel model(cfg, Rng(4));
+    const std::vector<double> speed = model.generate(grid);
+    ASSERT_EQ(speed.size(), grid.size());
+    Rng draws(4);
+    double x = cfg.mean_speed_ms;
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      const double diurnal =
+          1.0 + cfg.diurnal_amplitude *
+                    std::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 9.0) / 24.0);
+      x += cfg.reversion_rate * (cfg.mean_speed_ms - x) + draws.normal(0.0, cfg.volatility);
+      x = std::clamp(x, 0.0, cfg.max_speed_ms);
+      EXPECT_EQ(speed[t], std::clamp(x * diurnal, 0.0, cfg.max_speed_ms)) << spd << " " << t;
+    }
+  }
+}
+
+TEST(WeatherGenerator, TemperatureReplaysThePerSlotExpression) {
+  const WeatherConfig cfg;
+  for (const std::size_t spd : {24u, 96u, 7u}) {
+    const TimeGrid grid(9, spd);
+    WeatherGenerator gen(cfg, Rng(6));
+    const WeatherSeries wx = gen.generate(grid);
+    ASSERT_EQ(wx.temperature_c.size(), grid.size());
+    // The generator forks solar's stream, then wind's, then temperature's.
+    Rng parent(6);
+    (void)parent.fork();
+    (void)parent.fork();
+    Rng draws = parent.fork();
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      const double diurnal =
+          std::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 8.0) / 24.0);
+      EXPECT_EQ(wx.temperature_c[t], cfg.mean_temperature_c +
+                                         0.5 * cfg.diurnal_temp_swing_c * diurnal +
+                                         draws.normal(0.0, cfg.temp_noise_sigma))
+          << spd << " " << t;
+    }
+  }
 }
 
 }  // namespace
