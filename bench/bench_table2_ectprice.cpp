@@ -24,6 +24,10 @@ int main(int argc, char** argv) {
   const std::size_t ensemble = flags.get_size("ensemble", 3);
   const double budget_frac = flags.get_double("budget-frac", 0.10);
   flags.check_unknown();
+  if (!(budget_frac >= 0.0 && budget_frac <= 1.0)) {
+    std::cerr << "bench_table2_ectprice: --budget-frac must be in [0, 1]\n";
+    return 1;
+  }
   std::cout << "training ECT-Price (ensemble of " << ensemble << ")...\n";
   const auto our_preds = benchx::train_ectprice_ensemble(setup, seed, ensemble);
   std::cout << "stratification accuracy vs ground truth: "

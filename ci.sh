@@ -32,9 +32,10 @@ cmake -B "${PREFIX}" -S . -DECTHUB_WERROR=ON -DECTHUB_EXTRA_WARNINGS=ON \
 cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" -R '^bench\.' --output-on-failure --no-tests=error -j "${JOBS}"
 
-# Job 3 runs the tier-1 suite under ASan + UBSan in a separate tree: the
-# fleet runner executes hubs across a thread pool, so every push exercises
-# the threaded code under the sanitizers.
+# Job 3 runs the tier-1 suite under ASan + UBSan (float-cast-overflow
+# included) in a separate tree: the fleet runner executes hubs across a
+# thread pool, so every push exercises the threaded code under the
+# sanitizers.
 echo "==> Job 3: ASan+UBSan tier-1"
 cmake -B "${PREFIX}-asan" -S . -DECTHUB_SANITIZE=ON -DECTHUB_BUILD_BENCH=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -51,9 +52,8 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
 # vectorized rollout collector's
 # bit-identity suite (VecCollector*, whose crew shards env stepping and
 # row-block act_rows GEMMs across threads), the sharding suite (Shard*,
-# whose shards run on the fleet runner's crew and merge from shard files,
-# plus the ExactSum register the merged reports ride on) and the
-# decision-service suite (Serve*, whose worker micro-batches concurrent
+# whose shards run on the fleet runner's crew and merge from shard files)
+# and the decision-service suite (Serve*, whose worker micro-batches concurrent
 # decide(obs) callers into one decide_rows forward) and the
 # DRL/metro/shard-file/serving smokes, so every push exercises the lockstep
 # barriers, the concurrent row-block decide_rows/act_rows paths, the
@@ -65,7 +65,7 @@ cmake -B "${PREFIX}-tsan" -S . -DECTHUB_SANITIZE=thread -DECTHUB_BUILD_BENCH=OFF
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${PREFIX}-tsan" -j "${JOBS}"
 TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
-  -R 'BarrierCrew|Scenario|MixSeed|PolicyFactory|FleetJobs|FleetRunner|Lockstep|CouplingBus|AggregateReport|VecCollector|DrlZoo|Shard|ExactSum|Serve|city_sweep_drl|city_sweep_metro|city_sweep_shard|decision_server' \
+  -R 'BarrierCrew|Scenario|MixSeed|PolicyFactory|FleetJobs|FleetRunner|Lockstep|CouplingBus|AggregateReport|VecCollector|DrlZoo|Shard|Serve|city_sweep_drl|city_sweep_metro|city_sweep_shard|decision_server' \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 5 is the static-analysis gate:

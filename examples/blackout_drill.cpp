@@ -12,6 +12,7 @@
 #include "power/base_station.hpp"
 #include "traffic/generator.hpp"
 
+#include <cmath>
 #include <iostream>
 
 int main(int argc, char** argv) {
@@ -24,6 +25,16 @@ int main(int argc, char** argv) {
   // A representative two-week BS load trace.
   const core::HubConfig hub = core::HubConfig::urban("DrillHub", 99);
   const TimeGrid grid(14, 24);
+  const double trace_h = static_cast<double>(grid.size()) * grid.slot_hours();
+  if (trials == 0) {
+    std::cerr << "blackout_drill: --trials must be >= 1\n";
+    return 1;
+  }
+  if (!(recovery_h > 0.0 && recovery_h <= trace_h)) {
+    std::cerr << "blackout_drill: --recovery-hours must be in (0, " << trace_h
+              << "], the length of the load trace\n";
+    return 1;
+  }
   traffic::TrafficGenerator tgen(hub.traffic, Rng(100));
   const power::BaseStation bs(hub.bs);
   const auto bs_kw = bs.series(tgen.generate(grid).load_rate);
@@ -35,7 +46,8 @@ int main(int argc, char** argv) {
   outages.max_duration_h = 8.0;
 
   std::cout << "=== Blackout drill: reserve sizing vs outage survival ===\n";
-  const auto recovery_slots = static_cast<std::size_t>(recovery_h);
+  const auto recovery_slots =
+      static_cast<std::size_t>(std::ceil(recovery_h / grid.slot_hours()));
   const double sized_reserve =
       battery::reserve_energy_worst_window(bs_kw, recovery_slots, grid.slot_hours());
   std::cout << "Eq. 6 reserve for T_r = " << recovery_h << " h: " << sized_reserve

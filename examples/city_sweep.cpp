@@ -464,24 +464,17 @@ int main(int argc, char** argv) {
                    std::make_move_iterator(batch.end()));
   }
 
-  print_fleet_report(results, sim::AggregateReport(results));
+  const sim::AggregateReport report(results);
+  print_fleet_report(results, report);
 
   if (metro) {
-    double through = 0.0, exported = 0.0, served = 0.0, dropped = 0.0;
-    std::size_t outage_slots = 0;
-    for (const sim::HubRunResult& r : results) {
-      through += r.through_kwh;
-      exported += r.spill_exported_kwh;
-      served += r.spill_served_kwh;
-      dropped += r.spill_dropped_kwh;
-      outage_slots += r.outage_slots;
-    }
+    const sim::GroupStats totals = report.totals();
     std::cout << "\n--- Metro coupling ---\n"
-              << "through-traffic demand: " << through << " kWh\n"
-              << "spillover routed to neighbors: " << exported << " kWh\n"
-              << "spillover served by neighbors: " << served << " kWh\n"
-              << "spillover dropped (one-hop bound): " << dropped << " kWh\n"
-              << "front outage slots endured: " << outage_slots << "\n";
+              << "through-traffic demand: " << totals.through_kwh << " kWh\n"
+              << "spillover routed to neighbors: " << totals.spill_exported_kwh << " kWh\n"
+              << "spillover served by neighbors: " << totals.spill_served_kwh << " kWh\n"
+              << "spillover dropped (one-hop bound): " << totals.spill_dropped_kwh << " kWh\n"
+              << "front outage slots endured: " << totals.outage_slots << "\n";
   }
   return 0;
 }

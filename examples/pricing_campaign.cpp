@@ -10,6 +10,7 @@
 #include "ev/dataset.hpp"
 
 #include <iostream>
+#include <vector>
 
 int main(int argc, char** argv) {
   using namespace ecthub;
@@ -21,6 +22,23 @@ int main(int argc, char** argv) {
   const std::size_t epochs = flags.get_size("epochs", 2);
   const double discount_fraction = flags.get_double("discount", 0.2);
   flags.check_unknown();
+  if (station >= dcfg.num_stations) {
+    std::cerr << "pricing_campaign: --station must be < " << dcfg.num_stations
+              << ", the number of stations\n";
+    return 1;
+  }
+  if (dcfg.num_days < 2) {  // the 80/20 split needs a training and a test day
+    std::cerr << "pricing_campaign: --days must be >= 2\n";
+    return 1;
+  }
+  if (epochs == 0) {
+    std::cerr << "pricing_campaign: --epochs must be >= 1\n";
+    return 1;
+  }
+  if (!(discount_fraction > 0.0 && discount_fraction < 1.0)) {
+    std::cerr << "pricing_campaign: --discount must be in (0, 1)\n";
+    return 1;
+  }
   std::cout << "generating charging history (" << dcfg.num_stations << " stations x "
             << dcfg.num_days << " days)...\n";
   const ev::ChargingDataset dataset(dcfg, Rng(404));
@@ -43,17 +61,18 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Recommended weekday discount schedule for station " << station
             << " (discount " << discount_fraction * 100 << "%) ===\n";
-  TextTable table({"hour", "P(Incentive)", "P(Always)", "decision"});
+  std::vector<causal::StrataPrediction> hours;
   for (std::size_t h = 0; h < 24; ++h) {
-    const auto p = model.predict_one(station, causal::encode_time(h));
-    // Expected-gain rule: discount when (1-c) P(Incentive) > c P(Always).
-    const bool discount =
-        (1.0 - discount_fraction) * p.p_incentive > discount_fraction * p.p_always;
+    hours.push_back(model.predict_one(station, causal::encode_time(h)));
+  }
+  const std::vector<bool> discount = causal::decide_by_strata(hours, discount_fraction);
+  TextTable table({"hour", "P(Incentive)", "P(Always)", "decision"});
+  for (std::size_t h = 0; h < hours.size(); ++h) {
     table.begin_row()
         .add_int(static_cast<long long>(h))
-        .add_double(p.p_incentive, 3)
-        .add_double(p.p_always, 3)
-        .add(discount ? "DISCOUNT" : "full price");
+        .add_double(hours[h].p_incentive, 3)
+        .add_double(hours[h].p_always, 3)
+        .add(discount[h] ? "DISCOUNT" : "full price");
   }
   table.print(std::cout);
   std::cout << "\nDiscounts land on price-sensitive evening hours; busy daytime hours\n"

@@ -13,14 +13,7 @@ std::vector<bool> decide_by_uplift(const std::vector<double>& uplift, double thr
 
 std::vector<bool> decide_by_strata(const std::vector<StrataPrediction>& preds,
                                    double discount) {
-  if (discount <= 0.0 || discount >= 1.0) {
-    throw std::invalid_argument("decide_by_strata: discount must be in (0, 1)");
-  }
-  std::vector<bool> out(preds.size(), false);
-  for (std::size_t i = 0; i < preds.size(); ++i) {
-    out[i] = (1.0 - discount) * preds[i].p_incentive - discount * preds[i].p_always > 0.0;
-  }
-  return out;
+  return decide_by_uplift(strata_gain_scores(preds, discount));
 }
 
 std::vector<double> strata_gain_scores(const std::vector<StrataPrediction>& preds,

@@ -31,7 +31,8 @@ namespace ecthub::causal {
 [[nodiscard]] std::vector<bool> decide_by_uplift(const std::vector<double>& uplift,
                                                  double threshold = 0.0);
 
-/// Expected-gain rule at discount fraction `discount` in (0, 1).
+/// Expected-gain rule at discount fraction `discount` in (0, 1): discount
+/// the items whose strata_gain_scores are positive.
 [[nodiscard]] std::vector<bool> decide_by_strata(const std::vector<StrataPrediction>& preds,
                                                  double discount);
 

@@ -29,9 +29,11 @@ void draw_outages_into(const OutageModel& model, double dt_hours, Rng& rng,
     const auto start = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(num_slots) - 1));
     const double dur_h = rng.uniform(model.min_duration_h, model.max_duration_h);
-    const auto dur =
-        std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(dur_h / dt_hours)));
-    const std::size_t end = std::min(num_slots, start + dur);
+    // Cut at the horizon in double: a huge finite duration must not reach
+    // the size_t cast, which is undefined at 2^64 and above.
+    const double dur =
+        std::min(std::ceil(dur_h / dt_hours), static_cast<double>(num_slots - start));
+    const std::size_t end = start + std::max<std::size_t>(1, static_cast<std::size_t>(dur));
     std::fill(flags.begin() + static_cast<std::ptrdiff_t>(start),
               flags.begin() + static_cast<std::ptrdiff_t>(end), std::uint8_t{1});
   }
@@ -66,6 +68,7 @@ RideThroughResult ride_through(const battery::BatteryConfig& pack, double soc_kw
 SurvivalStats outage_survival(const battery::BatteryConfig& pack, double floor_soc_kwh,
                               const std::vector<double>& bs_kw, const OutageModel& model,
                               double dt_hours, std::size_t trials, Rng rng) {
+  model.validate();
   if (trials == 0) throw std::invalid_argument("outage_survival: trials == 0");
   if (bs_kw.empty()) throw std::invalid_argument("outage_survival: empty BS trace");
   SurvivalStats stats;

@@ -67,6 +67,7 @@ struct SurvivalStats {
   std::size_t trials = 0;
 };
 
+/// Throws std::invalid_argument on a model that fails OutageModel::validate.
 [[nodiscard]] SurvivalStats outage_survival(const battery::BatteryConfig& pack,
                                             double floor_soc_kwh,
                                             const std::vector<double>& bs_kw,

@@ -176,11 +176,14 @@ void EctHubEnv::generate_episode() {
   // Battery with the Eq. 6 blackout reserve floor, re-emplaced in place (no
   // per-reset heap allocation).
   pack_.emplace(hub_.battery, rng_.uniform(cfg_.init_soc_lo, cfg_.init_soc_hi));
+  // Cut at the horizon in double: a huge finite recovery time must not reach
+  // the size_t cast, which is undefined at 2^64 and above.
   const auto recovery_slots = static_cast<std::size_t>(
-      std::ceil(hub_.recovery_hours / grid.slot_hours()));
+      std::min(std::ceil(hub_.recovery_hours / grid.slot_hours()),
+               static_cast<double>(bs_kw_.size())));
   if (recovery_slots > 0) {
     const double reserve_kwh = battery::reserve_energy_worst_window(
-        bs_kw_, std::min(recovery_slots, bs_kw_.size()), grid.slot_hours());
+        bs_kw_, recovery_slots, grid.slot_hours());
     const double floor_frac = battery::reserve_floor_fraction(
         reserve_kwh, hub_.battery.capacity_kwh, hub_.battery.discharge_efficiency);
     const double floor_kwh =

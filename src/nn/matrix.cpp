@@ -125,12 +125,8 @@ void matmul_kernel(const double* a, const double* b, double* out, std::size_t ro
 
 Matrix Matrix::matmul(const Matrix& other) const {
   Matrix out;
-  matmul_into(other, out);
-  return out;
-}
-
-void Matrix::matmul_into(const Matrix& other, Matrix& out) const {
   matmul_rows_into(other, 0, rows_, out);
+  return out;
 }
 
 void Matrix::matmul_rows_into(const Matrix& other, std::size_t row_begin,

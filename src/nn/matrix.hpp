@@ -60,14 +60,12 @@ class Matrix {
 
   /// this (r x k) * other (k x c) -> (r x c)
   [[nodiscard]] Matrix matmul(const Matrix& other) const;
-  /// matmul writing into `out`, which is reshaped without a fill (the kernel
-  /// writes every element) and keeps its capacity — allocation-free once
-  /// warm.  `out` must not alias this or other.
-  void matmul_into(const Matrix& other, Matrix& out) const;
   /// Rows [row_begin, row_end) of this * other, written into `out` as a
   /// (row_end - row_begin) x other.cols() block.  Bit-identical to the same
   /// rows of matmul(other); safe to call concurrently on disjoint row ranges
-  /// with distinct `out` targets.
+  /// with distinct `out` targets.  `out` is reshaped without a fill (the
+  /// kernel writes every element) and keeps its capacity — allocation-free
+  /// once warm; it must not alias this or other.
   void matmul_rows_into(const Matrix& other, std::size_t row_begin, std::size_t row_end,
                         Matrix& out) const;
   [[nodiscard]] Matrix transpose() const;

@@ -10,9 +10,9 @@
 //                  name)
 //
 // The file carries no report: the AggregateReport is a pure function of the
-// results, so parse_shard recomputes it on load.  Its group sums are exact
-// (common/exact_sum.hpp), so a report merged from any shard set equals the
-// single-process report, compared with ==.
+// results, so parse_shard recomputes it on load.  A report holds one row
+// per result and merge appends rows, so the shard reports merged in shard
+// order equal the single-process report, compared with ==.
 //
 // parse_shard throws only binio::Error subclasses: the container's checks,
 // then binio::FormatError for a payload that contradicts itself (a

@@ -117,6 +117,25 @@ TEST(DrawOutagesInto, Validation) {
   EXPECT_THROW(draw_outages_into(OutageModel{}, 1.0, rng, none), std::invalid_argument);
 }
 
+TEST(DrawOutagesInto, HugeFiniteDurationIsCutAtTheHorizon) {
+  // Every outage of a 1000 h model already runs past 48 one-hour slots, so
+  // a 1e300 h model must flag the same slots.  Its slot count used to
+  // reach an undefined double -> size_t cast, which flagged 1 slot, not 20.
+  const auto flags_for = [](double hours) {
+    OutageModel model;
+    model.rate_per_month = 30.0;
+    model.min_duration_h = hours;
+    model.max_duration_h = hours;
+    Rng rng(3);
+    std::vector<std::uint8_t> flags(48);
+    draw_outages_into(model, 1.0, rng, flags);
+    return flags;
+  };
+  const std::vector<std::uint8_t> long_outages = flags_for(1000.0);
+  EXPECT_EQ(outage_slots(long_outages), 20u);
+  EXPECT_EQ(flags_for(1e300), long_outages);
+}
+
 TEST(OutageSurvival, ProperReserveGuaranteesSurvival) {
   // Size the floor for the worst 8-hour window (the max outage length);
   // survival at that floor must be 100%.
@@ -151,6 +170,14 @@ TEST(OutageSurvival, Validation) {
   EXPECT_THROW((void)outage_survival(pack, 5.0, {}, model, 1.0, 10, Rng(6)),
                std::invalid_argument);
   EXPECT_THROW((void)outage_survival(pack, 5.0, {1.0}, model, 1.0, 0, Rng(6)),
+               std::invalid_argument);
+  // The model is validated like draw_outages_into's.
+  model.min_duration_h = 9.0;  // > max_duration_h
+  EXPECT_THROW((void)outage_survival(pack, 5.0, {1.0}, model, 1.0, 10, Rng(6)),
+               std::invalid_argument);
+  model = OutageModel{};
+  model.max_duration_h = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)outage_survival(pack, 5.0, {1.0}, model, 1.0, 10, Rng(6)),
                std::invalid_argument);
 }
 

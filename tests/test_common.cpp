@@ -4,7 +4,6 @@
 #include "common/cli.hpp"
 #include "common/crew.hpp"
 #include "common/csv.hpp"
-#include "common/exact_sum.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -357,103 +356,6 @@ TEST(CliFlags, PositionalArguments) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("'pos1', 'pos2'"), std::string::npos) << e.what();
   }
-}
-
-// ---------------------------------------------------------------- ExactSum
-
-TEST(ExactSum, SumsExactlyAndRoundsOnce) {
-  ExactSum s;
-  s += 0.1;
-  s += 0.2;
-  // 0.1 + 0.2 in exact arithmetic rounds to the double nearest the true
-  // sum — the same 0x3FD3333333333334 the hardware add produces.
-  EXPECT_EQ(s.value(), 0.1 + 0.2);
-  ExactSum t;
-  t += 1.0;
-  t += 2.0;
-  t += 3.0;
-  EXPECT_EQ(t.value(), 6.0);
-  EXPECT_EQ(ExactSum{}.value(), 0.0);
-}
-
-TEST(ExactSum, OrderAndGroupingIndependent) {
-  // The addends are chosen so plain double folds disagree between orders
-  // (1e16 + 1 + ... loses the 1s); the exact register cannot.
-  const std::vector<double> xs = {1e16, 1.0, -1e16, 1.0, 3.5e-10, -7.25, 1e16, 1.0};
-  ExactSum forward;
-  for (const double x : xs) forward += x;
-  ExactSum backward;
-  for (std::size_t i = xs.size(); i-- > 0;) backward += xs[i];
-  EXPECT_EQ(forward, backward);
-  EXPECT_EQ(forward.value(), backward.value());
-  // Any binary partition merged limb-wise equals the sequential fold.
-  for (std::size_t cut = 0; cut <= xs.size(); ++cut) {
-    ExactSum left;
-    ExactSum right;
-    for (std::size_t i = 0; i < cut; ++i) left += xs[i];
-    for (std::size_t i = cut; i < xs.size(); ++i) right += xs[i];
-    left += right;
-    EXPECT_EQ(left, forward) << "cut " << cut;
-  }
-}
-
-TEST(ExactSum, ExactCancellationAndNegatives) {
-  ExactSum s;
-  s += 1e308;
-  s += -1e308;
-  EXPECT_EQ(s, ExactSum{});
-  EXPECT_EQ(s.value(), 0.0);
-  ExactSum neg;
-  neg += -2.5;
-  neg += -0.25;
-  EXPECT_EQ(neg.value(), -2.75);
-  // A transiently negative register recovers exactly.
-  ExactSum swing;
-  swing += -1e20;
-  swing += 1e20;
-  swing += 0.5;
-  EXPECT_EQ(swing.value(), 0.5);
-}
-
-TEST(ExactSum, RoundsTiesToEven) {
-  const double big = 9007199254740992.0;  // 2^53
-  ExactSum tie_down;                      // 2^53 + 1 is a tie -> stays 2^53 (even)
-  tie_down += big;
-  tie_down += 1.0;
-  EXPECT_EQ(tie_down.value(), big);
-  ExactSum tie_up;  // 2^53 + 2 + 1 is a tie -> rounds to 2^53 + 4 (even)
-  tie_up += big;
-  tie_up += 2.0;
-  tie_up += 1.0;
-  EXPECT_EQ(tie_up.value(), big + 4.0);
-  ExactSum above;  // 2^53 + 1 + tiny is above the tie -> rounds up
-  above += big;
-  above += 1.0;
-  above += 1e-30;
-  EXPECT_EQ(above.value(), big + 2.0);
-}
-
-TEST(ExactSum, HandlesSubnormalsAndZeroes) {
-  const double denorm_min = 4.9406564584124654e-324;  // 2^-1074
-  ExactSum s;
-  s += denorm_min;
-  s += denorm_min;
-  EXPECT_EQ(s.value(), 2.0 * denorm_min);
-  s += -denorm_min;
-  s += -denorm_min;
-  EXPECT_EQ(s.value(), 0.0);
-  s += 0.0;
-  s += -0.0;
-  EXPECT_EQ(s, ExactSum{});
-  EXPECT_FALSE(std::signbit(s.value()));
-}
-
-TEST(ExactSum, RejectsNonFiniteAddends) {
-  ExactSum s;
-  EXPECT_THROW(s.add(std::numeric_limits<double>::infinity()), std::invalid_argument);
-  EXPECT_THROW(s.add(-std::numeric_limits<double>::infinity()), std::invalid_argument);
-  EXPECT_THROW(s.add(std::numeric_limits<double>::quiet_NaN()), std::invalid_argument);
-  EXPECT_EQ(s, ExactSum{});  // failed adds leave the register untouched
 }
 
 // ---------------------------------------------------------------- binio

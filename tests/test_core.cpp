@@ -188,6 +188,25 @@ TEST(EctHubEnv, ReserveFloorCoversBlackoutWindow) {
   EXPECT_GE(env.pack().reserve_floor_kwh(), env.pack().soc_min_kwh() - 1e-9);
 }
 
+TEST(EctHubEnv, RecoveryBeyondTheHorizonSizesTheWholeEpisode) {
+  // A recovery time past the 2-day horizon sizes the Eq. 6 floor over the
+  // whole episode, however long it is.  1e300 h used to reach an undefined
+  // double -> size_t cast and left the floor at soc_min.
+  const auto floor_for = [](double hours) {
+    HubConfig hub = HubConfig::urban("t", 9);
+    hub.recovery_hours = hours;
+    EctHubEnv env(hub, small_env(2));
+    reset_state(env);
+    return env.pack().reserve_floor_kwh();
+  };
+  const double whole_episode = floor_for(48.0);
+  EctHubEnv probe(HubConfig::urban("t", 9), small_env(2));
+  reset_state(probe);
+  EXPECT_GT(whole_episode, probe.pack().soc_min_kwh());
+  EXPECT_EQ(floor_for(1000.0), whole_episode);
+  EXPECT_EQ(floor_for(1e300), whole_episode);
+}
+
 TEST(EctHubEnv, UnshapedRewardMatchesLedger) {
   HubEnvConfig cfg = small_env(2);
   cfg.shaped_reward = false;

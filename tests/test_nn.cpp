@@ -147,7 +147,7 @@ TEST(Matrix, MatmulMatchesReferenceAcrossRandomizedShapes) {
         const std::string what = std::to_string(rows) + "x" + std::to_string(inner) +
                                  " * " + std::to_string(inner) + "x" + std::to_string(cols);
         Matrix got(rows, cols, std::numeric_limits<double>::quiet_NaN());
-        a.matmul_into(b, got);
+        a.matmul_rows_into(b, 0, rows, got);
         expect_matches_reference(got, want, what.c_str());
         if (inner == 0) {
           for (const double x : got.data()) EXPECT_FALSE(std::signbit(x)) << what;

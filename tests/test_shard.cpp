@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -363,9 +365,9 @@ TEST(ShardIo, InflatedResultCountIsFormatError) {
 }
 
 TEST(ShardIo, NonFiniteResultDoubleIsFormatError) {
-  // A NaN or infinite double in a record used to reach AggregateReport's
-  // ExactSum and escape as std::invalid_argument (profit), or load
-  // silently (the SoC digest is never summed).
+  // A NaN or infinite double in a record used to reach AggregateReport and
+  // escape as std::invalid_argument (profit), or load silently (the SoC
+  // digest is never summed).
   for (const double poison : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
     ShardData shard = fake_shard(3);  // the report aggregates the finite values
     shard.results[1].profit = poison;
@@ -389,13 +391,11 @@ TEST(AggregateReportShard, GroupStatsPlumbsCouplingColumns) {
   // merged shard report could not reproduce the per-hub truth.
   const HubRunResult a = fake_result(0);
   const HubRunResult b = fake_result(1);
-  GroupStats g;
-  g.absorb(a);
-  g.absorb(b);
-  EXPECT_EQ(g.through_kwh.value(), a.through_kwh + b.through_kwh);
-  EXPECT_EQ(g.spill_dropped_kwh.value(), a.spill_dropped_kwh + b.spill_dropped_kwh);
-  EXPECT_EQ(g.outage_slots, a.outage_slots + b.outage_slots);
   const AggregateReport report({a, b});
+  const GroupStats g = report.totals();
+  EXPECT_EQ(g.through_kwh, a.through_kwh + b.through_kwh);
+  EXPECT_EQ(g.spill_dropped_kwh, a.spill_dropped_kwh + b.spill_dropped_kwh);
+  EXPECT_EQ(g.outage_slots, a.outage_slots + b.outage_slots);
   const TextTable table = report.scenario_table();
   EXPECT_EQ(table.num_cols(), 14u);
   const std::string csv = table.csv();
@@ -421,6 +421,109 @@ TEST(AggregateReportShard, MergeIsBitExactForAnyGrouping) {
                                     results.begin() + static_cast<std::ptrdiff_t>(plan.end)}));
     }
     EXPECT_TRUE(merged == whole) << parts << "-way merge";
+  }
+}
+
+// Writers for the nine summed fields of a result, so a test can walk them.
+using FieldWriter = void (*)(HubRunResult&, double);
+const FieldWriter kSummedFields[] = {
+    [](HubRunResult& r, double v) { r.revenue = v; },
+    [](HubRunResult& r, double v) { r.grid_cost = v; },
+    [](HubRunResult& r, double v) { r.bp_cost = v; },
+    [](HubRunResult& r, double v) { r.profit = v; },
+    [](HubRunResult& r, double v) { r.soc.mean = v; },
+    [](HubRunResult& r, double v) { r.through_kwh = v; },
+    [](HubRunResult& r, double v) { r.spill_exported_kwh = v; },
+    [](HubRunResult& r, double v) { r.spill_served_kwh = v; },
+    [](HubRunResult& r, double v) { r.spill_dropped_kwh = v; },
+};
+
+// The reference fold: ((0.0 + r0) + r1) + … over the results in order.
+void fold_into(GroupStats& g, const HubRunResult& r) {
+  ++g.hubs;
+  g.episodes += r.episodes;
+  g.revenue = g.revenue + r.revenue;
+  g.grid_cost = g.grid_cost + r.grid_cost;
+  g.bp_cost = g.bp_cost + r.bp_cost;
+  g.profit = g.profit + r.profit;
+  g.soc_mean_sum = g.soc_mean_sum + r.soc.mean;
+  g.through_kwh = g.through_kwh + r.through_kwh;
+  g.spill_exported_kwh = g.spill_exported_kwh + r.spill_exported_kwh;
+  g.spill_served_kwh = g.spill_served_kwh + r.spill_served_kwh;
+  g.spill_dropped_kwh = g.spill_dropped_kwh + r.spill_dropped_kwh;
+  g.outage_slots += r.outage_slots;
+}
+
+void expect_same_group(const GroupStats& got, const GroupStats& want, const std::string& what) {
+  EXPECT_EQ(got.hubs, want.hubs) << what;
+  EXPECT_EQ(got.episodes, want.episodes) << what;
+  EXPECT_EQ(got.revenue, want.revenue) << what;
+  EXPECT_EQ(got.grid_cost, want.grid_cost) << what;
+  EXPECT_EQ(got.bp_cost, want.bp_cost) << what;
+  EXPECT_EQ(got.profit, want.profit) << what;
+  EXPECT_EQ(got.soc_mean_sum, want.soc_mean_sum) << what;
+  EXPECT_EQ(got.through_kwh, want.through_kwh) << what;
+  EXPECT_EQ(got.spill_exported_kwh, want.spill_exported_kwh) << what;
+  EXPECT_EQ(got.spill_served_kwh, want.spill_served_kwh) << what;
+  EXPECT_EQ(got.spill_dropped_kwh, want.spill_dropped_kwh) << what;
+  EXPECT_EQ(got.outage_slots, want.outage_slots) << what;
+}
+
+TEST(AggregateReportShard, GroupTotalsAreTheLeftFoldInResultOrder) {
+  // Addends around 1e16, where the spacing of doubles is 2: which small
+  // terms survive depends on the order of the adds, so only the fold in
+  // result order reproduces these bits.
+  const double magnitudes[] = {1e16, 1.0, -3e15, 0.75, 1.0, -1e16, 0.0625};
+  std::vector<HubRunResult> results;
+  for (std::size_t i = 0; i < 14; ++i) {
+    results.push_back(fake_result(i, i % 3 == 0 ? "urban" : "rural",
+                                  i % 2 == 0 ? SchedulerKind::kTou
+                                             : SchedulerKind::kForecast));
+    for (std::size_t f = 0; f < std::size(kSummedFields); ++f) {
+      kSummedFields[f](results.back(), magnitudes[(i + 3 * f) % std::size(magnitudes)] +
+                                           0.25 * static_cast<double>(f));
+    }
+  }
+  GroupStats total;
+  std::map<std::string, GroupStats> scenario;
+  std::map<std::string, GroupStats> scheduler;
+  for (const HubRunResult& r : results) {
+    fold_into(total, r);
+    fold_into(scenario[r.scenario], r);
+    fold_into(scheduler[to_string(r.scheduler)], r);
+  }
+  GroupStats reversed;
+  for (std::size_t i = results.size(); i-- > 0;) fold_into(reversed, results[i]);
+  ASSERT_NE(reversed.revenue, total.revenue) << "the addends do not depend on fold order";
+
+  const AggregateReport report(results);
+  expect_same_group(report.totals(), total, "TOTAL");
+  ASSERT_EQ(report.by_scenario().size(), scenario.size());
+  for (const auto& [key, stats] : report.by_scenario()) {
+    expect_same_group(stats, scenario.at(key), key);
+  }
+  ASSERT_EQ(report.by_scheduler().size(), scheduler.size());
+  for (const auto& [key, stats] : report.by_scheduler()) {
+    expect_same_group(stats, scheduler.at(key), key);
+  }
+}
+
+TEST(AggregateReportShard, NonFiniteSummedFieldIsRejectedNamingTheHub) {
+  const AggregateReport clean({fake_result(0)});
+  for (std::size_t f = 0; f < std::size(kSummedFields); ++f) {
+    for (const double poison : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      HubRunResult bad = fake_result(7, "rural");
+      kSummedFields[f](bad, poison);
+      AggregateReport report({fake_result(0)});
+      try {
+        report.add(bad);
+        ADD_FAILURE() << "field " << f << " accepted " << poison;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("'rural-7'"), std::string::npos) << e.what();
+      }
+      EXPECT_TRUE(report == clean) << "a rejected add changed the report";
+      EXPECT_THROW(AggregateReport({fake_result(0), bad}), std::invalid_argument);
+    }
   }
 }
 

@@ -956,11 +956,11 @@ TEST(AggregateReport, GroupsByScenarioAndScheduler) {
   };
   const AggregateReport report(results);
   EXPECT_EQ(report.totals().hubs, 3u);
-  EXPECT_DOUBLE_EQ(report.totals().profit.value(), 11.0);
+  EXPECT_DOUBLE_EQ(report.totals().profit, 11.0);
   ASSERT_EQ(report.by_scenario().size(), 2u);
-  EXPECT_DOUBLE_EQ(report.by_scenario().at("urban").profit.value(), 10.0);
+  EXPECT_DOUBLE_EQ(report.by_scenario().at("urban").profit, 10.0);
   EXPECT_DOUBLE_EQ(report.by_scenario().at("urban").profit_per_hub(), 5.0);
-  EXPECT_DOUBLE_EQ(report.by_scenario().at("rural").profit.value(), 1.0);
+  EXPECT_DOUBLE_EQ(report.by_scenario().at("rural").profit, 1.0);
   ASSERT_EQ(report.by_scheduler().size(), 2u);
   EXPECT_EQ(report.by_scheduler().at("tou").hubs, 2u);
   EXPECT_DOUBLE_EQ(report.totals().mean_soc(), 0.5);
@@ -971,8 +971,8 @@ TEST(AggregateReport, MergeFoldsShards) {
   const AggregateReport b({fake_result(1, "urban", 6.0), fake_result(2, "rural", 1.0)});
   a.merge(b);
   EXPECT_EQ(a.totals().hubs, 3u);
-  EXPECT_DOUBLE_EQ(a.totals().profit.value(), 11.0);
-  EXPECT_DOUBLE_EQ(a.by_scenario().at("urban").profit.value(), 10.0);
+  EXPECT_DOUBLE_EQ(a.totals().profit, 11.0);
+  EXPECT_DOUBLE_EQ(a.by_scenario().at("urban").profit, 10.0);
   EXPECT_EQ(a.by_scenario().at("rural").hubs, 1u);
 }
 
