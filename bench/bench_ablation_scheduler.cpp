@@ -22,7 +22,7 @@ double mean_profit(ecthub::core::EctHubEnv& env, ecthub::policy::Policy& pol,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t episodes = flags.get_size("episodes", 5);
@@ -104,3 +104,5 @@ int main(int argc, char** argv) {
                "grid imports — the design points DESIGN.md Sec. 5 calls out.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

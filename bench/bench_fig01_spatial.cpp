@@ -12,7 +12,7 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t stations = flags.get_size("stations", 2500);
@@ -47,3 +47,5 @@ int main(int argc, char** argv) {
                "(clustering ratio >> 1), reproducing the Fig. 1 observation.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -7,8 +7,9 @@
 #include "weather/weather.hpp"
 
 #include <iostream>
+#include <vector>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::uint64_t seed = flags.get_size("seed", 21);
@@ -20,10 +21,14 @@ int main(int argc, char** argv) {
   const TimeGrid grid(2, 24);
   weather::WeatherConfig wx_cfg;
   weather::WeatherGenerator wx_gen(wx_cfg, Rng(seed));
-  const weather::WeatherSeries wx = wx_gen.generate(grid);
+  weather::WeatherSeries wx;
+  wx_gen.generate_into(grid, wx);
 
   const renewables::RenewablePlant plant(renewables::PlantConfig::rural());
-  const renewables::GenerationSeries gen = plant.generate(wx);
+  renewables::GenerationSeries gen;
+  plant.generate_into(wx, gen);
+  std::vector<double> total(grid.size());
+  for (std::size_t t = 0; t < grid.size(); ++t) total[t] = gen.pv_w[t] + gen.wt_w[t];
 
   TextTable table({"hour", "WT (W)", "PV (W)", "Total (W)"});
   for (std::size_t t = 0; t < grid.size(); ++t) {
@@ -31,7 +36,7 @@ int main(int argc, char** argv) {
         .add_int(static_cast<long long>(t))
         .add_double(gen.wt_w[t], 0)
         .add_double(gen.pv_w[t], 0)
-        .add_double(gen.total_w[t], 0);
+        .add_double(total[t], 0);
   }
   table.print(std::cout);
 
@@ -53,8 +58,10 @@ int main(int argc, char** argv) {
     std::vector<double> hours(grid.size());
     for (std::size_t t = 0; t < grid.size(); ++t) hours[t] = static_cast<double>(t);
     write_csv(csv_dir + "/fig02_renewables.csv", {"hour", "wt_w", "pv_w", "total_w"},
-              {hours, gen.wt_w, gen.pv_w, gen.total_w});
+              {hours, gen.wt_w, gen.pv_w, total});
     std::cout << "CSV written to " << csv_dir << "/fig02_renewables.csv\n";
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -11,7 +11,7 @@
 #include <iostream>
 #include <string>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::uint64_t seed = flags.get_size("seed", 33);
@@ -52,3 +52,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -12,7 +12,7 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::uint64_t seed = flags.get_size("seed", 55);
@@ -25,11 +25,13 @@ int main(int argc, char** argv) {
   traffic::TrafficConfig tcfg;
   tcfg.area = traffic::AreaType::kResidential;
   traffic::TrafficGenerator tgen(tcfg, Rng(seed));
-  const traffic::TrafficTrace trace = tgen.generate(grid);
+  traffic::TrafficTrace trace;
+  tgen.generate_into(grid, trace);
 
   pricing::RtpConfig pcfg;
   pricing::RtpGenerator pgen(pcfg, Rng(seed + 1));
-  const std::vector<double> rtp = pgen.generate(grid, trace.load_rate);
+  std::vector<double> rtp;
+  pgen.generate_into(grid, trace.load_rate, rtp);
 
   TextTable table({"hour", "RTP ($/MWh)", "traffic (GB)"});
   for (std::size_t t = 0; t < grid.size(); t += 2) {
@@ -56,3 +58,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 11: strata prediction of four example stations ===\n";
@@ -43,3 +43,5 @@ int main(int argc, char** argv) {
                "evening), Always dominates daytime slots, None is largest overall.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -5,7 +5,7 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 12: strata distribution of four periods ===\n";
@@ -32,3 +32,5 @@ int main(int argc, char** argv) {
                "41.4% vs 2.7-7.2% in other periods) — the hub should discount evenings.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -7,21 +7,21 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   std::cout << "=== Fig. 13: total reward of four example hubs ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags, 0.3);
   const std::uint64_t seed = flags.get_size("seed", 101);
+  const core::DrlFleetTrainConfig drl_cfg = benchx::make_drl_config(flags);
+  const std::size_t test_episodes = benchx::test_episodes(flags);
+  const std::string csv_dir = flags.get_string("csv", "");
+  flags.check_unknown();
 
   std::vector<core::HubConfig> fleet = core::default_fleet();
   benchx::align_fleet_with_stations(fleet, setup);
   const benchx::MethodSchedules schedules =
       benchx::train_pricing_stage(setup, fleet.size(), seed);
-  const core::DrlFleetTrainConfig drl_cfg = benchx::make_drl_config(flags);
-  const std::size_t test_episodes = benchx::test_episodes(flags);
-  const std::string csv_dir = flags.get_string("csv", "");
-  flags.check_unknown();
 
   for (std::size_t h = 0; h < 4; ++h) {
     std::cout << "\n--- " << fleet[h].name << " ---\n";
@@ -68,3 +68,5 @@ int main(int argc, char** argv) {
                "has the best average reward on each example hub.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -13,7 +13,7 @@
 #include <iostream>
 #include <memory>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   std::cout << "=== Table II: performance evaluation of ECT-Price ===\n";
@@ -78,3 +78,5 @@ int main(int argc, char** argv) {
                "anyway), across all discount levels.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -6,21 +6,21 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   std::cout << "=== Table III: average daily rewards for 12 ECT-Hubs ===\n";
   benchx::EctPriceSetup setup = benchx::make_setup(flags, 0.3);
   const std::uint64_t seed = flags.get_size("seed", 101);
   const std::size_t num_hubs = flags.get_size("hubs", 12);
+  const core::DrlFleetTrainConfig drl_cfg = benchx::make_drl_config(flags);
+  const std::size_t test_episodes = benchx::test_episodes(flags);
+  flags.check_unknown();
 
   std::vector<core::HubConfig> fleet = core::default_fleet();
   benchx::align_fleet_with_stations(fleet, setup);
   const benchx::MethodSchedules schedules =
       benchx::train_pricing_stage(setup, fleet.size(), seed);
-  const core::DrlFleetTrainConfig drl_cfg = benchx::make_drl_config(flags);
-  const std::size_t test_episodes = benchx::test_episodes(flags);
-  flags.check_unknown();
 
   // rewards[method][hub]
   std::map<std::string, std::vector<double>> rewards;
@@ -55,3 +55,5 @@ int main(int argc, char** argv) {
                "Absolute magnitudes differ (synthetic substrate, $ per day).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

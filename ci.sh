@@ -33,10 +33,11 @@ cmake --build "${PREFIX}" -j "${JOBS}"
 ctest --test-dir "${PREFIX}" -R '^bench\.' --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 3 runs the tier-1 suite under ASan + UBSan (float-cast-overflow
-# included) in a separate tree: the fleet runner executes hubs across a
-# thread pool, so every push exercises the threaded code under the
-# sanitizers.
-echo "==> Job 3: ASan+UBSan tier-1"
+# included) and libstdc++'s own checks (-D_GLIBCXX_ASSERTIONS: bounds of
+# operator[], the preconditions of <random>'s distributions) in a separate
+# tree: the fleet runner executes hubs across a thread pool, so every push
+# exercises the threaded code under the sanitizers.
+echo "==> Job 3: ASan+UBSan+_GLIBCXX_ASSERTIONS tier-1"
 cmake -B "${PREFIX}-asan" -S . -DECTHUB_SANITIZE=ON -DECTHUB_BUILD_BENCH=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "${PREFIX}-asan" -j "${JOBS}"

@@ -15,7 +15,7 @@
 #include <cmath>
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t trials = flags.get_size("trials", 500);
@@ -36,8 +36,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   traffic::TrafficGenerator tgen(hub.traffic, Rng(100));
+  traffic::TrafficTrace traffic;
+  tgen.generate_into(grid, traffic);
   const power::BaseStation bs(hub.bs);
-  const auto bs_kw = bs.series(tgen.generate(grid).load_rate);
+  const auto bs_kw = bs.series(traffic.load_rate);
 
   // Outages of 1-8 hours, about twice a month.
   core::OutageModel outages;
@@ -73,3 +75,5 @@ int main(int argc, char** argv) {
                "bench quantifies on the profit side.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -184,7 +184,7 @@ void print_fleet_report(const std::vector<ecthub::sim::HubRunResult>& results,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
@@ -478,3 +478,5 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

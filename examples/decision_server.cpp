@@ -36,7 +36,7 @@ std::uint64_t steady_now_us() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t clients = flags.get_size("clients", 4);
@@ -110,3 +110,5 @@ int main(int argc, char** argv) {
             << " served actions bit-identical to decide_batch.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

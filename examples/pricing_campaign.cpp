@@ -12,7 +12,7 @@
 #include <iostream>
 #include <vector>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t station = flags.get_size("station", 0);
@@ -79,3 +79,5 @@ int main(int argc, char** argv) {
                "(Always Charge) keep full price — no revenue is given away.\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -13,7 +13,7 @@
 
 #include <iostream>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t episodes = flags.get_size("episodes", 5);
@@ -54,3 +54,5 @@ int main(int argc, char** argv) {
                "case the paper highlights (abundant renewables, highway EV traffic).\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

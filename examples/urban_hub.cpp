@@ -13,7 +13,7 @@
 #include <iostream>
 #include <memory>
 
-int main(int argc, char** argv) {
+static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t train_iters = flags.get_size("train-iters", 60);
@@ -56,3 +56,5 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   return 0;
 }
+
+int main(int argc, char** argv) { return ecthub::cli_main(argc, argv, run); }

@@ -50,15 +50,6 @@ void BatteryPack::set_reserve_floor_kwh(double floor_kwh) {
   soc_kwh_ = std::max(soc_kwh_, reserve_floor_kwh_);
 }
 
-bool BatteryPack::feasible(BpAction action) const {
-  switch (action) {
-    case BpAction::kIdle: return true;
-    case BpAction::kCharge: return headroom_kwh() > kEps;
-    case BpAction::kDischarge: return soc_kwh_ - reserve_floor_kwh_ > kEps;
-  }
-  return false;
-}
-
 BpStepResult BatteryPack::step(BpAction action, double dt_hours, double max_discharge_kw) {
   if (dt_hours <= 0.0) throw std::invalid_argument("BatteryPack::step: dt_hours <= 0");
   if (max_discharge_kw < 0.0) {
@@ -74,8 +65,6 @@ BpStepResult BatteryPack::step(BpAction action, double dt_hours, double max_disc
       const double stored = std::min(stored_want, headroom_kwh());
       if (stored <= kEps) return r;  // full: degrade to idle, no wear
       soc_kwh_ += stored;
-      throughput_kwh_ += stored;
-      ++active_slots_;
       r.bus_power_kw = stored / (cfg_.charge_efficiency * dt_hours);
       r.op_cost = cfg_.op_cost_per_slot;
       r.applied = BpAction::kCharge;
@@ -90,8 +79,6 @@ BpStepResult BatteryPack::step(BpAction action, double dt_hours, double max_disc
       const double delivered = std::min(delivered_want, depletable);
       if (delivered <= kEps) return r;  // at reserve floor: degrade to idle
       soc_kwh_ -= delivered / cfg_.discharge_efficiency;
-      throughput_kwh_ += delivered;
-      ++active_slots_;
       r.bus_power_kw = -delivered / dt_hours;
       r.op_cost = cfg_.op_cost_per_slot;
       r.applied = BpAction::kDischarge;

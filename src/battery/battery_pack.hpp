@@ -12,7 +12,6 @@
 // (discharging, a source) — matching Eq. 7 where P_BP adds to demand.
 #pragma once
 
-#include <cstddef>
 #include <limits>
 #include <stdexcept>
 
@@ -62,9 +61,6 @@ class BatteryPack {
   BpStepResult step(BpAction action, double dt_hours,
                     double max_discharge_kw = std::numeric_limits<double>::infinity());
 
-  /// True if `action` can move any energy this slot.
-  [[nodiscard]] bool feasible(BpAction action) const;
-
   [[nodiscard]] double soc_kwh() const noexcept { return soc_kwh_; }
   [[nodiscard]] double soc_frac() const noexcept { return soc_kwh_ / cfg_.capacity_kwh; }
   [[nodiscard]] double soc_min_kwh() const noexcept {
@@ -87,16 +83,10 @@ class BatteryPack {
 
   [[nodiscard]] const BatteryConfig& config() const noexcept { return cfg_; }
 
-  /// Lifetime counters, useful for degradation accounting.
-  [[nodiscard]] double total_throughput_kwh() const noexcept { return throughput_kwh_; }
-  [[nodiscard]] std::size_t active_slots() const noexcept { return active_slots_; }
-
  private:
   BatteryConfig cfg_;
   double soc_kwh_;
   double reserve_floor_kwh_;
-  double throughput_kwh_ = 0.0;
-  std::size_t active_slots_ = 0;
 };
 
 }  // namespace ecthub::battery

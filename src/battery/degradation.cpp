@@ -31,10 +31,6 @@ double DegradationModel::cell_voltage() const noexcept {
   return cfg_.nominal_cell_voltage - cfg_.voltage_per_fade * fade_;
 }
 
-double DegradationModel::group_voltage() const noexcept {
-  return cell_voltage() * static_cast<double>(cfg_.cells_in_group);
-}
-
 std::vector<double> DegradationModel::voltage_trajectory(const DegradationConfig& cfg,
                                                          std::size_t days,
                                                          double daily_throughput_kwh) {

@@ -34,9 +34,6 @@ class DegradationModel {
   /// Per-cell float voltage after fade, V.
   [[nodiscard]] double cell_voltage() const noexcept;
 
-  /// Series-group voltage, V.
-  [[nodiscard]] double group_voltage() const noexcept;
-
   /// Simulates `days` of pure calendar ageing (plus optional daily cycling
   /// throughput) and returns the daily cell-voltage series — the Fig. 4 curve.
   [[nodiscard]] static std::vector<double> voltage_trajectory(

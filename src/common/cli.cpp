@@ -3,8 +3,11 @@
 #include "common/parse.hpp"
 
 #include <cmath>
+#include <exception>
+#include <iostream>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 
 namespace ecthub {
 
@@ -111,6 +114,16 @@ void CliFlags::check_unknown() const {
     }
     throw std::invalid_argument("unexpected positional argument(s): " + stray +
                                 " (flags are --name value; did you drop the --?)");
+  }
+}
+
+int cli_main(int argc, char** argv, int (*run)(int, char**)) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    const std::string_view path = argc > 0 ? argv[0] : "";
+    std::cerr << path.substr(path.find_last_of('/') + 1) << ": " << e.what() << '\n';
+    return 1;
   }
 }
 

@@ -52,4 +52,9 @@ class CliFlags {
   mutable std::set<std::string> consumed_;
 };
 
+/// A binary's whole main: returns run(argc, argv), or, when an exception
+/// escapes it (a bad flag included), prints `<binary>: <message>` on stderr
+/// and returns 1 instead of aborting.
+int cli_main(int argc, char** argv, int (*run)(int, char**));
+
 }  // namespace ecthub

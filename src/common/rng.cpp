@@ -26,8 +26,11 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
+  // std::normal_distribution requires stddev > 0.  libstdc++ draws z for the
+  // defaults and returns z * stddev + mean, the expression below, so every
+  // stream keeps its bits.
+  std::normal_distribution<double> d;
+  return d(engine_) * stddev + mean;
 }
 
 bool Rng::bernoulli(double p) {

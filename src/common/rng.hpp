@@ -30,7 +30,9 @@ class Rng {
   /// Uniform integer in [lo, hi] (inclusive).
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
 
-  /// Gaussian with the given mean / standard deviation.
+  /// Gaussian with the given mean / standard deviation: a standard normal
+  /// draw z, returned as z * stddev + mean.  Defined for any stddev (0 returns
+  /// `mean`); callers' configs reject a negative one.
   double normal(double mean = 0.0, double stddev = 1.0);
 
   /// Bernoulli draw.

@@ -59,18 +59,4 @@ std::string TextTable::str() const {
 
 void TextTable::print(std::ostream& os) const { os << str(); }
 
-std::string TextTable::csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& r) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c) os << ',';
-      os << r[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
-
 }  // namespace ecthub

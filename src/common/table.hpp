@@ -27,9 +27,6 @@ class TextTable {
   [[nodiscard]] std::string str() const;
   void print(std::ostream& os) const;
 
-  /// Comma-separated rendering (no alignment padding) for CSV export.
-  [[nodiscard]] std::string csv() const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

@@ -31,21 +31,11 @@ double TimeGrid::hour_of_day(std::size_t t) const {
   return static_cast<double>(slot_of_day(t)) * slot_hours();
 }
 
-double TimeGrid::hours_from_start(std::size_t t) const {
-  check_slot(t);
-  return static_cast<double>(t) * slot_hours();
-}
-
 std::size_t TimeGrid::day_of_week(std::size_t t) const { return day_of(t) % 7; }
 
 bool TimeGrid::is_weekend(std::size_t t) const {
   const std::size_t dow = day_of_week(t);
   return dow == 5 || dow == 6;
-}
-
-std::size_t TimeGrid::day_start(std::size_t d) const {
-  if (d >= num_days_) throw std::out_of_range("TimeGrid: day out of range");
-  return d * slots_per_day_;
 }
 
 }  // namespace ecthub

@@ -16,8 +16,8 @@ namespace ecthub {
 /// A uniform grid of time slots covering `num_days` days.
 ///
 /// Slots are indexed 0..size()-1.  The grid knows its resolution
-/// (slots per day) and converts between slot index, day index, hour of day
-/// and hour offset from the start of the horizon.
+/// (slots per day) and converts a slot index to its day, day of week and
+/// hour of day.
 class TimeGrid {
  public:
   /// @param num_days       length of the horizon in days (>= 1)
@@ -43,17 +43,11 @@ class TimeGrid {
   /// Hour of day at the *start* of slot `t`, in [0, 24).
   [[nodiscard]] double hour_of_day(std::size_t t) const;
 
-  /// Hours elapsed from the start of the horizon to the start of slot `t`.
-  [[nodiscard]] double hours_from_start(std::size_t t) const;
-
   /// Day of week in [0, 7), assuming the horizon starts on day-of-week 0.
   [[nodiscard]] std::size_t day_of_week(std::size_t t) const;
 
   /// True for day-of-week 5 and 6.
   [[nodiscard]] bool is_weekend(std::size_t t) const;
-
-  /// First slot of day `d`.
-  [[nodiscard]] std::size_t day_start(std::size_t d) const;
 
   friend bool operator==(const TimeGrid& a, const TimeGrid& b) noexcept {
     return a.num_days_ == b.num_days_ && a.slots_per_day_ == b.slots_per_day_;

@@ -42,7 +42,9 @@ void draw_outages_into(const OutageModel& model, double dt_hours, Rng& rng,
 RideThroughResult ride_through(const battery::BatteryConfig& pack, double soc_kwh,
                                const std::vector<double>& bs_kw, double dt_hours) {
   pack.validate();
-  if (dt_hours <= 0.0) throw std::invalid_argument("ride_through: dt_hours <= 0");
+  if (!(std::isfinite(dt_hours) && dt_hours > 0.0)) {
+    throw std::invalid_argument("ride_through: dt_hours must be finite and > 0");
+  }
   RideThroughResult r;
   // During a blackout the pack may drain to its hard minimum (soc_min_frac),
   // not the raised trading floor — that band exists exactly for this.
@@ -71,6 +73,17 @@ SurvivalStats outage_survival(const battery::BatteryConfig& pack, double floor_s
   model.validate();
   if (trials == 0) throw std::invalid_argument("outage_survival: trials == 0");
   if (bs_kw.empty()) throw std::invalid_argument("outage_survival: empty BS trace");
+  if (!(std::isfinite(dt_hours) && dt_hours > 0.0)) {
+    throw std::invalid_argument("outage_survival: dt_hours must be finite and > 0");
+  }
+  // The window wraps the trace; bounding it by the trace also bounds the
+  // buffer, allocated once for the longest outage.
+  if (model.max_duration_h > static_cast<double>(bs_kw.size()) * dt_hours) {
+    throw std::invalid_argument("outage_survival: max_duration_h exceeds the BS trace");
+  }
+  std::vector<double> window;
+  window.reserve(std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(model.max_duration_h / dt_hours))));
   SurvivalStats stats;
   stats.trials = trials;
   for (std::size_t k = 0; k < trials; ++k) {
@@ -79,8 +92,7 @@ SurvivalStats outage_survival(const battery::BatteryConfig& pack, double floor_s
     const double dur_h = rng.uniform(model.min_duration_h, model.max_duration_h);
     const auto dur_slots = std::max<std::size_t>(
         1, static_cast<std::size_t>(std::ceil(dur_h / dt_hours)));
-    std::vector<double> window;
-    window.reserve(dur_slots);
+    window.clear();
     for (std::size_t i = 0; i < dur_slots; ++i) {
       window.push_back(bs_kw[(start + i) % bs_kw.size()]);
     }

@@ -53,6 +53,7 @@ struct RideThroughResult {
 /// which is exactly what the reserve floor protects).
 /// @param bs_kw      BS power draw per slot across the outage window
 /// @param soc_kwh    pack state of charge when the outage hits
+/// Throws std::invalid_argument unless dt_hours is finite and > 0.
 [[nodiscard]] RideThroughResult ride_through(const battery::BatteryConfig& pack,
                                              double soc_kwh,
                                              const std::vector<double>& bs_kw,
@@ -67,7 +68,9 @@ struct SurvivalStats {
   std::size_t trials = 0;
 };
 
-/// Throws std::invalid_argument on a model that fails OutageModel::validate.
+/// Throws std::invalid_argument on a model that fails OutageModel::validate,
+/// on a dt_hours that is not finite and > 0, and when max_duration_h exceeds
+/// the trace (bs_kw.size() * dt_hours), which outage windows wrap.
 [[nodiscard]] SurvivalStats outage_survival(const battery::BatteryConfig& pack,
                                             double floor_soc_kwh,
                                             const std::vector<double>& bs_kw,

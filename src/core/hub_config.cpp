@@ -5,7 +5,6 @@ namespace ecthub::core {
 HubConfig HubConfig::urban(std::string name, std::uint64_t seed) {
   HubConfig cfg;
   cfg.name = std::move(name);
-  cfg.site = HubSite::kUrban;
   cfg.seed = seed;
   cfg.plant = renewables::PlantConfig::urban();
   cfg.traffic.area = traffic::AreaType::kMixed;
@@ -18,7 +17,6 @@ HubConfig HubConfig::urban(std::string name, std::uint64_t seed) {
 HubConfig HubConfig::rural(std::string name, std::uint64_t seed) {
   HubConfig cfg;
   cfg.name = std::move(name);
-  cfg.site = HubSite::kRural;
   cfg.seed = seed;
   cfg.plant = renewables::PlantConfig::rural();
   cfg.traffic.area = traffic::AreaType::kHighway;

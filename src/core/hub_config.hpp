@@ -18,13 +18,8 @@
 
 namespace ecthub::core {
 
-/// Urban hubs carry rooftop PV and dense traffic; rural hubs carry PV + WT
-/// with highway-style traffic (paper Fig. 6).
-enum class HubSite { kUrban, kRural };
-
 struct HubConfig {
   std::string name = "hub";
-  HubSite site = HubSite::kUrban;
   std::uint64_t seed = 42;
 
   power::BaseStationConfig bs;
@@ -46,7 +41,8 @@ struct HubConfig {
   /// Estimated grid recovery time T_r in hours (Eq. 6 reserve sizing).
   double recovery_hours = 4.0;
 
-  /// Factory presets.
+  /// Factory presets.  Urban hubs carry rooftop PV and dense traffic; rural
+  /// hubs carry PV + WT with highway-style traffic (paper Fig. 6).
   static HubConfig urban(std::string name, std::uint64_t seed);
   static HubConfig rural(std::string name, std::uint64_t seed);
 };

@@ -36,10 +36,6 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
   if (!(cfg.discount_fraction >= 0.0 && cfg.discount_fraction < 1.0)) {
     throw std::invalid_argument("HubEnvConfig: discount_fraction out of [0, 1)");
   }
-  if (!(0.0 <= cfg.init_soc_lo && cfg.init_soc_lo <= cfg.init_soc_hi &&
-        cfg.init_soc_hi <= 1.0)) {
-    throw std::invalid_argument("HubEnvConfig: bad init SoC range");
-  }
   if (cfg.coupling.enabled) {
     if (!(std::isfinite(cfg.coupling.through_rate) && cfg.coupling.through_rate >= 0.0)) {
       throw std::invalid_argument("HubCouplingConfig: through_rate must be finite and >= 0");
@@ -174,8 +170,8 @@ void EctHubEnv::generate_episode() {
   }
 
   // Battery with the Eq. 6 blackout reserve floor, re-emplaced in place (no
-  // per-reset heap allocation).
-  pack_.emplace(hub_.battery, rng_.uniform(cfg_.init_soc_lo, cfg_.init_soc_hi));
+  // per-reset heap allocation), starting at a SoC uniform in [0.3, 0.9].
+  pack_.emplace(hub_.battery, rng_.uniform(0.3, 0.9));
   // Cut at the horizon in double: a huge finite recovery time must not reach
   // the size_t cast, which is undefined at 2^64 and above.
   const auto recovery_slots = static_cast<std::size_t>(
@@ -303,17 +299,15 @@ StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_stat
       slot_economics(flow.cs_kw, flow.grid_kw(), srtp_[t_], rtp_[t_], bp.op_cost, dt);
   ledger_.record(econ);
 
-  double reward = econ.profit();
-  if (cfg_.shaped_reward) {
-    const power::PowerFlow idle_flow{bs_kw_[t_], cs_kw, 0.0, wt_kw_[t_], pv_kw_[t_]};
-    const SlotEconomics idle_econ =
-        slot_economics(idle_flow.cs_kw, idle_flow.grid_kw(), srtp_[t_], rtp_[t_], 0.0, dt);
-    reward = econ.profit() - idle_econ.profit();
-  }
+  // Counterfactual reward (see step_into in hub_env.hpp): the same slot
+  // with the pack idle.
+  const power::PowerFlow idle_flow{bs_kw_[t_], cs_kw, 0.0, wt_kw_[t_], pv_kw_[t_]};
+  const SlotEconomics idle_econ =
+      slot_economics(idle_flow.cs_kw, idle_flow.grid_kw(), srtp_[t_], rtp_[t_], 0.0, dt);
 
   ++t_;
   StepOutcome outcome;
-  outcome.reward = reward;
+  outcome.reward = econ.profit() - idle_econ.profit();
   outcome.done = t_ >= slots_per_episode();
   // The horizon is the env's only end condition — a time-limit truncation of
   // the paper's infinite-horizon MDP, not a terminal state — so the final

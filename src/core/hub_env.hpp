@@ -9,7 +9,8 @@
 //
 // State (Eq. 24): lookback windows of RTP, weather (GHI + wind), traffic and
 // SRTP, the battery SoC, plus an hour-of-day phase encoding.  Action: the BP
-// schedule {idle, charge, discharge}.  Reward: the slot profit Psi_t (Eq. 12).
+// schedule {idle, charge, discharge}.  Reward: the slot profit Psi_t (Eq. 12)
+// less the profit the slot would have made idle (see step_into).
 #pragma once
 
 #include "core/blackout.hpp"
@@ -56,18 +57,6 @@ struct HubEnvConfig {
   /// a baseline; empty means no discounts.
   std::vector<bool> discount_by_hour;
   double discount_fraction = 0.2;
-
-  /// Initial SoC: uniform in [min, max] fraction at each reset.
-  double init_soc_lo = 0.3;
-  double init_soc_hi = 0.9;
-
-  /// Counterfactual reward shaping for RL: reward_t = profit_t(action) -
-  /// profit_t(idle).  The idle-profit series does not depend on past actions
-  /// (EV revenue and BS load are exogenous), so the shaping subtracts a
-  /// constant from every episode return — the optimal policy is unchanged —
-  /// while removing the exogenous variance that otherwise buries the battery
-  /// arbitrage signal.  The ledger always records the *true* profit.
-  bool shaped_reward = true;
 
   /// Metro coupling (off by default; see HubCouplingConfig).
   HubCouplingConfig coupling;
@@ -117,10 +106,16 @@ class EctHubEnv final : public rl::Env {
   void reset_into(std::span<double> state) override;
 
   /// Applies `action`, writes the next observation into `next_state` and
-  /// returns the reward/done pair.  When the episode ends (always a horizon
-  /// truncation here, so done comes with truncated) the buffer holds the
-  /// *final* observation — the lookback windows hold their last slot and
-  /// the hour-of-day encoding wraps — so a critic can bootstrap V(s_T).
+  /// returns the reward/done pair.  The reward is counterfactual:
+  /// profit_t(action) - profit_t(idle).  The idle-profit series does not
+  /// depend on past actions (EV revenue and BS load are exogenous), so this
+  /// subtracts a constant from every episode return — the optimal policy is
+  /// unchanged — while removing the exogenous variance that otherwise buries
+  /// the battery arbitrage signal.  The ledger records the true profit.
+  /// When the episode ends (always a horizon truncation here, so done comes
+  /// with truncated) the buffer holds the *final* observation — the lookback
+  /// windows hold their last slot and the hour-of-day encoding wraps — so a
+  /// critic can bootstrap V(s_T).
   StepOutcome step_into(std::size_t action, std::span<double> next_state) override;
 
   /// The coupling-aware step: reads `coupling.import_kw` (demand routed here
@@ -170,8 +165,8 @@ class EctHubEnv final : public rl::Env {
 
   // Episode series.  Regenerated at each reset *in place*: every buffer
   // keeps its capacity across episodes and every generator writes through
-  // its generate_into()/simulate_into() overload, so after the first reset
-  // an episode costs no heap allocation anywhere on the reset or step path
+  // its generate_into()/simulate_into(), so after the first reset an episode
+  // costs no heap allocation anywhere on the reset or step path
   // (tests/test_alloc.cpp pins this with an operator-new hook).
   std::vector<double> rtp_;
   std::vector<double> srtp_;

@@ -19,33 +19,22 @@ double ChargingStation::power_kw(std::uint64_t vehicles) const {
   return static_cast<double>(active) * cfg_.plug_rate_kw;
 }
 
-OccupancySeries ChargingStation::simulate(const TimeGrid& grid,
-                                          const std::vector<bool>& discounted,
-                                          Rng& rng) const {
-  OccupancySeries out;
-  simulate_into(grid, discounted, rng, out);
-  return out;
-}
-
 void ChargingStation::simulate_into(const TimeGrid& grid, const std::vector<bool>& discounted,
                                     Rng& rng, OccupancySeries& out) const {
   if (discounted.size() != grid.size()) {
-    throw std::invalid_argument("ChargingStation::simulate: discounted length must match grid");
+    throw std::invalid_argument(
+        "ChargingStation::simulate_into: discounted length must match grid");
   }
-  out.vehicles.resize(grid.size());
   out.power_kw.resize(grid.size());
-  out.stratum.resize(grid.size());
   for (std::size_t t = 0; t < grid.size(); ++t) {
     const auto hour = static_cast<std::size_t>(grid.hour_of_day(t));
     const Stratum s = profile_.sample(hour, rng);
-    out.stratum[t] = s;
     std::uint64_t n = charges(s, discounted[t], rng) ? 1 : 0;
     // Busy daytime slots occasionally fill a second plug.
     if (n > 0 && cfg_.num_plugs > 1) {
       const StrataProbs& p = profile_.at_hour(hour);
       if (rng.bernoulli(0.4 * p.p_always)) ++n;
     }
-    out.vehicles[t] = n;
     out.power_kw[t] = power_kw(n);
   }
 }

@@ -22,27 +22,20 @@ struct StationConfig {
 
 /// Per-slot charging state for a horizon.
 struct OccupancySeries {
-  std::vector<std::uint64_t> vehicles;  ///< EVs charging in each slot
-  std::vector<double> power_kw;         ///< P_CS(t)
-  std::vector<Stratum> stratum;         ///< true stratum sampled for the slot
+  std::vector<double> power_kw;  ///< P_CS(t)
 
-  [[nodiscard]] std::size_t size() const noexcept { return vehicles.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return power_kw.size(); }
 };
 
 class ChargingStation {
  public:
   ChargingStation(StationConfig cfg, StrataProfile profile);
 
-  /// Simulates the horizon: for each slot the true stratum is sampled from
-  /// the profile and converted to an occupancy given the discount decision.
-  /// `discounted[t]` marks slots where the hub offers a discount.
-  [[nodiscard]] OccupancySeries simulate(const TimeGrid& grid,
-                                         const std::vector<bool>& discounted, Rng& rng) const;
-
-  /// Allocation-free variant: regenerates `out` in place, reusing the
-  /// capacity of its three channels.  Draws the identical stochastic stream
-  /// as simulate() — EctHubEnv regenerates occupancy through this overload
-  /// without touching the heap.
+  /// Simulates the horizon into `out`, reusing its capacity, so EctHubEnv
+  /// regenerates occupancy without touching the heap: for each slot the true
+  /// stratum is sampled from the profile and converted to an occupancy given
+  /// the discount decision.  `discounted[t]` marks slots where the hub offers
+  /// a discount.
   void simulate_into(const TimeGrid& grid, const std::vector<bool>& discounted, Rng& rng,
                      OccupancySeries& out) const;
 

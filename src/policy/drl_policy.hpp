@@ -2,9 +2,9 @@
 //
 // DrlPolicy wraps the actor path of the actor-critic network (shared trunk +
 // actor head, paper Fig. 10) and acts greedily (argmax over action logits).
-// Its decide_batch() override is the payoff of the unified API: one forward
-// pass over a (hubs x state_dim) matrix turns per-hub matrix-vector products
-// into matrix-matrix GEMMs across the whole fleet slot.
+// Its batched forward is the payoff of the unified API: one pass over a
+// (hubs x state_dim) matrix turns per-hub matrix-vector products into
+// matrix-matrix GEMMs across the whole fleet slot.
 //
 // Every decision path funnels through decide_rows(): a const row-block
 // forward whose scratch lives entirely in the caller's workspace (the
@@ -78,7 +78,7 @@ class DrlPolicy final : public Policy {
   /// One batched forward pass: (batch x state_dim) -> argmax logits per row.
   /// Bit-identical per row to decide() on that row (the GEMM accumulates
   /// each output element in the same order regardless of batch size).
-  void decide_batch(const nn::Matrix& obs, std::span<std::size_t> actions) override;
+  void decide_batch(const nn::Matrix& obs, std::span<std::size_t> actions);
   /// Row-block forward: actions[row_begin, row_end) from the same rows of
   /// `obs`, bit-identical to decide_batch on the whole matrix.  Const and
   /// workspace-confined — disjoint row blocks may run concurrently on one

@@ -5,18 +5,6 @@
 
 namespace ecthub::policy {
 
-void Policy::decide_batch(const nn::Matrix& obs, std::span<std::size_t> actions) {
-  if (actions.size() != obs.rows()) {
-    throw std::invalid_argument("Policy::decide_batch: " + std::to_string(obs.rows()) +
-                                " observation rows but " + std::to_string(actions.size()) +
-                                " action slots");
-  }
-  const double* data = obs.data().data();
-  for (std::size_t i = 0; i < obs.rows(); ++i) {
-    actions[i] = decide(std::span<const double>(data + i * obs.cols(), obs.cols()));
-  }
-}
-
 std::unique_ptr<Policy::Workspace> Policy::make_workspace() const {
   return std::make_unique<Workspace>();
 }

@@ -4,17 +4,17 @@
 // A Policy maps the EctHubEnv observation vector (see observation.hpp) to a
 // BP action (0 = idle, 1 = charge, 2 = discharge) and never sees the
 // environment object itself.  That inversion is what lets one fleet engine
-// drive every scheduler family the same way — and batch them: decide_batch()
-// takes a (hubs x state_dim) matrix and fills one action per row, so a
-// neural policy can replace per-hub matrix-vector products with a single
-// matrix-matrix forward pass across the whole fleet slot.
+// drive every scheduler family the same way — and batch them.
 //
 // Stateless policies additionally expose decide_rows(): a const, thread-safe
-// row-block form of decide_batch that several workers can call concurrently
-// on disjoint row ranges of one shared observation matrix — the contract the
-// lockstep fleet runner's slot phase builds on.  Per-call scratch
-// lives in a caller-owned Workspace (one per calling thread, reused across
-// slots) so the steady-state path stays allocation-free.
+// batched form that fills one action per row of a (hubs x state_dim)
+// matrix, so a neural policy replaces per-hub matrix-vector products with
+// one matrix-matrix forward pass across the whole fleet slot.  Several
+// workers can call it concurrently on disjoint row ranges of one shared
+// observation matrix — the contract the lockstep fleet runner's slot phase
+// builds on.  Per-call scratch lives in a caller-owned Workspace (one per
+// calling thread, reused across slots) so the steady-state path stays
+// allocation-free.
 #pragma once
 
 #include "nn/matrix.hpp"
@@ -46,15 +46,6 @@ class Policy {
   /// exploration) advance their internal state on each call.
   virtual std::size_t decide(std::span<const double> obs) = 0;
 
-  /// Batched decisions: `obs` is (batch x state_dim), `actions` receives one
-  /// action per row.  The default decides row by row in order, advancing any
-  /// internal state exactly as the equivalent sequence of decide() calls
-  /// would.  Overrides (DrlPolicy) fuse the batch into one forward pass.
-  ///
-  /// Rows may come from *different* hubs only when stateless() is true;
-  /// stateful policies must stay one-instance-per-hub.
-  virtual void decide_batch(const nn::Matrix& obs, std::span<std::size_t> actions);
-
   /// Fresh scratch for decide_rows(); one per calling thread.  The base
   /// workspace is empty — policies whose row kernel needs buffers (DrlPolicy)
   /// return their own derived type.
@@ -62,12 +53,12 @@ class Policy {
 
   /// Row-block batched decisions: computes actions[row_begin, row_end) from
   /// the same rows of `obs` (a full-batch matrix — `actions` spans all of
-  /// it), bit-identical to what decide_batch would put there.  Only
-  /// stateless() policies support it; the kernel is const and touches no
-  /// member state, so disjoint row blocks may run concurrently on one shared
-  /// instance as long as each caller passes its own workspace.  The default
+  /// it), each bit-identical to decide() on that row.  Only stateless()
+  /// policies support it; the kernel is const and touches no member state,
+  /// so disjoint row blocks may run concurrently on one shared instance as
+  /// long as each caller passes its own workspace.  The default
   /// implementation throws std::logic_error (stateful policies must stay
-  /// one-instance-per-hub and use decide/decide_batch).
+  /// one-instance-per-hub and use decide).
   virtual void decide_rows(const nn::Matrix& obs, std::size_t row_begin,
                            std::size_t row_end, std::span<std::size_t> actions,
                            Workspace& ws) const;
@@ -78,7 +69,7 @@ class Policy {
   virtual void begin_episode() {}
 
   /// True when decide() is a pure function of the observation, so a single
-  /// instance may serve many hubs and decide_batch() may mix rows from
+  /// instance may serve many hubs and decide_rows() may mix rows from
   /// different hubs in one call.
   [[nodiscard]] virtual bool stateless() const { return false; }
 

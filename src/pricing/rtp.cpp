@@ -14,6 +14,7 @@ void RtpConfig::validate() const {
     if (!std::isfinite(x)) throw std::invalid_argument("RtpConfig: non-finite field");
   }
   if (!(base_price > 0.0)) throw std::invalid_argument("RtpConfig: base_price must be > 0");
+  if (!(noise_sigma >= 0.0)) throw std::invalid_argument("RtpConfig: noise_sigma < 0");
   if (!(spike_prob >= 0.0 && spike_prob <= 1.0)) {
     throw std::invalid_argument("RtpConfig: spike_prob out of [0, 1]");
   }
@@ -34,13 +35,6 @@ double RtpGenerator::diurnal_component(double hour_of_day) const {
   const double trough =
       -0.55 * std::exp(-0.5 * std::pow((hour_of_day - 4.0) / 2.5, 2.0));
   return cfg_.diurnal_amplitude * (morning + evening + trough);
-}
-
-std::vector<double> RtpGenerator::generate(const TimeGrid& grid,
-                                           const std::vector<double>& system_load) {
-  std::vector<double> price;
-  generate_into(grid, system_load, price);
-  return price;
 }
 
 void RtpGenerator::generate_into(const TimeGrid& grid, const std::vector<double>& system_load,

@@ -31,15 +31,11 @@ class RtpGenerator {
  public:
   RtpGenerator(RtpConfig cfg, Rng rng);
 
-  /// Price series in $/MWh.  `system_load` (values in [0, 1]) couples prices
-  /// to demand; pass an empty vector for a pure diurnal process.
-  [[nodiscard]] std::vector<double> generate(const TimeGrid& grid,
-                                             const std::vector<double>& system_load = {});
-
-  /// Allocation-free variant: writes the series into `price_out`, reusing
-  /// its capacity.  Draws the identical stochastic stream as generate() —
-  /// EctHubEnv::reset uses this to regenerate episodes without touching the
-  /// heap.  `price_out` must not alias `system_load`.
+  /// Writes the price series in $/MWh over `grid` into `price_out`, reusing
+  /// its capacity, so EctHubEnv regenerates episodes without touching the
+  /// heap.  `system_load` (values in [0, 1]) couples prices to demand; pass
+  /// an empty vector for a pure diurnal process.  `price_out` must not alias
+  /// `system_load`.
   void generate_into(const TimeGrid& grid, const std::vector<double>& system_load,
                      std::vector<double>& price_out);
 

@@ -33,11 +33,6 @@ double DiscountSchedule::at(std::size_t t) const {
   return fractions_[t];
 }
 
-std::size_t DiscountSchedule::num_discounted() const {
-  return static_cast<std::size_t>(
-      std::count_if(fractions_.begin(), fractions_.end(), [](double f) { return f > 0.0; }));
-}
-
 void SellingConfig::validate() const {
   // Written so that NaN fails.
   if (!(std::isfinite(markup) && markup > 0.0)) {
@@ -54,12 +49,6 @@ SellingPricePolicy::SellingPricePolicy(SellingConfig cfg, DiscountSchedule sched
 double SellingPricePolicy::srtp(std::size_t t, double rtp) const {
   const double p = cfg_.markup * rtp * (1.0 - schedule_.at(t));
   return std::max(p, cfg_.floor);
-}
-
-std::vector<double> SellingPricePolicy::series(const std::vector<double>& rtp) const {
-  std::vector<double> out;
-  series_into(rtp, out);
-  return out;
 }
 
 void SellingPricePolicy::series_into(const std::vector<double>& rtp,

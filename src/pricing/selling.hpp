@@ -26,9 +26,6 @@ class DiscountSchedule {
   [[nodiscard]] double at(std::size_t t) const;
   [[nodiscard]] std::size_t size() const noexcept { return fractions_.size(); }
 
-  /// Number of slots with a non-zero discount.
-  [[nodiscard]] std::size_t num_discounted() const;
-
  private:
   std::vector<double> fractions_;
 };
@@ -52,11 +49,8 @@ class SellingPricePolicy {
   /// Selling price at slot t given the grid RTP at t.
   [[nodiscard]] double srtp(std::size_t t, double rtp) const;
 
-  /// Whole-horizon series.
-  [[nodiscard]] std::vector<double> series(const std::vector<double>& rtp) const;
-
-  /// Allocation-free variant: writes the series into `out` in place, reusing
-  /// its capacity.  Produces the identical values as series().
+  /// Writes the whole-horizon series into `out` in place, reusing its
+  /// capacity.
   void series_into(const std::vector<double>& rtp, std::vector<double>& out) const;
 
   [[nodiscard]] const DiscountSchedule& schedule() const noexcept { return schedule_; }

@@ -30,17 +30,10 @@ void PlantConfig::validate() const {
 
 RenewablePlant::RenewablePlant(PlantConfig cfg) : cfg_(cfg) { cfg_.validate(); }
 
-GenerationSeries RenewablePlant::generate(const weather::WeatherSeries& wx) const {
-  GenerationSeries out;
-  generate_into(wx, out);
-  return out;
-}
-
 void RenewablePlant::generate_into(const weather::WeatherSeries& wx,
                                    GenerationSeries& out) const {
   out.pv_w.assign(wx.size(), 0.0);
   out.wt_w.assign(wx.size(), 0.0);
-  out.total_w.assign(wx.size(), 0.0);
   if (cfg_.pv) {
     const PvArray pv(*cfg_.pv);
     for (std::size_t t = 0; t < wx.size(); ++t) {
@@ -53,7 +46,6 @@ void RenewablePlant::generate_into(const weather::WeatherSeries& wx,
       out.wt_w[t] = wt.power_w(wx.wind_speed_ms[t]);
     }
   }
-  for (std::size_t t = 0; t < wx.size(); ++t) out.total_w[t] = out.pv_w[t] + out.wt_w[t];
 }
 
 }  // namespace ecthub::renewables

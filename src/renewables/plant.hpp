@@ -1,8 +1,8 @@
 // Renewable plant: the PV + WT generation attached to one ECT-Hub.
 //
 // Urban hubs typically carry rooftop PV only; rural hubs carry both PV and a
-// wind turbine (paper Fig. 6).  The plant produces the combined P_WT + P_PV
-// series used in the grid balance (Eq. 7) and in Fig. 2.
+// wind turbine (paper Fig. 6).  The plant produces the P_WT and P_PV series
+// used in the grid balance (Eq. 7) and in Fig. 2.
 #pragma once
 
 #include "renewables/pv.hpp"
@@ -33,20 +33,16 @@ struct PlantConfig {
 struct GenerationSeries {
   std::vector<double> pv_w;
   std::vector<double> wt_w;
-  std::vector<double> total_w;
 
-  [[nodiscard]] std::size_t size() const noexcept { return total_w.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return pv_w.size(); }
 };
 
 class RenewablePlant {
  public:
   explicit RenewablePlant(PlantConfig cfg);
 
-  [[nodiscard]] GenerationSeries generate(const weather::WeatherSeries& wx) const;
-
-  /// Allocation-free variant: regenerates `out` in place, reusing the
-  /// capacity of its three channels.  Produces the identical values as
-  /// generate().
+  /// Regenerates `out` from `wx` in place, reusing the capacity of its two
+  /// channels; a channel whose generator is not installed reads zero.
   void generate_into(const weather::WeatherSeries& wx, GenerationSeries& out) const;
 
   [[nodiscard]] bool has_pv() const noexcept { return cfg_.pv.has_value(); }

@@ -112,15 +112,6 @@ MetroMap::MetroMap(MetroConfig cfg, std::uint64_t seed)
   }
 }
 
-core::HubConfig MetroMap::hub_config(std::size_t i, std::string name,
-                                     std::uint64_t seed) const {
-  const MetroHub& h = hubs_.at(i);
-  core::HubConfig cfg = h.urban ? core::HubConfig::urban(std::move(name), seed)
-                                : core::HubConfig::rural(std::move(name), seed);
-  apply_site(i, cfg);
-  return cfg;
-}
-
 void MetroMap::apply_site(std::size_t i, core::HubConfig& hub) const {
   const MetroHub& h = hubs_.at(i);
   hub.station.station_id = i;

@@ -3,9 +3,9 @@
 // The paper's hubs sit on a road network (Fig. 1: main roads + base stations
 // in Texas); until now the spatial substrate only produced that one overlap
 // statistic while every fleet the engine ran was an i.i.d. bag of hubs.
-// MetroMap closes the loop: it derives N per-hub `HubConfig`s from
-// BsPlacement density on a RoadNetwork — sites in dense base-station country
-// become urban, high-traffic hubs; sparse sites become rural — plus a
+// MetroMap closes the loop: it shapes N per-hub `HubConfig`s (apply_site)
+// from BsPlacement density on a RoadNetwork — sites in dense base-station
+// country become urban, high-traffic hubs; sparse sites become rural — plus a
 // road-distance neighbor adjacency that the fleet runner's CouplingBus
 // routes exported demand over.
 //
@@ -21,7 +21,6 @@
 #include "spatial/roads.hpp"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace ecthub::spatial {
@@ -62,11 +61,6 @@ class MetroMap {
   [[nodiscard]] const RoadNetwork& roads() const noexcept { return roads_; }
   [[nodiscard]] const MetroConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-
-  /// A full HubConfig for hub `i`: the urban()/rural() preset selected by the
-  /// site's density class, with apply_site() modulation on top.
-  [[nodiscard]] core::HubConfig hub_config(std::size_t i, std::string name,
-                                           std::uint64_t seed) const;
 
   /// Overlays site `i` onto an existing HubConfig (e.g. a scenario-factory
   /// hub): plug count follows the density class and demand intensity scales

@@ -55,16 +55,11 @@ OverlapStats BsPlacement::overlap_stats(const RoadNetwork& roads,
   const double region = roads.config().region_km;
   std::vector<double> ref_dist;
   ref_dist.reserve(reference_samples);
-  std::size_t ref_within = 0;
   for (std::size_t i = 0; i < reference_samples; ++i) {
     const Point p{rng.uniform(0.0, region), rng.uniform(0.0, region)};
-    const double d = roads.distance_to_nearest_road(p);
-    ref_dist.push_back(d);
-    if (d <= 1.0) ++ref_within;
+    ref_dist.push_back(roads.distance_to_nearest_road(p));
   }
   st.uniform_mean_distance_km = stats::mean(ref_dist);
-  st.uniform_within_1km_fraction =
-      static_cast<double>(ref_within) / static_cast<double>(reference_samples);
   st.clustering_ratio = st.mean_distance_km > 0.0
                             ? st.uniform_mean_distance_km / st.mean_distance_km
                             : 0.0;

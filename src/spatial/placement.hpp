@@ -25,7 +25,6 @@ struct OverlapStats {
   double median_distance_km = 0.0;
   double within_1km_fraction = 0.0;       ///< BSs within 1 km of a road
   double uniform_mean_distance_km = 0.0;  ///< same statistic for uniform points
-  double uniform_within_1km_fraction = 0.0;
   /// mean uniform distance / mean BS distance; > 1 indicates road clustering.
   double clustering_ratio = 0.0;
 };

@@ -24,12 +24,6 @@ TrafficGenerator::TrafficGenerator(TrafficConfig cfg, Rng rng) : cfg_(cfg), rng_
   cfg_.validate();
 }
 
-TrafficTrace TrafficGenerator::generate(const TimeGrid& grid) {
-  TrafficTrace trace;
-  generate_into(grid, trace);
-  return trace;
-}
-
 void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) {
   const DiurnalProfile profile = DiurnalProfile::for_area(cfg_.area);
   trace.load_rate.resize(grid.size());

@@ -40,14 +40,9 @@ class TrafficGenerator {
  public:
   TrafficGenerator(TrafficConfig cfg, Rng rng);
 
-  /// Generates a full trace over `grid`.  Deterministic given the Rng state
-  /// at construction.
-  [[nodiscard]] TrafficTrace generate(const TimeGrid& grid);
-
-  /// Allocation-free variant: writes the trace into `trace` in place,
-  /// reusing its buffers' capacity.  Draws the identical stochastic stream
-  /// as generate() — EctHubEnv::reset uses this to regenerate episodes
-  /// without touching the heap.
+  /// Generates a full trace over `grid` into `trace`, reusing its buffers'
+  /// capacity, so EctHubEnv regenerates episodes without touching the heap.
+  /// Deterministic given the Rng state at construction.
   void generate_into(const TimeGrid& grid, TrafficTrace& trace);
 
   [[nodiscard]] const TrafficConfig& config() const noexcept { return cfg_; }

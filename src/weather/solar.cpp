@@ -30,6 +30,9 @@ void SolarConfig::validate() const {
     if (!std::isfinite(x)) throw std::invalid_argument("SolarConfig: non-finite field");
   }
   if (!(peak_ghi > 0.0)) throw std::invalid_argument("SolarConfig: peak_ghi must be > 0");
+  if (!(transmittance_sigma >= 0.0)) {
+    throw std::invalid_argument("SolarConfig: transmittance_sigma < 0");
+  }
   if (!(cloud_switch_prob >= 0.0 && cloud_switch_prob <= 1.0)) {
     throw std::invalid_argument("SolarConfig: cloud_switch_prob out of [0, 1]");
   }
@@ -39,12 +42,6 @@ void SolarConfig::validate() const {
 }
 
 SolarModel::SolarModel(SolarConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.validate(); }
-
-std::vector<double> SolarModel::generate(const TimeGrid& grid) {
-  std::vector<double> ghi;
-  generate_into(grid, ghi);
-  return ghi;
-}
 
 void SolarModel::generate_into(const TimeGrid& grid, std::vector<double>& out_ghi) {
   out_ghi.resize(grid.size());

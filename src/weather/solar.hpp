@@ -45,12 +45,9 @@ class SolarModel {
  public:
   SolarModel(SolarConfig cfg, Rng rng);
 
-  [[nodiscard]] std::vector<double> generate(const TimeGrid& grid);
-
-  /// Allocation-free variant: writes the series into `ghi_wm2` in place,
-  /// reusing its capacity.  Draws the identical stochastic stream as
-  /// generate() — EctHubEnv regenerates episodes through this overload
-  /// without touching the heap.
+  /// Writes the GHI series (W/m^2) over `grid` into `out_ghi_wm2`, reusing
+  /// its capacity, so EctHubEnv regenerates episodes without touching the
+  /// heap.
   void generate_into(const TimeGrid& grid, std::vector<double>& out_ghi_wm2);
 
   [[nodiscard]] const SolarConfig& config() const noexcept { return cfg_; }

@@ -12,16 +12,13 @@ void WeatherConfig::validate() const {
   for (const double x : {mean_temperature_c, diurnal_temp_swing_c, temp_noise_sigma}) {
     if (!std::isfinite(x)) throw std::invalid_argument("WeatherConfig: non-finite field");
   }
+  if (!(temp_noise_sigma >= 0.0)) {
+    throw std::invalid_argument("WeatherConfig: temp_noise_sigma < 0");
+  }
 }
 
 WeatherGenerator::WeatherGenerator(WeatherConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) {
   cfg_.validate();
-}
-
-WeatherSeries WeatherGenerator::generate(const TimeGrid& grid) {
-  WeatherSeries series;
-  generate_into(grid, series);
-  return series;
 }
 
 void WeatherGenerator::generate_into(const TimeGrid& grid, WeatherSeries& series) {

@@ -27,7 +27,8 @@ struct WeatherConfig {
   double diurnal_temp_swing_c = 8.0;
   double temp_noise_sigma = 1.0;
 
-  /// Validates solar and wind, and requires the temperature fields finite.
+  /// Validates solar and wind, and requires the temperature fields finite
+  /// and temp_noise_sigma >= 0.
   void validate() const;
 };
 
@@ -36,11 +37,9 @@ class WeatherGenerator {
  public:
   WeatherGenerator(WeatherConfig cfg, Rng rng);
 
-  [[nodiscard]] WeatherSeries generate(const TimeGrid& grid);
-
-  /// Allocation-free variant: regenerates `series` in place, reusing the
-  /// capacity of its three channels.  Draws the identical stochastic stream
-  /// as generate() (same solar / wind / temperature fork order).
+  /// Regenerates `series` over `grid` in place, reusing the capacity of its
+  /// three channels.  Forks the solar, wind and temperature streams in that
+  /// order.
   void generate_into(const TimeGrid& grid, WeatherSeries& series);
 
   [[nodiscard]] const WeatherConfig& config() const noexcept { return cfg_; }

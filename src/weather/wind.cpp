@@ -21,12 +21,6 @@ void WindConfig::validate() const {
 
 WindModel::WindModel(WindConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.validate(); }
 
-std::vector<double> WindModel::generate(const TimeGrid& grid) {
-  std::vector<double> speed;
-  generate_into(grid, speed);
-  return speed;
-}
-
 void WindModel::generate_into(const TimeGrid& grid, std::vector<double>& out_speed) {
   out_speed.resize(grid.size());
   // The diurnal factor depends only on the hour of day: evaluated once per

@@ -30,12 +30,8 @@ class WindModel {
  public:
   WindModel(WindConfig cfg, Rng rng);
 
-  /// Wind-speed series (m/s) over `grid`.
-  [[nodiscard]] std::vector<double> generate(const TimeGrid& grid);
-
-  /// Allocation-free variant: writes the series into `speed_ms` in place,
-  /// reusing its capacity; draws the identical stochastic stream as
-  /// generate().
+  /// Writes the wind-speed series (m/s) over `grid` into `out_speed_ms`,
+  /// reusing its capacity.
   void generate_into(const TimeGrid& grid, std::vector<double>& out_speed_ms);
 
   [[nodiscard]] const WindConfig& config() const noexcept { return cfg_; }

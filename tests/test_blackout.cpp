@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 namespace ecthub::core {
@@ -56,6 +58,10 @@ TEST(RideThrough, UsesFullBandDownToHardMinimum) {
 TEST(RideThrough, Validation) {
   EXPECT_THROW((void)ride_through(small_pack(), 10.0, {1.0}, 0.0), std::invalid_argument);
   EXPECT_THROW((void)ride_through(small_pack(), 10.0, {-1.0}, 1.0), std::invalid_argument);
+  for (const double dt : {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)ride_through(small_pack(), 10.0, {1.0}, dt), std::invalid_argument);
+  }
 }
 
 std::size_t outage_slots(const std::vector<std::uint8_t>& flags) {
@@ -167,18 +173,47 @@ TEST(OutageSurvival, UndersizedReserveFails) {
 TEST(OutageSurvival, Validation) {
   battery::BatteryConfig pack = small_pack();
   OutageModel model;
+  // An 8-slot trace holds the default model's longest (8 h) outage, so each
+  // case below throws for the reason it names.
+  const std::vector<double> trace(8, 1.0);
   EXPECT_THROW((void)outage_survival(pack, 5.0, {}, model, 1.0, 10, Rng(6)),
                std::invalid_argument);
-  EXPECT_THROW((void)outage_survival(pack, 5.0, {1.0}, model, 1.0, 0, Rng(6)),
+  EXPECT_THROW((void)outage_survival(pack, 5.0, trace, model, 1.0, 0, Rng(6)),
                std::invalid_argument);
   // The model is validated like draw_outages_into's.
   model.min_duration_h = 9.0;  // > max_duration_h
-  EXPECT_THROW((void)outage_survival(pack, 5.0, {1.0}, model, 1.0, 10, Rng(6)),
+  EXPECT_THROW((void)outage_survival(pack, 5.0, trace, model, 1.0, 10, Rng(6)),
                std::invalid_argument);
   model = OutageModel{};
   model.max_duration_h = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW((void)outage_survival(pack, 5.0, {1.0}, model, 1.0, 10, Rng(6)),
+  EXPECT_THROW((void)outage_survival(pack, 5.0, trace, model, 1.0, 10, Rng(6)),
                std::invalid_argument);
+  EXPECT_NO_THROW((void)outage_survival(pack, 5.0, trace, OutageModel{}, 1.0, 10, Rng(6)));
+
+  // Windows wrap the two-week trace, so an outage longer than the trace is
+  // refused before the window is allocated (1e9 h would be 8 GB), and a slot
+  // length must be finite and > 0 before it divides a duration.
+  const std::vector<double> two_weeks(24 * 14, 3.0);
+  const auto message = [&](const OutageModel& m, double dt) -> std::string {
+    try {
+      (void)outage_survival(pack, 5.0, two_weeks, m, dt, 10, Rng(6));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no throw";
+  };
+  OutageModel huge;
+  huge.max_duration_h = 1e9;
+  EXPECT_NE(message(huge, 1.0).find("exceeds the BS trace"), std::string::npos);
+  OutageModel whole;
+  whole.max_duration_h = 24.0 * 14.0;  // exactly the trace: allowed
+  EXPECT_EQ(message(whole, 1.0), "no throw");
+  whole.max_duration_h = std::nextafter(24.0 * 14.0, 1e9);
+  EXPECT_NE(message(whole, 1.0).find("exceeds the BS trace"), std::string::npos);
+  for (const double dt : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity()}) {
+    EXPECT_NE(message(OutageModel{}, dt).find("dt_hours"), std::string::npos) << dt;
+  }
 }
 
 }  // namespace

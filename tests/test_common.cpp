@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <random>
 #include <thread>
 #include <vector>
 #include <fstream>
@@ -61,11 +62,6 @@ TEST(TimeGrid, HourOfDay) {
   EXPECT_DOUBLE_EQ(grid.hour_of_day(49), 0.5);
 }
 
-TEST(TimeGrid, HoursFromStartAccumulates) {
-  const TimeGrid grid(2, 24);
-  EXPECT_DOUBLE_EQ(grid.hours_from_start(25), 25.0);
-}
-
 TEST(TimeGrid, DayOfWeekWrapsAtSeven) {
   const TimeGrid grid(15, 24);
   EXPECT_EQ(grid.day_of_week(0), 0u);
@@ -83,7 +79,7 @@ TEST(TimeGrid, WeekendDetection) {
 TEST(TimeGrid, OutOfRangeSlotThrows) {
   const TimeGrid grid(1, 24);
   EXPECT_THROW((void)grid.day_of(24), std::out_of_range);
-  EXPECT_THROW((void)grid.day_start(1), std::out_of_range);
+  EXPECT_THROW((void)grid.hour_of_day(24), std::out_of_range);
 }
 
 TEST(TimeGrid, FillBySlotOfDayWritesEverySlotsHour) {
@@ -103,11 +99,6 @@ TEST(TimeGrid, FillBySlotOfDayWritesEverySlotsHour) {
     EXPECT_THROW(fill_by_slot_of_day(grid, short_out, [](double h) { return h; }),
                  std::invalid_argument);
   }
-}
-
-TEST(TimeGrid, DayStart) {
-  const TimeGrid grid(3, 24);
-  EXPECT_EQ(grid.day_start(2), 48u);
 }
 
 // ---------------------------------------------------------------- Rng
@@ -153,6 +144,28 @@ TEST(Rng, NormalMoments) {
   for (int i = 0; i < 20000; ++i) xs.push_back(rng.normal(5.0, 2.0));
   EXPECT_NEAR(stats::mean(xs), 5.0, 0.1);
   EXPECT_NEAR(stats::stddev(xs), 2.0, 0.1);
+}
+
+// For stddev > 0, Rng::normal is the draw std::normal_distribution(mean,
+// stddev) makes on the same engine, so every generator keeps its stream.  A
+// zero stddev returns the mean and consumes the draws a standard normal does.
+TEST(Rng, NormalMatchesTheLibraryDrawAndTakesZeroSigma) {
+#if defined(__GLIBCXX__)
+  Rng rng(77);
+  std::mt19937_64 engine(77);
+  for (int i = 0; i < 20000; ++i) {
+    const double mean = 0.01 * (i % 201) - 1.0;
+    const double stddev = 0.001 + 0.05 * (i % 97);
+    std::normal_distribution<double> d(mean, stddev);
+    ASSERT_EQ(rng.normal(mean, stddev), d(engine)) << i;
+  }
+#endif
+  Rng zero(5), ref(5);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
+    (void)ref.normal();
+  }
+  EXPECT_EQ(zero.uniform(), ref.uniform());
 }
 
 TEST(Rng, BernoulliEdgeCases) {
@@ -312,12 +325,6 @@ TEST(TextTable, TooManyCellsThrows) {
   TextTable t({"a"});
   t.begin_row().add("x");
   EXPECT_THROW(t.add("y"), std::logic_error);
-}
-
-TEST(TextTable, CsvOutput) {
-  TextTable t({"a", "b"});
-  t.begin_row().add("1").add("2");
-  EXPECT_EQ(t.csv(), "a,b\n1,2\n");
 }
 
 // ---------------------------------------------------------------- CliFlags

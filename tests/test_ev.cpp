@@ -125,14 +125,24 @@ TEST(ChargingStation, PowerClampsToPlugCount) {
   EXPECT_DOUBLE_EQ(station.power_kw(5), 14.4);  // clamped
 }
 
+// P_CS(t) is the slot's busy plugs at R_CS: replaying the draws from an
+// identically seeded Rng (stratum, charge, second plug, in that order) gives
+// each slot's vehicle count.
 TEST(ChargingStation, SimulateProducesConsistentSeries) {
-  const ChargingStation station(StationConfig{}, StrataProfile(0.8, 0.7));
+  const StrataProfile profile(0.8, 0.7);
+  const ChargingStation station(StationConfig{}, profile);
   const TimeGrid grid(7, 24);
   Rng rng(8);
-  const auto occ = station.simulate(grid, std::vector<bool>(grid.size(), false), rng);
+  OccupancySeries occ;
+  station.simulate_into(grid, std::vector<bool>(grid.size(), false), rng, occ);
   ASSERT_EQ(occ.size(), grid.size());
+  Rng replay(8);
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    EXPECT_DOUBLE_EQ(occ.power_kw[t], station.power_kw(occ.vehicles[t]));
+    const auto hour = static_cast<std::size_t>(grid.hour_of_day(t));
+    const Stratum s = profile.sample(hour, replay);
+    std::uint64_t n = charges(s, false, replay) ? 1 : 0;
+    if (n > 0 && replay.bernoulli(0.4 * profile.at_hour(hour).p_always)) ++n;
+    EXPECT_EQ(occ.power_kw[t], station.power_kw(n)) << t;
   }
 }
 
@@ -142,13 +152,15 @@ TEST(ChargingStation, DiscountsIncreaseEveningOccupancy) {
   std::vector<bool> all_discount(grid.size(), true);
   std::vector<bool> no_discount(grid.size(), false);
   Rng rng_a(9), rng_b(9);
-  const auto with = station.simulate(grid, all_discount, rng_a);
-  const auto without = station.simulate(grid, no_discount, rng_b);
+  OccupancySeries with;
+  station.simulate_into(grid, all_discount, rng_a, with);
+  OccupancySeries without;
+  station.simulate_into(grid, no_discount, rng_b, without);
   double evening_with = 0, evening_without = 0;
   for (std::size_t t = 0; t < grid.size(); ++t) {
     if (grid.hour_of_day(t) >= 18) {
-      evening_with += static_cast<double>(with.vehicles[t]);
-      evening_without += static_cast<double>(without.vehicles[t]);
+      evening_with += with.power_kw[t];
+      evening_without += without.power_kw[t];
     }
   }
   EXPECT_GT(evening_with, 1.5 * evening_without);
@@ -158,7 +170,8 @@ TEST(ChargingStation, FlagLengthValidated) {
   const ChargingStation station(StationConfig{}, StrataProfile(0.8, 0.7));
   const TimeGrid grid(1, 24);
   Rng rng(10);
-  EXPECT_THROW(station.simulate(grid, std::vector<bool>(3, false), rng),
+  OccupancySeries occ;
+  EXPECT_THROW(station.simulate_into(grid, std::vector<bool>(3, false), rng, occ),
                std::invalid_argument);
 }
 
@@ -375,24 +388,23 @@ TEST(ChargingStation, SimulateIntoMatchesSimulateAndReusesBuffers) {
   const TimeGrid grid(3, 24);
   const std::vector<bool> discounted(grid.size(), false);
   Rng fresh_rng(61);
-  const OccupancySeries fresh = station.simulate(grid, discounted, fresh_rng);
+  OccupancySeries fresh;
+  station.simulate_into(grid, discounted, fresh_rng, fresh);
 
+  // A stale buffer of another length is overwritten whole.
   Rng rng(61);
   OccupancySeries reused;
+  reused.power_kw.assign(7, -1.0);
   station.simulate_into(grid, discounted, rng, reused);
-  EXPECT_EQ(reused.vehicles, fresh.vehicles);
   EXPECT_EQ(reused.power_kw, fresh.power_kw);
-  EXPECT_EQ(reused.stratum, fresh.stratum);
 
-  // A second pass must reuse the channel buffers (no realloc) and draw a
-  // fresh stochastic stream, not replay the first.
-  const std::uint64_t* veh_buf = reused.vehicles.data();
+  // A second pass must reuse the buffer (no realloc) and draw a fresh
+  // stochastic stream, not replay the first.
   const double* power_buf = reused.power_kw.data();
   station.simulate_into(grid, discounted, rng, reused);
-  EXPECT_EQ(reused.vehicles.data(), veh_buf);
   EXPECT_EQ(reused.power_kw.data(), power_buf);
   EXPECT_EQ(reused.size(), grid.size());
-  EXPECT_NE(reused.stratum, fresh.stratum);
+  EXPECT_NE(reused.power_kw, fresh.power_kw);
 }
 
 TEST(ChargingDataset, RejectsBadConfig) {

@@ -34,7 +34,8 @@ TEST(SeasonalNaive, BeatsRunningMeanOnDiurnalPrices) {
   // far better than a level-only forecast.
   pricing::RtpGenerator gen(pricing::RtpConfig{}, Rng(1));
   const TimeGrid grid(60, 24);
-  const auto rtp = gen.generate(grid);
+  std::vector<double> rtp;
+  gen.generate_into(grid, {}, rtp);
 
   SeasonalNaivePredictor seasonal(24, 0.2);
   const double seasonal_mae = replay_mae_seasonal(seasonal, rtp);

@@ -1,5 +1,5 @@
 // Tests for the unified Policy API: the observation layout contract, the
-// batched-vs-scalar equivalence of decide_batch() for every policy kind,
+// batched-vs-scalar equivalence of decide_rows() for every policy kind,
 // and the DrlPolicy checkpoint round trip.
 #include "common/binio.hpp"
 #include "common/rng.hpp"
@@ -86,9 +86,11 @@ TEST(ObservationLayout, WrongSizeIsRejected) {
 
 // -------------------------------------------------- batched-vs-scalar parity
 
-// For every policy kind, decide_batch(M) must equal the row-by-row decide()
+// For every stateless policy kind, the batched decide_rows() over a whole
+// matrix (and DrlPolicy::decide_batch) must equal the row-by-row decide()
 // sequence — the contract that makes lockstep fleets interchangeable with
-// per-hub execution.
+// per-hub execution.  Stateful kinds have no batched form: they refuse it,
+// and fleets step them one hub at a time.
 TEST(PolicyBatching, DecideBatchMatchesScalarForEveryKind) {
   const ObservationLayout layout;
   using Factory = std::function<std::unique_ptr<Policy>()>;
@@ -118,15 +120,28 @@ TEST(PolicyBatching, DecideBatchMatchesScalarForEveryKind) {
       scalar_actions[i] =
           scalar_pol->decide(std::span<const double>(data + i * obs.cols(), obs.cols()));
     }
-    batch_pol->decide_batch(obs, std::span<std::size_t>(batch_actions));
+    for (const std::size_t a : scalar_actions) EXPECT_LT(a, 3u) << scalar_pol->name();
+    const auto ws = batch_pol->make_workspace();
+    if (!batch_pol->stateless()) {
+      EXPECT_THROW(batch_pol->decide_rows(obs, 0, obs.rows(),
+                                          std::span<std::size_t>(batch_actions), *ws),
+                   std::logic_error)
+          << scalar_pol->name();
+      continue;
+    }
+    batch_pol->decide_rows(obs, 0, obs.rows(), std::span<std::size_t>(batch_actions), *ws);
     EXPECT_EQ(scalar_actions, batch_actions) << scalar_pol->name();
-    for (const std::size_t a : batch_actions) EXPECT_LT(a, 3u) << scalar_pol->name();
+    if (auto* drl = dynamic_cast<DrlPolicy*>(batch_pol.get())) {
+      std::fill(batch_actions.begin(), batch_actions.end(), 99);
+      drl->decide_batch(obs, std::span<std::size_t>(batch_actions));
+      EXPECT_EQ(scalar_actions, batch_actions) << scalar_pol->name();
+    }
   }
 }
 
 // ----------------------------------------------- row-block decide parity
 
-// Every stateless policy must reproduce its full-batch decide_batch output
+// Every stateless policy must reproduce its row-by-row decide() output
 // bit-exactly when the batch is split into arbitrary row-blocks — including
 // 1-row and ragged splits — each computed through its own workspace.  This
 // is the contract that lets the lockstep fleet shard one observation matrix
@@ -157,7 +172,10 @@ TEST(PolicyRowBlocks, ArbitrarySplitsMatchFullBatchForEveryStatelessKind) {
   for (const auto& pol : policies) {
     ASSERT_TRUE(pol->stateless()) << pol->name();
     std::vector<std::size_t> full(kRows, 99), blocked(kRows, 99);
-    pol->decide_batch(obs, std::span<std::size_t>(full));
+    for (std::size_t r = 0; r < kRows; ++r) {
+      full[r] = pol->decide(std::span<const double>(obs.data().data() + r * obs.cols(),
+                                                    obs.cols()));
+    }
     for (const std::vector<std::size_t>& splits : split_sets) {
       std::fill(blocked.begin(), blocked.end(), 99);
       const auto ws = pol->make_workspace();
@@ -255,7 +273,8 @@ TEST(PolicyBatching, ActionSpanSizeMismatchThrows) {
   const nn::Matrix obs = fake_obs_batch(layout, rng, 4);
   std::vector<std::size_t> too_few(3);
   TouPolicy tou(layout);
-  EXPECT_THROW(tou.decide_batch(obs, std::span<std::size_t>(too_few)),
+  EXPECT_THROW(tou.decide_rows(obs, 0, obs.rows(), std::span<std::size_t>(too_few),
+                               *tou.make_workspace()),
                std::invalid_argument);
   DrlPolicyConfig cfg;
   cfg.state_dim = layout.dim();

@@ -16,7 +16,8 @@ namespace {
 TEST(RtpGenerator, PricesAboveFloor) {
   RtpGenerator gen(RtpConfig{}, Rng(1));
   const TimeGrid grid(30, 24);
-  const auto price = gen.generate(grid);
+  std::vector<double> price;
+  gen.generate_into(grid, {}, price);
   ASSERT_EQ(price.size(), grid.size());
   for (double p : price) EXPECT_GE(p, RtpConfig{}.floor_price);
 }
@@ -27,7 +28,8 @@ TEST(RtpGenerator, EveningPeakExceedsNightTrough) {
   cfg.spike_prob = 0.0;
   RtpGenerator gen(cfg, Rng(2));
   const TimeGrid grid(1, 24);
-  const auto price = gen.generate(grid);
+  std::vector<double> price;
+  gen.generate_into(grid, {}, price);
   EXPECT_GT(price[20], price[4]);
   EXPECT_GT(price[20], cfg.base_price);
   EXPECT_LT(price[4], cfg.base_price);
@@ -47,8 +49,10 @@ TEST(RtpGenerator, LoadCouplingRaisesPrices) {
   const TimeGrid grid(2, 24);
   const std::vector<double> full_load(grid.size(), 1.0);
   const std::vector<double> no_load(grid.size(), 0.0);
-  const auto hi = RtpGenerator(cfg, Rng(4)).generate(grid, full_load);
-  const auto lo = RtpGenerator(cfg, Rng(4)).generate(grid, no_load);
+  std::vector<double> hi;
+  RtpGenerator(cfg, Rng(4)).generate_into(grid, full_load, hi);
+  std::vector<double> lo;
+  RtpGenerator(cfg, Rng(4)).generate_into(grid, no_load, lo);
   for (std::size_t t = 0; t < grid.size(); ++t) EXPECT_NEAR(hi[t] - lo[t], 50.0, 1e-9);
 }
 
@@ -61,7 +65,8 @@ TEST(RtpGenerator, CorrelatesWithCoupledLoad) {
     // Evening-peaking load, in phase with the paper's Fig. 5 measurement.
     load[t] = 0.5 + 0.5 * std::sin(2.0 * 3.14159 * (grid.hour_of_day(t) - 14.0) / 24.0);
   }
-  const auto price = RtpGenerator(cfg, Rng(5)).generate(grid, load);
+  std::vector<double> price;
+  RtpGenerator(cfg, Rng(5)).generate_into(grid, load, price);
   EXPECT_GT(stats::pearson(price, load), 0.2);
 }
 
@@ -72,17 +77,21 @@ TEST(RtpGenerator, SpikesRaiseExtremes) {
   spiky.spike_prob = 0.2;
   spiky.spike_scale = 100.0;
   const TimeGrid grid(60, 24);
-  const auto calm = RtpGenerator(no_spike, Rng(6)).generate(grid);
-  const auto wild = RtpGenerator(spiky, Rng(6)).generate(grid);
+  std::vector<double> calm;
+  RtpGenerator(no_spike, Rng(6)).generate_into(grid, {}, calm);
+  std::vector<double> wild;
+  RtpGenerator(spiky, Rng(6)).generate_into(grid, {}, wild);
   EXPECT_GT(stats::max(wild), stats::max(calm));
 }
 
 TEST(RtpGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const TimeGrid grid(3, 24);
-  const auto fresh = RtpGenerator(RtpConfig{}, Rng(41)).generate(grid);
+  std::vector<double> fresh;
+  RtpGenerator(RtpConfig{}, Rng(41)).generate_into(grid, {}, fresh);
 
+  // A stale buffer of another length is overwritten whole.
   RtpGenerator gen(RtpConfig{}, Rng(41));
-  std::vector<double> reused;
+  std::vector<double> reused(7, -1.0);
   gen.generate_into(grid, {}, reused);
   EXPECT_EQ(reused, fresh);
 
@@ -99,7 +108,9 @@ TEST(RtpGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
 TEST(RtpGenerator, LoadLengthMismatchThrows) {
   RtpGenerator gen(RtpConfig{}, Rng(7));
   const TimeGrid grid(2, 24);
-  EXPECT_THROW(gen.generate(grid, std::vector<double>(5, 0.5)), std::invalid_argument);
+  std::vector<double> price;
+  EXPECT_THROW(gen.generate_into(grid, std::vector<double>(5, 0.5), price),
+               std::invalid_argument);
 }
 
 TEST(RtpGenerator, RejectsBadConfig) {
@@ -109,6 +120,11 @@ TEST(RtpGenerator, RejectsBadConfig) {
   RtpConfig bad2;
   bad2.spike_prob = 2.0;
   EXPECT_THROW(RtpGenerator(bad2, Rng(1)), std::invalid_argument);
+  RtpConfig sigma;
+  sigma.noise_sigma = -4.0;
+  EXPECT_THROW(RtpGenerator(sigma, Rng(1)), std::invalid_argument);
+  sigma.noise_sigma = 0.0;  // a noise-free price curve is valid
+  EXPECT_NO_THROW(RtpGenerator(sigma, Rng(1)));
 }
 
 // Property sweep: determinism and floor invariants across seeds.
@@ -117,8 +133,10 @@ class RtpSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(RtpSeedSweep, DeterministicAndFloored) {
   const std::uint64_t seed = GetParam();
   const TimeGrid grid(10, 24);
-  const auto a = RtpGenerator(RtpConfig{}, Rng(seed)).generate(grid);
-  const auto b = RtpGenerator(RtpConfig{}, Rng(seed)).generate(grid);
+  std::vector<double> a;
+  RtpGenerator(RtpConfig{}, Rng(seed)).generate_into(grid, {}, a);
+  std::vector<double> b;
+  RtpGenerator(RtpConfig{}, Rng(seed)).generate_into(grid, {}, b);
   EXPECT_EQ(a, b);
   for (double p : a) EXPECT_GE(p, RtpConfig{}.floor_price);
   // Diurnal structure survives every seed: evening mean above night mean.
@@ -144,8 +162,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RtpSeedSweep, ::testing::Values(1u, 17u, 123u, 9
 
 TEST(DiscountSchedule, DefaultsToZero) {
   const DiscountSchedule s(10);
+  ASSERT_EQ(s.size(), 10u);
   for (std::size_t t = 0; t < 10; ++t) EXPECT_DOUBLE_EQ(s.at(t), 0.0);
-  EXPECT_EQ(s.num_discounted(), 0u);
 }
 
 TEST(DiscountSchedule, FromFlags) {
@@ -153,7 +171,7 @@ TEST(DiscountSchedule, FromFlags) {
   const auto s = DiscountSchedule::from_flags(flags, 0.25);
   EXPECT_DOUBLE_EQ(s.at(0), 0.25);
   EXPECT_DOUBLE_EQ(s.at(1), 0.0);
-  EXPECT_EQ(s.num_discounted(), 2u);
+  EXPECT_DOUBLE_EQ(s.at(2), 0.25);
 }
 
 TEST(DiscountSchedule, RejectsBadFraction) {
@@ -188,14 +206,16 @@ TEST(SellingPricePolicy, SeriesMatchesPerSlot) {
   sched.set(2, 0.2);
   const SellingPricePolicy policy(SellingConfig{}, sched);
   const std::vector<double> rtp = {50.0, 60.0, 70.0};
-  const auto series = policy.series(rtp);
+  std::vector<double> series;
+  policy.series_into(rtp, series);
   ASSERT_EQ(series.size(), 3u);
   for (std::size_t t = 0; t < 3; ++t) EXPECT_DOUBLE_EQ(series[t], policy.srtp(t, rtp[t]));
 }
 
 TEST(SellingPricePolicy, SeriesLengthMismatchThrows) {
   const SellingPricePolicy policy(SellingConfig{}, DiscountSchedule(3));
-  EXPECT_THROW(policy.series({1.0}), std::invalid_argument);
+  std::vector<double> series;
+  EXPECT_THROW(policy.series_into({1.0}, series), std::invalid_argument);
 }
 
 TEST(SellingPricePolicy, SeriesIntoMatchesSeriesAndReusesBuffers) {
@@ -203,9 +223,12 @@ TEST(SellingPricePolicy, SeriesIntoMatchesSeriesAndReusesBuffers) {
   schedule.set(2, 0.2);
   const SellingPricePolicy policy(SellingConfig{}, schedule);
   const std::vector<double> rtp = {40.0, 80.0, 120.0, 60.0};
-  const std::vector<double> fresh = policy.series(rtp);
+  std::vector<double> fresh;
+  policy.series_into(rtp, fresh);
+  for (std::size_t t = 0; t < rtp.size(); ++t) EXPECT_EQ(fresh[t], policy.srtp(t, rtp[t]));
 
-  std::vector<double> reused;
+  // A stale buffer of another length is overwritten whole.
+  std::vector<double> reused(9, -1.0);
   policy.series_into(rtp, reused);
   EXPECT_EQ(reused, fresh);
 
@@ -236,7 +259,8 @@ TEST(RtpGenerator, SeriesReplaysThePerSlotExpression) {
     for (double& x : load) x = load_rng.uniform(0.0, 1.0);
     for (const bool coupled : {false, true}) {
       RtpGenerator gen(cfg, Rng(5));
-      const std::vector<double> price = gen.generate(grid, coupled ? load : std::vector<double>{});
+      std::vector<double> price;
+      gen.generate_into(grid, coupled ? load : std::vector<double>{}, price);
       ASSERT_EQ(price.size(), grid.size());
       Rng draws(5);
       double ar = 0.0;

@@ -12,7 +12,9 @@ namespace {
 
 weather::WeatherSeries make_weather(std::size_t days = 2) {
   weather::WeatherGenerator gen(weather::WeatherConfig{}, Rng(77));
-  return gen.generate(TimeGrid(days, 24));
+  weather::WeatherSeries wx;
+  gen.generate_into(TimeGrid(days, 24), wx);
+  return wx;
 }
 
 // ---------------------------------------------------------------- PV
@@ -109,7 +111,8 @@ TEST(RenewablePlant, UrbanHasPvOnly) {
   const RenewablePlant plant(PlantConfig::urban());
   EXPECT_TRUE(plant.has_pv());
   EXPECT_FALSE(plant.has_wt());
-  const auto gen = plant.generate(make_weather());
+  GenerationSeries gen;
+  plant.generate_into(make_weather(), gen);
   EXPECT_GT(stats::sum(gen.pv_w), 0.0);
   EXPECT_DOUBLE_EQ(stats::sum(gen.wt_w), 0.0);
 }
@@ -118,52 +121,53 @@ TEST(RenewablePlant, RuralHasBoth) {
   const RenewablePlant plant(PlantConfig::rural());
   EXPECT_TRUE(plant.has_pv());
   EXPECT_TRUE(plant.has_wt());
-  const auto gen = plant.generate(make_weather(7));
+  GenerationSeries gen;
+  plant.generate_into(make_weather(7), gen);
   EXPECT_GT(stats::sum(gen.pv_w), 0.0);
   EXPECT_GT(stats::sum(gen.wt_w), 0.0);
 }
 
 TEST(RenewablePlant, NoneGeneratesNothing) {
   const RenewablePlant plant(PlantConfig::none());
-  const auto gen = plant.generate(make_weather());
-  EXPECT_DOUBLE_EQ(stats::sum(gen.total_w), 0.0);
-}
-
-TEST(RenewablePlant, TotalIsSumOfParts) {
-  const RenewablePlant plant(PlantConfig::rural());
-  const auto gen = plant.generate(make_weather());
-  for (std::size_t t = 0; t < gen.size(); ++t) {
-    EXPECT_NEAR(gen.total_w[t], gen.pv_w[t] + gen.wt_w[t], 1e-9);
-  }
+  GenerationSeries gen;
+  plant.generate_into(make_weather(), gen);
+  EXPECT_EQ(gen.size(), make_weather().size());
+  EXPECT_DOUBLE_EQ(stats::sum(gen.pv_w), 0.0);
+  EXPECT_DOUBLE_EQ(stats::sum(gen.wt_w), 0.0);
 }
 
 TEST(RenewablePlant, RuralOutGeneratesUrban) {
   const auto wx = make_weather(14);
-  const auto rural = RenewablePlant(PlantConfig::rural()).generate(wx);
-  const auto urban = RenewablePlant(PlantConfig::urban()).generate(wx);
-  EXPECT_GT(stats::sum(rural.total_w), stats::sum(urban.total_w));
+  GenerationSeries rural;
+  RenewablePlant(PlantConfig::rural()).generate_into(wx, rural);
+  GenerationSeries urban;
+  RenewablePlant(PlantConfig::urban()).generate_into(wx, urban);
+  EXPECT_GT(stats::sum(rural.pv_w) + stats::sum(rural.wt_w),
+            stats::sum(urban.pv_w) + stats::sum(urban.wt_w));
 }
 
 TEST(RenewablePlant, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const auto wx = make_weather(15);
   const RenewablePlant plant(PlantConfig::rural());
-  const GenerationSeries fresh = plant.generate(wx);
+  GenerationSeries fresh;
+  plant.generate_into(wx, fresh);
 
+  // Stale channels of another length are overwritten whole.
   GenerationSeries reused;
+  reused.pv_w.assign(7, -1.0);
+  reused.wt_w.assign(7, -1.0);
   plant.generate_into(wx, reused);
   EXPECT_EQ(reused.pv_w, fresh.pv_w);
   EXPECT_EQ(reused.wt_w, fresh.wt_w);
-  EXPECT_EQ(reused.total_w, fresh.total_w);
 
   // A second pass must reuse the channel buffers (no realloc).
   const double* pv_buf = reused.pv_w.data();
   const double* wt_buf = reused.wt_w.data();
-  const double* total_buf = reused.total_w.data();
   plant.generate_into(wx, reused);
   EXPECT_EQ(reused.pv_w.data(), pv_buf);
   EXPECT_EQ(reused.wt_w.data(), wt_buf);
-  EXPECT_EQ(reused.total_w.data(), total_buf);
-  EXPECT_EQ(reused.total_w, fresh.total_w);  // deterministic given weather
+  EXPECT_EQ(reused.pv_w, fresh.pv_w);  // deterministic given weather
+  EXPECT_EQ(reused.wt_w, fresh.wt_w);
 }
 
 }  // namespace

@@ -92,6 +92,13 @@ std::span<const double> row_span(const nn::Matrix& m, std::size_t r) {
 }
 
 // Every stateless policy family the service must serve bit-identically.
+// The serial oracle: the policy's decide() on each row, in row order.
+std::vector<std::size_t> decide_each_row(policy::Policy& policy, const nn::Matrix& obs) {
+  std::vector<std::size_t> actions(obs.rows());
+  for (std::size_t r = 0; r < obs.rows(); ++r) actions[r] = policy.decide(row_span(obs, r));
+  return actions;
+}
+
 std::vector<std::shared_ptr<policy::Policy>> stateless_policies() {
   std::vector<std::shared_ptr<policy::Policy>> out;
   out.push_back(std::make_shared<policy::NoBatteryPolicy>());
@@ -138,13 +145,12 @@ TEST(ServeBitIdentity, MatchesDecideBatchForEveryPolicyAcrossWindows) {
   };
 
   for (const auto& policy : stateless_policies()) {
-    std::vector<std::size_t> expected(obs.rows(), 0);
-    policy->decide_batch(obs, std::span<std::size_t>(expected));
+    const std::vector<std::size_t> expected = decide_each_row(*policy, obs);
     for (const ServiceConfig& cfg : configs) {
       DecisionService service(policy, layout.dim(), cfg);
       const std::vector<std::size_t> got = serve_all_rows(service, obs, 8);
       EXPECT_EQ(got, expected)
-          << policy->name() << " diverged from decide_batch at max_batch="
+          << policy->name() << " diverged from per-row decide at max_batch="
           << cfg.max_batch << " max_wait_us=" << cfg.max_wait_us;
       const ServiceStats stats = service.stats();
       EXPECT_EQ(stats.requests, obs.rows());
@@ -155,14 +161,13 @@ TEST(ServeBitIdentity, MatchesDecideBatchForEveryPolicyAcrossWindows) {
 }
 
 TEST(ServeBitIdentity, SingleSequentialClientIsBatchOfOne) {
-  // With one caller the service degenerates to decide_batch row by row; a
+  // With one caller the service degenerates to decide() row by row; a
   // zero wait window means no flush ever has a peer to wait for.
   const policy::ObservationLayout layout;
   Rng rng(11);
   const nn::Matrix obs = fake_obs_batch(layout, rng, 16);
   auto policy = std::make_shared<policy::TouPolicy>();
-  std::vector<std::size_t> expected(obs.rows(), 0);
-  policy->decide_batch(obs, std::span<std::size_t>(expected));
+  const std::vector<std::size_t> expected = decide_each_row(*policy, obs);
 
   DecisionService service(policy, layout.dim(), {.max_batch = 4, .max_wait_us = 0});
   for (std::size_t r = 0; r < obs.rows(); ++r) {
@@ -178,7 +183,7 @@ TEST(ServeBitIdentity, SingleSequentialClientIsBatchOfOne) {
 
 TEST(ServeConcurrency, ManyClientsStayDeterministicUnderContention) {
   // The TSan workhorse: sustained contention on one shared service, every
-  // thread checking each answer against the decide_batch oracle in place.
+  // thread checking each answer against the per-row decide oracle in place.
   const policy::ObservationLayout layout;
   Rng rng(23);
   const nn::Matrix obs = fake_obs_batch(layout, rng, 64);
@@ -186,8 +191,7 @@ TEST(ServeConcurrency, ManyClientsStayDeterministicUnderContention) {
   policy::DrlPolicyConfig cfg;
   cfg.state_dim = layout.dim();
   auto policy = std::make_shared<policy::DrlPolicy>(cfg, drl_rng);
-  std::vector<std::size_t> expected(obs.rows(), 0);
-  policy->decide_batch(obs, std::span<std::size_t>(expected));
+  const std::vector<std::size_t> expected = decide_each_row(*policy, obs);
 
   DecisionService service(policy, layout.dim(), {.max_batch = 8, .max_wait_us = 50});
   constexpr std::size_t kClients = 8;
@@ -223,8 +227,7 @@ TEST(ServeShutdown, DrainsInflightRequestsWithCorrectActions) {
   Rng rng(5);
   const nn::Matrix obs = fake_obs_batch(layout, rng, 6);
   auto policy = std::make_shared<policy::TouPolicy>();
-  std::vector<std::size_t> expected(obs.rows(), 0);
-  policy->decide_batch(obs, std::span<std::size_t>(expected));
+  const std::vector<std::size_t> expected = decide_each_row(*policy, obs);
 
   DecisionService service(policy, layout.dim(),
                           {.max_batch = 128, .max_wait_us = 3'600'000'000ULL});

@@ -398,10 +398,10 @@ TEST(AggregateReportShard, GroupStatsPlumbsCouplingColumns) {
   EXPECT_EQ(g.outage_slots, a.outage_slots + b.outage_slots);
   const TextTable table = report.scenario_table();
   EXPECT_EQ(table.num_cols(), 14u);
-  const std::string csv = table.csv();
-  EXPECT_NE(csv.find("through(kWh)"), std::string::npos);
-  EXPECT_NE(csv.find("spill-drop(kWh)"), std::string::npos);
-  EXPECT_NE(csv.find("outages"), std::string::npos);
+  const std::string text = table.str();
+  EXPECT_NE(text.find("through(kWh)"), std::string::npos);
+  EXPECT_NE(text.find("spill-drop(kWh)"), std::string::npos);
+  EXPECT_NE(text.find("outages"), std::string::npos);
 }
 
 TEST(AggregateReportShard, MergeIsBitExactForAnyGrouping) {

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -1030,6 +1031,112 @@ TEST(DrlZoo, DeterministicAcrossRunsAndCollectorThreads) {
   // Absolute pins of the trained weights: the zoo recipe must not drift.
   EXPECT_EQ(binio::fnv1a(a.specialists.at("urban").blob), 0x69850da45faeea89ULL);
   EXPECT_EQ(binio::fnv1a(a.generalist.blob), 0xc477568cee42f7b4ULL);
+}
+
+// ------------------------------------------------------------ per-slot physics
+
+// Counts of the coupling paths the physics runs exercised.
+struct PathCounts {
+  std::size_t slots = 0;
+  std::size_t outage_slots = 0;
+  std::size_t export_slots = 0;
+  std::size_t served_import_slots = 0;
+};
+
+// Steps one episode of `jobs` slot by slot, as the lockstep runner does:
+// each lane decides on its own observation, coupled lanes take the imports
+// routed to them and deposit their exports, and the CouplingBus exchanges at
+// the slot barrier.  After every step it checks the hub's physics:
+//  * the reserve floor (Eq. 6) - 1e-9 <= SoC <= soc_max + 1e-9;
+//  * the slot's grid cost in the ledger is >= 0;
+//  * that grid cost is Eq. 7's max(0, bs + cs + bp - renewables) x RTP x dt
+//    / 1000, with cs from the SlotCoupling outputs (0 in an outage) and bp
+//    from the SoC change.
+void check_physics_per_slot(std::vector<FleetJob> jobs, PathCounts& counts) {
+  std::vector<std::unique_ptr<core::EctHubEnv>> envs;
+  std::vector<std::unique_ptr<policy::Policy>> policies;
+  std::vector<std::vector<double>> states;
+  std::vector<std::vector<std::size_t>> neighbors;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].hub.seed = mix_seed(7, i);
+    envs.push_back(std::make_unique<core::EctHubEnv>(jobs[i].hub, jobs[i].env));
+    policies.push_back(make_policy(jobs[i].scheduler, mix_seed(11, i),
+                                   envs[i]->observation_layout(), jobs[i].checkpoint));
+    states.emplace_back(envs[i]->state_dim());
+    neighbors.push_back(jobs[i].neighbors);
+    envs[i]->reset_into(states[i]);
+    policies[i]->begin_episode();
+  }
+  CouplingBus bus(neighbors);
+  const std::size_t slots = envs.front()->slots_per_episode();
+  for (std::size_t t = 0; t < slots; ++t) {
+    for (std::size_t i = 0; i < envs.size(); ++i) {
+      core::EctHubEnv& env = *envs[i];
+      const std::string where = jobs[i].hub.name + " " + to_string(jobs[i].scheduler) +
+                                " slot " + std::to_string(t);
+      ASSERT_EQ(env.current_slot(), t) << where;
+      const std::size_t action = policies[i]->decide(states[i]);
+      const double soc_before = env.pack().soc_kwh();
+      const double grid_cost_before = env.ledger().total_grid_cost();
+      core::SlotCoupling c;
+      c.import_kw = bus.take(i);
+      (void)env.step_into(action, states[i], c);
+      bus.deposit(i, c.export_kw);
+
+      const battery::BatteryPack& pack = env.pack();
+      ASSERT_GE(pack.soc_kwh(), pack.reserve_floor_kwh() - 1e-9) << where;
+      ASSERT_LE(pack.soc_kwh(), pack.soc_max_kwh() + 1e-9) << where;
+      const double grid_cost = env.ledger().total_grid_cost() - grid_cost_before;
+      ASSERT_GE(grid_cost, 0.0) << where;
+
+      const double dt = 24.0 / static_cast<double>(jobs[i].env.slots_per_day);
+      const battery::BatteryConfig& bc = jobs[i].hub.battery;
+      const double d_soc = pack.soc_kwh() - soc_before;
+      const double bp_kw = d_soc >= 0.0 ? d_soc / (bc.charge_efficiency * dt)
+                                        : d_soc * bc.discharge_efficiency / dt;
+      const double cs_kw = c.outage ? 0.0
+                                    : env.cs_power_series()[t] + (c.through_kw - c.export_kw) +
+                                          c.served_import_kw;
+      const double grid_kw = std::max(
+          0.0, env.bs_power_series()[t] + cs_kw + bp_kw - env.renewable_series()[t]);
+      const double want = grid_kw * env.rtp_at(t) * dt / 1000.0;
+      // 1e-9 relative; the floor covers slots whose import cancels to ~0
+      // when discharge is throttled to the net load.
+      ASSERT_NEAR(grid_cost, want, 1e-9 * std::max(std::abs(want), 1e-3)) << where;
+
+      ++counts.slots;
+      if (c.outage) ++counts.outage_slots;
+      if (c.export_kw > 0.0) ++counts.export_slots;
+      if (c.served_import_kw > 0.0) ++counts.served_import_slots;
+    }
+    bus.exchange();
+  }
+}
+
+TEST(HubPhysics, EverySlotHoldsEq7AndTheSocBoundsAcrossScenariosAndSchedulers) {
+  const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
+  spatial::MetroConfig metro_cfg;
+  metro_cfg.num_hubs = 12;
+  const spatial::MetroMap metro(metro_cfg, 42);
+  PathCounts uncoupled, coupled;
+  for (const SchedulerKind kind : all_scheduler_kinds()) {
+    // kDrl runs a fixed-seed untrained actor: its actions are arbitrary,
+    // which is what a physics check wants.
+    const auto ckpt = kind == SchedulerKind::kDrl ? tiny_checkpoint() : nullptr;
+    check_physics_per_slot(make_fleet_jobs(reg, reg.keys(), 6, 2, kind, ckpt), uncoupled);
+    if (HasFatalFailure()) return;
+    std::vector<FleetJob> jobs = make_metro_fleet_jobs(metro, reg, reg.keys(), 2, kind, ckpt);
+    // A dense outage front, so the 2-day episodes include outage slots.
+    for (FleetJob& job : jobs) job.env.coupling.outage.rate_per_month = 60.0;
+    check_physics_per_slot(jobs, coupled);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(uncoupled.slots, 6u * 6u * 48u);
+  EXPECT_EQ(uncoupled.outage_slots + uncoupled.export_slots + uncoupled.served_import_slots, 0u);
+  EXPECT_EQ(coupled.slots, 6u * 12u * 48u);
+  EXPECT_GT(coupled.outage_slots, 0u);
+  EXPECT_GT(coupled.export_slots, 0u);
+  EXPECT_GT(coupled.served_import_slots, 0u);
 }
 
 TEST(DrlZoo, ValidatesInputs) {

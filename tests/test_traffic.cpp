@@ -75,7 +75,8 @@ TEST(TrafficGenerator, LoadRateStaysInBounds) {
   TrafficConfig cfg;
   TrafficGenerator gen(cfg, Rng(1));
   const TimeGrid grid(30, 24);
-  const TrafficTrace trace = gen.generate(grid);
+  TrafficTrace trace;
+  gen.generate_into(grid, trace);
   ASSERT_EQ(trace.load_rate.size(), grid.size());
   for (double a : trace.load_rate) {
     EXPECT_GE(a, cfg.min_load);
@@ -88,7 +89,8 @@ TEST(TrafficGenerator, VolumeProportionalToLoad) {
   cfg.peak_volume_gb = 200.0;
   TrafficGenerator gen(cfg, Rng(2));
   const TimeGrid grid(2, 24);
-  const TrafficTrace trace = gen.generate(grid);
+  TrafficTrace trace;
+  gen.generate_into(grid, trace);
   for (std::size_t t = 0; t < grid.size(); ++t) {
     EXPECT_NEAR(trace.volume_gb[t], trace.load_rate[t] * 200.0, 1e-9);
   }
@@ -97,8 +99,10 @@ TEST(TrafficGenerator, VolumeProportionalToLoad) {
 TEST(TrafficGenerator, DeterministicGivenSeed) {
   TrafficConfig cfg;
   const TimeGrid grid(7, 24);
-  const TrafficTrace a = TrafficGenerator(cfg, Rng(9)).generate(grid);
-  const TrafficTrace b = TrafficGenerator(cfg, Rng(9)).generate(grid);
+  TrafficTrace a;
+  TrafficGenerator(cfg, Rng(9)).generate_into(grid, a);
+  TrafficTrace b;
+  TrafficGenerator(cfg, Rng(9)).generate_into(grid, b);
   EXPECT_EQ(a.load_rate, b.load_rate);
 }
 
@@ -109,7 +113,8 @@ TEST(TrafficGenerator, DiurnalShapeSurvivesNoise) {
   cfg.area = AreaType::kResidential;
   TrafficGenerator gen(cfg, Rng(3));
   const TimeGrid grid(60, 24);
-  const TrafficTrace trace = gen.generate(grid);
+  TrafficTrace trace;
+  gen.generate_into(grid, trace);
   double evening = 0.0, night = 0.0;
   std::size_t ne = 0, nn = 0;
   for (std::size_t t = 0; t < grid.size(); ++t) {
@@ -133,7 +138,8 @@ TEST(TrafficGenerator, WeekendFactorReducesOfficeLoad) {
   cfg.noise_sigma = 0.0;  // isolate the deterministic effect
   TrafficGenerator gen(cfg, Rng(4));
   const TimeGrid grid(7, 24);
-  const TrafficTrace trace = gen.generate(grid);
+  TrafficTrace trace;
+  gen.generate_into(grid, trace);
   // Compare the same hour (10am) on a weekday vs Saturday.
   const double weekday = trace.load_rate[10];
   const double saturday = trace.load_rate[5 * 24 + 10];
@@ -146,7 +152,8 @@ TEST(TrafficGenerator, NoiseCreatesAutocorrelatedDeviations) {
   cfg.noise_sigma = 0.2;
   TrafficGenerator gen(cfg, Rng(5));
   const TimeGrid grid(90, 24);
-  const TrafficTrace trace = gen.generate(grid);
+  TrafficTrace trace;
+  gen.generate_into(grid, trace);
   EXPECT_GT(stats::autocorrelation(trace.load_rate, 1), 0.3);
 }
 
@@ -164,10 +171,14 @@ TEST(TrafficGenerator, RejectsBadConfig) {
 
 TEST(TrafficGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const TimeGrid grid(3, 24);
-  const TrafficTrace fresh = TrafficGenerator(TrafficConfig{}, Rng(31)).generate(grid);
+  TrafficTrace fresh;
+  TrafficGenerator(TrafficConfig{}, Rng(31)).generate_into(grid, fresh);
 
   TrafficGenerator gen(TrafficConfig{}, Rng(31));
+  // Stale buffers of another length are overwritten whole.
   TrafficTrace reused;
+  reused.load_rate.assign(7, -1.0);
+  reused.volume_gb.assign(7, -1.0);
   gen.generate_into(grid, reused);
   EXPECT_EQ(reused.load_rate, fresh.load_rate);
   EXPECT_EQ(reused.volume_gb, fresh.volume_gb);
@@ -189,7 +200,8 @@ TEST_P(AllAreasTest, GeneratesValidTraceForEveryArchetype) {
   cfg.area = GetParam();
   TrafficGenerator gen(cfg, Rng(6));
   const TimeGrid grid(14, 24);
-  const TrafficTrace trace = gen.generate(grid);
+  TrafficTrace trace;
+  gen.generate_into(grid, trace);
   EXPECT_EQ(trace.load_rate.size(), grid.size());
   EXPECT_GT(stats::mean(trace.load_rate), 0.05);
   EXPECT_LT(stats::mean(trace.load_rate), 0.95);
@@ -213,7 +225,8 @@ TEST(TrafficGenerator, TraceReplaysThePerSlotExpression) {
     for (const std::size_t spd : {24u, 96u, 7u}) {
       const TimeGrid grid(9, spd);  // spans a weekend
       TrafficGenerator gen(cfg, Rng(8));
-      const TrafficTrace trace = gen.generate(grid);
+      TrafficTrace trace;
+      gen.generate_into(grid, trace);
       ASSERT_EQ(trace.load_rate.size(), grid.size());
       Rng draws(8);
       double ar = 0.0;

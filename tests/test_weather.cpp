@@ -48,7 +48,8 @@ TEST(ClearSky, WinterDaysAreShorter) {
 TEST(SolarModel, SeriesNonNegativeAndBounded) {
   SolarModel model(SolarConfig{}, Rng(1));
   const TimeGrid grid(10, 24);
-  const auto ghi = model.generate(grid);
+  std::vector<double> ghi;
+  model.generate_into(grid, ghi);
   ASSERT_EQ(ghi.size(), grid.size());
   for (double g : ghi) {
     EXPECT_GE(g, 0.0);
@@ -59,7 +60,8 @@ TEST(SolarModel, SeriesNonNegativeAndBounded) {
 TEST(SolarModel, NightSlotsAreZero) {
   SolarModel model(SolarConfig{}, Rng(2));
   const TimeGrid grid(5, 24);
-  const auto ghi = model.generate(grid);
+  std::vector<double> ghi;
+  model.generate_into(grid, ghi);
   for (std::size_t t = 0; t < grid.size(); ++t) {
     if (grid.hour_of_day(t) < 4.0 || grid.hour_of_day(t) > 21.0) {
       EXPECT_DOUBLE_EQ(ghi[t], 0.0) << "slot " << t;
@@ -77,7 +79,8 @@ TEST(SolarModel, CloudsReduceEnergyVsClearSky) {
   cfg.cloud_switch_prob = 0.05;
   SolarModel model(cfg, Rng(3));
   const TimeGrid grid(30, 24);
-  const auto ghi = model.generate(grid);
+  std::vector<double> ghi;
+  model.generate_into(grid, ghi);
   double clear_total = 0.0;
   for (std::size_t t = 0; t < grid.size(); ++t) {
     clear_total += clear_sky_ghi(cfg, (cfg.start_day_of_year + grid.day_of(t)) % 365,
@@ -93,6 +96,11 @@ TEST(SolarModel, RejectsBadConfig) {
   SolarConfig bad2;
   bad2.cloud_switch_prob = 1.5;
   EXPECT_THROW(SolarModel(bad2, Rng(1)), std::invalid_argument);
+  SolarConfig sigma;
+  sigma.transmittance_sigma = -0.1;
+  EXPECT_THROW(SolarModel(sigma, Rng(1)), std::invalid_argument);
+  sigma.transmittance_sigma = 0.0;  // a fixed cloudy transmittance is valid
+  EXPECT_NO_THROW(SolarModel(sigma, Rng(1)));
 }
 
 // ---------------------------------------------------------------- wind
@@ -100,7 +108,8 @@ TEST(SolarModel, RejectsBadConfig) {
 TEST(WindModel, SpeedsWithinPhysicalBounds) {
   WindModel model(WindConfig{}, Rng(4));
   const TimeGrid grid(30, 24);
-  const auto speed = model.generate(grid);
+  std::vector<double> speed;
+  model.generate_into(grid, speed);
   for (double v : speed) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, WindConfig{}.max_speed_ms);
@@ -112,7 +121,8 @@ TEST(WindModel, MeanRevertsToConfiguredSpeed) {
   cfg.mean_speed_ms = 7.0;
   WindModel model(cfg, Rng(5));
   const TimeGrid grid(120, 24);
-  const auto speed = model.generate(grid);
+  std::vector<double> speed;
+  model.generate_into(grid, speed);
   EXPECT_NEAR(stats::mean(speed), 7.0, 1.2);
 }
 
@@ -120,14 +130,16 @@ TEST(WindModel, IsVolatile) {
   // The paper stresses renewable volatility; wind stddev must be material.
   WindModel model(WindConfig{}, Rng(6));
   const TimeGrid grid(60, 24);
-  const auto speed = model.generate(grid);
+  std::vector<double> speed;
+  model.generate_into(grid, speed);
   EXPECT_GT(stats::stddev(speed), 1.0);
 }
 
 TEST(WindModel, PersistentAcrossSlots) {
   WindModel model(WindConfig{}, Rng(7));
   const TimeGrid grid(60, 24);
-  const auto speed = model.generate(grid);
+  std::vector<double> speed;
+  model.generate_into(grid, speed);
   EXPECT_GT(stats::autocorrelation(speed, 1), 0.5);
 }
 
@@ -145,17 +157,28 @@ TEST(WindModel, RejectsBadConfig) {
 TEST(WeatherGenerator, AllChannelsShareGridLength) {
   WeatherGenerator gen(WeatherConfig{}, Rng(8));
   const TimeGrid grid(14, 24);
-  const WeatherSeries wx = gen.generate(grid);
+  WeatherSeries wx;
+  gen.generate_into(grid, wx);
   EXPECT_EQ(wx.ghi_wm2.size(), grid.size());
   EXPECT_EQ(wx.wind_speed_ms.size(), grid.size());
   EXPECT_EQ(wx.temperature_c.size(), grid.size());
   EXPECT_EQ(wx.size(), grid.size());
 }
 
+TEST(WeatherGenerator, RejectsNegativeTemperatureSigmaAndTakesZero) {
+  WeatherConfig cfg;
+  cfg.temp_noise_sigma = -1.0;
+  EXPECT_THROW(WeatherGenerator(cfg, Rng(1)), std::invalid_argument);
+  cfg.temp_noise_sigma = 0.0;
+  EXPECT_NO_THROW(WeatherGenerator(cfg, Rng(1)));
+}
+
 TEST(WeatherGenerator, DeterministicGivenSeed) {
   const TimeGrid grid(7, 24);
-  const WeatherSeries a = WeatherGenerator(WeatherConfig{}, Rng(9)).generate(grid);
-  const WeatherSeries b = WeatherGenerator(WeatherConfig{}, Rng(9)).generate(grid);
+  WeatherSeries a;
+  WeatherGenerator(WeatherConfig{}, Rng(9)).generate_into(grid, a);
+  WeatherSeries b;
+  WeatherGenerator(WeatherConfig{}, Rng(9)).generate_into(grid, b);
   EXPECT_EQ(a.ghi_wm2, b.ghi_wm2);
   EXPECT_EQ(a.wind_speed_ms, b.wind_speed_ms);
   EXPECT_EQ(a.temperature_c, b.temperature_c);
@@ -166,7 +189,8 @@ TEST(WeatherGenerator, TemperatureOscillatesAroundMean) {
   cfg.mean_temperature_c = 20.0;
   WeatherGenerator gen(cfg, Rng(10));
   const TimeGrid grid(60, 24);
-  const WeatherSeries wx = gen.generate(grid);
+  WeatherSeries wx;
+  gen.generate_into(grid, wx);
   EXPECT_NEAR(stats::mean(wx.temperature_c), 20.0, 1.0);
   EXPECT_GT(stats::stddev(wx.temperature_c), 1.0);
 }
@@ -176,7 +200,8 @@ TEST(WeatherGenerator, AfternoonWarmerThanNight) {
   cfg.temp_noise_sigma = 0.0;
   WeatherGenerator gen(cfg, Rng(11));
   const TimeGrid grid(10, 24);
-  const WeatherSeries wx = gen.generate(grid);
+  WeatherSeries wx;
+  gen.generate_into(grid, wx);
   double afternoon = 0, night = 0;
   std::size_t na = 0, nn = 0;
   for (std::size_t t = 0; t < grid.size(); ++t) {
@@ -197,10 +222,12 @@ TEST(WeatherGenerator, AfternoonWarmerThanNight) {
 
 TEST(SolarModel, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const TimeGrid grid(3, 24);
-  const auto fresh = SolarModel(SolarConfig{}, Rng(51)).generate(grid);
+  std::vector<double> fresh;
+  SolarModel(SolarConfig{}, Rng(51)).generate_into(grid, fresh);
 
   SolarModel model(SolarConfig{}, Rng(51));
-  std::vector<double> reused;
+  // A stale buffer of another length is overwritten whole.
+  std::vector<double> reused(7, -1.0);
   model.generate_into(grid, reused);
   EXPECT_EQ(reused, fresh);
 
@@ -216,10 +243,12 @@ TEST(SolarModel, GenerateIntoMatchesGenerateAndReusesBuffers) {
 
 TEST(WindModel, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const TimeGrid grid(3, 24);
-  const auto fresh = WindModel(WindConfig{}, Rng(52)).generate(grid);
+  std::vector<double> fresh;
+  WindModel(WindConfig{}, Rng(52)).generate_into(grid, fresh);
 
   WindModel model(WindConfig{}, Rng(52));
-  std::vector<double> reused;
+  // A stale buffer of another length is overwritten whole.
+  std::vector<double> reused(7, -1.0);
   model.generate_into(grid, reused);
   EXPECT_EQ(reused, fresh);
 
@@ -232,10 +261,15 @@ TEST(WindModel, GenerateIntoMatchesGenerateAndReusesBuffers) {
 
 TEST(WeatherGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
   const TimeGrid grid(3, 24);
-  const WeatherSeries fresh = WeatherGenerator(WeatherConfig{}, Rng(53)).generate(grid);
+  WeatherSeries fresh;
+  WeatherGenerator(WeatherConfig{}, Rng(53)).generate_into(grid, fresh);
 
   WeatherGenerator gen(WeatherConfig{}, Rng(53));
+  // Stale channels of another length are overwritten whole.
   WeatherSeries reused;
+  reused.ghi_wm2.assign(7, -1.0);
+  reused.wind_speed_ms.assign(7, -1.0);
+  reused.temperature_c.assign(7, -1.0);
   gen.generate_into(grid, reused);
   EXPECT_EQ(reused.ghi_wm2, fresh.ghi_wm2);
   EXPECT_EQ(reused.wind_speed_ms, fresh.wind_speed_ms);
@@ -262,7 +296,8 @@ TEST(WindModel, SeriesReplaysThePerSlotExpression) {
   for (const std::size_t spd : {24u, 96u, 7u}) {
     const TimeGrid grid(9, spd);
     WindModel model(cfg, Rng(4));
-    const std::vector<double> speed = model.generate(grid);
+    std::vector<double> speed;
+    model.generate_into(grid, speed);
     ASSERT_EQ(speed.size(), grid.size());
     Rng draws(4);
     double x = cfg.mean_speed_ms;
@@ -282,7 +317,8 @@ TEST(WeatherGenerator, TemperatureReplaysThePerSlotExpression) {
   for (const std::size_t spd : {24u, 96u, 7u}) {
     const TimeGrid grid(9, spd);
     WeatherGenerator gen(cfg, Rng(6));
-    const WeatherSeries wx = gen.generate(grid);
+    WeatherSeries wx;
+    gen.generate_into(grid, wx);
     ASSERT_EQ(wx.temperature_c.size(), grid.size());
     // The generator forks solar's stream, then wind's, then temperature's.
     Rng parent(6);
