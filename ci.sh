@@ -16,7 +16,10 @@ ctest --test-dir "${PREFIX}" --output-on-failure --no-tests=error -j "${JOBS}"
 # rerun the NN goldens, the zoo digests and nn/elementary's suite with the
 # AVX2 and FMA variants masked (what a CPU without them gets).  Not yet the
 # whole suite: the environment's own libm calls and Rng::normal still vary
-# under masking, and so does one training digest built on them.
+# under masking, and so does one training digest built on them.  The mask
+# reaches glibc's dispatch only: __builtin_cpu_supports still reports AVX2
+# and AVX-512F, so this run keeps the NN's widest lane width
+# (src/nn/lanes.hpp).  NnLanes.* in test_nn pins every width against W = 2.
 echo "    masked libm dispatch (glibc.cpu.hwcaps=-AVX2,-FMA)"
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA ctest --test-dir "${PREFIX}" \
   -R '^(NnGolden|DrlZoo|Elementary)\.' --output-on-failure --no-tests=error -j "${JOBS}"
@@ -87,7 +90,10 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      src/nn/matrix.cpp and src/nn/elementary.cpp are compiled again with
 #      job 1's own commands from compile_commands.json plus -mfma, which lets
 #      the compiler fuse wherever the build's flags allow it, and neither
-#      object may contain a fused multiply-add (vfmadd);
+#      object may contain a fused multiply-add (vfmadd).  Their wide entry
+#      points must also be wide: every W = 4 one (lanes::*_w<4>) must use
+#      ymm registers and every W = 8 one zmm, so a vector type that silently
+#      compiles narrower fails here instead of only losing speed;
 #  (e) no test-only modules: every src/**/*.hpp must be #included by some
 #      file under src, bench, examples, perfbench/src or tools other than
 #      its own .cpp.  It guards whole modules only; a dead function inside
@@ -122,6 +128,22 @@ EOF
     exit 1
   fi
   echo "    ${src} built with -mfma: no vfmadd"
+  for width_reg in 4:ymm 8:zmm; do
+    width="${width_reg%%:*}"
+    reg="${width_reg#*:}"
+    syms="$(nm "${FMA_O}" | awk -v tag="_wILm${width}E" '$2 == "T" && index($3, tag) { print $3 }')"
+    if [ -z "${syms}" ]; then
+      echo "FAIL: ${src} defines no W = ${width} entry point" >&2
+      exit 1
+    fi
+    for sym in ${syms}; do
+      if ! objdump -d --disassemble="${sym}" "${FMA_O}" | grep -q "%${reg}"; then
+        echo "FAIL: ${src}: ${sym} (W = ${width}) uses no ${reg} register" >&2
+        exit 1
+      fi
+    done
+  done
+  echo "    ${src}: its W = 4 entry points use ymm, its W = 8 ones zmm"
 done
 
 ORPHANS=0

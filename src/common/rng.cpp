@@ -34,7 +34,12 @@ double Rng::normal(double mean, double stddev) {
 }
 
 bool Rng::bernoulli(double p) {
-  if (p <= 0.0) return false;
+  // NaN fails `p > 0` and `p <= 0` both; a p in (0, 1) still takes two
+  // compares to reach the draw.
+  if (!(p > 0.0)) {
+    if (p <= 0.0) return false;
+    throw std::invalid_argument("Rng::bernoulli: p is NaN");
+  }
   if (p >= 1.0) return true;
   std::bernoulli_distribution d(p);
   return d(engine_);

@@ -35,7 +35,8 @@ class Rng {
   /// `mean`); callers' configs reject a negative one.
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Bernoulli draw.
+  /// Bernoulli draw: false for p <= 0 and true for p >= 1, without drawing.
+  /// Throws std::invalid_argument, without drawing, when p is NaN.
   bool bernoulli(double p);
 
   /// Poisson draw with the given mean (mean <= 0 yields 0).

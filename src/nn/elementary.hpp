@@ -8,12 +8,15 @@
 // same input gives the same bits on every x86-64 host (the build compiles
 // with -ffp-contract=off, so no multiply-add is ever fused).
 //
-// Every function is one lane code over two-double vectors.  tanh_inplace
-// runs it over a span two elements at a time; the scalar functions run one
-// lane of it, so tanh(x) is bit-identical to the element tanh_inplace
-// computes for x at any position of any span.  Accuracy (tests/test_nn.cpp,
-// suite Elementary) is within 2 ULP of a long double reference over the
-// whole domain.
+// Every function is lane code over vectors of doubles: tanh's is written
+// once for any width W (nn/lanes.hpp), exp's and log's for W = 2.
+// tanh_inplace runs tanh's over a span W elements at a time at the widest
+// width the CPU supports (W = 8 with AVX-512F, 4 with AVX2, else 2), picked
+// once before main; the scalar functions run one lane of the W = 2 code.
+// Lanes never mix, so tanh(x) is bit-identical to the element tanh_inplace
+// computes for x at any position of any span, at any width.  Accuracy
+// (tests/test_nn.cpp, suite Elementary) is within 2 ULP of a long double
+// reference over the whole domain.
 //
 // Call them qualified (nn::elementary::tanh): ecthub_lint's determinism/libm
 // rule flags unqualified and std:: calls of the libm names in src/nn and

@@ -1,7 +1,8 @@
 #include "nn/matrix.hpp"
 
+#include "nn/lanes.hpp"
+
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace ecthub::nn {
@@ -44,82 +45,41 @@ void Matrix::resize_zeroed(std::size_t rows, std::size_t cols) {
   data_.assign(rows * cols, 0.0);  // keeps capacity: no realloc once warm
 }
 
+// The per-width entry points of the GEMM (nn/lanes.hpp): one lane body,
+// compiled for each width's instruction set.
+namespace lanes {
+
+template <>
+void matmul_rows_w<2>(const double* a, const double* b, double* out, std::size_t row_begin,
+                      std::size_t row_end, std::size_t inner, std::size_t cols) {
+  matmul_rows<2>(a, b, out, row_begin, row_end, inner, cols);
+}
+
+template <>
+[[gnu::target("avx2")]] void matmul_rows_w<4>(const double* a, const double* b, double* out,
+                                              std::size_t row_begin, std::size_t row_end,
+                                              std::size_t inner, std::size_t cols) {
+  matmul_rows<4>(a, b, out, row_begin, row_end, inner, cols);
+}
+
+template <>
+[[gnu::target("avx512f")]] void matmul_rows_w<8>(const double* a, const double* b, double* out,
+                                                 std::size_t row_begin, std::size_t row_end,
+                                                 std::size_t inner, std::size_t cols) {
+  matmul_rows<8>(a, b, out, row_begin, row_end, inner, cols);
+}
+
+}  // namespace lanes
+
 namespace {
 
-// Two doubles per vector: an SSE2 xmm register on x86-64.  Elementwise vector
-// arithmetic rounds every lane exactly like the scalar operation, and a tile
-// only decides which output elements share registers, never the order of an
-// element's sum.
-using Vec = double __attribute__((vector_size(2 * sizeof(double))));
-constexpr std::size_t kLanes = sizeof(Vec) / sizeof(double);
-constexpr std::size_t kTileCols = 2 * kLanes;  // two vectors per tile row
+using MatmulRows = void (*)(const double*, const double*, double*, std::size_t, std::size_t,
+                            std::size_t, std::size_t);
 
-// A Rows x kTileCols tile of out at column j: a points at A(i, 0), out at
-// out(i, 0).  Each element's accumulator starts at +0.0 and adds
-// a(i, k) * b(k, j) for k ascending, so with inner == 0 the tile stores
-// +0.0.  b is offset only inside the k loop because it may be null when
-// inner == 0 (an empty matrix owns no storage).  The unroll pragmas keep
-// the accumulator arrays in registers: GCC -O2 leaves these loops rolled
-// and the arrays on the stack.
-template <std::size_t Rows>
-void wide_tile(const double* a, const double* b, double* out, std::size_t j, std::size_t inner,
-               std::size_t cols) {
-  Vec lo[Rows] = {};
-  Vec hi[Rows] = {};
-  for (std::size_t k = 0; k < inner; ++k) {
-    Vec b_lo;
-    Vec b_hi;
-    std::memcpy(&b_lo, b + k * cols + j, sizeof b_lo);
-    std::memcpy(&b_hi, b + k * cols + j + kLanes, sizeof b_hi);
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < Rows; ++r) {
-      const double av = a[r * inner + k];
-      lo[r] += av * b_lo;
-      hi[r] += av * b_hi;
-    }
-  }
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < Rows; ++r) {
-    std::memcpy(out + r * cols + j, &lo[r], sizeof lo[r]);
-    std::memcpy(out + r * cols + j + kLanes, &hi[r], sizeof hi[r]);
-  }
-}
-
-// The Rows x 1 tile at column j of a ragged right edge, same accumulation.
-template <std::size_t Rows>
-void narrow_tile(const double* a, const double* b, double* out, std::size_t j,
-                 std::size_t inner, std::size_t cols) {
-  double acc[Rows] = {};
-  for (std::size_t k = 0; k < inner; ++k) {
-    const double bv = b[k * cols + j];
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < Rows; ++r) acc[r] += a[r * inner + k] * bv;
-  }
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < Rows; ++r) out[r * cols + j] = acc[r];
-}
-
-template <std::size_t Rows>
-void row_block(const double* a, const double* b, double* out, std::size_t inner,
-               std::size_t cols) {
-  std::size_t j = 0;
-  for (; j + kTileCols <= cols; j += kTileCols) wide_tile<Rows>(a, b, out, j, inner, cols);
-  for (; j < cols; ++j) narrow_tile<Rows>(a, b, out, j, inner, cols);
-}
-
-// out(i - row_begin, j) = sum_k a(i, k) * b(k, j) for i in [row_begin,
-// row_end): 4-row blocks, then single rows at the ragged bottom edge.  Every
-// element of out is written.
-void matmul_kernel(const double* a, const double* b, double* out, std::size_t row_begin,
-                   std::size_t row_end, std::size_t inner, std::size_t cols) {
-  std::size_t i = row_begin;
-  for (; i + 4 <= row_end; i += 4) {
-    row_block<4>(a + i * inner, b, out + (i - row_begin) * cols, inner, cols);
-  }
-  for (; i < row_end; ++i) {
-    row_block<1>(a + i * inner, b, out + (i - row_begin) * cols, inner, cols);
-  }
-}
+// The widest instantiation this CPU runs, bound before main.
+const MatmulRows matmul_kernel =
+    lanes::widest<MatmulRows>(&lanes::matmul_rows_w<2>, &lanes::matmul_rows_w<4>,
+                              &lanes::matmul_rows_w<8>);
 
 }  // namespace
 

@@ -5,14 +5,19 @@
 // matrix with cache-friendly row-major loops is fast enough at CPU scale
 // and keeps the numerics transparent for testing.
 //
-// matmul has one kernel, register-tiled: 4-row blocks of 4-column tiles
-// (two 2-lane vectors per row), with single rows and single columns at the
-// ragged edges.  The contract: every output element starts at +0.0 and adds
-// its a(i, k) * b(k, j) terms for k ascending, one rounding per multiply and
-// one per add, whatever the shape or tile — the property that lets a
+// matmul has one kernel, register-tiled and written once over W-double
+// vectors (nn/lanes.hpp): 4-row blocks of 2W-column tiles (two W-lane
+// vectors per row), a right edge that steps down one tile width at a time
+// to the 4-column tile of W = 2, and single rows and single columns at the
+// ragged edges.  It is compiled at W = 2 (SSE2), 4 (AVX2) and 8 (AVX-512F);
+// each process runs the widest one its CPU supports, picked once before
+// main.  The contract: every output element starts at +0.0 and adds its
+// a(i, k) * b(k, j) terms for k ascending, one rounding per multiply and
+// one per add, whatever the shape, tile or width — the property that lets a
 // batched fleet GEMM reproduce per-hub matrix-vector forwards exactly
-// (tests/test_nn.cpp pins it over a randomized shape sweep).  The project
-// builds with -ffp-contract=off so that no build fuses the multiply-add.
+// (tests/test_nn.cpp pins it over a randomized shape sweep, and every width
+// against W = 2).  The project builds with -ffp-contract=off so that no
+// build fuses the multiply-add.
 // The right-hand operand must be finite: zero entries of the left one are
 // multiplied, not skipped, and 0 * inf is NaN (load_parameters rejects
 // non-finite weights).  Row-range products (matmul_rows_into) compute a

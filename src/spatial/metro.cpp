@@ -24,14 +24,15 @@ MetroConfig MetroMap::validated(MetroConfig cfg) {
   if (cfg.survey_stations == 0) {
     throw std::invalid_argument("MetroConfig: survey_stations == 0");
   }
-  if (cfg.density_radius_km <= 0.0) {
-    throw std::invalid_argument("MetroConfig: density_radius_km <= 0");
+  // Written so that NaN fails.
+  if (!(std::isfinite(cfg.density_radius_km) && cfg.density_radius_km > 0.0)) {
+    throw std::invalid_argument("MetroConfig: density_radius_km must be finite and > 0");
   }
-  if (cfg.urban_fraction < 0.0 || cfg.urban_fraction > 1.0) {
+  if (!(cfg.urban_fraction >= 0.0 && cfg.urban_fraction <= 1.0)) {
     throw std::invalid_argument("MetroConfig: urban_fraction out of [0, 1]");
   }
-  if (cfg.detour_factor < 1.0) {
-    throw std::invalid_argument("MetroConfig: detour_factor < 1");
+  if (!(std::isfinite(cfg.detour_factor) && cfg.detour_factor >= 1.0)) {
+    throw std::invalid_argument("MetroConfig: detour_factor must be finite and >= 1");
   }
   return cfg;
 }

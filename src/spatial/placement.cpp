@@ -3,14 +3,19 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace ecthub::spatial {
 
 BsPlacement::BsPlacement(PlacementConfig cfg, const RoadNetwork& roads, Rng rng) : cfg_(cfg) {
   if (cfg_.num_stations == 0) throw std::invalid_argument("PlacementConfig: num_stations == 0");
-  if (cfg_.road_biased_fraction < 0.0 || cfg_.road_biased_fraction > 1.0) {
+  // Written so that NaN fails.
+  if (!(cfg_.road_biased_fraction >= 0.0 && cfg_.road_biased_fraction <= 1.0)) {
     throw std::invalid_argument("PlacementConfig: road_biased_fraction out of [0, 1]");
+  }
+  if (!(std::isfinite(cfg_.road_jitter_km) && cfg_.road_jitter_km >= 0.0)) {
+    throw std::invalid_argument("PlacementConfig: road_jitter_km must be finite and >= 0");
   }
   const double region = roads.config().region_km;
   const auto& segments = roads.segments();

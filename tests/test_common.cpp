@@ -174,6 +174,19 @@ TEST(Rng, BernoulliEdgeCases) {
   EXPECT_TRUE(rng.bernoulli(1.0));
 }
 
+TEST(Rng, BernoulliRejectsNanWithoutDrawing) {
+  // A NaN p used to pass both guards and reach std::bernoulli_distribution,
+  // whose precondition check aborts under _GLIBCXX_ASSERTIONS.
+  Rng rng(3);
+  const Rng untouched = rng;
+  for (const double nan : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW((void)rng.bernoulli(nan), std::invalid_argument);
+  }
+  Rng expected = untouched;
+  EXPECT_EQ(rng.uniform(), expected.uniform());
+}
+
 TEST(Rng, PoissonMean) {
   Rng rng(5);
   double acc = 0.0;

@@ -2,6 +2,7 @@
 // verified against central finite differences — the property that keeps the
 // hand-written backprop in ECT-Price and PPO trustworthy.
 #include "nn/elementary.hpp"
+#include "nn/lanes.hpp"
 #include "nn/layers.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
@@ -671,11 +672,12 @@ TEST(Elementary, TanhIsOddBitForBitAndBounded) {
 }
 
 TEST(Elementary, TanhInplaceEqualsScalarTanhBitForBit) {
-  // Every span length through 9 (whole vectors and a scalar tail) at even
-  // and odd element offsets; elements outside the span stay untouched.
-  const std::vector<double> inputs = uniform_inputs(-6.0, 6.0, 16, 106);
+  // Every span length through 19 (two 8-wide vectors, then the step down
+  // through 4- and 2-wide vectors to a scalar tail) at even and odd element
+  // offsets; elements outside the span stay untouched.
+  const std::vector<double> inputs = uniform_inputs(-6.0, 6.0, 24, 106);
   for (std::size_t offset : {0u, 1u, 3u}) {
-    for (std::size_t len = 0; len <= 9; ++len) {
+    for (std::size_t len = 0; len <= 19; ++len) {
       std::vector<double> buf = inputs;
       elementary::tanh_inplace(std::span<double>(buf.data() + offset, len));
       for (std::size_t i = 0; i < buf.size(); ++i) {
@@ -710,6 +712,186 @@ TEST(Elementary, PowiIsExactAtOneAndTracksPowl) {
     }
     EXPECT_LE(worst, 1e-9) << "beta " << beta << " t " << worst_t;
   }
+}
+
+// ---------------------------------------------------------------- lanes
+//
+// Every width's entry point, called directly, against the W = 2 baseline
+// bit for bit; tanh_inplace and matmul_rows_into run only the widest one
+// this CPU supports, so these suites are what pin the others.
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Inputs where tanh's lane code changes path: the sweep above, signed
+/// zeros, subnormals, infinities, NaNs (payloads included), the clamp near
+/// 19.07 and 20, and the points (m + 1/2) ln2 / 2 where k steps.
+std::vector<double> tanh_lane_inputs() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  std::vector<double> xs = tanh_sweep();
+  for (const double x : {0.0, -0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::signaling_NaN(),
+                         std::bit_cast<double>(0x7ff8000000000400ULL),
+                         std::bit_cast<double>(0xfff0000000000001ULL), kTiny,
+                         std::numeric_limits<double>::min(), std::numeric_limits<double>::max()}) {
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  for (double x = kTiny; x < 0x1p-1022; x *= 3.0) {
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  std::vector<double> centres = {19.0, 19.06, 19.07, 19.08, 20.0};
+  for (int m = 0; m < 60; ++m) centres.push_back((m + 0.5) * 0x1.62e42fefa39efp-2);
+  for (const double c : centres) {
+    double up = c;
+    double down = c;
+    for (int step = 0; step < 2000; ++step) {
+      for (const double x : {up, down}) {
+        xs.push_back(x);
+        xs.push_back(-x);
+      }
+      up = std::nextafter(up, kInf);
+      down = std::nextafter(down, -kInf);
+    }
+  }
+  return xs;
+}
+
+/// tanh_span_w<W> over the inputs matches tanh_span_w<2> bit for bit: in
+/// one call, in chunks of every length through 3W + 1 (so every lane
+/// position and every step-down tail runs), and on short spans at every
+/// offset, which must leave the elements around them untouched.
+template <std::size_t W>
+void expect_tanh_width_matches_baseline() {
+  const std::vector<double> xs = tanh_lane_inputs();
+  ASSERT_GE(xs.size(), 1'000'000u);
+  std::vector<double> want = xs;
+  lanes::tanh_span_w<2>(want.data(), want.size());
+
+  auto compare = [&](const std::vector<double>& got, const char* how) {
+    std::size_t mismatches = 0;
+    std::size_t first = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      if (bits(got[i]) == bits(want[i])) continue;
+      if (mismatches++ == 0) first = i;
+    }
+    EXPECT_EQ(mismatches, 0u) << "width " << W << ", " << how << ": first at x = " << xs[first]
+                              << " (bits " << std::hex << bits(xs[first]) << ")";
+  };
+  std::vector<double> got = xs;
+  lanes::tanh_span_w<W>(got.data(), got.size());
+  compare(got, "one span");
+
+  got = xs;
+  for (std::size_t i = 0, chunk = 0; i < got.size(); ++chunk) {
+    const std::size_t len = std::min(got.size() - i, chunk % (3 * W + 2));
+    lanes::tanh_span_w<W>(got.data() + i, len);
+    i += len;
+  }
+  compare(got, "chunks");
+
+  const std::size_t span_max = 3 * W + 1;
+  for (std::size_t offset = 0; offset < W; ++offset) {
+    for (std::size_t len = 0; len <= span_max; ++len) {
+      std::vector<double> buf(xs.begin(), xs.begin() + static_cast<std::ptrdiff_t>(W + span_max + 1));
+      lanes::tanh_span_w<W>(buf.data() + offset, len);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        const bool inside = i >= offset && i < offset + len;
+        ASSERT_EQ(bits(buf[i]), bits(inside ? want[i] : xs[i]))
+            << "width " << W << ", offset " << offset << " len " << len << " i " << i;
+      }
+    }
+  }
+}
+
+TEST(NnLanes, TanhAtWidth2IsScalarTanhBitForBit) {
+  const std::vector<double> xs = tanh_lane_inputs();
+  std::vector<double> got = xs;
+  lanes::tanh_span_w<2>(got.data(), got.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (bits(got[i]) != bits(elementary::tanh(xs[i]))) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  expect_tanh_width_matches_baseline<2>();
+}
+
+TEST(NnLanes, TanhAtWidth4MatchesWidth2BitForBit) {
+  if (lanes::host_width() < 4) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_tanh_width_matches_baseline<4>();
+}
+
+TEST(NnLanes, TanhAtWidth8MatchesWidth2BitForBit) {
+  if (lanes::host_width() < 8) GTEST_SKIP() << "this CPU has no AVX-512F";
+  expect_tanh_width_matches_baseline<8>();
+}
+
+/// matmul_rows_w<W> matches matmul_rows_w<2> bit for bit over the shapes of
+/// Matrix.MatmulMatchesReferenceAcrossRandomizedShapes and the actor's
+/// 33x64, 64x32 and 32x3 layers: the full product, and row ranges that
+/// start and end off a 4-row block, each written into NaN so that an
+/// element the kernel skips shows up.
+template <std::size_t W>
+void expect_matmul_width_matches_baseline() {
+  struct Shape {
+    std::size_t rows, inner, cols;
+  };
+  std::vector<Shape> shapes;
+  for (const std::size_t rows : {0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 64, 129}) {
+    for (const std::size_t inner : {0, 1, 3, 33, 64}) {
+      for (const std::size_t cols : {1, 3, 4, 5, 7, 8, 9, 33, 64, 127, 128, 129, 200}) {
+        shapes.push_back({rows, inner, cols});
+      }
+    }
+  }
+  for (const std::size_t rows : {1, 47, 48, 49, 192}) {
+    for (const Shape layer : {Shape{0, 33, 64}, Shape{0, 64, 32}, Shape{0, 32, 3}}) {
+      shapes.push_back({rows, layer.inner, layer.cols});
+    }
+  }
+  Rng rng(20261019);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const Shape& s : shapes) {
+    Matrix a(s.rows, s.inner);
+    Matrix b(s.inner, s.cols);
+    for (double& x : a.data()) {
+      x = rng.uniform(0.0, 1.0) < 0.15 ? 0.0 : rng.normal(0.0, 1.0);
+    }
+    for (double& x : b.data()) x = rng.normal(0.0, 1.0);
+    std::vector<double> want(s.rows * s.cols, kNan);
+    lanes::matmul_rows_w<2>(a.data().data(), b.data().data(), want.data(), 0, s.rows, s.inner,
+                            s.cols);
+    std::vector<std::size_t> begins = {0};
+    std::vector<std::size_t> ends = {s.rows};
+    if (s.rows >= 5) {
+      begins.insert(begins.end(), {1, 3});
+      ends.insert(ends.end(), {s.rows - 1, s.rows - 2});
+    }
+    for (const std::size_t begin : begins) {
+      for (const std::size_t end : ends) {
+        std::vector<double> got((end - begin) * s.cols, kNan);
+        lanes::matmul_rows_w<W>(a.data().data(), b.data().data(), got.data(), begin, end,
+                                s.inner, s.cols);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(bits(got[i]), bits(want[begin * s.cols + i]))
+              << "width " << W << ", " << s.rows << "x" << s.inner << " * " << s.inner << "x"
+              << s.cols << ", rows [" << begin << ", " << end << "), element " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(NnLanes, MatmulAtWidth4MatchesWidth2BitForBit) {
+  if (lanes::host_width() < 4) GTEST_SKIP() << "this CPU has no AVX2";
+  expect_matmul_width_matches_baseline<4>();
+}
+
+TEST(NnLanes, MatmulAtWidth8MatchesWidth2BitForBit) {
+  if (lanes::host_width() < 8) GTEST_SKIP() << "this CPU has no AVX-512F";
+  expect_matmul_width_matches_baseline<8>();
 }
 
 TEST(Dense, ConstParameterViewsAliasTheWeights) {

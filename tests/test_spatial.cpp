@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <limits>
 
 namespace ecthub::spatial {
 namespace {
@@ -122,6 +123,19 @@ TEST(BsPlacement, Validation) {
   PlacementConfig bad2;
   bad2.road_biased_fraction = 1.5;
   EXPECT_THROW(BsPlacement(bad2, net, Rng(17)), std::invalid_argument);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  PlacementConfig nan_fraction;
+  nan_fraction.road_biased_fraction = kNan;
+  EXPECT_THROW(BsPlacement(nan_fraction, net, Rng(17)), std::invalid_argument);
+  for (const double jitter : {-3.0, kNan, kInf}) {
+    PlacementConfig bad_jitter;
+    bad_jitter.road_jitter_km = jitter;
+    EXPECT_THROW(BsPlacement(bad_jitter, net, Rng(17)), std::invalid_argument) << jitter;
+  }
+  PlacementConfig no_jitter;  // stations sit on their roads
+  no_jitter.road_jitter_km = 0.0;
+  EXPECT_NO_THROW(BsPlacement(no_jitter, net, Rng(17)));
   PlacementConfig ok;
   const BsPlacement placement(ok, net, Rng(18));
   EXPECT_THROW((void)placement.overlap_stats(net, 0, Rng(19)), std::invalid_argument);
@@ -242,6 +256,30 @@ TEST(MetroMap, Validation) {
   MetroConfig bad4;
   bad4.detour_factor = 0.5;
   EXPECT_THROW(MetroMap(bad4, 1), std::invalid_argument);
+  // NaN fails every < and > test, so each check is written to reject it.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double radius : {0.0, -1.0, kNan, kInf}) {
+    MetroConfig bad_radius;
+    bad_radius.density_radius_km = radius;
+    EXPECT_THROW(MetroMap(bad_radius, 1), std::invalid_argument) << radius;
+  }
+  MetroConfig nan_urban;
+  nan_urban.urban_fraction = kNan;
+  EXPECT_THROW(MetroMap(nan_urban, 1), std::invalid_argument);
+  for (const double detour : {kNan, kInf}) {
+    MetroConfig bad_detour;
+    bad_detour.detour_factor = detour;
+    EXPECT_THROW(MetroMap(bad_detour, 1), std::invalid_argument) << detour;
+  }
+  for (const double fraction : {kNan, -0.1}) {
+    MetroConfig bad_fraction;  // reaches BsPlacement's check
+    bad_fraction.road_biased_fraction = fraction;
+    EXPECT_THROW(MetroMap(bad_fraction, 1), std::invalid_argument) << fraction;
+  }
+  MetroConfig bad_jitter;
+  bad_jitter.road_jitter_km = kNan;
+  EXPECT_THROW(MetroMap(bad_jitter, 1), std::invalid_argument);
 }
 
 }  // namespace
