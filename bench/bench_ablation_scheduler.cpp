@@ -25,7 +25,7 @@ double mean_profit(ecthub::core::EctHubEnv& env, ecthub::policy::Policy& pol,
 static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const std::size_t episodes = flags.get_size("episodes", 5);
+  const std::size_t episodes = flags.get_count("episodes", 5);
 
   std::cout << "=== Ablation: scheduler, renewables and reserve choices ===\n\n";
 

@@ -83,9 +83,9 @@ inline core::DrlFleetTrainConfig make_drl_config(const CliFlags& flags) {
   return cfg;
 }
 
-/// Greedy test episodes per trained actor: --test-episodes (3).
+/// Greedy test episodes per trained actor: --test-episodes (3, >= 1).
 inline std::size_t test_episodes(const CliFlags& flags) {
-  return flags.get_size("test-episodes", 3);
+  return flags.get_count("test-episodes", 3);
 }
 
 /// Aligns each fleet hub's EV behaviour with the dataset station whose

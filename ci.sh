@@ -15,8 +15,9 @@ ctest --test-dir "${PREFIX}" --output-on-failure --no-tests=error -j "${JOBS}"
 # The NN's bits must not depend on which libm variants glibc dispatches to:
 # rerun the NN goldens, the zoo digests and nn/elementary's suite with the
 # AVX2 and FMA variants masked (what a CPU without them gets).  Not yet the
-# whole suite: the environment's own libm calls and Rng::normal still vary
-# under masking, and so does one training digest built on them.  The mask
+# whole suite: the environment's own libm calls still vary under masking, and
+# so does Rng, though only through its libm calls (log; poisson's exp and
+# lgamma), and so does one training digest built on them.  The mask
 # reaches glibc's dispatch only: __builtin_cpu_supports still reports AVX2
 # and AVX-512F, so this run keeps the NN's widest lane width
 # (src/nn/lanes.hpp).  NnLanes.* in test_nn pins every width against W = 2.
@@ -37,9 +38,10 @@ ctest --test-dir "${PREFIX}" -R '^bench\.' --output-on-failure --no-tests=error 
 
 # Job 3 runs the tier-1 suite under ASan + UBSan (float-cast-overflow
 # included) and libstdc++'s own checks (-D_GLIBCXX_ASSERTIONS: bounds of
-# operator[], the preconditions of <random>'s distributions) in a separate
-# tree: the fleet runner executes hubs across a thread pool, so every push
-# exercises the threaded code under the sanitizers.
+# operator[] and the like; Rng checks its own parameters with typed errors
+# in every build) in a separate tree: the fleet runner executes hubs across
+# a thread pool, so every push exercises the threaded code under the
+# sanitizers.
 echo "==> Job 3: ASan+UBSan+_GLIBCXX_ASSERTIONS tier-1"
 cmake -B "${PREFIX}-asan" -S . -DECTHUB_SANITIZE=ON -DECTHUB_BUILD_BENCH=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo

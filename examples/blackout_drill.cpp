@@ -18,7 +18,7 @@
 static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const std::size_t trials = flags.get_size("trials", 500);
+  const std::size_t trials = flags.get_count("trials", 500);
   const double recovery_h = flags.get_double("recovery-hours", 4.0);
   flags.check_unknown();
 
@@ -26,10 +26,6 @@ static int run(int argc, char** argv) {
   const core::HubConfig hub = core::HubConfig::urban("DrillHub", 99);
   const TimeGrid grid(14, 24);
   const double trace_h = static_cast<double>(grid.size()) * grid.slot_hours();
-  if (trials == 0) {
-    std::cerr << "blackout_drill: --trials must be >= 1\n";
-    return 1;
-  }
   if (!(recovery_h > 0.0 && recovery_h <= trace_h)) {
     std::cerr << "blackout_drill: --recovery-hours must be in (0, " << trace_h
               << "], the length of the load trace\n";

@@ -190,24 +190,16 @@ static int run(int argc, char** argv) {
   const sim::ScenarioRegistry registry = sim::ScenarioRegistry::with_builtins();
   const bool list_mode = flags.get_bool("list");
 
-  const auto require_positive = [&](const char* name, std::size_t def) {
-    const std::size_t v = flags.get_size(name, def);
-    if (v == 0) {
-      std::cerr << "city_sweep: --" << name << " must be >= 1\n";
-      std::exit(1);
-    }
-    return v;
-  };
-  const std::size_t hubs_per_scenario = require_positive("hubs-per-scenario", 2);
-  const std::size_t days = require_positive("days", 7);
-  const std::size_t episodes = require_positive("episodes", 1);
-  const std::size_t drl_iters = require_positive("drl-iters", 4);
-  const std::size_t drl_hubs = require_positive("drl-hubs", 1);
+  const std::size_t hubs_per_scenario = flags.get_count("hubs-per-scenario", 2);
+  const std::size_t days = flags.get_count("days", 7);
+  const std::size_t episodes = flags.get_count("episodes", 1);
+  const std::size_t drl_iters = flags.get_count("drl-iters", 4);
+  const std::size_t drl_hubs = flags.get_count("drl-hubs", 1);
   const std::size_t drl_threads = flags.get_size("drl-threads", 1);  // 0 = hardware concurrency
   const std::size_t threads = flags.get_size("threads", 0);  // 0 = hardware concurrency
   const std::uint64_t base_seed = flags.get_size("base-seed", 7);
   const bool metro_mode = flags.has("metro");
-  const std::size_t metro_hubs = metro_mode ? require_positive("metro", 0) : 0;
+  const std::size_t metro_hubs = metro_mode ? flags.get_count("metro", 0) : 0;
   if (metro_mode && metro_hubs < 2) {
     std::cerr << "city_sweep: --metro needs at least 2 hubs\n";
     return 1;

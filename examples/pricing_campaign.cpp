@@ -19,7 +19,7 @@ static int run(int argc, char** argv) {
 
   ev::DatasetConfig dcfg;
   dcfg.num_days = flags.get_size("days", 120);
-  const std::size_t epochs = flags.get_size("epochs", 2);
+  const std::size_t epochs = flags.get_count("epochs", 2);
   const double discount_fraction = flags.get_double("discount", 0.2);
   flags.check_unknown();
   if (station >= dcfg.num_stations) {
@@ -29,10 +29,6 @@ static int run(int argc, char** argv) {
   }
   if (dcfg.num_days < 2) {  // the 80/20 split needs a training and a test day
     std::cerr << "pricing_campaign: --days must be >= 2\n";
-    return 1;
-  }
-  if (epochs == 0) {
-    std::cerr << "pricing_campaign: --epochs must be >= 1\n";
     return 1;
   }
   if (!(discount_fraction > 0.0 && discount_fraction < 1.0)) {

@@ -16,7 +16,7 @@
 static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
-  const std::size_t episodes = flags.get_size("episodes", 5);
+  const std::size_t episodes = flags.get_count("episodes", 5);
   flags.check_unknown();
 
   core::HubEnvConfig env_cfg;

@@ -17,7 +17,7 @@ static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
   const std::size_t train_iters = flags.get_size("train-iters", 60);
-  const std::size_t episodes = flags.get_size("episodes", 4);
+  const std::size_t episodes = flags.get_count("episodes", 4);
   flags.check_unknown();
 
   core::HubConfig hub = core::HubConfig::urban("UrbanHub", 11);

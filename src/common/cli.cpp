@@ -60,6 +60,12 @@ std::size_t CliFlags::get_size(const std::string& name, std::size_t def) const {
   return *value;
 }
 
+std::size_t CliFlags::get_count(const std::string& name, std::size_t def) const {
+  const std::size_t value = get_size(name, def);
+  if (value == 0) throw std::invalid_argument("--" + name + " must be >= 1");
+  return value;
+}
+
 double CliFlags::get_double(const std::string& name, double def) const {
   consumed_.insert(name);
   const auto it = values_.find(name);

@@ -34,6 +34,9 @@ class CliFlags {
   /// and "1e3" throw.  get_double rejects "nan", "inf" and "infinity".
   [[nodiscard]] std::string get_string(const std::string& name, std::string def) const;
   [[nodiscard]] std::size_t get_size(const std::string& name, std::size_t def) const;
+  /// get_size for a count that must be >= 1: 0 throws std::invalid_argument
+  /// naming the flag ("--episodes must be >= 1").
+  [[nodiscard]] std::size_t get_count(const std::string& name, std::size_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def = false) const;
 

@@ -11,20 +11,6 @@
 
 namespace ecthub::core {
 
-double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep) {
-  if (daily_per_ep.empty()) throw std::invalid_argument("average_daily_reward: empty input");
-  double acc = 0.0;
-  std::size_t days = 0;
-  for (const auto& ep : daily_per_ep) {
-    for (double d : ep) {
-      acc += d;
-      ++days;
-    }
-  }
-  if (days == 0) throw std::invalid_argument("average_daily_reward: no days");
-  return acc / static_cast<double>(days);
-}
-
 policy::DrlCheckpoint export_actor_checkpoint(const rl::ActorCritic& ac) {
   policy::DrlCheckpoint ckpt;
   ckpt.config.state_dim = ac.config().state_dim;
@@ -79,6 +65,21 @@ TrainedActor train_lanes(const std::vector<DrlTrainLane>& lanes,
   return trained;
 }
 
+/// The mean daily profit over every test day of every episode, all days
+/// pooled (not the mean of per-episode means).
+double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep) {
+  double acc = 0.0;
+  std::size_t days = 0;
+  for (const auto& ep : daily_per_ep) {
+    for (double d : ep) {
+      acc += d;
+      ++days;
+    }
+  }
+  if (days == 0) throw std::invalid_argument("average_daily_reward: no days");
+  return acc / static_cast<double>(days);
+}
+
 /// `cfg.train_hubs` replica lanes of `hub` under `cfg.env`.
 std::vector<DrlTrainLane> replica_lanes(const HubConfig& hub, const DrlFleetTrainConfig& cfg) {
   if (cfg.train_hubs == 0) {
@@ -114,6 +115,9 @@ HubMethodResult run_hub_experiment(const HubConfig& hub,
                                    const std::vector<bool>& discount_by_hour,
                                    const DrlFleetTrainConfig& cfg, std::size_t test_episodes,
                                    const std::string& method_name) {
+  if (test_episodes == 0) {
+    throw std::invalid_argument("run_hub_experiment: test_episodes must be >= 1");
+  }
   DrlFleetTrainConfig train_cfg = cfg;
   train_cfg.env.discount_by_hour = discount_by_hour;
   const TrainedActor trained = train_lanes(replica_lanes(hub, train_cfg), train_cfg);

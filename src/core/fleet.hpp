@@ -46,15 +46,13 @@ struct HubMethodResult {
 /// Trains ECT-DRL on `cfg.train_hubs` replica lanes of `hub` under one
 /// hourly discount schedule (exactly as train_drl_checkpoint does), then runs
 /// `test_episodes` greedy episodes of the deployed actor on a fresh env of
-/// `hub` itself, whose episode stream no training lane replays.
+/// `hub` itself, whose episode stream no training lane replays.  Throws
+/// std::invalid_argument, before training, when test_episodes is 0.
 [[nodiscard]] HubMethodResult run_hub_experiment(const HubConfig& hub,
                                                  const std::vector<bool>& discount_by_hour,
                                                  const DrlFleetTrainConfig& cfg,
                                                  std::size_t test_episodes,
                                                  const std::string& method_name);
-
-/// Average of the daily-profit means across test episodes.
-[[nodiscard]] double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep);
 
 /// Serializes the actor path (shared trunk + actor head) of a trained
 /// actor-critic into a deployable DrlPolicy checkpoint.  The critic head is

@@ -26,16 +26,21 @@ void ChargingStation::simulate_into(const TimeGrid& grid, const std::vector<bool
         "ChargingStation::simulate_into: discounted length must match grid");
   }
   out.power_kw.resize(grid.size());
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    const auto hour = static_cast<std::size_t>(grid.hour_of_day(t));
-    const Stratum s = profile_.sample(hour, rng);
-    std::uint64_t n = charges(s, discounted[t], rng) ? 1 : 0;
-    // Busy daytime slots occasionally fill a second plug.
-    if (n > 0 && cfg_.num_plugs > 1) {
-      const StrataProbs& p = profile_.at_hour(hour);
-      if (rng.bernoulli(0.4 * p.p_always)) ++n;
+  const double slot_h = grid.slot_hours();
+  std::size_t t = 0;
+  for (std::size_t day = 0; day < grid.num_days(); ++day) {
+    for (std::size_t slot = 0; slot < grid.slots_per_day(); ++slot, ++t) {
+      // TimeGrid::hour_of_day(t): the slot of the day times the slot length.
+      const auto hour = static_cast<std::size_t>(static_cast<double>(slot) * slot_h);
+      const Stratum s = profile_.sample(hour, rng);
+      std::uint64_t n = charges(s, discounted[t], rng) ? 1 : 0;
+      // Busy daytime slots occasionally fill a second plug.
+      if (n > 0 && cfg_.num_plugs > 1) {
+        const StrataProbs& p = profile_.at_hour(hour);
+        if (rng.bernoulli(0.4 * p.p_always)) ++n;
+      }
+      out.power_kw[t] = power_kw(n);
     }
-    out.power_kw[t] = power_kw(n);
   }
 }
 

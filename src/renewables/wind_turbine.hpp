@@ -27,6 +27,8 @@ class WindTurbine {
 
  private:
   WindTurbineConfig cfg_;
+  double cut_in_cubed_;  ///< pow(cut_in_ms, 3.0)
+  double cubic_span_;    ///< pow(rated_speed_ms, 3.0) - pow(cut_in_ms, 3.0)
 };
 
 }  // namespace ecthub::renewables

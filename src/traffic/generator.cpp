@@ -34,13 +34,17 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
                       [&profile](double hour) { return profile.at_hour(hour); });
 
   double ar = 0.0;  // AR(1) log-multiplier state
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    const double envelope = trace.load_rate[t];
-    const double weekend = grid.is_weekend(t) ? cfg_.weekend_factor : 1.0;
-    ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
-    const double load = std::clamp(envelope * weekend * std::exp(ar), cfg_.min_load, 1.0);
-    trace.load_rate[t] = load;
-    trace.volume_gb[t] = load * cfg_.peak_volume_gb;
+  std::size_t t = 0;
+  for (std::size_t day = 0; day < grid.num_days(); ++day) {
+    const double weekend =
+        grid.is_weekend(day * grid.slots_per_day()) ? cfg_.weekend_factor : 1.0;
+    for (std::size_t s = 0; s < grid.slots_per_day(); ++s, ++t) {
+      const double envelope = trace.load_rate[t];
+      ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
+      const double load = std::clamp(envelope * weekend * std::exp(ar), cfg_.min_load, 1.0);
+      trace.load_rate[t] = load;
+      trace.volume_gb[t] = load * cfg_.peak_volume_gb;
+    }
   }
 }
 

@@ -7,20 +7,20 @@
 
 namespace ecthub::weather {
 
-double clear_sky_ghi(const SolarConfig& cfg, std::size_t day_of_year, double hour_of_day) {
+ClearSkyDay::ClearSkyDay(const SolarConfig& cfg, std::size_t day_of_year) {
   // Day length varies sinusoidally over the year around the mean; peak GHI
   // scales with relative day length as a season proxy.
   const double phase =
       2.0 * std::numbers::pi * static_cast<double>((day_of_year + 365 - 172) % 365) / 365.0;
-  const double daylength =
-      cfg.mean_daylength_h + 0.5 * cfg.season_daylength_swing_h * std::cos(phase);
-  const double sunrise = 12.0 - daylength / 2.0;
-  const double sunset = 12.0 + daylength / 2.0;
-  if (hour_of_day <= sunrise || hour_of_day >= sunset) return 0.0;
-  const double x = (hour_of_day - sunrise) / daylength;  // in (0, 1)
-  const double seasonal_peak = cfg.peak_ghi * (daylength / (cfg.mean_daylength_h +
-                                                            0.5 * cfg.season_daylength_swing_h));
-  return seasonal_peak * std::sin(std::numbers::pi * x);
+  daylength = cfg.mean_daylength_h + 0.5 * cfg.season_daylength_swing_h * std::cos(phase);
+  sunrise = 12.0 - daylength / 2.0;
+  sunset = 12.0 + daylength / 2.0;
+  seasonal_peak = cfg.peak_ghi * (daylength / (cfg.mean_daylength_h +
+                                               0.5 * cfg.season_daylength_swing_h));
+}
+
+double clear_sky_ghi(const SolarConfig& cfg, std::size_t day_of_year, double hour_of_day) {
+  return ClearSkyDay(cfg, day_of_year).at(hour_of_day);
 }
 
 void SolarConfig::validate() const {
@@ -46,19 +46,24 @@ SolarModel::SolarModel(SolarConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.v
 void SolarModel::generate_into(const TimeGrid& grid, std::vector<double>& out_ghi) {
   out_ghi.resize(grid.size());
   bool cloudy = rng_.bernoulli(0.5);
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    if (rng_.bernoulli(cfg_.cloud_switch_prob)) cloudy = !cloudy;
-    const std::size_t doy = (cfg_.start_day_of_year + grid.day_of(t)) % 365;
-    const double clear = clear_sky_ghi(cfg_, doy, grid.hour_of_day(t));
-    double trans = 1.0;
-    if (cloudy) {
-      trans = std::clamp(
-          cfg_.cloudy_transmittance + rng_.normal(0.0, cfg_.transmittance_sigma), 0.05, 1.0);
-    } else {
-      // Even "clear" slots see small high-cirrus variation.
-      trans = std::clamp(1.0 - std::abs(rng_.normal(0.0, 0.03)), 0.8, 1.0);
+  const double slot_h = grid.slot_hours();
+  std::size_t t = 0;
+  for (std::size_t day = 0; day < grid.num_days(); ++day) {
+    const ClearSkyDay sky(cfg_, (cfg_.start_day_of_year + day) % 365);
+    for (std::size_t s = 0; s < grid.slots_per_day(); ++s, ++t) {
+      if (rng_.bernoulli(cfg_.cloud_switch_prob)) cloudy = !cloudy;
+      // TimeGrid::hour_of_day(t): the slot of the day times the slot length.
+      const double clear = sky.at(static_cast<double>(s) * slot_h);
+      double trans = 1.0;
+      if (cloudy) {
+        trans = std::clamp(
+            cfg_.cloudy_transmittance + rng_.normal(0.0, cfg_.transmittance_sigma), 0.05, 1.0);
+      } else {
+        // Even "clear" slots see small high-cirrus variation.
+        trans = std::clamp(1.0 - std::abs(rng_.normal(0.0, 0.03)), 0.8, 1.0);
+      }
+      out_ghi[t] = clear * trans;
     }
-    out_ghi[t] = clear * trans;
   }
 }
 

@@ -10,6 +10,8 @@
 #include "common/rng.hpp"
 #include "common/time_grid.hpp"
 
+#include <cmath>
+#include <numbers>
 #include <vector>
 
 namespace ecthub::weather {
@@ -34,8 +36,27 @@ struct SolarConfig {
   void validate() const;
 };
 
-/// Clear-sky GHI (W/m^2) at a given hour of day for a given day of year.
-/// Zero outside daylight; half-sine inside.
+/// The clear-sky curve of one day of the year: its day length, sunrise,
+/// sunset and seasonal peak, computed once for every hour the day is read at.
+struct ClearSkyDay {
+  ClearSkyDay(const SolarConfig& cfg, std::size_t day_of_year);
+
+  /// Clear-sky GHI (W/m^2) at `hour_of_day`: zero outside daylight, a
+  /// half-sine inside.
+  [[nodiscard]] double at(double hour_of_day) const {
+    if (hour_of_day <= sunrise || hour_of_day >= sunset) return 0.0;
+    const double x = (hour_of_day - sunrise) / daylength;  // in (0, 1)
+    return seasonal_peak * std::sin(std::numbers::pi * x);
+  }
+
+  double daylength = 0.0;      ///< hours
+  double sunrise = 0.0;        ///< hour of day
+  double sunset = 0.0;         ///< hour of day
+  double seasonal_peak = 0.0;  ///< W/m^2 at solar noon
+};
+
+/// Clear-sky GHI (W/m^2) at a given hour of day for a given day of year:
+/// ClearSkyDay(cfg, day_of_year).at(hour_of_day).
 [[nodiscard]] double clear_sky_ghi(const SolarConfig& cfg, std::size_t day_of_year,
                                    double hour_of_day);
 

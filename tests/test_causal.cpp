@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 namespace ecthub::causal {
 namespace {
 

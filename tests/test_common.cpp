@@ -13,18 +13,21 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 #include <fstream>
 
@@ -251,6 +254,213 @@ TEST(Rng, ShufflePermutes) {
   std::sort(copy.begin(), copy.end());
   EXPECT_EQ(copy, idx);
 }
+
+TEST(Rng, BadParametersThrowWithoutDrawing) {
+  // Each used to reach a <random> precondition check, which aborts under
+  // _GLIBCXX_ASSERTIONS; a release build returned junk instead.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::int64_t i64_min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t i64_max = std::numeric_limits<std::int64_t>::max();
+  Rng rng(3);
+  const Rng untouched = rng;
+  for (const auto& [lo, hi] : {std::pair{1.0, 0.0}, {nan, 1.0}, {0.0, nan}, {nan, nan}}) {
+    EXPECT_THROW((void)rng.uniform(lo, hi), std::invalid_argument) << lo << ", " << hi;
+  }
+  for (const auto& [lo, hi] : {std::pair{std::int64_t{1}, std::int64_t{0}}, {i64_max, i64_min}}) {
+    EXPECT_THROW((void)rng.uniform_int(lo, hi), std::invalid_argument) << lo << ", " << hi;
+  }
+  for (const double mean : {nan, -nan, inf, 0x1p64}) {
+    EXPECT_THROW((void)rng.poisson(mean), std::invalid_argument) << mean;
+  }
+  for (const double rate : {nan, -nan, 0.0, -1.0, -inf}) {
+    EXPECT_THROW((void)rng.exponential(rate), std::invalid_argument) << rate;
+  }
+  Rng expected = untouched;
+  EXPECT_EQ(rng.uniform(), expected.uniform());
+}
+
+// ------------------------------------------------- Rng against libstdc++
+//
+// Rng replays libstdc++ 12's std::mt19937_64 and distributions.  These pin
+// that draw for draw, bit for bit, against <random> on a same-seeded
+// std::mt19937_64, at >= 10^6 draws per parameter set.  Each loop interleaves
+// its parameter sets, so a draw that takes one engine word too many or too
+// few fails at once.
+#if defined(__GLIBCXX__)
+
+static_assert(std::uniform_random_bit_generator<Mt19937_64>);
+static_assert(sizeof(Rng) == sizeof(std::mt19937_64));
+
+constexpr int kLibDraws = 1'000'000;
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(RngLibstdcxx, EngineMatchesMt19937_64) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42}, ~std::uint64_t{0},
+        mix_seed(7, 0), mix_seed(7, 1), mix_seed(2, 479)}) {
+    Mt19937_64 owned(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < kLibDraws; ++i) ASSERT_EQ(owned(), ref()) << seed << " draw " << i;
+  }
+}
+
+TEST(RngLibstdcxx, CopyMidBlockAndForkContinueTheLibraryStream) {
+  Mt19937_64 owned(2021);
+  std::mt19937_64 ref(2021);
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(owned(), ref());  // 3 twists + 64 words
+  Mt19937_64 copy = owned;
+  for (int i = 0; i < 10'000; ++i) {
+    const std::uint64_t r = ref();
+    ASSERT_EQ(owned(), r) << i;
+    ASSERT_EQ(copy(), r) << i;
+  }
+  // fork() seeds the child with the parent's next word; 400 forks cross a
+  // twist of the parent.
+  Rng parent(99);
+  std::mt19937_64 ref_parent(99);
+  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  for (int k = 0; k < 400; ++k) {
+    Rng child = parent.fork();
+    std::mt19937_64 ref_child(ref_parent());
+    std::uniform_int_distribution<std::int64_t> full(lo, hi);
+    for (int i = 0; i < 3; ++i) ASSERT_EQ(child.uniform_int(lo, hi), full(ref_child)) << k;
+  }
+}
+
+TEST(RngLibstdcxx, CanonicalMatchesGenerateCanonicalAndClamps) {
+  // Chance never reaches the clamp (p ~ 2^-54 per draw): script the words.
+  struct Scripted {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type word;
+    result_type operator()() { return word; }
+  };
+  const std::uint64_t top = ~std::uint64_t{0};
+  for (const std::uint64_t word :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 63, top - 2047, top - 1023, top}) {
+    Scripted g{word};
+    const double lib = std::generate_canonical<double, 64>(g);
+    EXPECT_EQ(bits_of(canonical_from_bits(word)), bits_of(lib)) << word;
+    EXPECT_LT(canonical_from_bits(word), 1.0) << word;
+  }
+  // 2^64 - 2^10 and above round to 2^64 and clamp to the largest double < 1.
+  EXPECT_EQ(canonical_from_bits(top - 1023), std::nextafter(1.0, 0.0));
+  EXPECT_EQ(canonical_from_bits(top), std::nextafter(1.0, 0.0));
+}
+
+TEST(RngLibstdcxx, UniformMatchesUniformRealDistribution) {
+  const std::pair<double, double> sets[] = {
+      {0.0, 1.0}, {2.0, 3.0}, {-7.5, -2.25}, {4.0, 4.0}, {-1e9, 1e9}, {-0.0, 0.0}};
+  Rng rng(1);
+  std::mt19937_64 ref(1);
+  for (int i = 0; i < kLibDraws; ++i) {
+    for (const auto& [lo, hi] : sets) {
+      std::uniform_real_distribution<double> d(lo, hi);
+      ASSERT_EQ(bits_of(rng.uniform(lo, hi)), bits_of(d(ref))) << lo << ", " << hi << " @" << i;
+    }
+  }
+}
+
+TEST(RngLibstdcxx, NormalMatchesNormalDistributionAndTakesZeroSigma) {
+  const std::pair<double, double> sets[] = {
+      {0.0, 1.0}, {5.0, 2.0}, {-3.0, 0.5}, {1e3, 1e-3}, {2.5, 0.0}};
+  Rng rng(2);
+  std::mt19937_64 ref(2);
+  for (int i = 0; i < kLibDraws; ++i) {
+    for (const auto& [mean, stddev] : sets) {
+      // The library requires stddev > 0; sigma 0 scales its standard draw.
+      const double expected = stddev > 0.0
+                                  ? std::normal_distribution<double>(mean, stddev)(ref)
+                                  : std::normal_distribution<double>()(ref) * stddev + mean;
+      ASSERT_EQ(bits_of(rng.normal(mean, stddev)), bits_of(expected))
+          << mean << ", " << stddev << " @" << i;
+    }
+  }
+}
+
+TEST(RngLibstdcxx, BernoulliMatchesBernoulliDistribution) {
+  const double sets[] = {1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9};
+  Rng rng(3);
+  std::mt19937_64 ref(3);
+  for (int i = 0; i < kLibDraws; ++i) {
+    for (const double p : sets) {
+      ASSERT_EQ(rng.bernoulli(p), std::bernoulli_distribution(p)(ref)) << p << " @" << i;
+    }
+  }
+}
+
+TEST(RngLibstdcxx, UniformIntMatchesUniformIntDistribution) {
+  const std::int64_t i64_min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t i64_max = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> sets[] = {
+      {0, 0}, {0, 1}, {0, 3}, {-5, 5}, {0, std::int64_t{1} << 32}, {i64_min, i64_max},
+      // 2^63 + 1 values: Lemire's method redraws about half the time.
+      {i64_min, 0}};
+  Rng rng(4);
+  std::mt19937_64 ref(4);
+  for (int i = 0; i < kLibDraws; ++i) {
+    for (const auto& [lo, hi] : sets) {
+      std::uniform_int_distribution<std::int64_t> d(lo, hi);
+      ASSERT_EQ(rng.uniform_int(lo, hi), d(ref)) << lo << ", " << hi << " @" << i;
+    }
+  }
+}
+
+TEST(RngLibstdcxx, PoissonMatchesPoissonDistribution) {
+  // Below 12 the product method; from 12 up Devroye's rejection, whose
+  // normal draws share one spare per call.
+  const double sets[] = {1e-6, 0.5, 3.0, 11.99, 12.0, 40.0, 1e4};
+  Rng rng(5);
+  std::mt19937_64 ref(5);
+  for (int i = 0; i < kLibDraws; ++i) {
+    for (const double mean : sets) {
+      std::poisson_distribution<std::uint64_t> d(mean);
+      ASSERT_EQ(rng.poisson(mean), d(ref)) << mean << " @" << i;
+    }
+  }
+}
+
+TEST(RngLibstdcxx, ExponentialMatchesExponentialDistribution) {
+  const double sets[] = {1e-3, 1.0, 50.0};
+  Rng rng(6);
+  std::mt19937_64 ref(6);
+  for (int i = 0; i < kLibDraws; ++i) {
+    for (const double rate : sets) {
+      std::exponential_distribution<double> d(rate);
+      ASSERT_EQ(bits_of(rng.exponential(rate)), bits_of(d(ref))) << rate << " @" << i;
+    }
+  }
+}
+
+TEST(RngLibstdcxx, ShuffleMatchesStdShuffle) {
+  // Rounds per size give each size that draws >= 10^6 draws: an n-element
+  // shuffle takes n / 2 of them (one per pair of positions).
+  const std::pair<std::size_t, int> sizes[] = {
+      {0, kLibDraws}, {1, kLibDraws}, {2, kLibDraws}, {3, kLibDraws},
+      {100, kLibDraws / 50}, {5000, kLibDraws / 2500}};
+  std::vector<std::vector<std::size_t>> owned;
+  for (const auto& [n, rounds] : sizes) {
+    owned.emplace_back(n);
+    std::iota(owned.back().begin(), owned.back().end(), std::size_t{0});
+  }
+  std::vector<std::vector<std::size_t>> lib = owned;
+  Rng rng(7);
+  std::mt19937_64 ref(7);
+  for (int r = 0; r < kLibDraws; ++r) {
+    for (std::size_t s = 0; s < owned.size(); ++s) {
+      if (r >= sizes[s].second) continue;
+      rng.shuffle(owned[s]);
+      std::shuffle(lib[s].begin(), lib[s].end(), ref);
+      ASSERT_EQ(owned[s], lib[s]) << "size " << sizes[s].first << " round " << r;
+    }
+  }
+}
+
+#endif  // __GLIBCXX__
 
 // ---------------------------------------------------------------- stats
 

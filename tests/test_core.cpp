@@ -710,11 +710,6 @@ TEST(Fleet, ExportedActorMatchesTrainingPolicyDecisions) {
   }
 }
 
-TEST(Fleet, AverageDailyReward) {
-  EXPECT_NEAR(average_daily_reward({{1.0, 2.0}, {3.0}}), 2.0, 1e-12);
-  EXPECT_THROW((void)average_daily_reward({}), std::invalid_argument);
-}
-
 TEST(Fleet, RunHubExperimentSmoke) {
   DrlFleetTrainConfig cfg;
   cfg.env.episode_days = 2;
@@ -726,6 +721,23 @@ TEST(Fleet, RunHubExperimentSmoke) {
   EXPECT_EQ(result.daily_rewards.size(), 2u);
   EXPECT_EQ(result.train_curve.size(), 1u);
   EXPECT_TRUE(std::isfinite(result.avg_daily_reward));
+  // One test episode: the Table III cell is the mean of its Fig. 13 days.
+  EXPECT_EQ(result.avg_daily_reward, stats::mean(result.daily_rewards));
+}
+
+TEST(Fleet, RunHubExperimentRejectsZeroTestEpisodesBeforeTraining) {
+  DrlFleetTrainConfig cfg;
+  cfg.env.episode_days = 2;
+  // Training would throw on its own (no lanes); the test-episode check must
+  // come first, so the message names test_episodes.
+  cfg.train_hubs = 0;
+  try {
+    (void)run_hub_experiment(HubConfig::urban("zero", 19), std::vector<bool>(24, false), cfg, 0,
+                             "Test");
+    FAIL() << "run_hub_experiment accepted 0 test episodes";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("test_episodes"), std::string::npos) << e.what();
+  }
 }
 
 // ------------------------------------------------------------ nn golden

@@ -136,6 +136,16 @@ TEST(LintDeterminism, LibmCallsOutsideNnAndRlAreClean) {
   EXPECT_TRUE(lint_fixture_at("tests/nn", "determinism_libm.cpp").empty());
 }
 
+TEST(LintDeterminism, StdRandomFlaggedUnderSrcOnly) {
+  for (const std::string dir : {"src/common", "src/weather", "/work/ecthub/src/sim"}) {
+    const auto findings = lint_fixture_at(dir, "determinism_std_random.cpp");
+    EXPECT_EQ(findings.size(), 9u) << dir;
+    EXPECT_EQ(rule_counts(findings)["determinism/std-random"], 9) << dir;
+  }
+  // The differential Rng tests compare against <random>: tests/ is exempt.
+  EXPECT_TRUE(lint_fixture_at("tests", "determinism_std_random.cpp").empty());
+}
+
 TEST(LintClean, ElementaryCallsAreClean) {
   EXPECT_TRUE(lint_fixture_at("src/nn", "clean_elementary.cpp").empty());
   EXPECT_TRUE(lint_fixture_at("src/rl", "clean_elementary.cpp").empty());

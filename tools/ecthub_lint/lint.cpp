@@ -4,10 +4,12 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ecthub::lint {
@@ -389,16 +391,50 @@ bool is_workspace_receiver(std::string chain) {
   return false;
 }
 
-/// Source under src/nn/ or src/rl/, whose result bits must not depend on
-/// the host's libm (nn/elementary provides the functions instead).
-bool in_libm_free_tree(const std::string& path) {
-  for (const char* dir : {"src/nn/", "src/rl/"}) {
+/// Whether `path` lies under one of `dirs` ("src/nn/"), given relative to
+/// the repo root or inside an absolute path.
+bool under_any(const std::string& path, std::initializer_list<const char*> dirs) {
+  for (const char* dir : dirs) {
     const std::string d(dir);
     if (path.compare(0, d.size(), d) == 0 || path.find("/" + d) != std::string::npos) {
       return true;
     }
   }
   return false;
+}
+
+/// The identifier right after the `std::` at `pos` (`std::ranges::` looks
+/// one scope further), and whether a '(' follows it.
+std::pair<std::string, bool> std_member_at(const std::string& text, std::size_t pos) {
+  std::size_t k = pos + 5;
+  const auto skip_space = [&] {
+    while (k < text.size() && std::isspace(static_cast<unsigned char>(text[k])) != 0) ++k;
+  };
+  const auto ident = [&] {
+    skip_space();
+    const std::size_t b = k;
+    while (k < text.size() && is_ident(text[k])) ++k;
+    return text.substr(b, k - b);
+  };
+  std::string name = ident();
+  if (name == "ranges" && text.compare(k, 2, "::") == 0) {
+    k += 2;
+    name = ident();
+  }
+  skip_space();
+  return {name, k < text.size() && text[k] == '('};
+}
+
+/// <random>'s algorithms named through std::: an engine, a distribution,
+/// generate_canonical, or a call to shuffle / sample (both draw through a
+/// library-chosen uniform_int_distribution).
+bool is_std_random_name(const std::string& name, bool called) {
+  const std::string dist = "_distribution";
+  const bool distribution =
+      name.size() > dist.size() &&
+      name.compare(name.size() - dist.size(), dist.size(), dist) == 0;
+  return name.rfind("mt19937", 0) == 0 || distribution || name == "generate_canonical" ||
+         (called && (name == "shuffle" || name == "sample"));
 }
 
 /// Whether the name at `pos` (followed by '(') calls the libm function:
@@ -510,7 +546,7 @@ std::vector<Finding> lint_source(const std::string& path, const std::string& con
   }
 
   // --- determinism: libm transcendental functions in the NN and RL code ----
-  if (in_libm_free_tree(path)) {
+  if (under_any(path, {"src/nn/", "src/rl/"})) {
     for (const char* fn : {"tanh", "exp", "expm1", "log", "log1p", "pow", "sin", "cos"}) {
       for (std::size_t pos : call_occurrences(stripped, fn)) {
         if (!is_libm_call(stripped, pos)) continue;
@@ -518,6 +554,30 @@ std::vector<Finding> lint_source(const std::string& path, const std::string& con
             std::string("libm's ") + fn +
                 " picks a CPU-dependent variant at run time; NN and RL code calls "
                 "nn::elementary so trained weights do not depend on the host");
+      }
+    }
+  }
+
+  // --- determinism: <random>'s algorithms in the library -------------------
+  if (under_any(path, {"src/"})) {
+    const std::string message =
+        "<random>'s engines and distributions are the C++ library's choice, so results "
+        "would change with the library; draw through ecthub::Rng (common/rng)";
+    for (std::size_t pos = 0; (pos = stripped.find("<random>", pos)) != std::string::npos;
+         pos += 8) {
+      const std::size_t line_begin = stripped.rfind('\n', pos) + 1;  // npos + 1 == 0
+      std::string head = stripped.substr(line_begin, pos - line_begin);
+      head.erase(std::remove_if(head.begin(), head.end(),
+                                [](unsigned char ch) { return std::isspace(ch) != 0; }),
+                 head.end());
+      if (head == "#include") add(pos, "determinism/std-random", message);
+    }
+    for (std::size_t pos = 0; (pos = stripped.find("std::", pos)) != std::string::npos;
+         pos += 5) {
+      if (pos > 0 && is_ident(stripped[pos - 1])) continue;  // `mystd::`, not `std::`
+      const auto [name, called] = std_member_at(stripped, pos);
+      if (is_std_random_name(name, called)) {
+        add(pos, "determinism/std-random", message);
       }
     }
   }

@@ -13,6 +13,10 @@
 //    history-dependent.  Under src/nn/ and src/rl/, no libm tanh, exp,
 //    expm1, log, log1p, pow, sin or cos either: glibc dispatches them by
 //    CPU, so they go through nn/elementary (called with its namespace).
+//    Under src/, no <random> (its include, std::mt19937*, std::*_distribution,
+//    std::generate_canonical, calls to std::shuffle / std::sample): their
+//    algorithms are the C++ library's choice, so every draw goes through
+//    ecthub::Rng, which owns them.
 //  * hot-path allocation hygiene — functions on the steady-state episode
 //    path (the `*_into` family, `decide_rows`, `act_rows`) must not allocate:
 //    no `new`, no make_unique/make_shared, no std::string construction, and
@@ -79,7 +83,8 @@ class Allowlist {
 /// Lints one file's content.  `path` selects the rule set (header rules for
 /// .hpp/.h/.hh, source rules for everything else; determinism and hot-path
 /// rules apply to both, determinism/libm only to paths under src/nn/ and
-/// src/rl/).  Findings come back in line order.
+/// src/rl/, determinism/std-random only under src/).  Findings come back in
+/// line order.
 [[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
                                                const std::string& content);
 
