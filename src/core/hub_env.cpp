@@ -1,6 +1,7 @@
 #include "core/hub_env.hpp"
 
 #include "battery/reserve.hpp"
+#include "common/elementary.hpp"
 #include "power/balance.hpp"
 
 #include <algorithm>
@@ -72,10 +73,12 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
   const TimeGrid day(1, cfg_.slots_per_day);
   hour_sin_.resize(day.size());
   hour_cos_.resize(day.size());
-  fill_by_slot_of_day(day, hour_sin_,
-                      [](double hour) { return std::sin(2.0 * std::numbers::pi * hour / 24.0); });
-  fill_by_slot_of_day(day, hour_cos_,
-                      [](double hour) { return std::cos(2.0 * std::numbers::pi * hour / 24.0); });
+  fill_by_slot_of_day(day, hour_sin_, [](double hour) {
+    return elementary::sin(2.0 * std::numbers::pi * hour / 24.0);
+  });
+  fill_by_slot_of_day(day, hour_cos_, [](double hour) {
+    return elementary::cos(2.0 * std::numbers::pi * hour / 24.0);
+  });
 }
 
 std::size_t EctHubEnv::state_dim() const { return observation_layout().dim(); }

@@ -1,5 +1,7 @@
 #include "ev/behavior.hpp"
 
+#include "common/elementary.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -32,10 +34,16 @@ void StrataProbs::normalize() {
 
 namespace {
 
+/// The Gaussian bump exp(-((hour - center) / width)^2 / 2).
+double bump(double hour, double center, double width) {
+  const double z = (hour - center) / width;
+  return elementary::exp(-0.5 * (z * z));
+}
+
 /// Daytime "must charge" envelope: commuters and fleet vehicles during
 /// business hours, small overnight tail.
 double always_envelope(double hour) {
-  const double day = std::exp(-0.5 * std::pow((hour - 13.0) / 5.0, 2.0));
+  const double day = bump(hour, 13.0, 5.0);
   const double overnight = 0.12;
   return std::clamp(0.45 * day + overnight * 0.2, 0.0, 1.0);
 }
@@ -43,7 +51,7 @@ double always_envelope(double hour) {
 /// Price-sensitive evening envelope: discretionary charging 18-24h
 /// (paper Fig. 12(d): Incentive share jumps to ~41% in that window).
 double incentive_envelope(double hour) {
-  const double evening = std::exp(-0.5 * std::pow((hour - 21.0) / 2.4, 2.0));
+  const double evening = bump(hour, 21.0, 2.4);
   const double base = 0.05;
   return std::clamp(evening + base, 0.0, 1.0);
 }

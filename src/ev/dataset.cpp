@@ -1,5 +1,7 @@
 #include "ev/dataset.hpp"
 
+#include "common/elementary.hpp"
+
 #include <algorithm>
 #include <stdexcept>
 
@@ -25,7 +27,7 @@ ChargingDataset::ChargingDataset(DatasetConfig cfg, Rng rng) : cfg_(cfg) {
     } else {
       const double z = rng.normal();
       demand_factors_.push_back(
-          std::exp(cfg_.demand_sigma * z - 0.5 * cfg_.demand_sigma * cfg_.demand_sigma));
+          elementary::exp(cfg_.demand_sigma * z - 0.5 * cfg_.demand_sigma * cfg_.demand_sigma));
     }
   }
 

@@ -21,6 +21,8 @@
 // below are forced inline and take and give their vectors by reference.
 #pragma once
 
+#include "common/exp_kernel.hpp"
+
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -176,50 +178,13 @@ template <>
 // evaluates both sides and blends, so no lane code branches.
 
 inline constexpr std::uint64_t kSignBit = 0x8000000000000000ULL;
-inline constexpr std::uint64_t kOneBits = 0x3ff0000000000000ULL;  // 1.0
-// The exponent field's lowest bit.  Multiplying or dividing a Bits vector
-// by it compiles to the same psllq/psrlq as a shift by 52, which GCC 12's
-// -fanalyzer misreads as a shift past the element width.
-inline constexpr std::uint64_t kExponentUnit = std::uint64_t{1} << 52;
 
-// x / ln2 rounded to an integer k: adding 1.5 * 2^52 leaves k in the low
-// bits of the sum's encoding (two's complement, |k| < 2^51) and k itself
-// after subtracting it again.  Cody-Waite splits ln2 = kLn2Hi + kLn2Lo with
-// kLn2Hi's low 32 bits zero, so k * kLn2Hi is exact for |k| < 2^20.
-inline constexpr double kInvLn2 = 0x1.71547652b82fep+0;
-inline constexpr double kShift = 0x1.8p52;
-inline constexpr double kLn2Hi = 0x1.62e42feep-1;
-inline constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
-
-// 2^k from the rounding sum's encoding: (k << 52) + the encoding of 1.0 puts
-// k + 1023 in the exponent field (the sum's high bits shift out), valid for
-// -1022 <= k <= 1023.
-template <std::size_t W>
-[[gnu::always_inline]] inline void pow2(const Vec<W>& shifted_k, Vec<W>& out) {
-  out = __builtin_bit_cast(Vec<W>,
-                           __builtin_bit_cast(Bits<W>, shifted_k) * kExponentUnit + kOneBits);
-}
-
-// e^r - 1 - r for |r| <= ln2 / 2: r^2 times the Taylor series 1/2! + r/3!
-// + ... + r^11/13!, whose truncation error stays below 0.1 ULP of e^r - 1.
-// Estrin's scheme: the pairs are independent, so the dependency chain is
-// four multiply-adds deep instead of Horner's eleven.
-template <std::size_t W>
-[[gnu::always_inline]] inline void expm1_tail(const Vec<W>& r, Vec<W>& out) {
-  const Vec<W> r2 = r * r;
-  const Vec<W> r4 = r2 * r2;
-  const Vec<W> a01 = 0.5 + r * 0x1.5555555555555p-3;
-  const Vec<W> a23 = 0x1.5555555555555p-5 + r * 0x1.1111111111111p-7;
-  const Vec<W> a45 = 0x1.6c16c16c16c17p-10 + r * 0x1.a01a01a01a01ap-13;
-  const Vec<W> a67 = 0x1.a01a01a01a01ap-16 + r * 0x1.71de3a556c734p-19;
-  const Vec<W> a89 = 0x1.27e4fb7789f5cp-22 + r * 0x1.ae64567f544e4p-26;
-  const Vec<W> a1011 = 0x1.1eed8eff8d898p-29 + r * 0x1.6124613a86d09p-33;
-  const Vec<W> b0 = a01 + r2 * a23;
-  const Vec<W> b1 = a45 + r2 * a67;
-  const Vec<W> b2 = a89 + r2 * a1011;
-  const Vec<W> p = b0 + r4 * (b1 + r4 * b2);
-  out = r2 * p;
-}
+// The e^r kernel tanh shares with common/elementary's exp.
+namespace kernel = ::ecthub::elementary::kernel;
+using kernel::kInvLn2;
+using kernel::kLn2Hi;
+using kernel::kLn2Lo;
+using kernel::kShift;
 
 // tanh |x| = t / (t + 2) with t = e^(2|x|) - 1, carried as t_hi + t_lo so
 // that neither the subtraction of 1 nor the quotient loses the low bits;
@@ -235,7 +200,7 @@ template <std::size_t W>
 
   Vec<W> k = y * kInvLn2 + kShift;
   Vec<W> s;
-  pow2<W>(k, s);  // 2^k, 0 <= k <= 58
+  kernel::pow2<Bits<W>>(k, s);  // 2^k, 0 <= k <= 58
   k -= kShift;
   const Vec<W> r_hi = y - k * kLn2Hi;  // exact
   const Vec<W> r = r_hi - k * kLn2Lo;
@@ -245,7 +210,7 @@ template <std::size_t W>
   // exact, and two Fast2Sum steps (each adding the smaller term to the
   // larger) keep the rounding errors in t_lo.
   Vec<W> tail;
-  expm1_tail<W>(r, tail);
+  kernel::expm1_tail(r, tail);
   const Vec<W> big = s - 1.0;
   const Vec<W> mid = s * r;
   const Vec<W> u = big + mid;

@@ -1,5 +1,7 @@
 #include "policy/observation.hpp"
 
+#include "common/elementary.hpp"
+
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -32,7 +34,7 @@ double ObservationLayout::soc(std::span<const double> obs) const {
 
 double ObservationLayout::hour_of_day(std::span<const double> obs) const {
   check(obs);
-  const double phase = std::atan2(obs[hour_sin_index()], obs[hour_cos_index()]);
+  const double phase = elementary::atan2(obs[hour_sin_index()], obs[hour_cos_index()]);
   double hour = phase * 24.0 / (2.0 * std::numbers::pi);
   if (hour < 0.0) hour += 24.0;
   // Snap so hour values that were exact on the grid survive the sin/cos

@@ -1,5 +1,7 @@
 #include "pricing/rtp.hpp"
 
+#include "common/elementary.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <numbers>
@@ -28,12 +30,13 @@ RtpGenerator::RtpGenerator(RtpConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_
 double RtpGenerator::diurnal_component(double hour_of_day) const {
   // Two-bump day: a morning shoulder around 9h and the dominant evening peak
   // around 20h, with a deep trough in the small hours — the Fig. 5 shape.
-  const double morning =
-      0.45 * std::exp(-0.5 * std::pow((hour_of_day - 9.0) / 2.5, 2.0));
-  const double evening =
-      1.00 * std::exp(-0.5 * std::pow((hour_of_day - 20.0) / 2.8, 2.0));
-  const double trough =
-      -0.55 * std::exp(-0.5 * std::pow((hour_of_day - 4.0) / 2.5, 2.0));
+  const auto bump = [hour_of_day](double center, double width) {
+    const double z = (hour_of_day - center) / width;
+    return elementary::exp(-0.5 * (z * z));
+  };
+  const double morning = 0.45 * bump(9.0, 2.5);
+  const double evening = 1.00 * bump(20.0, 2.8);
+  const double trough = -0.55 * bump(4.0, 2.5);
   return cfg_.diurnal_amplitude * (morning + evening + trough);
 }
 

@@ -19,8 +19,8 @@ void WindTurbineConfig::validate() const {
 
 WindTurbine::WindTurbine(WindTurbineConfig cfg)
     : cfg_(cfg),
-      cut_in_cubed_(std::pow(cfg.cut_in_ms, 3.0)),
-      cubic_span_(std::pow(cfg.rated_speed_ms, 3.0) - cut_in_cubed_) {
+      cut_in_cubed_(cfg.cut_in_ms * cfg.cut_in_ms * cfg.cut_in_ms),
+      cubic_span_(cfg.rated_speed_ms * cfg.rated_speed_ms * cfg.rated_speed_ms - cut_in_cubed_) {
   cfg_.validate();
 }
 
@@ -28,7 +28,7 @@ double WindTurbine::power_w(double v) const {
   if (v < cfg_.cut_in_ms || v >= cfg_.cut_out_ms) return 0.0;
   if (v >= cfg_.rated_speed_ms) return cfg_.rated_power_w;
   // Cubic interpolation between cut-in and rated speed (P ~ v^3 physics).
-  const double num = std::pow(v, 3.0) - cut_in_cubed_;
+  const double num = v * v * v - cut_in_cubed_;
   return cfg_.rated_power_w * num / cubic_span_;
 }
 

@@ -27,8 +27,8 @@ class WindTurbine {
 
  private:
   WindTurbineConfig cfg_;
-  double cut_in_cubed_;  ///< pow(cut_in_ms, 3.0)
-  double cubic_span_;    ///< pow(rated_speed_ms, 3.0) - pow(cut_in_ms, 3.0)
+  double cut_in_cubed_;  ///< cut_in_ms^3
+  double cubic_span_;    ///< rated_speed_ms^3 - cut_in_ms^3
 };
 
 }  // namespace ecthub::renewables

@@ -100,7 +100,7 @@ MetroMap::MetroMap(MetroConfig cfg, std::uint64_t seed)
     nearest.clear();
     for (std::size_t j = 0; j < cfg_.num_hubs; ++j) {
       if (j == i) continue;
-      const double drive = std::hypot(snaps[i].x - snaps[j].x, snaps[i].y - snaps[j].y);
+      const double drive = distance(snaps[i], snaps[j]);
       nearest.emplace_back(off_road[i] + cfg_.detour_factor * drive + off_road[j], j);
     }
     std::sort(nearest.begin(), nearest.end());

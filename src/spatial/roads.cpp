@@ -1,5 +1,7 @@
 #include "spatial/roads.hpp"
 
+#include "common/elementary.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -8,17 +10,15 @@
 
 namespace ecthub::spatial {
 
-double Segment::length() const {
-  return std::hypot(b.x - a.x, b.y - a.y);
+double distance(const Point& a, const Point& b) {
+  const double dx = a.x - b.x, dy = a.y - b.y;
+  return std::sqrt(dx * dx + dy * dy);
 }
 
+double Segment::length() const { return distance(a, b); }
+
 double distance_to_segment(const Point& p, const Segment& s) {
-  const double dx = s.b.x - s.a.x, dy = s.b.y - s.a.y;
-  const double len_sq = dx * dx + dy * dy;
-  if (len_sq == 0.0) return std::hypot(p.x - s.a.x, p.y - s.a.y);
-  double t = ((p.x - s.a.x) * dx + (p.y - s.a.y) * dy) / len_sq;
-  t = std::clamp(t, 0.0, 1.0);
-  return std::hypot(p.x - (s.a.x + t * dx), p.y - (s.a.y + t * dy));
+  return distance(p, closest_point_on_segment(p, s));
 }
 
 RoadNetwork::RoadNetwork(RoadNetworkConfig cfg, Rng rng) : cfg_(cfg) {
@@ -36,7 +36,7 @@ RoadNetwork::RoadNetwork(RoadNetworkConfig cfg, Rng rng) : cfg_(cfg) {
     std::size_t best = 0;
     double best_d = std::numeric_limits<double>::max();
     for (std::size_t j = 0; j < i; ++j) {
-      const double d = std::hypot(cities_[i].x - cities_[j].x, cities_[i].y - cities_[j].y);
+      const double d = distance(cities_[i], cities_[j]);
       if (d < best_d) {
         best_d = d;
         best = j;
@@ -57,8 +57,8 @@ RoadNetwork::RoadNetwork(RoadNetworkConfig cfg, Rng rng) : cfg_(cfg) {
     for (std::size_t k = 0; k < cfg_.local_roads_per_city; ++k) {
       const double angle = rng.uniform(0.0, 2.0 * std::numbers::pi);
       const double len = rng.uniform(0.4, 1.0) * cfg_.local_road_km;
-      Point end{std::clamp(c.x + len * std::cos(angle), 0.0, cfg_.region_km),
-                std::clamp(c.y + len * std::sin(angle), 0.0, cfg_.region_km)};
+      Point end{std::clamp(c.x + len * elementary::cos(angle), 0.0, cfg_.region_km),
+                std::clamp(c.y + len * elementary::sin(angle), 0.0, cfg_.region_km)};
       segments_.push_back({c, end});
     }
   }

@@ -18,6 +18,11 @@ struct Point {
   double y = 0.0;
 };
 
+/// Euclidean distance, km: sqrt(dx * dx + dy * dy).  sqrt is correctly
+/// rounded, so the result is the same on every host (hypot is not); the
+/// coordinates are kilometres, far from where squaring over- or underflows.
+[[nodiscard]] double distance(const Point& a, const Point& b);
+
 struct Segment {
   Point a, b;
 

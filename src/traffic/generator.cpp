@@ -1,5 +1,7 @@
 #include "traffic/generator.hpp"
 
+#include "common/elementary.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -41,7 +43,7 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
     for (std::size_t s = 0; s < grid.slots_per_day(); ++s, ++t) {
       const double envelope = trace.load_rate[t];
       ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
-      const double load = std::clamp(envelope * weekend * std::exp(ar), cfg_.min_load, 1.0);
+      const double load = std::clamp(envelope * weekend * elementary::exp(ar), cfg_.min_load, 1.0);
       trace.load_rate[t] = load;
       trace.volume_gb[t] = load * cfg_.peak_volume_gb;
     }

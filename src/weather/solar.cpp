@@ -12,7 +12,7 @@ ClearSkyDay::ClearSkyDay(const SolarConfig& cfg, std::size_t day_of_year) {
   // scales with relative day length as a season proxy.
   const double phase =
       2.0 * std::numbers::pi * static_cast<double>((day_of_year + 365 - 172) % 365) / 365.0;
-  daylength = cfg.mean_daylength_h + 0.5 * cfg.season_daylength_swing_h * std::cos(phase);
+  daylength = cfg.mean_daylength_h + 0.5 * cfg.season_daylength_swing_h * elementary::cos(phase);
   sunrise = 12.0 - daylength / 2.0;
   sunset = 12.0 + daylength / 2.0;
   seasonal_peak = cfg.peak_ghi * (daylength / (cfg.mean_daylength_h +

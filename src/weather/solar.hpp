@@ -7,10 +7,10 @@
 // and hard to predict (paper Fig. 2).
 #pragma once
 
+#include "common/elementary.hpp"
 #include "common/rng.hpp"
 #include "common/time_grid.hpp"
 
-#include <cmath>
 #include <numbers>
 #include <vector>
 
@@ -46,7 +46,7 @@ struct ClearSkyDay {
   [[nodiscard]] double at(double hour_of_day) const {
     if (hour_of_day <= sunrise || hour_of_day >= sunset) return 0.0;
     const double x = (hour_of_day - sunrise) / daylength;  // in (0, 1)
-    return seasonal_peak * std::sin(std::numbers::pi * x);
+    return seasonal_peak * elementary::sin(std::numbers::pi * x);
   }
 
   double daylength = 0.0;      ///< hours

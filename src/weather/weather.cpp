@@ -1,5 +1,7 @@
 #include "weather/weather.hpp"
 
+#include "common/elementary.hpp"
+
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -31,7 +33,7 @@ void WeatherGenerator::generate_into(const TimeGrid& grid, WeatherSeries& series
   // term depends only on the hour of day: evaluated once per slot of the
   // day, then read back and overwritten slot by slot below.
   fill_by_slot_of_day(grid, series.temperature_c, [](double hour) {
-    return std::sin(2.0 * std::numbers::pi * (hour - 8.0) / 24.0);
+    return elementary::sin(2.0 * std::numbers::pi * (hour - 8.0) / 24.0);
   });
   Rng temp_rng = rng_.fork();
   for (std::size_t t = 0; t < grid.size(); ++t) {

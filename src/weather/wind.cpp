@@ -1,5 +1,7 @@
 #include "weather/wind.hpp"
 
+#include "common/elementary.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <numbers>
@@ -27,7 +29,7 @@ void WindModel::generate_into(const TimeGrid& grid, std::vector<double>& out_spe
   // slot of the day, then read back and overwritten slot by slot below.
   fill_by_slot_of_day(grid, out_speed, [this](double hour) {
     return 1.0 + cfg_.diurnal_amplitude *
-                     std::sin(2.0 * std::numbers::pi * (hour - 9.0) / 24.0);
+                     elementary::sin(2.0 * std::numbers::pi * (hour - 9.0) / 24.0);
   });
   double x = cfg_.mean_speed_ms;  // OU state
   for (std::size_t t = 0; t < grid.size(); ++t) {

@@ -1,6 +1,7 @@
-// Lint fixture (never compiled): what NN and RL code may write.  Expected:
-// clean even under src/nn/ — calls qualified by nn::elementary, member calls
-// and declarations are not libm calls.
+// Lint fixture (never compiled): what library code may write.  Expected:
+// clean even under src/nn/ — calls qualified by nn::elementary or
+// elementary, member calls and declarations are not libm calls.
+#include "common/elementary.hpp"
 #include "nn/elementary.hpp"
 
 namespace ecthub::nn::elementary {
@@ -17,4 +18,8 @@ double trunk(double x) { return ecthub::nn::elementary::tanh(x); }
 double ratio(double log_prob, const Meter& meter, const Meter* m) {
   const double p = nn::elementary::exp(log_prob);
   return p + meter.log(p) + m->log(p) + elementary::log(p) + elementary::powi(0.9, 3);
+}
+
+double hour_phase(double s, double c) {
+  return ecthub::elementary::atan2(s, c) + ecthub::elementary::sin(s) * elementary::cos(c);
 }

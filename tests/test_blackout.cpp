@@ -126,7 +126,8 @@ TEST(DrawOutagesInto, Validation) {
 TEST(DrawOutagesInto, HugeFiniteDurationIsCutAtTheHorizon) {
   // Every outage of a 1000 h model already runs past 48 one-hour slots, so
   // a 1e300 h model must flag the same slots.  Its slot count used to
-  // reach an undefined double -> size_t cast, which flagged 1 slot, not 20.
+  // reach an undefined double -> size_t cast, which flagged 1 slot, not all
+  // of the outages' slots.
   const auto flags_for = [](double hours) {
     OutageModel model;
     model.rate_per_month = 30.0;
@@ -138,7 +139,7 @@ TEST(DrawOutagesInto, HugeFiniteDurationIsCutAtTheHorizon) {
     return flags;
   };
   const std::vector<std::uint8_t> long_outages = flags_for(1000.0);
-  EXPECT_EQ(outage_slots(long_outages), 20u);
+  EXPECT_EQ(outage_slots(long_outages), 29u);
   EXPECT_EQ(flags_for(1e300), long_outages);
 }
 

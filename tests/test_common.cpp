@@ -1,9 +1,10 @@
-// Unit tests for the common substrate: time grid, RNG, statistics, tables,
-// the barrier crew.
+// Unit tests for the common substrate: time grid, RNG and its distributions,
+// the owned sin/cos/atan2, statistics, tables, the barrier crew.
 #include "common/binio.hpp"
 #include "common/cli.hpp"
 #include "common/crew.hpp"
 #include "common/csv.hpp"
+#include "common/elementary.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -20,12 +21,13 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <map>
+#include <numbers>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <random>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -149,20 +151,21 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(stats::stddev(xs), 2.0, 0.1);
 }
 
-// For stddev > 0, Rng::normal is the draw std::normal_distribution(mean,
-// stddev) makes on the same engine, so every generator keeps its stream.  A
-// zero stddev returns the mean and consumes the draws a standard normal does.
+// Rng::normal(mean, stddev) is the standard draw scaled, z * stddev + mean,
+// pinned here against recorded draws.  A zero stddev returns the mean and
+// consumes the draws a standard normal does.
 TEST(Rng, NormalMatchesTheLibraryDrawAndTakesZeroSigma) {
-#if defined(__GLIBCXX__)
   Rng rng(77);
-  std::mt19937_64 engine(77);
+  Rng standard(77);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
   for (int i = 0; i < 20000; ++i) {
     const double mean = 0.01 * (i % 201) - 1.0;
     const double stddev = 0.001 + 0.05 * (i % 97);
-    std::normal_distribution<double> d(mean, stddev);
-    ASSERT_EQ(rng.normal(mean, stddev), d(engine)) << i;
+    const double x = rng.normal(mean, stddev);
+    ASSERT_EQ(x, standard.normal() * stddev + mean) << i;
+    digest = (digest ^ std::bit_cast<std::uint64_t>(x)) * 0x100000001b3ULL;
   }
-#endif
+  EXPECT_EQ(digest, 0xee9b33ac963e3039ULL);
   Rng zero(5), ref(5);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(zero.normal(2.5, 0.0), 2.5);
@@ -280,187 +283,514 @@ TEST(Rng, BadParametersThrowWithoutDrawing) {
   EXPECT_EQ(rng.uniform(), expected.uniform());
 }
 
-// ------------------------------------------------- Rng against libstdc++
-//
-// Rng replays libstdc++ 12's std::mt19937_64 and distributions.  These pin
-// that draw for draw, bit for bit, against <random> on a same-seeded
-// std::mt19937_64, at >= 10^6 draws per parameter set.  Each loop interleaves
-// its parameter sets, so a draw that takes one engine word too many or too
-// few fails at once.
-#if defined(__GLIBCXX__)
-
-static_assert(std::uniform_random_bit_generator<Mt19937_64>);
-static_assert(sizeof(Rng) == sizeof(std::mt19937_64));
-
-constexpr int kLibDraws = 1'000'000;
-
-std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
-
-TEST(RngLibstdcxx, EngineMatchesMt19937_64) {
-  for (const std::uint64_t seed :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42}, ~std::uint64_t{0},
-        mix_seed(7, 0), mix_seed(7, 1), mix_seed(2, 479)}) {
-    Mt19937_64 owned(seed);
-    std::mt19937_64 ref(seed);
-    for (int i = 0; i < kLibDraws; ++i) ASSERT_EQ(owned(), ref()) << seed << " draw " << i;
-  }
-}
-
-TEST(RngLibstdcxx, CopyMidBlockAndForkContinueTheLibraryStream) {
-  Mt19937_64 owned(2021);
-  std::mt19937_64 ref(2021);
-  for (int i = 0; i < 1000; ++i) ASSERT_EQ(owned(), ref());  // 3 twists + 64 words
-  Mt19937_64 copy = owned;
-  for (int i = 0; i < 10'000; ++i) {
-    const std::uint64_t r = ref();
-    ASSERT_EQ(owned(), r) << i;
-    ASSERT_EQ(copy(), r) << i;
-  }
-  // fork() seeds the child with the parent's next word; 400 forks cross a
-  // twist of the parent.
-  Rng parent(99);
-  std::mt19937_64 ref_parent(99);
-  const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
-  const std::int64_t hi = std::numeric_limits<std::int64_t>::max();
-  for (int k = 0; k < 400; ++k) {
-    Rng child = parent.fork();
-    std::mt19937_64 ref_child(ref_parent());
-    std::uniform_int_distribution<std::int64_t> full(lo, hi);
-    for (int i = 0; i < 3; ++i) ASSERT_EQ(child.uniform_int(lo, hi), full(ref_child)) << k;
-  }
-}
-
-TEST(RngLibstdcxx, CanonicalMatchesGenerateCanonicalAndClamps) {
-  // Chance never reaches the clamp (p ~ 2^-54 per draw): script the words.
-  struct Scripted {
-    using result_type = std::uint64_t;
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type max() { return ~result_type{0}; }
-    result_type word;
-    result_type operator()() { return word; }
+TEST(Rng, EngineIsXoshiro256StarStarSeededBySplitmix64) {
+  // The reference algorithms (Vigna's xoshiro256** and splitmix64, public
+  // domain), written out here.  A canonical draw is the word's top 53 bits,
+  // so uniform() * 2^53 recovers them exactly.
+  static_assert(sizeof(Rng) == 32);
+  const auto rotl = [](std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); };
+  struct Reference {
+    std::uint64_t s[4];
+    explicit Reference(std::uint64_t seed) {
+      for (std::uint64_t& w : s) {
+        std::uint64_t z = (seed += 0x9e3779b97f4a7c15ULL);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        w = z ^ (z >> 31);
+      }
+    }
   };
-  const std::uint64_t top = ~std::uint64_t{0};
-  for (const std::uint64_t word :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1} << 63, top - 2047, top - 1023, top}) {
-    Scripted g{word};
-    const double lib = std::generate_canonical<double, 64>(g);
-    EXPECT_EQ(bits_of(canonical_from_bits(word)), bits_of(lib)) << word;
-    EXPECT_LT(canonical_from_bits(word), 1.0) << word;
+  const auto next = [&rotl](Reference& r) {
+    const std::uint64_t result = rotl(r.s[1] * 5, 7) * 9;
+    const std::uint64_t t = r.s[1] << 17;
+    r.s[2] ^= r.s[0];
+    r.s[3] ^= r.s[1];
+    r.s[1] ^= r.s[2];
+    r.s[0] ^= r.s[3];
+    r.s[2] ^= t;
+    r.s[3] = rotl(r.s[3], 45);
+    return result;
+  };
+  for (const std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{42},
+                                   ~std::uint64_t{0}, mix_seed(7, 3)}) {
+    Rng rng(seed);
+    Reference ref(seed);
+    for (int i = 0; i < 100'000; ++i) {
+      ASSERT_EQ(static_cast<std::uint64_t>(rng.uniform() * 0x1p53), next(ref) >> 11)
+          << "seed " << seed << " draw " << i;
+    }
+    // fork() seeds a child from the parent's next word.
+    Rng child = rng.fork();
+    Reference ref_child(next(ref));
+    EXPECT_EQ(static_cast<std::uint64_t>(child.uniform() * 0x1p53), next(ref_child) >> 11);
+    EXPECT_EQ(static_cast<std::uint64_t>(rng.uniform() * 0x1p53), next(ref) >> 11);
   }
-  // 2^64 - 2^10 and above round to 2^64 and clamp to the largest double < 1.
-  EXPECT_EQ(canonical_from_bits(top - 1023), std::nextafter(1.0, 0.0));
-  EXPECT_EQ(canonical_from_bits(top), std::nextafter(1.0, 0.0));
 }
 
-TEST(RngLibstdcxx, UniformMatchesUniformRealDistribution) {
-  const std::pair<double, double> sets[] = {
-      {0.0, 1.0}, {2.0, 3.0}, {-7.5, -2.25}, {4.0, 4.0}, {-1e9, 1e9}, {-0.0, 0.0}};
-  Rng rng(1);
-  std::mt19937_64 ref(1);
-  for (int i = 0; i < kLibDraws; ++i) {
-    for (const auto& [lo, hi] : sets) {
-      std::uniform_real_distribution<double> d(lo, hi);
-      ASSERT_EQ(bits_of(rng.uniform(lo, hi)), bits_of(d(ref))) << lo << ", " << hi << " @" << i;
+TEST(Rng, UniformMapsTheCanonicalEdges) {
+  constexpr double kTop = 0x1.fffffffffffffp-1;  // the largest canonical draw
+  EXPECT_EQ(canonical_from_bits(0), 0.0);
+  EXPECT_EQ(canonical_from_bits(~std::uint64_t{0}), kTop);
+  // c * (hi - lo) + lo rounds up to hi at the top for this pair.
+  const double lo = 7.850717171822652;
+  const double hi = 10.714929727778994;
+  ASSERT_EQ(kTop * (hi - lo) + lo, hi);
+  EXPECT_EQ(uniform_from_canonical(kTop, lo, hi), std::nextafter(hi, lo));
+  EXPECT_EQ(uniform_from_canonical(0.0, lo, hi), lo);
+  EXPECT_EQ(uniform_from_canonical(kTop, 3.0, 3.0), 3.0);
+  EXPECT_EQ(uniform_from_canonical(0.0, -0.0, 0.0), -0.0);
+  Rng pairs(91);
+  for (int i = 0; i < 100'000; ++i) {
+    const double a = pairs.uniform(-1e3, 1e3);
+    const double b = a + pairs.uniform(0.0, 1e3);
+    EXPECT_EQ(uniform_from_canonical(0.0, a, b), a);
+    const double top = uniform_from_canonical(kTop, a, b);
+    EXPECT_TRUE(top < b || a == b) << a << ", " << b;
+    EXPECT_GE(top, a);
+  }
+}
+
+TEST(Rng, CategoricalMapsTheUniformEdges) {
+  // u = 0 never picks a leading zero weight.
+  EXPECT_EQ(categorical_from_uniform({0.0, 0.0, 1.0}, 0.0), 2u);
+  EXPECT_EQ(categorical_from_uniform({0.5, 0.5}, 0.0), 0u);
+  // The largest u below the total never picks a trailing zero weight, even
+  // where subtracting the weights one by one left a positive residual.
+  const std::vector<double> w = {0.8114926470322322, 0.4958852705949647, 0.8390728336687837,
+                                 0.19967440938563086, 0.0};
+  double total = 0.0;
+  for (const double x : w) total += x;
+  EXPECT_EQ(categorical_from_uniform(w, std::nextafter(total, 0.0)), 3u);
+  Rng sets(92);
+  for (int i = 0; i < 100'000; ++i) {
+    std::vector<double> ws(1 + static_cast<std::size_t>(sets.uniform_int(0, 6)));
+    for (double& x : ws) x = sets.bernoulli(0.3) ? 0.0 : sets.uniform(0.0, 1.0);
+    ws.push_back(0.0);
+    double sum = 0.0;
+    for (const double x : ws) sum += x;
+    if (sum == 0.0) continue;
+    for (const double u : {0.0, std::nextafter(sum, 0.0)}) {
+      const std::size_t k = categorical_from_uniform(ws, u);
+      ASSERT_LT(k, ws.size());
+      EXPECT_GT(ws[k], 0.0) << "u " << u << " set " << i;
     }
   }
 }
 
-TEST(RngLibstdcxx, NormalMatchesNormalDistributionAndTakesZeroSigma) {
-  const std::pair<double, double> sets[] = {
-      {0.0, 1.0}, {5.0, 2.0}, {-3.0, 0.5}, {1e3, 1e-3}, {2.5, 0.0}};
-  Rng rng(2);
-  std::mt19937_64 ref(2);
-  for (int i = 0; i < kLibDraws; ++i) {
-    for (const auto& [mean, stddev] : sets) {
-      // The library requires stddev > 0; sigma 0 scales its standard draw.
-      const double expected = stddev > 0.0
-                                  ? std::normal_distribution<double>(mean, stddev)(ref)
-                                  : std::normal_distribution<double>()(ref) * stddev + mean;
-      ASSERT_EQ(bits_of(rng.normal(mean, stddev)), bits_of(expected))
-          << mean << ", " << stddev << " @" << i;
+// ------------------------------------------------- Rng distributions
+//
+// Every draw against its distribution at >= 10^6 draws per parameter set.
+// Each bound is a false-alarm bound from theory, not fitted to the output,
+// and fails a correct sampler with probability about 10^-6 or less:
+// sample means and variances within 5 standard errors (Var(s^2) is
+// (mu4 - sigma^4) / n), Kolmogorov-Smirnov distances below the DKW bound
+// sqrt(ln(2 / alpha) / (2 n)) at alpha = 10^-6, and chi-square statistics
+// below the Wilson-Hilferty 1 - 10^-6 quantile (bins merged until each
+// expects >= 5).
+
+constexpr std::size_t kDistDraws = 1'000'000;
+constexpr double kSigmas = 5.0;
+
+void expect_moments(const std::vector<double>& xs, double mean, double var, double mu4) {
+  const auto n = static_cast<double>(xs.size());
+  const double m = stats::mean(xs);
+  double s2 = 0.0;
+  for (const double x : xs) s2 += (x - m) * (x - m);
+  s2 /= n - 1.0;
+  EXPECT_LE(std::abs(m - mean), kSigmas * std::sqrt(var / n)) << "mean " << m;
+  EXPECT_LE(std::abs(s2 - var), kSigmas * std::sqrt((mu4 - var * var) / n)) << "variance " << s2;
+}
+
+double dkw_bound(std::size_t n) {
+  return std::sqrt(std::log(2.0 / 1e-6) / (2.0 * static_cast<double>(n)));
+}
+
+template <class Cdf>
+double ks_distance(std::vector<double> xs, Cdf cdf) {
+  std::sort(xs.begin(), xs.end());
+  const auto n = static_cast<double>(xs.size());
+  double d = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double f = cdf(xs[i]);
+    d = std::max({d, f - static_cast<double>(i) / n, static_cast<double>(i + 1) / n - f});
+  }
+  return d;
+}
+
+/// Chi-square of observed counts against expected ones, adjacent bins
+/// merged left to right until each expects >= 5 (the remainder joins the
+/// last bin); the statistic must stay below the 1 - 10^-6 quantile.
+void expect_chi_square(const std::vector<double>& observed, const std::vector<double>& expected,
+                       const std::string& what) {
+  std::vector<double> obs;
+  std::vector<double> exp;
+  double o = 0.0;
+  double e = 0.0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    o += observed[i];
+    e += expected[i];
+    if (e >= 5.0) {
+      obs.push_back(o);
+      exp.push_back(e);
+      o = e = 0.0;
     }
+  }
+  ASSERT_FALSE(exp.empty()) << what;
+  obs.back() += o;
+  exp.back() += e;
+  ASSERT_GE(exp.size(), 2u) << what;
+  double chi2 = 0.0;
+  for (std::size_t i = 0; i < exp.size(); ++i) {
+    chi2 += (obs[i] - exp[i]) * (obs[i] - exp[i]) / exp[i];
+  }
+  const auto k = static_cast<double>(exp.size() - 1);
+  const double z = 4.7534;  // the standard normal's 1 - 10^-6 quantile
+  const double c = 2.0 / (9.0 * k);
+  const double bound = k * std::pow(1.0 - c + z * std::sqrt(c), 3.0);
+  EXPECT_LE(chi2, bound) << what << " (" << exp.size() << " bins)";
+}
+
+double normal_cdf(double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); }
+
+TEST(RngDistribution, UniformMomentsAndKs) {
+  Rng rng(301);
+  std::vector<double> xs(kDistDraws);
+  for (double& x : xs) x = rng.uniform(2.0, 5.0);
+  for (const double x : xs) ASSERT_TRUE(x >= 2.0 && x < 5.0) << x;
+  expect_moments(xs, 3.5, 0.75, 81.0 / 80.0);
+  EXPECT_LE(ks_distance(xs, [](double x) { return (x - 2.0) / 3.0; }), dkw_bound(xs.size()));
+}
+
+TEST(RngDistribution, NormalMomentsAndKs) {
+  Rng rng(302);
+  std::vector<double> xs(2 * kDistDraws);
+  for (double& x : xs) x = rng.normal(1.5, 2.0);
+  expect_moments(xs, 1.5, 4.0, 3.0 * 16.0);
+  EXPECT_LE(ks_distance(xs, [](double x) { return normal_cdf((x - 1.5) / 2.0); }),
+            dkw_bound(xs.size()));
+}
+
+TEST(RngDistribution, NormalHistogramChiSquare) {
+  // 10^7 standard draws in bins of width 0.05 over [-4.5, 4.5] plus the two
+  // tails: fine enough to see the ziggurat's layer edges, where a wrong
+  // wedge test would put its excess mass.
+  constexpr std::size_t kN = 10'000'000;
+  constexpr double kWidth = 0.05;
+  constexpr std::size_t kBins = 180;  // 9 / kWidth
+  Rng rng(312);
+  std::vector<double> counts(kBins + 2, 0.0);
+  for (std::size_t i = 0; i < kN; ++i) {
+    const double z = rng.normal();
+    const double pos = (z + 4.5) / kWidth;
+    const std::size_t bin = pos < 0.0 ? 0 : std::min(kBins + 1, 1 + static_cast<std::size_t>(pos));
+    counts[bin] += 1.0;
+  }
+  std::vector<double> expected(kBins + 2);
+  double last_cdf = 0.0;
+  for (std::size_t b = 0; b <= kBins; ++b) {
+    const double cdf = normal_cdf(-4.5 + kWidth * static_cast<double>(b));
+    expected[b] = (cdf - last_cdf) * static_cast<double>(kN);
+    last_cdf = cdf;
+  }
+  expected[kBins + 1] = (1.0 - last_cdf) * static_cast<double>(kN);
+  expect_chi_square(counts, expected, "normal histogram");
+}
+
+TEST(RngDistribution, NormalTailBeyondTheZigguratBase) {
+  // Draws beyond R = 3.654 all come from the tail method: each side's
+  // share must be Phi(-R), and given |z| > R the excess |z| - R must have
+  // the truncated normal's mean lambda - R, lambda = phi(R) / Phi(-R), and
+  // its variance 1 + R lambda - lambda^2, and follow its law (KS).
+  constexpr double kR = 3.6541528853610088;
+  constexpr std::size_t kN = 10'000'000;
+  Rng rng(303);
+  std::vector<double> tail;
+  std::size_t above = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
+    const double z = rng.normal();
+    if (std::abs(z) > kR) tail.push_back(std::abs(z));
+    above += z > kR ? 1 : 0;
+  }
+  const double q_r = 0.5 * std::erfc(kR / std::sqrt(2.0));  // Phi(-R)
+  const double side = q_r * static_cast<double>(kN);
+  const double side_sd = std::sqrt(side * (1.0 - q_r));
+  EXPECT_LE(std::abs(static_cast<double>(above) - side), kSigmas * side_sd) << above;
+  EXPECT_LE(std::abs(static_cast<double>(tail.size() - above) - side), kSigmas * side_sd)
+      << tail.size() - above;
+  const double lambda = std::exp(-0.5 * kR * kR) / std::sqrt(2.0 * std::numbers::pi) / q_r;
+  const double excess_var = 1.0 + kR * lambda - lambda * lambda;
+  double excess = 0.0;
+  for (const double x : tail) excess += x - kR;
+  excess /= static_cast<double>(tail.size());
+  EXPECT_LE(std::abs(excess - (lambda - kR)),
+            kSigmas * std::sqrt(excess_var / static_cast<double>(tail.size())))
+      << "mean excess " << excess;
+  const auto tail_cdf = [q_r](double x) {
+    return 1.0 - 0.5 * std::erfc(x / std::sqrt(2.0)) / q_r;
+  };
+  EXPECT_LE(ks_distance(tail, tail_cdf), dkw_bound(tail.size()));
+}
+
+TEST(RngDistribution, ExponentialMomentsAndKs) {
+  Rng rng(304);
+  std::vector<double> xs(kDistDraws);
+  for (double& x : xs) x = rng.exponential(0.5);
+  for (const double x : xs) ASSERT_GE(x, 0.0);
+  expect_moments(xs, 2.0, 4.0, 9.0 * 16.0);
+  EXPECT_LE(ks_distance(xs, [](double x) { return 1.0 - std::exp(-0.5 * x); }),
+            dkw_bound(xs.size()));
+}
+
+TEST(RngDistribution, BernoulliChiSquare) {
+  Rng rng(305);
+  for (const double p : {1e-3, 0.3, 0.5, 0.97}) {
+    std::vector<double> counts(2, 0.0);
+    for (std::size_t i = 0; i < kDistDraws; ++i) counts[rng.bernoulli(p) ? 1 : 0] += 1.0;
+    const auto n = static_cast<double>(kDistDraws);
+    expect_chi_square(counts, {n * (1.0 - p), n * p}, "bernoulli " + std::to_string(p));
   }
 }
 
-TEST(RngLibstdcxx, BernoulliMatchesBernoulliDistribution) {
-  const double sets[] = {1e-9, 1e-3, 0.25, 0.5, 0.9, 1.0 - 1e-9};
-  Rng rng(3);
-  std::mt19937_64 ref(3);
-  for (int i = 0; i < kLibDraws; ++i) {
-    for (const double p : sets) {
-      ASSERT_EQ(rng.bernoulli(p), std::bernoulli_distribution(p)(ref)) << p << " @" << i;
+TEST(RngDistribution, UniformIntChiSquare) {
+  // Small ranges value by value; wide ones in equal bins of their top bits,
+  // among them ranges that are not powers of two, where Lemire's method
+  // rejects (a quarter of the time for [0, 3 * 2^61 - 1]).
+  struct Case {
+    std::int64_t lo;
+    std::int64_t hi;
+    std::size_t bins;
+    int shift;  ///< bin = (v - lo) >> shift
+  };
+  const Case cases[] = {
+      {0, 1, 2, 0},
+      {0, 9, 10, 0},
+      {-5, 5, 11, 0},
+      {0, 3 * (std::int64_t{1} << 30) - 1, 12, 28},
+      {0, 3 * (std::int64_t{1} << 61) - 1, 12, 59},
+      {std::numeric_limits<std::int64_t>::min(), std::numeric_limits<std::int64_t>::max(), 16, 60},
+  };
+  Rng rng(306);
+  for (const Case& c : cases) {
+    std::vector<double> counts(c.bins, 0.0);
+    for (std::size_t i = 0; i < kDistDraws; ++i) {
+      const std::int64_t v = rng.uniform_int(c.lo, c.hi);
+      ASSERT_TRUE(v >= c.lo && v <= c.hi);
+      const std::uint64_t offset = static_cast<std::uint64_t>(v) - static_cast<std::uint64_t>(c.lo);
+      counts[offset >> c.shift] += 1.0;
     }
+    const double per_bin = static_cast<double>(kDistDraws) / static_cast<double>(c.bins);
+    const std::vector<double> expected(c.bins, per_bin);
+    expect_chi_square(counts, expected,
+                      "uniform_int [" + std::to_string(c.lo) + ", " + std::to_string(c.hi) + "]");
+  }
+  EXPECT_EQ(rng.uniform_int(7, 7), 7);
+}
+
+TEST(RngDistribution, PoissonChiSquare) {
+  // Means on both sides of the switch from inversion to PTRS at 10.  The
+  // tiniest mean takes 10^7 draws so that its ones expect >= 5.
+  Rng rng(307);
+  for (const double mean : {1e-6, 0.5, 3.0, 9.99, 10.0, 40.0, 1e4}) {
+    const std::size_t n = mean < 1e-3 ? 10 * kDistDraws : kDistDraws;
+    const auto k_max = static_cast<std::size_t>(mean + 12.0 * std::sqrt(mean) + 30.0);
+    std::vector<double> counts(k_max + 2, 0.0);  // the last bin holds k > k_max
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t k = rng.poisson(mean);
+      counts[std::min<std::uint64_t>(k, k_max + 1)] += 1.0;
+    }
+    std::vector<double> expected(k_max + 2, 0.0);
+    long double below = 0.0L;
+    for (std::size_t k = 0; k <= k_max; ++k) {
+      const long double kk = static_cast<long double>(k);
+      const long double pmf = expl(kk * logl(static_cast<long double>(mean)) -
+                                   static_cast<long double>(mean) - lgammal(kk + 1.0L));
+      expected[k] = static_cast<double>(pmf * static_cast<long double>(n));
+      below += pmf;
+    }
+    expected[k_max + 1] =
+        static_cast<double>(std::max(0.0L, 1.0L - below)) * static_cast<double>(n);
+    expect_chi_square(counts, expected, "poisson " + std::to_string(mean));
   }
 }
 
-TEST(RngLibstdcxx, UniformIntMatchesUniformIntDistribution) {
-  const std::int64_t i64_min = std::numeric_limits<std::int64_t>::min();
-  const std::int64_t i64_max = std::numeric_limits<std::int64_t>::max();
-  const std::pair<std::int64_t, std::int64_t> sets[] = {
-      {0, 0}, {0, 1}, {0, 3}, {-5, 5}, {0, std::int64_t{1} << 32}, {i64_min, i64_max},
-      // 2^63 + 1 values: Lemire's method redraws about half the time.
-      {i64_min, 0}};
-  Rng rng(4);
-  std::mt19937_64 ref(4);
-  for (int i = 0; i < kLibDraws; ++i) {
-    for (const auto& [lo, hi] : sets) {
-      std::uniform_int_distribution<std::int64_t> d(lo, hi);
-      ASSERT_EQ(rng.uniform_int(lo, hi), d(ref)) << lo << ", " << hi << " @" << i;
+TEST(RngDistribution, ShufflePermutationsOfThreeAreUniform) {
+  Rng rng(308);
+  std::map<std::vector<std::size_t>, double> counts;
+  for (std::size_t i = 0; i < kDistDraws; ++i) {
+    std::vector<std::size_t> idx = {0, 1, 2};
+    rng.shuffle(idx);
+    counts[idx] += 1.0;
+  }
+  ASSERT_EQ(counts.size(), 6u);
+  std::vector<double> observed;
+  for (const auto& [perm, c] : counts) observed.push_back(c);
+  expect_chi_square(observed, std::vector<double>(6, static_cast<double>(kDistDraws) / 6.0),
+                    "shuffle of 3");
+  std::vector<std::size_t> empty;
+  rng.shuffle(empty);
+  std::vector<std::size_t> one = {4};
+  rng.shuffle(one);
+  EXPECT_EQ(one, std::vector<std::size_t>{4});
+}
+
+TEST(RngDistribution, ConsecutiveForksAreUncorrelated) {
+  // Pearson correlation of the i-th draws of children forked one after the
+  // other: independent streams give r ~ N(0, 1 / n).
+  Rng parent(309);
+  constexpr std::size_t kChildren = 1000;
+  constexpr std::size_t kPerChild = 1000;
+  std::vector<std::vector<double>> draws(kChildren, std::vector<double>(kPerChild));
+  for (auto& child_draws : draws) {
+    Rng child = parent.fork();
+    for (double& x : child_draws) x = child.uniform();
+  }
+  std::vector<double> a;
+  std::vector<double> b;
+  for (std::size_t c = 0; c + 1 < kChildren; ++c) {
+    a.insert(a.end(), draws[c].begin(), draws[c].end());
+    b.insert(b.end(), draws[c + 1].begin(), draws[c + 1].end());
+  }
+  const double r = stats::pearson(a, b);
+  EXPECT_LE(std::abs(r), kSigmas / std::sqrt(static_cast<double>(a.size()))) << r;
+}
+
+// ---------------------------------------------------------------- elementary
+//
+// common/elementary's sin, cos and atan2 against long double references (its
+// exp and log: suite Elementary in test_nn).
+
+/// |got - ref| in units of the last place of a double of ref's magnitude
+/// (2^-1074 below the normal range).
+double ulp_error(double got, long double ref) {
+  const int exponent = std::max(std::ilogb(ref), -1022);
+  return static_cast<double>(std::fabs(static_cast<long double>(got) - ref) /
+                             std::ldexp(1.0L, exponent - 52));
+}
+
+struct WorstUlp {
+  double ulp = 0.0;
+  double at = 0.0;
+};
+
+template <class F, class Ref>
+WorstUlp worst_ulp(const std::vector<double>& xs, F f, Ref ref) {
+  WorstUlp w;
+  for (const double x : xs) {
+    const double e = ulp_error(f(x), ref(static_cast<long double>(x)));
+    if (!(e <= w.ulp)) w = {e, x};
+  }
+  return w;
+}
+
+/// sin/cos inputs over the documented domain |x| <= 2^20: uniform over one
+/// turn and over the domain, magnitudes log-spaced from 2^-60, and the
+/// doubles nearest to k pi / 2, where the reduced argument is tiniest
+/// (45.553093477052002 is the closest of all below 2^20).
+std::vector<double> trig_sweep() {
+  std::vector<double> xs;
+  Rng rng(310);
+  for (int i = 0; i < 1'000'000; ++i) xs.push_back(rng.uniform(-7.0, 7.0));
+  for (int i = 0; i < 1'000'000; ++i) xs.push_back(rng.uniform(-0x1p20, 0x1p20));
+  for (int i = 0; i < 200'000; ++i) {
+    const double x = std::exp2(-60.0 + 80.0 * static_cast<double>(i) / 199'999.0);
+    xs.push_back(x);
+    xs.push_back(-x);
+  }
+  const long double pio2 = 1.5707963267948966192313216916397514L;
+  for (long k = 1; k <= 667'544; k += (k < 100'000 ? 1 : 97)) {
+    const double x = static_cast<double>(pio2 * static_cast<long double>(k));
+    for (const double y : {x, std::nextafter(x, 0.0), std::nextafter(x, 1e300)}) {
+      if (y <= 0x1p20) xs.push_back(y);
     }
+  }
+  xs.push_back(45.553093477052002);
+  xs.push_back(0x1p20);
+  return xs;
+}
+
+TEST(Elementary, SinCosWithinTwoUlpOfLongDouble) {
+  const std::vector<double> xs = trig_sweep();
+  const WorstUlp s = worst_ulp(
+      xs, [](double x) { return elementary::sin(x); }, [](long double x) { return sinl(x); });
+  EXPECT_LE(s.ulp, 2.0) << "sin at x = " << s.at;
+  const WorstUlp c = worst_ulp(
+      xs, [](double x) { return elementary::cos(x); }, [](long double x) { return cosl(x); });
+  EXPECT_LE(c.ulp, 2.0) << "cos at x = " << c.at;
+}
+
+TEST(Elementary, SinIsOddCosIsEvenAndBothAreNanOutsideTheDomain) {
+  for (const double x : trig_sweep()) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(elementary::sin(-x)),
+              std::bit_cast<std::uint64_t>(-elementary::sin(x)))
+        << x;
+    ASSERT_EQ(elementary::cos(-x), elementary::cos(x)) << x;
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(elementary::sin(-0.0)),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(elementary::cos(0.0), 1.0);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double x : {std::nextafter(0x1p20, kInf), 1e10, kInf, -kInf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(std::isnan(elementary::sin(x))) << x;
+    EXPECT_TRUE(std::isnan(elementary::cos(x))) << x;
   }
 }
 
-TEST(RngLibstdcxx, PoissonMatchesPoissonDistribution) {
-  // Below 12 the product method; from 12 up Devroye's rejection, whose
-  // normal draws share one spare per call.
-  const double sets[] = {1e-6, 0.5, 3.0, 11.99, 12.0, 40.0, 1e4};
-  Rng rng(5);
-  std::mt19937_64 ref(5);
-  for (int i = 0; i < kLibDraws; ++i) {
-    for (const double mean : sets) {
-      std::poisson_distribution<std::uint64_t> d(mean);
-      ASSERT_EQ(rng.poisson(mean), d(ref)) << mean << " @" << i;
+TEST(Elementary, Atan2WithinTwoUlpOfLongDouble) {
+  // Points on circles of many radii, pairs with independent magnitudes
+  // from 2^-1000 to 2^1000 (quotients that overflow and underflow), and the
+  // sin/cos hour channels the observation decodes.
+  std::vector<std::pair<double, double>> pts;
+  Rng rng(311);
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double theta = rng.uniform(-3.2, 3.2);
+    const double radius = std::exp2(rng.uniform(-20.0, 20.0));
+    pts.emplace_back(radius * std::sin(theta), radius * std::cos(theta));
+  }
+  for (int i = 0; i < 500'000; ++i) {
+    const double y = (rng.bernoulli(0.5) ? 1.0 : -1.0) * std::exp2(rng.uniform(-1000.0, 1000.0));
+    const double x = (rng.bernoulli(0.5) ? 1.0 : -1.0) * std::exp2(rng.uniform(-1000.0, 1000.0));
+    pts.emplace_back(y, x);
+  }
+  for (int slot = 0; slot < 96; ++slot) {
+    const double angle = 2.0 * std::numbers::pi * (0.25 * slot) / 24.0;
+    pts.emplace_back(elementary::sin(angle), elementary::cos(angle));
+  }
+  double worst = 0.0;
+  std::pair<double, double> at;
+  for (const auto& [y, x] : pts) {
+    const double e = ulp_error(elementary::atan2(y, x),
+                               atan2l(static_cast<long double>(y), static_cast<long double>(x)));
+    if (!(e <= worst)) {
+      worst = e;
+      at = {y, x};
     }
   }
+  EXPECT_LE(worst, 2.0) << "at (y, x) = (" << at.first << ", " << at.second << ")";
 }
 
-TEST(RngLibstdcxx, ExponentialMatchesExponentialDistribution) {
-  const double sets[] = {1e-3, 1.0, 50.0};
-  Rng rng(6);
-  std::mt19937_64 ref(6);
-  for (int i = 0; i < kLibDraws; ++i) {
-    for (const double rate : sets) {
-      std::exponential_distribution<double> d(rate);
-      ASSERT_EQ(bits_of(rng.exponential(rate)), bits_of(d(ref))) << rate << " @" << i;
-    }
+TEST(Elementary, Atan2SpecialValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kPi = std::numbers::pi;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(elementary::atan2(0.0, 0.0)), bits(0.0));
+  EXPECT_EQ(bits(elementary::atan2(-0.0, 0.0)), bits(-0.0));
+  EXPECT_EQ(elementary::atan2(0.0, -0.0), kPi);
+  EXPECT_EQ(elementary::atan2(-0.0, -0.0), -kPi);
+  EXPECT_EQ(elementary::atan2(0.0, -1.0), kPi);
+  EXPECT_EQ(elementary::atan2(1.0, 0.0), kPi / 2);
+  EXPECT_EQ(elementary::atan2(-1.0, -0.0), -kPi / 2);
+  EXPECT_EQ(elementary::atan2(kInf, kInf), kPi / 4);
+  EXPECT_EQ(elementary::atan2(-kInf, -kInf), -3 * kPi / 4);
+  EXPECT_EQ(elementary::atan2(kInf, 1.0), kPi / 2);
+  EXPECT_EQ(bits(elementary::atan2(1.0, kInf)), bits(0.0));
+  EXPECT_EQ(elementary::atan2(-1.0, -kInf), -kPi);
+  EXPECT_EQ(elementary::atan2(1.0, 1.0), kPi / 4);
+  for (const double nan : {std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(std::isnan(elementary::atan2(nan, 1.0)));
+    EXPECT_TRUE(std::isnan(elementary::atan2(1.0, nan)));
   }
 }
-
-TEST(RngLibstdcxx, ShuffleMatchesStdShuffle) {
-  // Rounds per size give each size that draws >= 10^6 draws: an n-element
-  // shuffle takes n / 2 of them (one per pair of positions).
-  const std::pair<std::size_t, int> sizes[] = {
-      {0, kLibDraws}, {1, kLibDraws}, {2, kLibDraws}, {3, kLibDraws},
-      {100, kLibDraws / 50}, {5000, kLibDraws / 2500}};
-  std::vector<std::vector<std::size_t>> owned;
-  for (const auto& [n, rounds] : sizes) {
-    owned.emplace_back(n);
-    std::iota(owned.back().begin(), owned.back().end(), std::size_t{0});
-  }
-  std::vector<std::vector<std::size_t>> lib = owned;
-  Rng rng(7);
-  std::mt19937_64 ref(7);
-  for (int r = 0; r < kLibDraws; ++r) {
-    for (std::size_t s = 0; s < owned.size(); ++s) {
-      if (r >= sizes[s].second) continue;
-      rng.shuffle(owned[s]);
-      std::shuffle(lib[s].begin(), lib[s].end(), ref);
-      ASSERT_EQ(owned[s], lib[s]) << "size " << sizes[s].first << " round " << r;
-    }
-  }
-}
-
-#endif  // __GLIBCXX__
 
 // ---------------------------------------------------------------- stats
 

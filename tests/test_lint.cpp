@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -129,11 +130,25 @@ TEST(LintDeterminism, LibmCallsFlaggedUnderNnAndRl) {
   }
 }
 
-TEST(LintDeterminism, LibmCallsOutsideNnAndRlAreClean) {
-  // The environment's weather, traffic and pricing series still call libm;
-  // the rule covers the NN and RL code only.
-  EXPECT_TRUE(lint_fixture_at("src/weather", "determinism_libm.cpp").empty());
-  EXPECT_TRUE(lint_fixture_at("tests/nn", "determinism_libm.cpp").empty());
+TEST(LintDeterminism, LibmCallsFlaggedInEverySrcModuleOnly) {
+  // The rule covers every module under src/ (listed from the real tree, so a
+  // new module is covered too) and nothing outside it.
+  std::vector<std::string> modules;
+  for (const auto& entry : std::filesystem::directory_iterator(kRepoRoot + "/src")) {
+    if (entry.is_directory()) modules.push_back("src/" + entry.path().filename().string());
+  }
+  ASSERT_GE(modules.size(), 17u);
+  for (const std::string& dir : modules) {
+    EXPECT_EQ(rule_counts(lint_fixture_at(dir, "determinism_libm.cpp"))["determinism/libm"], 10)
+        << dir;
+    const auto names = lint_fixture_at(dir, "determinism_libm_names.cpp");
+    EXPECT_EQ(names.size(), 16u) << dir;
+    EXPECT_EQ(rule_counts(names)["determinism/libm"], 16) << dir;
+  }
+  for (const std::string dir : {"tests", "tests/nn", "bench", "examples"}) {
+    EXPECT_TRUE(lint_fixture_at(dir, "determinism_libm.cpp").empty()) << dir;
+    EXPECT_TRUE(lint_fixture_at(dir, "determinism_libm_names.cpp").empty()) << dir;
+  }
 }
 
 TEST(LintDeterminism, StdRandomFlaggedUnderSrcOnly) {

@@ -137,18 +137,18 @@ struct GoldenScenario {
 TEST(ScenarioGolden, FixedSeedPinsEveryPreset) {
   const ScenarioRegistry reg = ScenarioRegistry::with_builtins();
   const GoldenScenario golden[] = {
-      {"blackout-prone", 4422.8543568678506, 8182.2805602055214, 43.887883932540582,
-       107.9055819122873, 129.60000000000002, 0.61776257063720164},
-      {"heatwave", 4428.2849770388948, 7767.0694802434637, 51.094910293962094,
-       132.62810150114856, 144.0, 0.61776257063720164},
-      {"high-renewables", 4424.9477848423494, 8186.1534019583432, 624.53472962883586,
-       108.11492470973729, 143.0, 0.61776257063720164},
-      {"price-spike", 4975.0754927678645, 8924.0408095788644, 30.985610570435121,
-       107.9055819122873, 129.60000000000002, 0.61776257063720164},
-      {"rural", 4424.9477848423494, 8186.1534019583432, 247.04302255018914,
-       108.11492470973729, 143.0, 0.61776257063720164},
-      {"urban", 4422.8543568678506, 7757.0228329270312, 30.985610570435121,
-       107.9055819122873, 144.0, 0.61776257063720164},
+      {"blackout-prone", 4293.1334589462303, 7942.296899050526, 50.608294258038789,
+       106.54735138418731, 86.400000000000006, 0.6064111238575508},
+      {"heatwave", 4297.7923237537943, 7536.1285334034983, 67.30046048118426,
+       130.61853301092128, 108.00000000000003, 0.6064111238575508},
+      {"high-renewables", 4299.2270506618033, 7953.5700437243368, 572.23862631167765,
+       107.15671055574462, 110.0, 0.6064111238575508},
+      {"price-spike", 5545.6635025026217, 9993.009549355027, 46.842754156405775,
+       106.54735138418731, 86.400000000000006, 0.6064111238575508},
+      {"rural", 4299.2270506618033, 7953.5700437243368, 233.22526619603875,
+       107.15671055574462, 110.0, 0.6064111238575508},
+      {"urban", 4293.1334589462303, 7527.5096335095041, 46.842754156405775,
+       106.54735138418731, 108.00000000000003, 0.6064111238575508},
   };
   const auto sum = [](const std::vector<double>& v) {
     double s = 0.0;
@@ -631,24 +631,24 @@ TEST(FleetRunnerGolden, PerHubTouAndGreedyTwoEpisodes) {
   }
   const GoldenHub golden[] = {
       // urban-0, tou
-      {-0.81316542066121067, {-0.40171174247689823, -0.41145367818431244},
-       {0.36423879507865364, 0.93521781250435665, 0.53158969392842426, 0.94999999999999996,
-        0.88071686969184271, 42.274409745208452},
+      {15.016892812861862, {8.0658981452905305, 6.9509946675713312},
+       {0.37004546688792495, 0.7262201963391306, 0.53622019633913054, 0.94999999999999996,
+        0.87219246101844605, 41.865238128885409},
        {0, 0, 0, 0}, 0},
       // rural-1, tou
-      {15.531872934775732, {8.129360047168662, 7.4025128876070703},
-       {0.40853036217838856, 0.94999999999999996, 0.59853036217838851, 0.94999999999999996,
-        0.92664721504196335, 44.479066322014241},
+      {15.403987894303054, {5.4709030735092954, 9.9330848207937592},
+       {0.6033177496509039, 0.94999999999999996, 0.79331774965090385, 0.94999999999999996,
+        0.94644184801192333, 45.429208704572318},
        {0, 0, 0, 0}, 0},
       // urban-0, greedy
-      {18.359423878309897, {9.4274351258733695, 8.9319887524365278},
-       {0.7447078033033212, 0.48848424117229966, 0.27990126048480946, 0.94999999999999996,
-        0.78710359419236708, 37.780972521233622},
+      {12.259179627942897, {6.2263119428858209, 6.0328676850570764},
+       {0.53064675584988019, 0.62080902746560851, 0.55708977658302883, 0.94999999999999996,
+        0.83762931013895303, 40.206206886669747},
        {0, 0, 0, 0}, 0},
       // rural-1, greedy
-      {37.044231031557835, {21.965616328344762, 15.078614703213074},
-       {0.76350665799801321, 0.94999999999999996, 0.47331535328162672, 0.94999999999999996,
-        0.82375098574593786, 39.540047315805019},
+      {34.864098148263579, {16.896447902959039, 17.96765024530454},
+       {0.53656166144479844, 0.76102240099292051, 0.60510422029030153, 0.94999999999999996,
+        0.80029852394442302, 38.414329149332303},
        {0, 0, 0, 0}, 0},
   };
   FleetRunnerConfig cfg;
@@ -668,45 +668,45 @@ TEST(FleetRunnerGolden, CoupledMetroLockstep) {
   for (std::size_t i = 1; i < jobs.size(); i += 2) jobs[i].scheduler = SchedulerKind::kGreedyPrice;
   const GoldenHub golden[] = {
       // blackout-prone-0, tou
-      {28.617609106115726, {14.541961718252455, 14.07564738786327},
-       {0.36423879507865364, 0.75652828667317629, 0.49995308079293932, 0.94999999999999996,
-        0.88245876597738293, 42.358020766914379},
-       {352.7999999999999, 43.200000000000003, 19.199999999999999, 4.7999999999999998}, 0},
+      {43.93026167367195, {25.901981582528776, 18.028280091143174},
+       {0.37004546688792495, 0.73039554812169394, 0.39090324980234237, 0.94999999999999996,
+        0.83742954643956857, 40.196618229099293},
+       {345.59999999999985, 72.000000000000014, 45.599999999999994, 4.8000000000000007}, 0},
       // heatwave-1, greedy
-      {44.834085895208432, {24.032530751924867, 20.801555143283561},
-       {0.40853036217838856, 0.20000000000000001, 0.20000000000000001, 0.94999999999999996,
-        0.63957861827273532, 30.699773677091294},
-       {338.39999999999986, 72.000000000000014, 48.133333333333333, 15.666666666666668}, 0},
+      {16.494266144690414, {6.71597900120703, 9.7782871434833822},
+       {0.6033177496509039, 0.26059889525561225, 0.20000000000000001, 0.94999999999999996,
+        0.69768368654017554, 33.488816953928428},
+       {122.40000000000003, 43.200000000000003, 49.266666666666652, 86.666666666666671}, 0},
       // high-renewables-2, tou
-      {51.77731443161322, {25.242517673607598, 26.534796758005619},
-       {0.7447078033033212, 0.94999999999999996, 0.88736563479343078, 0.94999999999999996,
-        0.9423174322108302, 45.231236746119848},
-       {253, 88, 4.7999999999999998, 0}, 0},
+      {104.48546455173097, {50.11917036011301, 54.366294191617961},
+       {0.53064675584988019, 0.94999999999999996, 0.70877175584988028, 0.94999999999999996,
+        0.93843700282796216, 45.044976135742182},
+       {495, 33, 26.399999999999995, 7.2000000000000011}, 0},
       // price-spike-3, greedy
-      {49.856857360591448, {31.019988046794381, 18.836869313797063},
-       {0.76350665799801321, 0.69721778797682932, 0.20000000000000001, 0.94999999999999996,
-        0.57102998458428578, 27.409439260045719},
-       {359.99999999999983, 57.600000000000009, 44.466666666666669, 24.133333333333333}, 0},
+      {50.865623322058624, {28.787230793043385, 22.078392529015236},
+       {0.53656166144479844, 0.40927294039314643, 0.20000000000000001, 0.94999999999999996,
+        0.56761006376586542, 27.24528306076154},
+       {367.19999999999982, 108.00000000000001, 55.333333333333321, 14.4}, 0},
       // rural-4, tou
-      {82.991922841331061, {37.875615829005667, 45.116307012325393},
-       {0.72126017324382019, 0.67760001419354732, 0.48760001419354737, 0.94999999999999996,
-        0.88144556882538139, 42.309387303618308},
-       {451, 33, 77.333333333333343, 0}, 0},
+      {22.671513444690696, {10.452746954613746, 12.218766490076948},
+       {0.77519800812941508, 0.94999999999999996, 0.73908696388535977, 0.94999999999999996,
+        0.92423486969738267, 44.363273745474366},
+       {77, 22, 12, 12}, 0},
       // urban-5, greedy
-      {14.857578624439912, {11.18312417298967, 3.674454451450242},
-       {0.49495014610560273, 0.54094247382218741, 0.47387220617690268, 0.94999999999999996,
-        0.83828536642526397, 40.237697588412672},
-       {79.200000000000017, 21.600000000000001, 25.533333333333335, 3.7999999999999994}, 0},
+      {30.333904207399726, {15.892909316807961, 14.440994890591764},
+       {0.77716779086057941, 0.53945354443411131, 0.20000000000000001, 0.94999999999999996,
+        0.69397879598573942, 33.31098220731549},
+       {144, 72.000000000000014, 20.466666666666669, 46.866666666666667}, 0},
       // blackout-prone-6, tou
-      {15.273795185565469, {8.1301781871696708, 7.1436169983957978},
-       {0.71641615715112739, 0.81078623432447039, 0.6750719486101846, 0.94999999999999996,
-        0.89864842955528224, 43.135124618653549},
-       {144.00000000000003, 57.600000000000001, 39.666666666666671, 28.93333333333333}, 0},
+      {40.79698431523213, {23.243721329647876, 17.553262985584254},
+       {0.62447938418101323, 0.66838967553021522, 0.43651267815261402, 0.94999999999999996,
+        0.84345570666198577, 40.485873919775315},
+       {410.39999999999969, 36, 30.066666666666659, 16.933333333333334}, 0},
       // heatwave-7, greedy
-      {7.8372894075939676, {4.9253485782171422, 2.9119408293768254},
-       {0.30437018247674319, 0.7358410200640545, 0.42443856104244476, 0.94999999999999996,
-        0.81150521877559989, 38.952250501228797},
-       {64.800000000000011, 0, 21.866666666666667, 7.4666666666666659}, 0},
+      {14.611554701030666, {7.1980370454920033, 7.4135176555386639},
+       {0.52866066830773872, 0.20000000000000001, 0.20000000000000001, 0.94999999999999996,
+        0.61450531676650155, 29.496255204792075},
+       {151.19999999999999, 64.800000000000011, 6.0666666666666664, 16.933333333333334}, 0},
   };
   FleetRunnerConfig cfg;
   cfg.base_seed = 7;
@@ -1029,8 +1029,8 @@ TEST(DrlZoo, DeterministicAcrossRunsAndCollectorThreads) {
   EXPECT_EQ(a.specialists.at("urban").blob, b.specialists.at("urban").blob);
   EXPECT_EQ(a.generalist.blob, b.generalist.blob);
   // Absolute pins of the trained weights: the zoo recipe must not drift.
-  EXPECT_EQ(binio::fnv1a(a.specialists.at("urban").blob), 0x69850da45faeea89ULL);
-  EXPECT_EQ(binio::fnv1a(a.generalist.blob), 0xc477568cee42f7b4ULL);
+  EXPECT_EQ(binio::fnv1a(a.specialists.at("urban").blob), 0xf27fb642dfec9bd6ULL);
+  EXPECT_EQ(binio::fnv1a(a.generalist.blob), 0xd7bf5394cb4a118aULL);
 }
 
 // ------------------------------------------------------------ per-slot physics

@@ -177,7 +177,7 @@ TEST(MetroMap, SeedReproducible) {
 // downstream metro fleet moves with it — bump deliberately, never silently.
 TEST(MetroMap, GoldenChecksum) {
   const MetroMap map(MetroConfig{}, 42);
-  EXPECT_DOUBLE_EQ(map.checksum(), 3178.4502317864349);
+  EXPECT_DOUBLE_EQ(map.checksum(), 3646.412023726497);
 }
 
 TEST(MetroMap, ClassificationAndAdjacency) {

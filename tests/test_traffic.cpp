@@ -1,4 +1,5 @@
 // Tests for the network-traffic substrate (Eq. 1 driver).
+#include "common/elementary.hpp"
 #include "common/stats.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/profile.hpp"
@@ -234,7 +235,8 @@ TEST(TrafficGenerator, TraceReplaysThePerSlotExpression) {
         const double weekend = grid.is_weekend(t) ? cfg.weekend_factor : 1.0;
         ar = cfg.noise_persistence * ar + draws.normal(0.0, cfg.noise_sigma);
         const double load = std::clamp(
-            profile.at_hour(grid.hour_of_day(t)) * weekend * std::exp(ar), cfg.min_load, 1.0);
+            profile.at_hour(grid.hour_of_day(t)) * weekend * elementary::exp(ar), cfg.min_load,
+            1.0);
         EXPECT_EQ(trace.load_rate[t], load) << to_string(area) << " " << spd << " " << t;
         EXPECT_EQ(trace.volume_gb[t], load * cfg.peak_volume_gb);
       }

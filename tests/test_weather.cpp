@@ -1,4 +1,5 @@
 // Tests for the weather substrate (NSRDB substitute).
+#include "common/elementary.hpp"
 #include "common/stats.hpp"
 #include "weather/solar.hpp"
 #include "weather/weather.hpp"
@@ -304,7 +305,7 @@ TEST(WindModel, SeriesReplaysThePerSlotExpression) {
     for (std::size_t t = 0; t < grid.size(); ++t) {
       const double diurnal =
           1.0 + cfg.diurnal_amplitude *
-                    std::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 9.0) / 24.0);
+                    elementary::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 9.0) / 24.0);
       x += cfg.reversion_rate * (cfg.mean_speed_ms - x) + draws.normal(0.0, cfg.volatility);
       x = std::clamp(x, 0.0, cfg.max_speed_ms);
       EXPECT_EQ(speed[t], std::clamp(x * diurnal, 0.0, cfg.max_speed_ms)) << spd << " " << t;
@@ -327,7 +328,7 @@ TEST(WeatherGenerator, TemperatureReplaysThePerSlotExpression) {
     Rng draws = parent.fork();
     for (std::size_t t = 0; t < grid.size(); ++t) {
       const double diurnal =
-          std::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 8.0) / 24.0);
+          elementary::sin(2.0 * std::numbers::pi * (grid.hour_of_day(t) - 8.0) / 24.0);
       EXPECT_EQ(wx.temperature_c[t], cfg.mean_temperature_c +
                                          0.5 * cfg.diurnal_temp_swing_c * diurnal +
                                          draws.normal(0.0, cfg.temp_noise_sigma))

@@ -545,15 +545,19 @@ std::vector<Finding> lint_source(const std::string& path, const std::string& con
     }
   }
 
-  // --- determinism: libm transcendental functions in the NN and RL code ----
-  if (under_any(path, {"src/nn/", "src/rl/"})) {
-    for (const char* fn : {"tanh", "exp", "expm1", "log", "log1p", "pow", "sin", "cos"}) {
+  // --- determinism: libm transcendental functions in the library ---------
+  if (under_any(path, {"src/"})) {
+    for (const char* fn : {"tanh",  "exp",  "expm1", "log",   "log1p", "pow",  "sin",
+                           "cos",   "tan",  "atan2", "atan",  "asin",  "acos", "sinh",
+                           "cosh",  "hypot", "lgamma", "tgamma", "erf", "erfc", "cbrt",
+                           "exp2",  "log2", "log10"}) {
       for (std::size_t pos : call_occurrences(stripped, fn)) {
         if (!is_libm_call(stripped, pos)) continue;
         add(pos, "determinism/libm",
             std::string("libm's ") + fn +
-                " picks a CPU-dependent variant at run time; NN and RL code calls "
-                "nn::elementary so trained weights do not depend on the host");
+                " may pick a CPU-dependent variant at run time; the library calls "
+                "common/elementary (or writes powers as products and norms with sqrt) so "
+                "results do not depend on the host");
       }
     }
   }

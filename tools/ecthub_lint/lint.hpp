@@ -10,9 +10,11 @@
 //    functions.  Every stochastic stream must be an Rng seeded via mix_seed
 //    from the experiment configuration; a single `static thread_local`
 //    scratch RNG (the PR 5 checkpoint-load bug) silently makes results
-//    history-dependent.  Under src/nn/ and src/rl/, no libm tanh, exp,
-//    expm1, log, log1p, pow, sin or cos either: glibc dispatches them by
-//    CPU, so they go through nn/elementary (called with its namespace).
+//    history-dependent.  Under src/, no libm transcendental function
+//    either (exp, log, pow, sin, cos, atan2, hypot, lgamma, ...): glibc
+//    dispatches them by CPU, so they go through common/elementary or
+//    nn/elementary (called with their namespace), and powers and norms are
+//    written with products and sqrt.
 //    Under src/, no <random> (its include, std::mt19937*, std::*_distribution,
 //    std::generate_canonical, calls to std::shuffle / std::sample): their
 //    algorithms are the C++ library's choice, so every draw goes through
@@ -82,9 +84,8 @@ class Allowlist {
 
 /// Lints one file's content.  `path` selects the rule set (header rules for
 /// .hpp/.h/.hh, source rules for everything else; determinism and hot-path
-/// rules apply to both, determinism/libm only to paths under src/nn/ and
-/// src/rl/, determinism/std-random only under src/).  Findings come back in
-/// line order.
+/// rules apply to both, determinism/libm and determinism/std-random only
+/// under src/).  Findings come back in line order.
 [[nodiscard]] std::vector<Finding> lint_source(const std::string& path,
                                                const std::string& content);
 
