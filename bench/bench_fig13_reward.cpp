@@ -1,11 +1,14 @@
-// Fig. 13 — per-day reward of four example hubs over a 30-day test episode,
-// one ECT-DRL model per pricing method.
+// Fig. 13 — per-day reward of four example hubs over a 30-day test episode
+// (each day averaged over --test-episodes episodes), one ECT-DRL model per
+// pricing method.
 #include "drl_common.hpp"
 
 #include "common/csv.hpp"
 #include "common/table.hpp"
 
+#include <algorithm>
 #include <iostream>
+#include <limits>
 
 static int run(int argc, char** argv) {
   using namespace ecthub;
@@ -39,7 +42,9 @@ static int run(int argc, char** argv) {
       }
     }
     table.print(std::cout);
-    double mean_ours = 0, mean_best_baseline = 0;
+    // The best baseline starts below every baseline, not at 0: when every
+    // baseline loses money, Ours may still lose least.
+    double mean_ours = 0, mean_best_baseline = -std::numeric_limits<double>::infinity();
     for (const auto& method : benchx::method_order()) {
       const auto& r = results.at(method);
       double mean = 0;

@@ -25,6 +25,19 @@ echo "    masked libm dispatch (glibc.cpu.hwcaps=-AVX2,-FMA)"
 GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA ctest --test-dir "${PREFIX}" \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
+# Crew members may outnumber the CPUs the process gets (a VM loses cores, a
+# user pins the process), and on a multi-core runner a crew handoff that
+# needs a CPU per member still passes everything above.  So rerun the crew
+# suites with the process confined to one CPU; a handoff that spins instead
+# of handing the CPU over stalls here and hits the per-test timeout.
+echo "    crew suites on one CPU (taskset -c 0)"
+if command -v taskset > /dev/null 2>&1; then
+  taskset -c 0 ctest --test-dir "${PREFIX}" -R 'BarrierCrew|Lockstep|VecCollector|FleetRunner' \
+    --timeout 30 --output-on-failure --no-tests=error
+else
+  echo "    taskset not found: skipped the one-CPU crew run"
+fi
+
 # Job 2 flips the bench gate on in the same tree, so the module libraries
 # from job 1 are reused and only the bench binaries compile fresh (under the
 # same -Werror + extra-warnings wall).
@@ -50,9 +63,10 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
   --output-on-failure --no-tests=error -j "${JOBS}"
 
 # Job 4 rebuilds under ThreadSanitizer and runs the BarrierCrew unit suite
-# (the crew every fleet path and the collector run on), the sim-engine suite
-# (the per-hub runner's work-stealing crew, the barrier-synchronized lockstep
-# crew, the four-way run/lockstep×1/×3/×8 identity harness, the crew-size
+# (the crew every fleet path and the collector run on; thousands of short
+# phases check that its phase handoff orders plain writes), the sim-engine
+# suite (the per-hub runner's work-stealing crew, the slot-synchronized
+# lockstep crew, the four-way run/lockstep×1/×3/×8 identity harness, the crew-size
 # sweep against run() and the coupled-metro identity harness —
 # LockstepDeterminism.* and CouplingBus.* match the filter below), the
 # vectorized rollout collector's
@@ -61,8 +75,8 @@ UBSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-asan" \
 # whose shards run on the fleet runner's crew and merge from shard files)
 # and the decision-service suite (Serve*, whose worker micro-batches concurrent
 # decide(obs) callers into one decide_rows forward) and the
-# DRL/metro/shard-file/serving smokes, so every push exercises the lockstep
-# barriers, the concurrent row-block decide_rows/act_rows paths, the
+# DRL/metro/shard-file/serving smokes, so every push exercises the crew's
+# phase handoff, the concurrent row-block decide_rows/act_rows paths, the
 # slot-barrier CouplingBus exchange, the shard run/merge path and the
 # request-batching queue under TSan as well as ASan (the ASan job above runs
 # the full suite including the smokes).

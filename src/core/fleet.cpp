@@ -80,6 +80,16 @@ double average_daily_reward(const std::vector<std::vector<double>>& daily_per_ep
   return acc / static_cast<double>(days);
 }
 
+/// Day d's profit averaged over the test episodes, summed in episode order.
+std::vector<double> mean_daily_reward(const std::vector<std::vector<double>>& daily_per_ep) {
+  std::vector<double> mean(daily_per_ep.front().size(), 0.0);
+  for (const auto& ep : daily_per_ep) {
+    for (std::size_t d = 0; d < mean.size(); ++d) mean[d] += ep[d];
+  }
+  for (double& m : mean) m /= static_cast<double>(daily_per_ep.size());
+  return mean;
+}
+
 /// `cfg.train_hubs` replica lanes of `hub` under `cfg.env`.
 std::vector<DrlTrainLane> replica_lanes(const HubConfig& hub, const DrlFleetTrainConfig& cfg) {
   if (cfg.train_hubs == 0) {
@@ -141,7 +151,7 @@ HubMethodResult run_hub_experiment(const HubConfig& hub,
     daily_per_ep.push_back(env.ledger().daily_profit());
   }
   result.avg_daily_reward = average_daily_reward(daily_per_ep);
-  result.daily_rewards = daily_per_ep.front();
+  result.daily_rewards = mean_daily_reward(daily_per_ep);
   return result;
 }
 

@@ -39,7 +39,7 @@ struct HubMethodResult {
   std::string hub;
   std::string method;
   double avg_daily_reward = 0.0;        ///< Table III cell
-  std::vector<double> daily_rewards;    ///< Fig. 13 series (one test episode)
+  std::vector<double> daily_rewards;    ///< Fig. 13 series: per-day mean over test episodes
   std::vector<double> train_curve;      ///< mean episode reward per iteration
 };
 

@@ -1087,6 +1087,99 @@ TEST(BarrierCrew, DestroyedWithoutARunJoinsCleanly) {
   }
 }
 
+// The handoff: a waiter yields for a bounded number of tries (about a
+// millisecond idle), then parks in std::atomic::wait.  kParked outlasts that
+// bound many times over, so a member that waits through it takes the park
+// path.
+constexpr auto kParked = std::chrono::milliseconds(25);
+
+TEST(BarrierCrew, ThousandsOfShortPhasesRunEveryIndexOncePerPhase) {
+  for (const std::size_t size : {2u, 4u, 8u}) {
+    BarrierCrew crew(size);
+    // Plain ints on purpose: only the handoff orders the coordinator's write
+    // of `phase` before the members' reads, and each member's writes before
+    // the coordinator's reads after run() (TSan checks both).
+    int phase = 0;
+    std::vector<int> runs(size, 0);
+    std::vector<int> saw(size, -1);
+    const std::function<void(std::size_t)> task = [&](std::size_t i) {
+      ++runs[i];
+      saw[i] = phase;
+    };
+    constexpr int kPhases = 2000;
+    for (phase = 0; phase < kPhases; ++phase) {
+      crew.run(task);
+      for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(runs[i], phase + 1) << size << " " << i;
+        ASSERT_EQ(saw[i], phase) << size << " " << i;
+      }
+    }
+  }
+}
+
+TEST(BarrierCrew, ASlowMemberLetsTheOthersParkAndComeBack) {
+  // Each phase one member, worker or coordinator in turn, sleeps past the
+  // yield bound: the coordinator parks waiting for a slow worker, and the
+  // workers park waiting for the next phase behind a slow coordinator.
+  constexpr std::size_t kSize = 4;
+  BarrierCrew crew(kSize);
+  int phase = 0;
+  std::vector<int> saw(kSize, -1);
+  const std::function<void(std::size_t)> task = [&](std::size_t i) {
+    if (i == static_cast<std::size_t>(phase) % kSize) std::this_thread::sleep_for(kParked);
+    saw[i] = phase;
+  };
+  for (phase = 0; phase < static_cast<int>(kSize); ++phase) {
+    crew.run(task);
+    for (std::size_t i = 0; i < kSize; ++i) EXPECT_EQ(saw[i], phase) << i;
+  }
+}
+
+TEST(BarrierCrew, DestroyedWhileItsWorkersAreParkedJoinsCleanly) {
+  for (const std::size_t size : {2u, 4u, 8u}) {
+    {
+      const BarrierCrew crew(size);
+      std::this_thread::sleep_for(kParked);  // parked before any phase opened
+    }
+    BarrierCrew crew(size);
+    std::atomic<int> calls{0};
+    crew.run([&](std::size_t) { calls.fetch_add(1); });
+    std::this_thread::sleep_for(kParked);  // parked after a phase
+    EXPECT_EQ(calls.load(), static_cast<int>(size));
+  }  // each destructor wakes its parked workers and joins them
+}
+
+TEST(BarrierCrew, AThrowOnTheParkPathIsRethrown) {
+  constexpr std::size_t kSize = 4;
+  BarrierCrew crew(kSize);
+  // A worker throws after the coordinator has parked waiting for it, then
+  // the coordinator throws after the workers have parked for the next phase.
+  for (const std::size_t thrower : {std::size_t{0}, kSize - 1}) {
+    std::vector<std::atomic<int>> finished(kSize);
+    const std::function<void(std::size_t)> task = [&](std::size_t i) {
+      if (i == thrower) {
+        std::this_thread::sleep_for(kParked);
+        throw std::runtime_error("member " + std::to_string(i));
+      }
+      finished[i].store(1);
+    };
+    try {
+      crew.run(task);
+      ADD_FAILURE() << "run did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "member " + std::to_string(thrower));
+    }
+    for (std::size_t i = 0; i < kSize; ++i) {
+      if (i != thrower) {
+        EXPECT_EQ(finished[i].load(), 1) << thrower << " " << i;
+      }
+    }
+  }
+  std::atomic<int> calls{0};
+  crew.run([&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), static_cast<int>(kSize));
+}
+
 TEST(BarrierCrew, CrewSizeClampsToTheWorkItems) {
   EXPECT_EQ(crew_size(8, 3), 3u);
   EXPECT_EQ(crew_size(2, 0), 1u);

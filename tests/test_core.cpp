@@ -726,6 +726,35 @@ TEST(Fleet, RunHubExperimentSmoke) {
   EXPECT_EQ(result.avg_daily_reward, stats::mean(result.daily_rewards));
 }
 
+TEST(Fleet, RunHubExperimentAveragesEachDayOverTestEpisodes) {
+  DrlFleetTrainConfig cfg;
+  cfg.env.episode_days = 3;
+  cfg.ppo.episodes_per_iteration = 1;
+  cfg.iterations = 1;
+  const HubConfig hub = HubConfig::urban("days", 29);
+  std::vector<bool> evening(24, false);
+  for (std::size_t h = 18; h < 24; ++h) evening[h] = true;
+  const auto result = run_hub_experiment(hub, evening, cfg, 3, "Test");
+
+  // Replay the three test episodes: the same training recipe, then the
+  // deployed actor on a fresh env of the hub.
+  cfg.env.discount_by_hour = evening;
+  EctHubEnv env(hub, cfg.env);
+  policy::DrlPolicy deployed(train_drl_checkpoint(hub, cfg));
+  std::vector<std::vector<double>> ledgers;
+  for (int e = 0; e < 3; ++e) {
+    (void)run_policy(env, deployed, 1);
+    ledgers.push_back(env.ledger().daily_profit());
+  }
+  ASSERT_EQ(result.daily_rewards.size(), 3u);
+  for (std::size_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(result.daily_rewards[d], (ledgers[0][d] + ledgers[1][d] + ledgers[2][d]) / 3.0)
+        << "day " << d;
+  }
+  // The episodes differ, so the mean is not the first episode's series.
+  EXPECT_NE(result.daily_rewards, ledgers[0]);
+}
+
 TEST(Fleet, RunHubExperimentRejectsZeroTestEpisodesBeforeTraining) {
   DrlFleetTrainConfig cfg;
   cfg.env.episode_days = 2;
