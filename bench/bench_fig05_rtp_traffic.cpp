@@ -33,20 +33,25 @@ static int run(int argc, char** argv) {
   std::vector<double> rtp;
   pgen.generate_into(grid, trace.load_rate, rtp);
 
+  std::vector<double> volume_gb(grid.size());
+  for (std::size_t t = 0; t < grid.size(); ++t) {
+    volume_gb[t] = trace.load_rate[t] * tcfg.peak_volume_gb;
+  }
+
   TextTable table({"hour", "RTP ($/MWh)", "traffic (GB)"});
   for (std::size_t t = 0; t < grid.size(); t += 2) {
     table.begin_row()
         .add_int(static_cast<long long>(t))
         .add_double(rtp[t], 1)
-        .add_double(trace.volume_gb[t], 1);
+        .add_double(volume_gb[t], 1);
   }
   table.print(std::cout);
 
-  const double corr = stats::pearson(rtp, trace.volume_gb);
+  const double corr = stats::pearson(rtp, volume_gb);
   std::cout << "\nPearson(RTP, traffic) = " << corr << "\n";
   std::cout << "RTP range: [" << stats::min(rtp) << ", " << stats::max(rtp)
-            << "] $/MWh; traffic range: [" << stats::min(trace.volume_gb) << ", "
-            << stats::max(trace.volume_gb) << "] GB\n";
+            << "] $/MWh; traffic range: [" << stats::min(volume_gb) << ", "
+            << stats::max(volume_gb) << "] GB\n";
   std::cout << "Paper shape: load and price positively correlated, both peaking at\n"
                "night/evening (paper reports RTP ~50-130 $/MWh, traffic 20-160 GB).\n";
 
@@ -54,7 +59,7 @@ static int run(int argc, char** argv) {
     std::vector<double> hours(grid.size());
     for (std::size_t t = 0; t < grid.size(); ++t) hours[t] = static_cast<double>(t);
     write_csv(csv_dir + "/fig05_rtp_traffic.csv", {"hour", "rtp", "traffic_gb"},
-              {hours, rtp, trace.volume_gb});
+              {hours, rtp, volume_gb});
   }
   return 0;
 }

@@ -95,9 +95,10 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      entries that no longer match real source lines (stale entries);
 #  (b) header self-containment — every src/**/*.hpp compiled standalone
 #      (twice, for guard idempotency) via the generated-TU object target;
-#  (c) GCC -fanalyzer compile-only over the leaf modules and the episode
-#      generators (common, nn, battery, weather, traffic, pricing, forecast,
-#      renewables, ev).  GCC 12's analyzer does not model std::allocator,
+#  (c) GCC -fanalyzer compile-only over the leaf modules, the episode
+#      generators and the modules every slot passes through (common, nn,
+#      battery, weather, traffic, pricing, forecast, renewables, ev, core,
+#      power, policy).  GCC 12's analyzer does not model std::allocator,
 #      so three libstdc++-internal false-positive classes are suppressed with
 #      justification (see tools/lint_allowlist.txt header and README "Static
 #      analysis"); every other -Wanalyzer-* check is a hard error;
@@ -122,14 +123,15 @@ cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
   --check-allowlist src
 
 for f in src/common/*.cpp src/nn/*.cpp src/battery/*.cpp src/weather/*.cpp \
-    src/traffic/*.cpp src/pricing/*.cpp src/forecast/*.cpp src/renewables/*.cpp src/ev/*.cpp; do
+    src/traffic/*.cpp src/pricing/*.cpp src/forecast/*.cpp src/renewables/*.cpp src/ev/*.cpp \
+    src/core/*.cpp src/power/*.cpp src/policy/*.cpp; do
   g++ -std=c++20 -Isrc -O1 -c "$f" -o /dev/null \
     -fanalyzer -Werror \
     -Wno-analyzer-use-of-uninitialized-value \
     -Wno-analyzer-null-dereference \
     -Wno-analyzer-possible-null-dereference
 done
-echo "    analyzer pass clean over common/nn/battery/weather/traffic/pricing/forecast/renewables/ev"
+echo "    analyzer pass clean over common/nn/battery/weather/traffic/pricing/forecast/renewables/ev/core/power/policy"
 
 for src in src/nn/matrix.cpp src/nn/elementary.cpp src/common/elementary.cpp; do
   FMA_O="${PREFIX}/$(basename "${src}" .cpp)-mfma-check.o"

@@ -28,7 +28,7 @@
 //
 // --drl-hubs N trains on N lockstep replica lanes of the training hub (the
 // vectorized PPO collector) and --drl-threads T shards collection across T
-// crew members (0 = hardware concurrency).  The trained weights are
+// crew members (0 = one per CPU it may run on).  The trained weights are
 // bit-identical at any T, so the flag is purely a throughput choice.
 //
 // --drl-zoo trains the per-scenario actor zoo instead of sweeping: one PPO
@@ -38,7 +38,7 @@
 //
 // --lockstep-threads N shards each lockstep slot — env stepping and the
 // batched inference, as row-block GEMMs — across a crew of N members (0 =
-// hardware concurrency) and implies --lockstep; results are bit-identical
+// one per CPU it may run on) and implies --lockstep; results are bit-identical
 // at any thread count.
 //
 // Sharded sweeps ("fleet of fleets"): one machine runs the plain sweep on
@@ -195,8 +195,8 @@ static int run(int argc, char** argv) {
   const std::size_t episodes = flags.get_count("episodes", 1);
   const std::size_t drl_iters = flags.get_count("drl-iters", 4);
   const std::size_t drl_hubs = flags.get_count("drl-hubs", 1);
-  const std::size_t drl_threads = flags.get_size("drl-threads", 1);  // 0 = hardware concurrency
-  const std::size_t threads = flags.get_size("threads", 0);  // 0 = hardware concurrency
+  const std::size_t drl_threads = flags.get_size("drl-threads", 1);  // 0 = one per CPU
+  const std::size_t threads = flags.get_size("threads", 0);  // 0 = one per CPU
   const std::uint64_t base_seed = flags.get_size("base-seed", 7);
   const bool metro_mode = flags.has("metro");
   const std::size_t metro_hubs = metro_mode ? flags.get_count("metro", 0) : 0;
@@ -209,7 +209,7 @@ static int run(int argc, char** argv) {
   const bool lockstep =
       flags.get_bool("lockstep") || flags.has("lockstep-threads") || metro_mode;
   const std::size_t lockstep_threads =
-      flags.get_size("lockstep-threads", 1);  // 0 = hardware concurrency
+      flags.get_size("lockstep-threads", 1);  // 0 = one per CPU
 
   const std::string scheduler_arg = flags.get_string("scheduler", "tou");
   std::vector<sim::SchedulerKind> kinds;

@@ -30,6 +30,8 @@
 //   4096 yields, then park                1290-1384 / 843-880
 #pragma once
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
@@ -42,10 +44,18 @@
 
 namespace ecthub {
 
-/// Crew size for `items` work items: `requested` members, where 0 means
-/// std::thread::hardware_concurrency(), clamped to [1, items].
+/// Crew size for `items` work items: `requested` members, where 0 means the
+/// CPUs the calling thread may run on, clamped to [1, items].  0 counts the
+/// sched_getaffinity mask, not std::thread::hardware_concurrency(): glibc
+/// answers the latter from the online CPUs, so a process confined by
+/// `taskset -c 0` would still get one member per CPU of the machine.
 [[nodiscard]] inline std::size_t crew_size(std::size_t requested, std::size_t items) {
-  if (requested == 0) requested = std::thread::hardware_concurrency();
+  if (requested == 0) {
+    cpu_set_t mask;
+    requested = sched_getaffinity(0, sizeof(mask), &mask) == 0
+                    ? static_cast<std::size_t>(CPU_COUNT(&mask))
+                    : std::thread::hardware_concurrency();
+  }
   return std::max<std::size_t>(1, std::min(requested, items));
 }
 

@@ -49,6 +49,7 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
 EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
     : hub_(std::move(hub)),
       cfg_(validated(std::move(env_cfg))),
+      dt_(TimeGrid(cfg_.episode_days, cfg_.slots_per_day).slot_hours()),
       rng_(hub_.seed),
       ledger_(cfg_.slots_per_day) {
   // Fail on a bad hub config (a zero-capacity battery, a NaN price level) at
@@ -116,15 +117,12 @@ void EctHubEnv::generate_episode() {
   wx_gen.generate_into(grid, wx_);
   const renewables::RenewablePlant plant(hub_.plant);
   plant.generate_into(wx_, gen_);
-  pv_kw_.resize(grid.size());
-  wt_kw_.resize(grid.size());
-  renewable_kw_.resize(grid.size());
+  // Plant model reports watts; the hub works in kW.
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    // Plant model reports watts; the hub works in kW.
-    pv_kw_[t] = gen_.pv_w[t] / 1000.0;
-    wt_kw_[t] = gen_.wt_w[t] / 1000.0;
-    renewable_kw_[t] = pv_kw_[t] + wt_kw_[t];
+    gen_.pv_w[t] /= 1000.0;
+    gen_.wt_w[t] /= 1000.0;
   }
+  renewable_ready_ = false;
 
   // Prices (coupled to system load) and the discounted selling price.
   pricing::RtpGenerator rtp_gen(hub_.rtp, rng_.fork());
@@ -191,9 +189,33 @@ void EctHubEnv::generate_episode() {
     pack_->set_reserve_floor_kwh(floor_kwh);
   }
 
+  // Every observation window starts as `lookback` copies of slot 0.
+  const std::size_t lookback = cfg_.lookback;
+  window_.resize(ObservationLayout::kChannels * lookback);
+  const auto first = scaled_slot(0);
+  for (std::size_t c = 0; c < first.size(); ++c) {
+    std::fill_n(window_.begin() + static_cast<std::ptrdiff_t>(c * lookback), lookback, first[c]);
+  }
+
   ledger_.reset();
   t_ = 0;
   episode_ready_ = true;
+}
+
+const std::vector<double>& EctHubEnv::renewable_series() const {
+  if (!renewable_ready_) {
+    renewable_kw_.resize(gen_.size());
+    for (std::size_t t = 0; t < gen_.size(); ++t) renewable_kw_[t] = gen_.pv_w[t] + gen_.wt_w[t];
+    renewable_ready_ = true;
+  }
+  return renewable_kw_;
+}
+
+std::array<double, ObservationLayout::kChannels> EctHubEnv::scaled_slot(std::size_t t) const {
+  // Traffic is a load rate in [0, 1] and has no scale.
+  return {rtp_[t] / ObservationLayout::kPriceScale, wx_.ghi_wm2[t] / ObservationLayout::kGhiScale,
+          wx_.wind_speed_ms[t] / ObservationLayout::kWindScale, traffic_.load_rate[t],
+          srtp_[t] / ObservationLayout::kPriceScale};
 }
 
 void EctHubEnv::observe_into(std::span<double> out) const {
@@ -203,22 +225,8 @@ void EctHubEnv::observe_into(std::span<double> out) const {
   if (out.size() != state_dim()) {
     throw std::invalid_argument("EctHubEnv::observe_into: buffer size != state_dim()");
   }
-  std::size_t pos = 0;
-  const auto window = [&](const std::vector<double>& series, double scale) {
-    for (std::size_t k = cfg_.lookback; k-- > 0;) {
-      // Slots t-k .. t; pad the episode start with the first value.  At the
-      // horizon (t_ == size, the final observation emitted by the last
-      // step) the window holds the last generated slot — a no-op clamp for
-      // every in-episode slot.
-      const std::size_t idx = std::min(t_ >= k ? t_ - k : 0, series.size() - 1);
-      out[pos++] = series[idx] / scale;
-    }
-  };
-  window(rtp_, ObservationLayout::kPriceScale);
-  window(wx_.ghi_wm2, ObservationLayout::kGhiScale);
-  window(wx_.wind_speed_ms, ObservationLayout::kWindScale);
-  window(traffic_.load_rate, 1.0);
-  window(srtp_, ObservationLayout::kPriceScale);
+  std::copy(window_.begin(), window_.end(), out.begin());
+  std::size_t pos = window_.size();
   out[pos++] = pack_->soc_frac();
   // Wrapping by hand keeps the final observation (t_ == size, where
   // TimeGrid::hour_of_day would range-check) on the same 24 h phase;
@@ -249,9 +257,6 @@ StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_stat
   if (next_state.size() != state_dim()) {
     throw std::invalid_argument("EctHubEnv::step_into: buffer size != state_dim()");
   }
-
-  const TimeGrid grid(cfg_.episode_days, cfg_.slots_per_day);
-  const double dt = grid.slot_hours();
 
   auto bp_action = battery::BpAction::kIdle;
   if (action == 1) bp_action = battery::BpAction::kCharge;
@@ -293,20 +298,21 @@ StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_stat
   }
   // Discharge is throttled to the hub's net load: the DC bus cannot absorb
   // more than BS + CS demand net of renewables, and there is no grid feed-in.
-  const double net_load_kw =
-      std::max(0.0, bs_kw_[t_] + cs_kw - wt_kw_[t_] - pv_kw_[t_]);
-  const battery::BpStepResult bp = pack_->step(bp_action, dt, net_load_kw);
+  const double pv_kw = gen_.pv_w[t_];
+  const double wt_kw = gen_.wt_w[t_];
+  const double net_load_kw = std::max(0.0, bs_kw_[t_] + cs_kw - wt_kw - pv_kw);
+  const battery::BpStepResult bp = pack_->step(bp_action, dt_, net_load_kw);
 
-  const power::PowerFlow flow{bs_kw_[t_], cs_kw, bp.bus_power_kw, wt_kw_[t_], pv_kw_[t_]};
+  const power::PowerFlow flow{bs_kw_[t_], cs_kw, bp.bus_power_kw, wt_kw, pv_kw};
   const SlotEconomics econ =
-      slot_economics(flow.cs_kw, flow.grid_kw(), srtp_[t_], rtp_[t_], bp.op_cost, dt);
+      slot_economics(flow.cs_kw, flow.grid_kw(), srtp_[t_], rtp_[t_], bp.op_cost, dt_);
   ledger_.record(econ);
 
   // Counterfactual reward (see step_into in hub_env.hpp): the same slot
   // with the pack idle.
-  const power::PowerFlow idle_flow{bs_kw_[t_], cs_kw, 0.0, wt_kw_[t_], pv_kw_[t_]};
+  const power::PowerFlow idle_flow{bs_kw_[t_], cs_kw, 0.0, wt_kw, pv_kw};
   const SlotEconomics idle_econ =
-      slot_economics(idle_flow.cs_kw, idle_flow.grid_kw(), srtp_[t_], rtp_[t_], 0.0, dt);
+      slot_economics(idle_flow.cs_kw, idle_flow.grid_kw(), srtp_[t_], rtp_[t_], 0.0, dt_);
 
   ++t_;
   StepOutcome outcome;
@@ -315,8 +321,15 @@ StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_stat
   // The horizon is the env's only end condition — a time-limit truncation of
   // the paper's infinite-horizon MDP, not a terminal state — so the final
   // observation is emitted for critic bootstrapping before the episode
-  // closes (observe_into clamps its windows at the horizon).
+  // closes; its windows take the last generated slot once more.
   outcome.truncated = outcome.done;
+  // Shift every window one slot older with one move of the whole array: the
+  // value that crosses into each channel's newest position is overwritten.
+  std::copy(window_.begin() + 1, window_.end(), window_.begin());
+  const auto newest = scaled_slot(std::min(t_, slots_per_episode() - 1));
+  for (std::size_t c = 0; c < newest.size(); ++c) {
+    window_[(c + 1) * cfg_.lookback - 1] = newest[c];
+  }
   observe_into(next_state);
   if (outcome.done) episode_ready_ = false;
   return outcome;

@@ -19,6 +19,7 @@
 #include "policy/observation.hpp"
 #include "rl/env.hpp"
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -153,34 +154,54 @@ class EctHubEnv final : public rl::Env {
   /// Per-slot series of the current episode (valid after reset_into()).
   [[nodiscard]] const std::vector<double>& bs_power_series() const { return bs_kw_; }
   [[nodiscard]] const std::vector<double>& cs_power_series() const { return occ_.power_kw; }
-  [[nodiscard]] const std::vector<double>& renewable_series() const { return renewable_kw_; }
+  /// PV plus wind output in kW.  Nothing on the step path reads the sum, so
+  /// the first call of each episode fills it: unlike the other const
+  /// members, it writes, and must not race with any call on the same env.
+  [[nodiscard]] const std::vector<double>& renewable_series() const;
 
  private:
   [[nodiscard]] static HubEnvConfig validated(HubEnvConfig cfg);
   void generate_episode();
+  /// Slot t's values of the five observed channels, each divided by its
+  /// ObservationLayout scale, in window order.
+  [[nodiscard]] std::array<double, policy::ObservationLayout::kChannels> scaled_slot(
+      std::size_t t) const;
 
   HubConfig hub_;
   HubEnvConfig cfg_;
+  double dt_;  ///< slot length in hours
   Rng rng_;
 
-  // Episode series.  Regenerated at each reset *in place*: every buffer
+  // Episode series, each written once per reset in the unit the slot reads
+  // it in.  step_into reads bs_kw_, occ_.power_kw, gen_'s two channels,
+  // rtp_, srtp_ and, coupled, through_kw_ and outage_; the observation
+  // reads rtp_, wx_'s GHI and wind, traffic_.load_rate and srtp_ at the
+  // slot that enters its windows.  Regenerated *in place*: every buffer
   // keeps its capacity across episodes and every generator writes through
   // its generate_into()/simulate_into(), so after the first reset an episode
   // costs no heap allocation anywhere on the reset or step path
   // (tests/test_alloc.cpp pins this with an operator-new hook).
   std::vector<double> rtp_;
   std::vector<double> srtp_;
-  traffic::TrafficTrace traffic_;      ///< load-rate + volume buffers, reused
+  traffic::TrafficTrace traffic_;      ///< load-rate buffer, reused
   std::vector<double> bs_kw_;
   weather::WeatherSeries wx_;          ///< GHI / wind / temperature, reused
-  renewables::GenerationSeries gen_;   ///< plant output in watts, reused
+  /// Plant output, reused.  The plant writes watts; generate_episode divides
+  /// both channels by 1000 in place, so pv_w and wt_w hold kW here.
+  renewables::GenerationSeries gen_;
   ev::OccupancySeries occ_;            ///< EV occupancy + CS power, reused
-  std::vector<double> pv_kw_;
-  std::vector<double> wt_kw_;
-  std::vector<double> renewable_kw_;
   std::vector<bool> discounted_;  ///< per-slot discount flags; built once
   std::vector<double> through_kw_;    ///< coupled: through-traffic demand
   std::vector<std::uint8_t> outage_;  ///< coupled: front outage flags
+  mutable std::vector<double> renewable_kw_;  ///< see renewable_series()
+  mutable bool renewable_ready_ = false;
+
+  // The observation's five lookback windows in observation order, already
+  // divided by their scales: reset seeds each with `lookback` copies of slot
+  // 0, and each step shifts them one slot older and divides only the slot
+  // that enters.  observe_into copies them, so each slot's value is divided
+  // once, not once per window it sits in; the bits are the same.
+  std::vector<double> window_;
 
   // The observation's hour-of-day phase, sin and cos, by slot of the day;
   // built at construction.

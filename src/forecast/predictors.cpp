@@ -6,7 +6,7 @@
 namespace ecthub::forecast {
 
 SeasonalNaivePredictor::SeasonalNaivePredictor(std::size_t period, double alpha)
-    : period_(period), alpha_(alpha), seasonal_(period, 0.0), seen_(period, false) {
+    : period_(period), alpha_(alpha), seasonal_(period, 0.0), seen_(period, 0) {
   if (period == 0) throw std::invalid_argument("SeasonalNaivePredictor: period == 0");
   if (alpha <= 0.0 || alpha > 1.0) {
     throw std::invalid_argument("SeasonalNaivePredictor: alpha out of (0, 1]");
@@ -17,7 +17,7 @@ void SeasonalNaivePredictor::observe(std::size_t t, double value) {
   const std::size_t slot = t % period_;
   if (!seen_[slot]) {
     seasonal_[slot] = value;
-    seen_[slot] = true;
+    seen_[slot] = 1;
   } else {
     seasonal_[slot] += alpha_ * (value - seasonal_[slot]);
   }

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace ecthub::forecast {
@@ -39,7 +40,9 @@ class SeasonalNaivePredictor {
   std::size_t period_;
   double alpha_;
   std::vector<double> seasonal_;
-  std::vector<bool> seen_;
+  // One byte per slot, not std::vector<bool>: season_range() reads every
+  // flag per decision, and a bit-packed read costs a shift and a mask each.
+  std::vector<std::uint8_t> seen_;
   double global_mean_ = 0.0;
   std::size_t count_ = 0;
 };

@@ -39,9 +39,9 @@
 namespace ecthub::rl {
 
 struct VecCollectorConfig {
-  /// Crew size for the per-slot phase, clamped to the lane count; 0 =
-  /// hardware concurrency, 1 = the calling thread alone (the default).  Any
-  /// value collects bit-identical buffers.
+  /// Crew size for the per-slot phase, clamped to the lane count; 0 = one
+  /// per CPU the calling thread may run on, 1 = the calling thread alone
+  /// (the default).  Any value collects bit-identical buffers.
   std::size_t threads = 1;
   /// Base of the per-lane sampling streams: lane l draws from
   /// Rng(mix_seed(seed, l)).

@@ -169,13 +169,14 @@ struct FleetRunnerConfig {
   /// every hub keeps the mix_seed(base_seed, global_id) stream — and the
   /// exact per-hub result bits — it would have had in the unsharded run.
   std::size_t hub_id_offset = 0;
-  /// Crew size for run(); 0 means std::thread::hardware_concurrency().
+  /// Crew size for run(); 0 means one member per CPU the calling thread may
+  /// run on (crew_size in common/crew.hpp).
   std::size_t threads = 0;
-  /// Crew size for run_lockstep(); 0 means
-  /// std::thread::hardware_concurrency(), 1 (the default) keeps lockstep on
-  /// the calling thread.  Any value produces bit-identical results — big
-  /// fleets get thread parallelism (env stepping and the row-block batched
-  /// inference) on top of batch parallelism.
+  /// Crew size for run_lockstep(); 0 means one member per CPU the calling
+  /// thread may run on, 1 (the default) keeps lockstep on the calling
+  /// thread.  Any value produces bit-identical results — big fleets get
+  /// thread parallelism (env stepping and the row-block batched inference)
+  /// on top of batch parallelism.
   std::size_t lockstep_threads = 1;
   std::size_t episodes_per_hub = 1;
 };

@@ -29,7 +29,6 @@ TrafficGenerator::TrafficGenerator(TrafficConfig cfg, Rng rng) : cfg_(cfg), rng_
 void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) {
   const DiurnalProfile profile = DiurnalProfile::for_area(cfg_.area);
   trace.load_rate.resize(grid.size());
-  trace.volume_gb.resize(grid.size());
   // The envelope depends only on the hour of day: evaluated once per slot of
   // the day, then read back and overwritten slot by slot below.
   fill_by_slot_of_day(grid, trace.load_rate,
@@ -45,7 +44,6 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
       ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
       const double load = std::clamp(envelope * weekend * elementary::exp(ar), cfg_.min_load, 1.0);
       trace.load_rate[t] = load;
-      trace.volume_gb[t] = load * cfg_.peak_volume_gb;
     }
   }
 }

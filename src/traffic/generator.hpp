@@ -1,8 +1,8 @@
 // Stochastic network-traffic (load-rate) generator.
 //
 // Produces the load rate alpha_t in [0, 1] that drives the BS power model
-// P_BS(t) = Pmin + alpha_t (Pmax - Pmin) (paper Eq. 1), plus a traffic-volume
-// series in GB mirroring the paper's Fig. 5 "Load" axis.
+// P_BS(t) = Pmin + alpha_t (Pmax - Pmin) (paper Eq. 1).  The traffic volume
+// in GB of the paper's Fig. 5 "Load" axis is alpha_t * peak_volume_gb.
 #pragma once
 
 #include <vector>
@@ -21,7 +21,7 @@ struct TrafficConfig {
   double noise_persistence = 0.7;
   /// Standard deviation of the AR(1) innovation.
   double noise_sigma = 0.08;
-  /// Peak traffic volume in GB per slot for the volume series.
+  /// Peak traffic volume in GB per slot: a slot carries load rate times this.
   double peak_volume_gb = 160.0;
   /// Floor on the load rate (control-plane traffic never drops to zero).
   double min_load = 0.05;
@@ -30,10 +30,9 @@ struct TrafficConfig {
   void validate() const;
 };
 
-/// One generated trace: per-slot load rate and traffic volume.
+/// One generated trace: the per-slot load rate.
 struct TrafficTrace {
   std::vector<double> load_rate;  ///< alpha_t in [0, 1]
-  std::vector<double> volume_gb;  ///< traffic volume per slot
 };
 
 class TrafficGenerator {

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <bit>
@@ -1185,6 +1187,23 @@ TEST(BarrierCrew, CrewSizeClampsToTheWorkItems) {
   EXPECT_EQ(crew_size(2, 0), 1u);
   EXPECT_EQ(crew_size(0, 1), 1u);
   EXPECT_EQ(crew_size(3, 8), 3u);
+}
+
+// 0 sizes the crew by the CPUs this thread may run on, so a process confined
+// by taskset gets one member per CPU it was given, not per CPU online.
+TEST(BarrierCrew, CrewSizeZeroCountsTheAffinityMask) {
+  cpu_set_t original;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(original), &original), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &original)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t confined = crew_size(0, 8);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(original), &original), 0);
+  EXPECT_EQ(confined, 1u);
+  EXPECT_EQ(crew_size(0, 8), std::min<std::size_t>(8, CPU_COUNT(&original)));
 }
 
 }  // namespace

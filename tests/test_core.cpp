@@ -21,6 +21,7 @@
 #include <cstring>
 #include <limits>
 #include <numbers>
+#include <numeric>
 #include <span>
 #include <string>
 #include <string_view>
@@ -565,6 +566,121 @@ TEST(EctHubEnv, HourChannelsAreSinCosOfTheSlotHour) {
       check(state, env.current_slot());
     }
     EXPECT_EQ(env.current_slot(), env.slots_per_episode());
+  }
+}
+
+// The series an uncoupled env's episode is built from, regenerated through
+// the public generators in generate_episode's fork order (traffic ->
+// weather -> RTP -> EV -> initial SoC); `rng` is left where the env's own
+// stream stands after the episode, so successive calls replay successive
+// episodes.
+struct EpisodeSeries {
+  traffic::TrafficTrace traffic;
+  weather::WeatherSeries wx;
+  renewables::GenerationSeries gen;  ///< watts, as the plant writes them
+  std::vector<double> rtp;
+  std::vector<double> srtp;
+};
+
+EpisodeSeries replay_episode(const HubConfig& hub, const HubEnvConfig& cfg, Rng& rng) {
+  const TimeGrid grid(cfg.episode_days, cfg.slots_per_day);
+  EpisodeSeries s;
+  traffic::TrafficGenerator(hub.traffic, rng.fork()).generate_into(grid, s.traffic);
+  weather::WeatherGenerator(hub.weather, rng.fork()).generate_into(grid, s.wx);
+  renewables::RenewablePlant(hub.plant).generate_into(s.wx, s.gen);
+  pricing::RtpGenerator(hub.rtp, rng.fork()).generate_into(grid, s.traffic.load_rate, s.rtp);
+  std::vector<bool> discounted(grid.size(), false);
+  if (!cfg.discount_by_hour.empty()) {
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      discounted[t] = cfg.discount_by_hour[static_cast<std::size_t>(grid.hour_of_day(t)) % 24];
+    }
+  }
+  pricing::SellingPricePolicy(hub.selling,
+                              pricing::DiscountSchedule::from_flags(discounted, cfg.discount_fraction))
+      .series_into(s.rtp, s.srtp);
+  (void)rng.fork();             // the EV station's stream
+  (void)rng.uniform(0.3, 0.9);  // the initial SoC
+  return s;
+}
+
+// The env keeps its observation windows pre-scaled and rolls them one slot
+// per step.  Every observation must hold exactly what dividing each window
+// slot on every call gives, series[min(t >= k ? t - k : 0, n - 1)] / scale
+// for the slot k back, at every slot: the horizon's clamped window and a
+// second episode's reseeded windows included, at every grid the env accepts
+// and at lookback 1 and 6.
+TEST(EctHubEnv, ObservationWindowsEqualTheScaledSeriesAtEverySlot) {
+  using policy::ObservationLayout;
+  for (const std::size_t spd : {24u, 96u, 7u}) {
+    for (const std::size_t lookback : {1u, 6u}) {
+      for (const HubConfig& hub : {HubConfig::urban("window", 71), HubConfig::rural("window", 72)}) {
+        HubEnvConfig cfg = small_env(2);
+        cfg.slots_per_day = spd;
+        cfg.lookback = lookback;
+        cfg.discount_by_hour.assign(24, false);
+        for (std::size_t h = 10; h < 16; ++h) cfg.discount_by_hour[h] = true;
+        EctHubEnv env(hub, cfg);
+        const ObservationLayout layout = env.observation_layout();
+        Rng rng(hub.seed);
+        std::vector<double> state(env.state_dim());
+        for (int episode = 0; episode < 2; ++episode) {
+          const EpisodeSeries s = replay_episode(hub, cfg, rng);
+          const std::size_t n = s.rtp.size();
+          std::size_t mismatches = 0;
+          const auto check = [&](std::size_t t) {
+            const auto window = [&](std::size_t begin, const std::vector<double>& series,
+                                    double scale) {
+              for (std::size_t k = 0; k < lookback; ++k) {
+                const std::size_t idx = std::min(t >= k ? t - k : 0, n - 1);
+                if (state[begin + lookback - 1 - k] != series[idx] / scale && mismatches++ == 0) {
+                  ADD_FAILURE() << hub.name << " spd " << spd << " lookback " << lookback
+                                << " episode " << episode << " slot " << t << " channel at "
+                                << begin << " k " << k;
+                }
+              }
+            };
+            window(layout.rtp_begin(), s.rtp, ObservationLayout::kPriceScale);
+            window(layout.ghi_begin(), s.wx.ghi_wm2, ObservationLayout::kGhiScale);
+            window(layout.wind_begin(), s.wx.wind_speed_ms, ObservationLayout::kWindScale);
+            window(layout.traffic_begin(), s.traffic.load_rate, 1.0);
+            window(layout.srtp_begin(), s.srtp, ObservationLayout::kPriceScale);
+            EXPECT_EQ(state[layout.soc_index()], env.soc_frac());
+          };
+          env.reset_into(state);
+          check(0);
+          bool done = false;
+          while (!done) {
+            done = env.step_into(env.current_slot() % 3, state).done;
+            check(env.current_slot());
+          }
+          EXPECT_EQ(env.current_slot(), n);
+          EXPECT_EQ(mismatches, 0u);
+        }
+      }
+    }
+  }
+}
+
+// renewable_series() is filled on its first call of each episode from the
+// plant output the step reads in kW; it must be the plant's watts over 1000,
+// summed, and must follow a new episode rather than keep the last one's.
+TEST(EctHubEnv, RenewableSeriesIsThePlantOutputInKw) {
+  const HubConfig hub = HubConfig::rural("renew", 73);
+  const HubEnvConfig cfg = small_env(2);
+  EctHubEnv env(hub, cfg);
+  Rng rng(hub.seed);
+  std::vector<double> state(env.state_dim());
+  for (int episode = 0; episode < 2; ++episode) {
+    const EpisodeSeries s = replay_episode(hub, cfg, rng);
+    env.reset_into(state);
+    for (int step = 0; step < 5; ++step) env.step_into(1, state);
+    const std::vector<double>& renew = env.renewable_series();
+    ASSERT_EQ(renew.size(), s.gen.size());
+    for (std::size_t t = 0; t < renew.size(); ++t) {
+      ASSERT_EQ(renew[t], s.gen.pv_w[t] / 1000.0 + s.gen.wt_w[t] / 1000.0)
+          << "episode " << episode << " slot " << t;
+    }
+    EXPECT_GT(std::accumulate(renew.begin(), renew.end(), 0.0), 0.0);
   }
 }
 

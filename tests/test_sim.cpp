@@ -782,7 +782,7 @@ TEST(FleetRunnerLockstep, SingleHubFleetRunsThreaded) {
 }
 
 TEST(FleetRunnerLockstep, HardwareConcurrencyDefaultMatchesSerial) {
-  // lockstep_threads == 0 resolves to hardware_concurrency.
+  // lockstep_threads == 0 resolves to the CPUs in the affinity mask.
   const std::vector<FleetJob> jobs = make_jobs(6);
   expect_results_bit_identical(run_lockstep_fleet(jobs, 1),
                                run_lockstep_fleet(jobs, 0));

@@ -85,18 +85,6 @@ TEST(TrafficGenerator, LoadRateStaysInBounds) {
   }
 }
 
-TEST(TrafficGenerator, VolumeProportionalToLoad) {
-  TrafficConfig cfg;
-  cfg.peak_volume_gb = 200.0;
-  TrafficGenerator gen(cfg, Rng(2));
-  const TimeGrid grid(2, 24);
-  TrafficTrace trace;
-  gen.generate_into(grid, trace);
-  for (std::size_t t = 0; t < grid.size(); ++t) {
-    EXPECT_NEAR(trace.volume_gb[t], trace.load_rate[t] * 200.0, 1e-9);
-  }
-}
-
 TEST(TrafficGenerator, DeterministicGivenSeed) {
   TrafficConfig cfg;
   const TimeGrid grid(7, 24);
@@ -179,10 +167,8 @@ TEST(TrafficGenerator, GenerateIntoMatchesGenerateAndReusesBuffers) {
   // Stale buffers of another length are overwritten whole.
   TrafficTrace reused;
   reused.load_rate.assign(7, -1.0);
-  reused.volume_gb.assign(7, -1.0);
   gen.generate_into(grid, reused);
   EXPECT_EQ(reused.load_rate, fresh.load_rate);
-  EXPECT_EQ(reused.volume_gb, fresh.volume_gb);
 
   // A second pass into the same trace must reuse the buffers (no realloc)
   // and draw a fresh stochastic stream, not replay the first.
@@ -238,7 +224,6 @@ TEST(TrafficGenerator, TraceReplaysThePerSlotExpression) {
             profile.at_hour(grid.hour_of_day(t)) * weekend * elementary::exp(ar), cfg.min_load,
             1.0);
         EXPECT_EQ(trace.load_rate[t], load) << to_string(area) << " " << spd << " " << t;
-        EXPECT_EQ(trace.volume_gb[t], load * cfg.peak_volume_gb);
       }
     }
   }
