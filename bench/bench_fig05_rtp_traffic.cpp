@@ -12,6 +12,9 @@
 
 #include <iostream>
 
+// Traffic volume at full load, GB per slot: the top of Fig. 5's "Load" axis.
+constexpr double kPeakVolumeGb = 160.0;
+
 static int run(int argc, char** argv) {
   using namespace ecthub;
   const CliFlags flags(argc, argv);
@@ -35,7 +38,7 @@ static int run(int argc, char** argv) {
 
   std::vector<double> volume_gb(grid.size());
   for (std::size_t t = 0; t < grid.size(); ++t) {
-    volume_gb[t] = trace.load_rate[t] * tcfg.peak_volume_gb;
+    volume_gb[t] = trace.load_rate[t] * kPeakVolumeGb;
   }
 
   TextTable table({"hour", "RTP ($/MWh)", "traffic (GB)"});

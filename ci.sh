@@ -117,7 +117,9 @@ TSAN_OPTIONS=halt_on_error=1 ctest --test-dir "${PREFIX}-tsan" \
 #      file under src, bench, examples, perfbench/src or tools other than
 #      its own .cpp.  It guards whole modules only; a dead function inside
 #      a live header is a review matter.
-echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + NN kernel codegen + orphan headers"
+#  (f) a report, not a gate: the count of non-blank, non-comment lines in
+#      src/, the size figure ROADMAP.md and CHANGES.md quote.
+echo "==> Job 5: invariant lint + header self-containment + GCC analyzer + NN kernel codegen + orphan headers + src/ line count"
 cmake --build "${PREFIX}" -j "${JOBS}" --target ecthub_lint ecthub_header_check
 "${PREFIX}/tools/ecthub_lint" --allowlist tools/lint_allowlist.txt \
   --check-allowlist src
@@ -183,6 +185,10 @@ if [ "${ORPHANS}" -ne 0 ]; then
   exit 1
 fi
 echo "    every src/ header is included by a program"
+
+SRC_LINES="$(find src \( -name '*.cpp' -o -name '*.hpp' \) -print0 | sort -z | xargs -0 cat \
+  | grep -v '^[[:space:]]*$' | grep -cv '^[[:space:]]*//')"
+echo "    src/ holds ${SRC_LINES} non-blank, non-comment lines"
 
 # Job 6 runs the benchmark smoke: every workload tiny, untraced and traced.
 # The traced runs replay run_lockstep and run_job through perfbench's own

@@ -25,7 +25,7 @@ static int run(int argc, char** argv) {
   // A representative two-week BS load trace.
   const core::HubConfig hub = core::HubConfig::urban("DrillHub", 99);
   const TimeGrid grid(14, 24);
-  const double trace_h = static_cast<double>(grid.size()) * grid.slot_hours();
+  const auto trace_h = static_cast<double>(grid.size());  // one-hour slots
   if (!(recovery_h > 0.0 && recovery_h <= trace_h)) {
     std::cerr << "blackout_drill: --recovery-hours must be in (0, " << trace_h
               << "], the length of the load trace\n";
@@ -44,10 +44,8 @@ static int run(int argc, char** argv) {
   outages.max_duration_h = 8.0;
 
   std::cout << "=== Blackout drill: reserve sizing vs outage survival ===\n";
-  const auto recovery_slots =
-      static_cast<std::size_t>(std::ceil(recovery_h / grid.slot_hours()));
-  const double sized_reserve =
-      battery::reserve_energy_worst_window(bs_kw, recovery_slots, grid.slot_hours());
+  const auto recovery_slots = static_cast<std::size_t>(std::ceil(recovery_h));
+  const double sized_reserve = battery::reserve_energy_worst_window(bs_kw, recovery_slots);
   std::cout << "Eq. 6 reserve for T_r = " << recovery_h << " h: " << sized_reserve
             << " kWh (worst BS window)\n\n";
 
@@ -57,12 +55,12 @@ static int run(int argc, char** argv) {
        {hard_min + 2.0, hard_min + 8.0,
         sized_reserve / hub.battery.discharge_efficiency + hard_min,
         0.5 * hub.battery.capacity_kwh}) {
-    const auto stats = core::outage_survival(hub.battery, floor_kwh, bs_kw, outages,
-                                             grid.slot_hours(), trials, Rng(101));
+    const auto stats =
+        core::outage_survival(hub.battery, floor_kwh, bs_kw, outages, trials, Rng(101));
     table.begin_row()
         .add_double(floor_kwh, 1)
         .add_double(stats.survival_rate * 100.0, 1)
-        .add_double(stats.mean_slots_survived * grid.slot_hours(), 1);
+        .add_double(stats.mean_slots_survived, 1);
   }
   table.print(std::cout);
   std::cout << "\nThe floor sized by Eq. 6 for " << recovery_h

@@ -50,10 +50,10 @@ void BatteryPack::set_reserve_floor_kwh(double floor_kwh) {
   soc_kwh_ = std::max(soc_kwh_, reserve_floor_kwh_);
 }
 
-BpStepResult BatteryPack::step(BpAction action, double dt_hours, double max_discharge_kw) {
-  if (dt_hours <= 0.0) throw std::invalid_argument("BatteryPack::step: dt_hours <= 0");
-  if (max_discharge_kw < 0.0) {
-    throw std::invalid_argument("BatteryPack::step: max_discharge_kw < 0");
+BpStepResult BatteryPack::step(BpAction action, double max_discharge_kw) {
+  // Written so that NaN fails.
+  if (!(max_discharge_kw >= 0.0)) {
+    throw std::invalid_argument("BatteryPack::step: max_discharge_kw < 0 or NaN");
   }
   BpStepResult r;
   switch (action) {
@@ -61,11 +61,11 @@ BpStepResult BatteryPack::step(BpAction action, double dt_hours, double max_disc
       return r;
     case BpAction::kCharge: {
       // Bus draws R_ch; only eta_ch of it is stored (Eq. 3 with S=+1).
-      const double stored_want = cfg_.charge_rate_kw * cfg_.charge_efficiency * dt_hours;
+      const double stored_want = cfg_.charge_rate_kw * cfg_.charge_efficiency;
       const double stored = std::min(stored_want, headroom_kwh());
       if (stored <= kEps) return r;  // full: degrade to idle, no wear
       soc_kwh_ += stored;
-      r.bus_power_kw = stored / (cfg_.charge_efficiency * dt_hours);
+      r.bus_power_kw = stored / cfg_.charge_efficiency;
       r.op_cost = cfg_.op_cost_per_slot;
       r.applied = BpAction::kCharge;
       return r;
@@ -73,13 +73,12 @@ BpStepResult BatteryPack::step(BpAction action, double dt_hours, double max_disc
     case BpAction::kDischarge: {
       // Bus receives up to min(R_dch, throttle); the pack depletes faster by
       // 1/eta_dch.
-      const double delivered_want =
-          std::min(cfg_.discharge_rate_kw, max_discharge_kw) * dt_hours;
+      const double delivered_want = std::min(cfg_.discharge_rate_kw, max_discharge_kw);
       const double depletable = (soc_kwh_ - reserve_floor_kwh_) * cfg_.discharge_efficiency;
       const double delivered = std::min(delivered_want, depletable);
       if (delivered <= kEps) return r;  // at reserve floor: degrade to idle
       soc_kwh_ -= delivered / cfg_.discharge_efficiency;
-      r.bus_power_kw = -delivered / dt_hours;
+      r.bus_power_kw = -delivered;
       r.op_cost = cfg_.op_cost_per_slot;
       r.applied = BpAction::kDischarge;
       return r;

@@ -6,6 +6,7 @@
 //   SoC(t+1)  = SoC(t) + P_BP(t) * dt                        (Eq. 4)
 //   SoC_min <= SoC(t) <= SoC_max                             (Eq. 5)
 //   C_BP(t)   = |S_BP(t)| * c_BP                             (Eq. 8)
+// A slot is one hour (dt = 1 h), so P_BP in kW moves the SoC by P_BP kWh.
 //
 // Sign convention: from the hub's perspective P_BP > 0 means the pack draws
 // power (charging, a load) and P_BP < 0 means it supplies power
@@ -50,15 +51,16 @@ class BatteryPack {
   ///        clamped into [soc_min_frac, soc_max_frac].
   BatteryPack(BatteryConfig cfg, double initial_soc_frac);
 
-  /// Applies `action` for a slot of `dt_hours`.  Actions that would violate
+  /// Applies `action` for one one-hour slot.  Actions that would violate
   /// the SoC bounds are partially applied up to the bound; an action with no
   /// feasible headroom at all degrades to kIdle (and incurs no wear cost).
   ///
   /// `max_discharge_kw` throttles the delivered power below R_dch: the DC
   /// bus cannot absorb more than the hub's instantaneous net load, so the
   /// BMS limits discharge to it (surplus renewable power is curtailed, but
-  /// battery energy is never dumped).  Ignored for charge/idle.
-  BpStepResult step(BpAction action, double dt_hours,
+  /// battery energy is never dumped).  Ignored for charge/idle, but every
+  /// action throws std::invalid_argument unless it is >= 0 (NaN fails).
+  BpStepResult step(BpAction action,
                     double max_discharge_kw = std::numeric_limits<double>::infinity());
 
   [[nodiscard]] double soc_kwh() const noexcept { return soc_kwh_; }

@@ -6,9 +6,8 @@
 namespace ecthub::battery {
 
 double reserve_energy_worst_window(const std::vector<double>& bs_power_kw,
-                                   std::size_t recovery_slots, double dt_hours) {
+                                   std::size_t recovery_slots) {
   if (recovery_slots == 0) throw std::invalid_argument("reserve window must be >= 1 slot");
-  if (dt_hours <= 0.0) throw std::invalid_argument("dt_hours must be > 0");
   if (bs_power_kw.size() < recovery_slots) {
     throw std::invalid_argument("trace shorter than recovery window");
   }
@@ -19,7 +18,7 @@ double reserve_energy_worst_window(const std::vector<double>& bs_power_kw,
     window += bs_power_kw[t] - bs_power_kw[t - recovery_slots];
     worst = std::max(worst, window);
   }
-  return worst * dt_hours;
+  return worst;
 }
 
 double reserve_floor_fraction(double reserve_kwh, double capacity_kwh,

@@ -3,7 +3,8 @@
 // The SoC floor must cover the base station's energy draw over the estimated
 // grid-recovery time T_r:  sum_{t..t+Tr} P_BS(t) <= SoC_min.  We size the
 // floor against the worst-case window of a representative load trace, which
-// is the conservative reading operators use.
+// is the conservative reading operators use.  A slot is one hour, so a slot's
+// draw in kW is its energy in kWh.
 #pragma once
 
 #include <cstddef>
@@ -12,10 +13,10 @@
 namespace ecthub::battery {
 
 /// Energy (kWh) of the worst contiguous window of `recovery_slots` slots in a
-/// BS power trace sampled at `dt_hours` per slot.  Throws if the trace is
+/// BS power trace sampled once per one-hour slot.  Throws if the trace is
 /// shorter than the window.
 [[nodiscard]] double reserve_energy_worst_window(const std::vector<double>& bs_power_kw,
-                                                 std::size_t recovery_slots, double dt_hours);
+                                                 std::size_t recovery_slots);
 
 /// Converts a reserve energy into an SoC floor fraction for a pack of
 /// `capacity_kwh`, accounting for discharge efficiency (stored energy must

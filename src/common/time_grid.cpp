@@ -4,10 +4,11 @@
 
 namespace ecthub {
 
-TimeGrid::TimeGrid(std::size_t num_days, std::size_t slots_per_day)
-    : num_days_(num_days), slots_per_day_(slots_per_day) {
+TimeGrid::TimeGrid(std::size_t num_days, std::size_t slots_per_day) : num_days_(num_days) {
   if (num_days == 0) throw std::invalid_argument("TimeGrid: num_days must be >= 1");
-  if (slots_per_day == 0) throw std::invalid_argument("TimeGrid: slots_per_day must be >= 1");
+  if (slots_per_day != kSlotsPerDay) {
+    throw std::invalid_argument("TimeGrid: slots_per_day must be 24 (one-hour slots)");
+  }
 }
 
 void TimeGrid::check_slot(std::size_t t) const {
@@ -19,17 +20,15 @@ void TimeGrid::check_slot(std::size_t t) const {
 
 std::size_t TimeGrid::day_of(std::size_t t) const {
   check_slot(t);
-  return t / slots_per_day_;
+  return t / kSlotsPerDay;
 }
 
 std::size_t TimeGrid::slot_of_day(std::size_t t) const {
   check_slot(t);
-  return t % slots_per_day_;
+  return t % kSlotsPerDay;
 }
 
-double TimeGrid::hour_of_day(std::size_t t) const {
-  return static_cast<double>(slot_of_day(t)) * slot_hours();
-}
+double TimeGrid::hour_of_day(std::size_t t) const { return static_cast<double>(slot_of_day(t)); }
 
 std::size_t TimeGrid::day_of_week(std::size_t t) const { return day_of(t) % 7; }
 

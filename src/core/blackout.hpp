@@ -5,7 +5,8 @@
 // through a grid outage on battery alone until the grid recovers.  This
 // module injects outages into a hub's exogenous series and reports whether
 // communication survived: the validation the paper's constraint implies but
-// never exercises.
+// never exercises.  A slot is one hour, so durations in hours round up to
+// whole slots and a slot's draw in kW is its energy in kWh.
 #pragma once
 
 #include "battery/battery_pack.hpp"
@@ -30,14 +31,13 @@ struct OutageModel {
   void validate() const;
 };
 
-/// Draws grid outages over a horizon of flags.size() slots of `dt_hours` and
+/// Draws grid outages over a horizon of flags.size() one-hour slots and
 /// writes them as per-slot flags: every flag is overwritten, 1 inside an
 /// outage and 0 elsewhere.  The outage count is Poisson with mean
 /// rate_per_month over the horizon; each outage then starts at a uniform slot
 /// and lasts a uniform [min, max] hours, rounded up to whole slots (at least
 /// one) and cut at the horizon.  Allocation-free.
-void draw_outages_into(const OutageModel& model, double dt_hours, Rng& rng,
-                       std::span<std::uint8_t> flags);
+void draw_outages_into(const OutageModel& model, Rng& rng, std::span<std::uint8_t> flags);
 
 /// Result of riding one outage on battery.
 struct RideThroughResult {
@@ -53,11 +53,10 @@ struct RideThroughResult {
 /// which is exactly what the reserve floor protects).
 /// @param bs_kw      BS power draw per slot across the outage window
 /// @param soc_kwh    pack state of charge when the outage hits
-/// Throws std::invalid_argument unless dt_hours is finite and > 0.
+/// Throws std::invalid_argument unless every draw is >= 0 (NaN fails).
 [[nodiscard]] RideThroughResult ride_through(const battery::BatteryConfig& pack,
                                              double soc_kwh,
-                                             const std::vector<double>& bs_kw,
-                                             double dt_hours);
+                                             const std::vector<double>& bs_kw);
 
 /// Fraction of `trials` random outages survived when the pack sits at its
 /// reserve floor — the Eq. 6 guarantee check.  `bs_kw` is a representative
@@ -68,13 +67,13 @@ struct SurvivalStats {
   std::size_t trials = 0;
 };
 
-/// Throws std::invalid_argument on a model that fails OutageModel::validate,
-/// on a dt_hours that is not finite and > 0, and when max_duration_h exceeds
-/// the trace (bs_kw.size() * dt_hours), which outage windows wrap.
+/// Throws std::invalid_argument on a model that fails OutageModel::validate
+/// and when max_duration_h exceeds the trace (bs_kw.size() hours), which
+/// outage windows wrap.
 [[nodiscard]] SurvivalStats outage_survival(const battery::BatteryConfig& pack,
                                             double floor_soc_kwh,
                                             const std::vector<double>& bs_kw,
-                                            const OutageModel& model, double dt_hours,
-                                            std::size_t trials, Rng rng);
+                                            const OutageModel& model, std::size_t trials,
+                                            Rng rng);
 
 }  // namespace ecthub::core

@@ -28,7 +28,6 @@ constexpr std::uint64_t kThroughStream = 0x7468'72753030ULL;         // "thru"
 
 HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
   if (cfg.episode_days == 0) throw std::invalid_argument("HubEnvConfig: episode_days == 0");
-  if (cfg.slots_per_day == 0) throw std::invalid_argument("HubEnvConfig: slots_per_day == 0");
   if (cfg.lookback == 0) throw std::invalid_argument("HubEnvConfig: lookback == 0");
   if (!cfg.discount_by_hour.empty() && cfg.discount_by_hour.size() != 24) {
     throw std::invalid_argument("HubEnvConfig: discount_by_hour must have 24 entries");
@@ -49,9 +48,7 @@ HubEnvConfig EctHubEnv::validated(HubEnvConfig cfg) {
 EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
     : hub_(std::move(hub)),
       cfg_(validated(std::move(env_cfg))),
-      dt_(TimeGrid(cfg_.episode_days, cfg_.slots_per_day).slot_hours()),
-      rng_(hub_.seed),
-      ledger_(cfg_.slots_per_day) {
+      rng_(hub_.seed) {
   // Fail on a bad hub config (a zero-capacity battery, a NaN price level) at
   // construction, not at the first reset deep inside a worker thread.  Every
   // component check is written so that NaN fails it; the station and its EV
@@ -71,26 +68,17 @@ EctHubEnv::EctHubEnv(HubConfig hub, HubEnvConfig env_cfg)
   station_.emplace(hub_.station,
                    ev::StrataProfile(hub_.ev_popularity, hub_.ev_evening_sensitivity,
                                      hub_.ev_evening_commuter));
-  const TimeGrid day(1, cfg_.slots_per_day);
-  hour_sin_.resize(day.size());
-  hour_cos_.resize(day.size());
-  fill_by_slot_of_day(day, hour_sin_, [](double hour) {
-    return elementary::sin(2.0 * std::numbers::pi * hour / 24.0);
-  });
-  fill_by_slot_of_day(day, hour_cos_, [](double hour) {
-    return elementary::cos(2.0 * std::numbers::pi * hour / 24.0);
-  });
+  for (std::size_t hour = 0; hour < kSlotsPerDay; ++hour) {
+    const double phase = 2.0 * std::numbers::pi * static_cast<double>(hour) / 24.0;
+    hour_sin_[hour] = elementary::sin(phase);
+    hour_cos_[hour] = elementary::cos(phase);
+  }
 }
 
 std::size_t EctHubEnv::state_dim() const { return observation_layout().dim(); }
 
-double EctHubEnv::hour_of_day(std::size_t t) const {
-  const TimeGrid grid(cfg_.episode_days, cfg_.slots_per_day);
-  return grid.hour_of_day(t);
-}
-
 void EctHubEnv::generate_episode() {
-  const TimeGrid grid(cfg_.episode_days, cfg_.slots_per_day);
+  const TimeGrid grid(cfg_.episode_days, kSlotsPerDay);
   const std::size_t episode = episode_index_++;
   const HubCouplingConfig& coupling = cfg_.coupling;
   const bool fronted = coupling.enabled && coupling.front_seed != 0;
@@ -135,8 +123,7 @@ void EctHubEnv::generate_episode() {
     discounted_.assign(grid.size(), false);
     if (!cfg_.discount_by_hour.empty()) {
       for (std::size_t t = 0; t < grid.size(); ++t) {
-        const auto hour = static_cast<std::size_t>(grid.hour_of_day(t));
-        discounted_[t] = cfg_.discount_by_hour[hour % 24];
+        discounted_[t] = cfg_.discount_by_hour[grid.slot_of_day(t)];
       }
     }
     selling_.emplace(hub_.selling, pricing::DiscountSchedule::from_flags(
@@ -164,7 +151,7 @@ void EctHubEnv::generate_episode() {
     if (fronted && coupling.outage.rate_per_month > 0.0) {
       Rng outage_rng(
           mix_seed(mix_seed(coupling.front_seed, kOutageFrontStream), episode));
-      draw_outages_into(coupling.outage, grid.slot_hours(), outage_rng, outage_);
+      draw_outages_into(coupling.outage, outage_rng, outage_);
     } else {
       std::fill(outage_.begin(), outage_.end(), std::uint8_t{0});
     }
@@ -176,11 +163,9 @@ void EctHubEnv::generate_episode() {
   // Cut at the horizon in double: a huge finite recovery time must not reach
   // the size_t cast, which is undefined at 2^64 and above.
   const auto recovery_slots = static_cast<std::size_t>(
-      std::min(std::ceil(hub_.recovery_hours / grid.slot_hours()),
-               static_cast<double>(bs_kw_.size())));
+      std::min(std::ceil(hub_.recovery_hours), static_cast<double>(bs_kw_.size())));
   if (recovery_slots > 0) {
-    const double reserve_kwh = battery::reserve_energy_worst_window(
-        bs_kw_, recovery_slots, grid.slot_hours());
+    const double reserve_kwh = battery::reserve_energy_worst_window(bs_kw_, recovery_slots);
     const double floor_frac = battery::reserve_floor_fraction(
         reserve_kwh, hub_.battery.capacity_kwh, hub_.battery.discharge_efficiency);
     const double floor_kwh =
@@ -229,9 +214,9 @@ void EctHubEnv::observe_into(std::span<double> out) const {
   std::size_t pos = window_.size();
   out[pos++] = pack_->soc_frac();
   // Wrapping by hand keeps the final observation (t_ == size, where
-  // TimeGrid::hour_of_day would range-check) on the same 24 h phase;
-  // identical to hour_of_day(t_) for every in-episode slot.
-  const std::size_t slot_of_day = t_ % cfg_.slots_per_day;
+  // TimeGrid::slot_of_day would range-check) on the same 24 h phase;
+  // identical to slot_of_day(t_) for every in-episode slot.
+  const std::size_t slot_of_day = t_ % kSlotsPerDay;
   out[pos++] = hour_sin_[slot_of_day];
   out[pos] = hour_cos_[slot_of_day];
 }
@@ -301,18 +286,18 @@ StepOutcome EctHubEnv::step_into(std::size_t action, std::span<double> next_stat
   const double pv_kw = gen_.pv_w[t_];
   const double wt_kw = gen_.wt_w[t_];
   const double net_load_kw = std::max(0.0, bs_kw_[t_] + cs_kw - wt_kw - pv_kw);
-  const battery::BpStepResult bp = pack_->step(bp_action, dt_, net_load_kw);
+  const battery::BpStepResult bp = pack_->step(bp_action, net_load_kw);
 
   const power::PowerFlow flow{bs_kw_[t_], cs_kw, bp.bus_power_kw, wt_kw, pv_kw};
   const SlotEconomics econ =
-      slot_economics(flow.cs_kw, flow.grid_kw(), srtp_[t_], rtp_[t_], bp.op_cost, dt_);
+      slot_economics(flow.cs_kw, flow.grid_kw(), srtp_[t_], rtp_[t_], bp.op_cost);
   ledger_.record(econ);
 
   // Counterfactual reward (see step_into in hub_env.hpp): the same slot
   // with the pack idle.
   const power::PowerFlow idle_flow{bs_kw_[t_], cs_kw, 0.0, wt_kw, pv_kw};
   const SlotEconomics idle_econ =
-      slot_economics(idle_flow.cs_kw, idle_flow.grid_kw(), srtp_[t_], rtp_[t_], 0.0, dt_);
+      slot_economics(idle_flow.cs_kw, idle_flow.grid_kw(), srtp_[t_], rtp_[t_], 0.0);
 
   ++t_;
   StepOutcome outcome;

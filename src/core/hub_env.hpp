@@ -13,6 +13,7 @@
 // less the profit the slot would have made idle (see step_into).
 #pragma once
 
+#include "common/time_grid.hpp"
 #include "core/blackout.hpp"
 #include "core/hub_config.hpp"
 #include "core/profit.hpp"
@@ -51,7 +52,8 @@ struct HubCouplingConfig {
 
 struct HubEnvConfig {
   std::size_t episode_days = 30;
-  std::size_t slots_per_day = 24;
+  /// Not a setting: slots are one hour.  Kept for perfbench, which reads it.
+  static constexpr std::size_t slots_per_day = kSlotsPerDay;
   std::size_t lookback = 6;  ///< slots of history per state channel
 
   /// Discount decisions by hour of day (24 entries) produced by ECT-Price or
@@ -141,12 +143,11 @@ class EctHubEnv final : public rl::Env {
   // ---- Introspection for rule-based schedulers, accounting and tests ----
   [[nodiscard]] std::size_t current_slot() const noexcept { return t_; }
   [[nodiscard]] std::size_t slots_per_episode() const noexcept {
-    return cfg_.episode_days * cfg_.slots_per_day;
+    return cfg_.episode_days * kSlotsPerDay;
   }
   [[nodiscard]] double rtp_at(std::size_t t) const { return rtp_.at(t); }
   [[nodiscard]] double srtp_at(std::size_t t) const { return srtp_.at(t); }
   [[nodiscard]] double soc_frac() const { return pack_->soc_frac(); }
-  [[nodiscard]] double hour_of_day(std::size_t t) const;
   [[nodiscard]] const battery::BatteryPack& pack() const { return *pack_; }
   [[nodiscard]] const ProfitLedger& ledger() const { return ledger_; }
   [[nodiscard]] const HubConfig& hub() const noexcept { return hub_; }
@@ -169,7 +170,6 @@ class EctHubEnv final : public rl::Env {
 
   HubConfig hub_;
   HubEnvConfig cfg_;
-  double dt_;  ///< slot length in hours
   Rng rng_;
 
   // Episode series, each written once per reset in the unit the slot reads
@@ -205,8 +205,8 @@ class EctHubEnv final : public rl::Env {
 
   // The observation's hour-of-day phase, sin and cos, by slot of the day;
   // built at construction.
-  std::vector<double> hour_sin_;
-  std::vector<double> hour_cos_;
+  std::array<double, kSlotsPerDay> hour_sin_{};
+  std::array<double, kSlotsPerDay> hour_cos_{};
 
   std::optional<ev::ChargingStation> station_;         ///< built at construction
   std::optional<pricing::SellingPricePolicy> selling_; ///< built at first reset

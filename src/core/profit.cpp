@@ -1,24 +1,22 @@
 #include "core/profit.hpp"
 
+#include "common/time_grid.hpp"
+
 #include <stdexcept>
 
 namespace ecthub::core {
 
 SlotEconomics slot_economics(double cs_kw, double grid_kw, double srtp, double rtp,
-                             double bp_cost, double dt_hours) {
-  if (dt_hours <= 0.0) throw std::invalid_argument("slot_economics: dt_hours <= 0");
-  if (cs_kw < 0.0 || grid_kw < 0.0) {
-    throw std::invalid_argument("slot_economics: negative power");
+                             double bp_cost) {
+  // Written so that NaN fails.
+  if (!(cs_kw >= 0.0 && grid_kw >= 0.0)) {
+    throw std::invalid_argument("slot_economics: negative or NaN power");
   }
   SlotEconomics e;
-  e.revenue = cs_kw * dt_hours * srtp / 1000.0;
-  e.grid_cost = grid_kw * dt_hours * rtp / 1000.0;
+  e.revenue = cs_kw * srtp / 1000.0;
+  e.grid_cost = grid_kw * rtp / 1000.0;
   e.bp_cost = bp_cost;
   return e;
-}
-
-ProfitLedger::ProfitLedger(std::size_t slots_per_day) : slots_per_day_(slots_per_day) {
-  if (slots_per_day == 0) throw std::invalid_argument("ProfitLedger: slots_per_day == 0");
 }
 
 void ProfitLedger::reset() {
@@ -30,7 +28,7 @@ void ProfitLedger::reset() {
 }
 
 void ProfitLedger::record(const SlotEconomics& e) {
-  if (slots_ % slots_per_day_ == 0) daily_.push_back(0.0);
+  if (slots_ % kSlotsPerDay == 0) daily_.push_back(0.0);
   daily_.back() += e.profit();
   revenue_ += e.revenue;
   grid_cost_ += e.grid_cost;

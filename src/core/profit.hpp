@@ -4,8 +4,8 @@
 //   C_BP(t)   = |S_BP(t)| * c_BP              (Eq. 8)
 //   CR        = sum_t P_CS(t) * SRTP(t)       (Eq. 11)
 //   Psi       = CR - sum_t [C_grid + C_BP]    (Eq. 12)
-// Prices are $/MWh and power is kW, so each slot's dollar value is
-// energy_kWh * price / 1000.
+// Prices are $/MWh and power is kW held for a one-hour slot, so each slot's
+// dollar value is kW * price / 1000.
 #pragma once
 
 #include <cstddef>
@@ -22,25 +22,23 @@ struct SlotEconomics {
   [[nodiscard]] double profit() const { return revenue - grid_cost - bp_cost; }
 };
 
-/// Computes one slot's economics.
+/// Computes one one-hour slot's economics.  Throws std::invalid_argument
+/// unless both powers are >= 0 (NaN fails).
 /// @param cs_kw     charging-station draw, kW
 /// @param grid_kw   grid import, kW
 /// @param srtp      selling price, $/MWh
 /// @param rtp       grid price, $/MWh
 /// @param bp_cost   battery wear cost already in dollars (Eq. 8)
-/// @param dt_hours  slot length
 [[nodiscard]] SlotEconomics slot_economics(double cs_kw, double grid_kw, double srtp,
-                                           double rtp, double bp_cost, double dt_hours);
+                                           double rtp, double bp_cost);
 
-/// Running accumulator with per-day aggregation.
+/// Running accumulator with per-day aggregation over kSlotsPerDay-slot days.
 class ProfitLedger {
  public:
-  explicit ProfitLedger(std::size_t slots_per_day);
-
   void record(const SlotEconomics& e);
 
-  /// Clears all totals and the daily series, keeping the day length — lets
-  /// one ledger instance be reused across episodes without reallocation.
+  /// Clears all totals and the daily series — lets one ledger instance be
+  /// reused across episodes without reallocation.
   void reset();
 
   [[nodiscard]] double total_revenue() const noexcept { return revenue_; }
@@ -56,7 +54,6 @@ class ProfitLedger {
   [[nodiscard]] std::size_t slots_recorded() const noexcept { return slots_; }
 
  private:
-  std::size_t slots_per_day_;
   std::size_t slots_ = 0;
   double revenue_ = 0.0;
   double grid_cost_ = 0.0;

@@ -26,12 +26,9 @@ void ChargingStation::simulate_into(const TimeGrid& grid, const std::vector<bool
         "ChargingStation::simulate_into: discounted length must match grid");
   }
   out.power_kw.resize(grid.size());
-  const double slot_h = grid.slot_hours();
   std::size_t t = 0;
   for (std::size_t day = 0; day < grid.num_days(); ++day) {
-    for (std::size_t slot = 0; slot < grid.slots_per_day(); ++slot, ++t) {
-      // TimeGrid::hour_of_day(t): the slot of the day times the slot length.
-      const auto hour = static_cast<std::size_t>(static_cast<double>(slot) * slot_h);
+    for (std::size_t hour = 0; hour < kSlotsPerDay; ++hour, ++t) {
       const Stratum s = profile_.sample(hour, rng);
       std::uint64_t n = charges(s, discounted[t], rng) ? 1 : 0;
       // Busy daytime slots occasionally fill a second plug.

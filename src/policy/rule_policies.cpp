@@ -1,6 +1,7 @@
 #include "policy/rule_policies.hpp"
 
 #include "common/stats.hpp"
+#include "common/time_grid.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -63,7 +64,7 @@ std::size_t GreedyPricePolicy::decide(std::span<const double> obs) {
   // sorted copy slides with it — one binary-search erase and one insert per
   // slot — and holds what std::sort of the window would, so both quantiles
   // are read off it directly.
-  constexpr std::size_t kWindow = 24;
+  constexpr std::size_t kWindow = kSlotsPerDay;
   if (seen_.size() == kWindow + 1) {
     sorted_.erase(std::lower_bound(sorted_.begin(), sorted_.end(), seen_.front()));
     seen_.erase(seen_.begin());
@@ -78,7 +79,8 @@ std::size_t GreedyPricePolicy::decide(std::span<const double> obs) {
 }
 
 ForecastPolicy::ForecastPolicy(ObservationLayout layout, double low_band, double high_band)
-    : layout_(layout), low_band_(low_band), high_band_(high_band), price_forecast_(24) {
+    : layout_(layout), low_band_(low_band), high_band_(high_band),
+      price_forecast_(kSlotsPerDay) {
   if (!(0.0 <= low_band && low_band < high_band && high_band <= 1.0)) {
     throw std::invalid_argument("ForecastPolicy: bad bands");
   }

@@ -27,8 +27,7 @@ core::DrlTrainLane make_lane(const ScenarioRegistry& registry, const std::string
 }
 
 void check_layout(const core::DrlTrainLane& lane, const core::HubEnvConfig& reference_env) {
-  if (lane.env.slots_per_day != reference_env.slots_per_day ||
-      lane.env.lookback != reference_env.lookback) {
+  if (lane.env.lookback != reference_env.lookback) {
     throw std::invalid_argument(
         "train_actor_zoo: presets disagree on the observation layout");
   }

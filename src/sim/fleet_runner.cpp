@@ -2,7 +2,6 @@
 
 #include "common/crew.hpp"
 #include "common/parse.hpp"
-#include "common/time_grid.hpp"
 #include "policy/rule_policies.hpp"
 #include "sim/coupling.hpp"
 #include "sim/scenario.hpp"
@@ -43,8 +42,7 @@ void reject_coupled(const char* who, const FleetJob& job) {
 // digest, the coupling totals and the ledger fold exist exactly once.
 class HubLane {
  public:
-  HubLane(const FleetJob& job, std::size_t hub_id, const FleetRunnerConfig& cfg)
-      : dt_hours_(TimeGrid(job.env.episode_days, job.env.slots_per_day).slot_hours()) {
+  HubLane(const FleetJob& job, std::size_t hub_id, const FleetRunnerConfig& cfg) {
     core::HubConfig hub = job.hub;
     hub.seed = mix_seed(cfg.base_seed, hub_id);
     result_.seed = hub.seed;
@@ -107,10 +105,11 @@ class HubLane {
       soc_.checksum += s;
       ++soc_.samples;
     }
-    result_.through_kwh += coupling.through_kw * dt_hours_;
-    result_.spill_exported_kwh += coupling.export_kw * dt_hours_;
-    result_.spill_served_kwh += coupling.served_import_kw * dt_hours_;
-    result_.spill_dropped_kwh += coupling.dropped_import_kw * dt_hours_;
+    // A slot is one hour, so each kW of the slot adds one kWh to the totals.
+    result_.through_kwh += coupling.through_kw;
+    result_.spill_exported_kwh += coupling.export_kw;
+    result_.spill_served_kwh += coupling.served_import_kw;
+    result_.spill_dropped_kwh += coupling.dropped_import_kw;
     if (coupling.outage) ++result_.outage_slots;
     if (in_episode_) return false;
     if (record_soc_) {
@@ -140,7 +139,6 @@ class HubLane {
   }
 
   std::unique_ptr<core::EctHubEnv> env_;
-  double dt_hours_;  ///< slot duration, for kW -> kWh coupling totals
   bool in_episode_ = false;
   bool record_soc_ = false;
   SocDigest soc_;

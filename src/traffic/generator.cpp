@@ -10,7 +10,7 @@ namespace ecthub::traffic {
 
 void TrafficConfig::validate() const {
   // Written so that NaN fails every check, and every field must be finite.
-  for (const double x : {weekend_factor, noise_sigma, peak_volume_gb}) {
+  for (const double x : {weekend_factor, noise_sigma}) {
     if (!std::isfinite(x)) throw std::invalid_argument("TrafficConfig: non-finite field");
   }
   if (!(noise_persistence >= 0.0 && noise_persistence < 1.0)) {
@@ -37,9 +37,8 @@ void TrafficGenerator::generate_into(const TimeGrid& grid, TrafficTrace& trace) 
   double ar = 0.0;  // AR(1) log-multiplier state
   std::size_t t = 0;
   for (std::size_t day = 0; day < grid.num_days(); ++day) {
-    const double weekend =
-        grid.is_weekend(day * grid.slots_per_day()) ? cfg_.weekend_factor : 1.0;
-    for (std::size_t s = 0; s < grid.slots_per_day(); ++s, ++t) {
+    const double weekend = grid.is_weekend(day * kSlotsPerDay) ? cfg_.weekend_factor : 1.0;
+    for (std::size_t s = 0; s < kSlotsPerDay; ++s, ++t) {
       const double envelope = trace.load_rate[t];
       ar = cfg_.noise_persistence * ar + rng_.normal(0.0, cfg_.noise_sigma);
       const double load = std::clamp(envelope * weekend * elementary::exp(ar), cfg_.min_load, 1.0);

@@ -1,8 +1,9 @@
 // Stochastic network-traffic (load-rate) generator.
 //
 // Produces the load rate alpha_t in [0, 1] that drives the BS power model
-// P_BS(t) = Pmin + alpha_t (Pmax - Pmin) (paper Eq. 1).  The traffic volume
-// in GB of the paper's Fig. 5 "Load" axis is alpha_t * peak_volume_gb.
+// P_BS(t) = Pmin + alpha_t (Pmax - Pmin) (paper Eq. 1).  The paper's Fig. 5
+// plots traffic volume in GB; bench_fig05_rtp_traffic scales the load rate
+// to that axis.
 #pragma once
 
 #include <vector>
@@ -21,8 +22,6 @@ struct TrafficConfig {
   double noise_persistence = 0.7;
   /// Standard deviation of the AR(1) innovation.
   double noise_sigma = 0.08;
-  /// Peak traffic volume in GB per slot: a slot carries load rate times this.
-  double peak_volume_gb = 160.0;
   /// Floor on the load rate (control-plane traffic never drops to zero).
   double min_load = 0.05;
 

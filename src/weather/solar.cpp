@@ -46,14 +46,12 @@ SolarModel::SolarModel(SolarConfig cfg, Rng rng) : cfg_(cfg), rng_(rng) { cfg_.v
 void SolarModel::generate_into(const TimeGrid& grid, std::vector<double>& out_ghi) {
   out_ghi.resize(grid.size());
   bool cloudy = rng_.bernoulli(0.5);
-  const double slot_h = grid.slot_hours();
   std::size_t t = 0;
   for (std::size_t day = 0; day < grid.num_days(); ++day) {
     const ClearSkyDay sky(cfg_, (cfg_.start_day_of_year + day) % 365);
-    for (std::size_t s = 0; s < grid.slots_per_day(); ++s, ++t) {
+    for (std::size_t hour = 0; hour < kSlotsPerDay; ++hour, ++t) {
       if (rng_.bernoulli(cfg_.cloud_switch_prob)) cloudy = !cloudy;
-      // TimeGrid::hour_of_day(t): the slot of the day times the slot length.
-      const double clear = sky.at(static_cast<double>(s) * slot_h);
+      const double clear = sky.at(static_cast<double>(hour));
       double trans = 1.0;
       if (cloudy) {
         trans = std::clamp(

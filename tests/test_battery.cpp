@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace ecthub::battery {
 namespace {
 
@@ -34,7 +36,7 @@ TEST(BatteryPack, InitialSocClampedToBounds) {
 
 TEST(BatteryPack, IdleChangesNothing) {
   BatteryPack p(small_pack(), 0.5);
-  const auto r = p.step(BpAction::kIdle, 1.0);
+  const auto r = p.step(BpAction::kIdle);
   EXPECT_DOUBLE_EQ(r.bus_power_kw, 0.0);
   EXPECT_DOUBLE_EQ(r.op_cost, 0.0);
   EXPECT_DOUBLE_EQ(p.soc_frac(), 0.5);
@@ -43,7 +45,7 @@ TEST(BatteryPack, IdleChangesNothing) {
 
 TEST(BatteryPack, ChargeStoresEtaFractionOfDraw) {
   BatteryPack p(small_pack(), 0.5);
-  const auto r = p.step(BpAction::kCharge, 1.0);
+  const auto r = p.step(BpAction::kCharge);
   // Bus draws the full rate; eta_ch of it lands in the pack (Eq. 3).
   EXPECT_NEAR(r.bus_power_kw, 2.0, 1e-9);
   EXPECT_NEAR(p.soc_kwh(), 5.0 + 2.0 * 0.9, 1e-9);
@@ -53,7 +55,7 @@ TEST(BatteryPack, ChargeStoresEtaFractionOfDraw) {
 
 TEST(BatteryPack, DischargeDepletesFasterThanDelivered) {
   BatteryPack p(small_pack(), 0.5);
-  const auto r = p.step(BpAction::kDischarge, 1.0);
+  const auto r = p.step(BpAction::kDischarge);
   EXPECT_NEAR(r.bus_power_kw, -2.0, 1e-9);  // negative = provides power
   EXPECT_NEAR(p.soc_kwh(), 5.0 - 2.0 / 0.9, 1e-9);
   EXPECT_EQ(r.applied, BpAction::kDischarge);
@@ -61,7 +63,7 @@ TEST(BatteryPack, DischargeDepletesFasterThanDelivered) {
 
 TEST(BatteryPack, ChargeStopsAtUpperBound) {
   BatteryPack p(small_pack(), 0.9);
-  const auto r = p.step(BpAction::kCharge, 1.0);
+  const auto r = p.step(BpAction::kCharge);
   // Full: the action degrades to idle with no wear cost.
   EXPECT_DOUBLE_EQ(r.bus_power_kw, 0.0);
   EXPECT_DOUBLE_EQ(r.op_cost, 0.0);
@@ -71,7 +73,7 @@ TEST(BatteryPack, ChargeStopsAtUpperBound) {
 
 TEST(BatteryPack, PartialChargeUpToBound) {
   BatteryPack p(small_pack(), 0.85);  // headroom 0.5 kWh < eta*rate = 1.8 kWh
-  const auto r = p.step(BpAction::kCharge, 1.0);
+  const auto r = p.step(BpAction::kCharge);
   EXPECT_NEAR(p.soc_frac(), 0.9, 1e-9);
   EXPECT_GT(r.bus_power_kw, 0.0);
   EXPECT_LT(r.bus_power_kw, 2.0);  // only drew what fit
@@ -79,7 +81,7 @@ TEST(BatteryPack, PartialChargeUpToBound) {
 
 TEST(BatteryPack, DischargeStopsAtReserveFloor) {
   BatteryPack p(small_pack(), 0.2);
-  const auto r = p.step(BpAction::kDischarge, 1.0);
+  const auto r = p.step(BpAction::kDischarge);
   EXPECT_DOUBLE_EQ(r.bus_power_kw, 0.0);
   EXPECT_EQ(r.applied, BpAction::kIdle);
   EXPECT_DOUBLE_EQ(p.soc_frac(), 0.2);
@@ -90,7 +92,7 @@ TEST(BatteryPack, SocNeverLeavesBounds) {
   Rng rng(123);
   for (int i = 0; i < 1000; ++i) {
     const auto a = static_cast<BpAction>(rng.uniform_int(0, 2));
-    p.step(a, 1.0);
+    p.step(a);
     EXPECT_GE(p.soc_frac(), 0.2 - 1e-9);
     EXPECT_LE(p.soc_frac(), 0.9 + 1e-9);
   }
@@ -101,8 +103,8 @@ TEST(BatteryPack, RoundTripLosesEnergy) {
   // started (eta_ch * eta_dch < 1).
   BatteryPack p(small_pack(), 0.5);
   const double initial = p.soc_kwh();
-  p.step(BpAction::kCharge, 1.0);
-  p.step(BpAction::kDischarge, 1.0);
+  p.step(BpAction::kCharge);
+  p.step(BpAction::kDischarge);
   EXPECT_LT(p.soc_kwh(), initial + 1e-12);
 }
 
@@ -110,7 +112,7 @@ TEST(BatteryPack, ReserveFloorRaisesEffectiveMinimum) {
   BatteryPack p(small_pack(), 0.5);
   p.set_reserve_floor_kwh(4.0);  // 40% of 10 kWh
   // Available energy above the floor is 1 kWh stored -> 0.9 deliverable.
-  const auto r = p.step(BpAction::kDischarge, 1.0);
+  const auto r = p.step(BpAction::kDischarge);
   EXPECT_NEAR(-r.bus_power_kw, 0.9, 1e-9);
   EXPECT_NEAR(p.soc_kwh(), 4.0, 1e-9);
 }
@@ -123,7 +125,7 @@ TEST(BatteryPack, ReserveFloorOutOfRangeThrows) {
 
 TEST(BatteryPack, FeasibilityChecks) {
   // An action with no headroom degrades to idle; each step runs on a copy.
-  const auto applied = [](BatteryPack p, BpAction a) { return p.step(a, 1.0).applied; };
+  const auto applied = [](BatteryPack p, BpAction a) { return p.step(a).applied; };
   const BatteryPack full(small_pack(), 0.9);
   EXPECT_EQ(applied(full, BpAction::kCharge), BpAction::kIdle);
   EXPECT_EQ(applied(full, BpAction::kDischarge), BpAction::kDischarge);
@@ -133,10 +135,13 @@ TEST(BatteryPack, FeasibilityChecks) {
   EXPECT_EQ(applied(empty, BpAction::kIdle), BpAction::kIdle);
 }
 
+// A NaN cap must not discharge at the full rate.
 TEST(BatteryPack, BadStepArgumentsThrow) {
   BatteryPack p(small_pack(), 0.5);
-  EXPECT_THROW(p.step(BpAction::kIdle, 0.0), std::invalid_argument);
-  EXPECT_THROW(p.step(BpAction::kIdle, -1.0), std::invalid_argument);
+  EXPECT_THROW(p.step(BpAction::kDischarge, -1.0), std::invalid_argument);
+  EXPECT_THROW(p.step(BpAction::kDischarge, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(p.soc_frac(), 0.5);
 }
 
 TEST(BatteryConfig, ValidationCatchesEveryField) {
@@ -168,12 +173,12 @@ TEST_P(EfficiencySweepTest, RoundTripLossMatchesEtaProduct) {
   cfg.discharge_efficiency = eta_dch;
   BatteryPack p(cfg, 0.5);
   // Charge one slot: bus pays 10 kWh, pack stores 10 * eta_ch.
-  const auto c = p.step(BpAction::kCharge, 1.0);
+  const auto c = p.step(BpAction::kCharge);
   EXPECT_NEAR(c.bus_power_kw, 10.0, 1e-9);
   // Discharge everything stored back out.
   double delivered = 0.0;
   for (;;) {
-    const auto d = p.step(BpAction::kDischarge, 1.0);
+    const auto d = p.step(BpAction::kDischarge);
     if (d.applied != BpAction::kDischarge) break;
     delivered += -d.bus_power_kw;
   }
@@ -198,8 +203,8 @@ TEST_P(ReserveSweepTest, ReserveGrowsWithWindow) {
   std::vector<double> trace;
   Rng rng(99);
   for (int i = 0; i < 200; ++i) trace.push_back(rng.uniform(1.0, 4.0));
-  const double r1 = reserve_energy_worst_window(trace, window, 1.0);
-  const double r2 = reserve_energy_worst_window(trace, window + 1, 1.0);
+  const double r1 = reserve_energy_worst_window(trace, window);
+  const double r2 = reserve_energy_worst_window(trace, window + 1);
   EXPECT_LE(r1, r2);  // longer outage window never needs less energy
   EXPECT_GE(r1, static_cast<double>(window) * 1.0);
   EXPECT_LE(r1, static_cast<double>(window) * 4.0);
@@ -245,20 +250,19 @@ TEST(Degradation, NegativeInputsThrow) {
 // ---------------------------------------------------------------- reserve
 
 TEST(Reserve, WorstWindowFindsPeak) {
-  // Trace with a 2-slot peak of 5+6 = 11 kWh at dt=1.
+  // Trace with a 2-slot peak of 5+6 = 11 kWh.
   const std::vector<double> trace = {1, 2, 5, 6, 1, 1};
-  EXPECT_DOUBLE_EQ(reserve_energy_worst_window(trace, 2, 1.0), 11.0);
+  EXPECT_DOUBLE_EQ(reserve_energy_worst_window(trace, 2), 11.0);
 }
 
 TEST(Reserve, WorstWindowWholeTrace) {
   const std::vector<double> trace = {1, 2, 3};
-  EXPECT_DOUBLE_EQ(reserve_energy_worst_window(trace, 3, 1.0), 6.0);
+  EXPECT_DOUBLE_EQ(reserve_energy_worst_window(trace, 3), 6.0);
 }
 
 TEST(Reserve, WorstWindowValidation) {
-  EXPECT_THROW((void)reserve_energy_worst_window({1.0}, 2, 1.0), std::invalid_argument);
-  EXPECT_THROW((void)reserve_energy_worst_window({1.0, 2.0}, 0, 1.0), std::invalid_argument);
-  EXPECT_THROW((void)reserve_energy_worst_window({1.0, 2.0}, 1, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)reserve_energy_worst_window({1.0}, 2), std::invalid_argument);
+  EXPECT_THROW((void)reserve_energy_worst_window({1.0, 2.0}, 0), std::invalid_argument);
 }
 
 TEST(Reserve, FloorFractionAccountsForEfficiency) {
@@ -275,7 +279,7 @@ TEST(Reserve, Eq6Invariant) {
   // SoC floor.  Verify the floor sized from a trace indeed covers that trace.
   const std::vector<double> bs = {2.0, 3.0, 3.5, 2.5, 2.0, 1.5, 3.0, 3.2};
   const std::size_t recovery_slots = 4;
-  const double reserve = reserve_energy_worst_window(bs, recovery_slots, 1.0);
+  const double reserve = reserve_energy_worst_window(bs, recovery_slots);
   double worst = 0.0;
   for (std::size_t t = 0; t + recovery_slots <= bs.size(); ++t) {
     double acc = 0.0;

@@ -43,14 +43,16 @@ namespace {
 TEST(TimeGrid, SizeAndSlotHours) {
   const TimeGrid grid(30, 24);
   EXPECT_EQ(grid.size(), 720u);
-  EXPECT_DOUBLE_EQ(grid.slot_hours(), 1.0);
-  const TimeGrid half(2, 48);
-  EXPECT_DOUBLE_EQ(half.slot_hours(), 0.5);
+  EXPECT_EQ(grid.slots_per_day(), 24u);
+  EXPECT_EQ(grid.slot_hours(), 1.0);
 }
 
+// A slot is one hour: every other resolution is refused.
 TEST(TimeGrid, RejectsZeroDays) {
   EXPECT_THROW(TimeGrid(0, 24), std::invalid_argument);
-  EXPECT_THROW(TimeGrid(1, 0), std::invalid_argument);
+  for (const std::size_t spd : {0u, 7u, 48u, 96u}) {
+    EXPECT_THROW(TimeGrid(1, spd), std::invalid_argument) << spd;
+  }
 }
 
 TEST(TimeGrid, DayAndSlotDecomposition) {
@@ -63,10 +65,11 @@ TEST(TimeGrid, DayAndSlotDecomposition) {
 }
 
 TEST(TimeGrid, HourOfDay) {
-  const TimeGrid grid(2, 48);
-  EXPECT_DOUBLE_EQ(grid.hour_of_day(0), 0.0);
-  EXPECT_DOUBLE_EQ(grid.hour_of_day(1), 0.5);
-  EXPECT_DOUBLE_EQ(grid.hour_of_day(49), 0.5);
+  const TimeGrid grid(2, 24);
+  EXPECT_EQ(grid.hour_of_day(0), 0.0);
+  EXPECT_EQ(grid.hour_of_day(1), 1.0);
+  EXPECT_EQ(grid.hour_of_day(23), 23.0);
+  EXPECT_EQ(grid.hour_of_day(25), 1.0);
 }
 
 TEST(TimeGrid, DayOfWeekWrapsAtSeven) {
@@ -90,22 +93,20 @@ TEST(TimeGrid, OutOfRangeSlotThrows) {
 }
 
 TEST(TimeGrid, FillBySlotOfDayWritesEverySlotsHour) {
-  for (const std::size_t spd : {24u, 96u, 7u}) {
-    const TimeGrid grid(9, spd);
-    std::vector<double> out(grid.size(), -1.0);
-    std::size_t calls = 0;
-    fill_by_slot_of_day(grid, out, [&calls](double hour) {
-      ++calls;
-      return 3.0 * hour - 1.0;
-    });
-    EXPECT_EQ(calls, spd);
-    for (std::size_t t = 0; t < grid.size(); ++t) {
-      EXPECT_EQ(out[t], 3.0 * grid.hour_of_day(t) - 1.0) << spd << " " << t;
-    }
-    std::vector<double> short_out(grid.size() - 1);
-    EXPECT_THROW(fill_by_slot_of_day(grid, short_out, [](double h) { return h; }),
-                 std::invalid_argument);
+  const TimeGrid grid(9, 24);
+  std::vector<double> out(grid.size(), -1.0);
+  std::size_t calls = 0;
+  fill_by_slot_of_day(grid, out, [&calls](double hour) {
+    ++calls;
+    return 3.0 * hour - 1.0;
+  });
+  EXPECT_EQ(calls, 24u);
+  for (std::size_t t = 0; t < grid.size(); ++t) {
+    EXPECT_EQ(out[t], 3.0 * grid.hour_of_day(t) - 1.0) << t;
   }
+  std::vector<double> short_out(grid.size() - 1);
+  EXPECT_THROW(fill_by_slot_of_day(grid, short_out, [](double h) { return h; }),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- Rng

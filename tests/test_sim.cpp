@@ -1089,17 +1089,16 @@ void check_physics_per_slot(std::vector<FleetJob> jobs, PathCounts& counts) {
       const double grid_cost = env.ledger().total_grid_cost() - grid_cost_before;
       ASSERT_GE(grid_cost, 0.0) << where;
 
-      const double dt = 24.0 / static_cast<double>(jobs[i].env.slots_per_day);
       const battery::BatteryConfig& bc = jobs[i].hub.battery;
       const double d_soc = pack.soc_kwh() - soc_before;
-      const double bp_kw = d_soc >= 0.0 ? d_soc / (bc.charge_efficiency * dt)
-                                        : d_soc * bc.discharge_efficiency / dt;
+      const double bp_kw =
+          d_soc >= 0.0 ? d_soc / bc.charge_efficiency : d_soc * bc.discharge_efficiency;
       const double cs_kw = c.outage ? 0.0
                                     : env.cs_power_series()[t] + (c.through_kw - c.export_kw) +
                                           c.served_import_kw;
       const double grid_kw = std::max(
           0.0, env.bs_power_series()[t] + cs_kw + bp_kw - env.renewable_series()[t]);
-      const double want = grid_kw * env.rtp_at(t) * dt / 1000.0;
+      const double want = grid_kw * env.rtp_at(t) / 1000.0;
       // 1e-9 relative; the floor covers slots whose import cancels to ~0
       // when discharge is throttled to the net load.
       ASSERT_NEAR(grid_cost, want, 1e-9 * std::max(std::abs(want), 1e-3)) << where;
